@@ -35,13 +35,7 @@ from .crystal import verify_local_identity as verify_crystal
 from .exact import PrecisionError, is_prime
 from .galois import GaloisModule, random_admissible_pair
 from .galois import verify_local_identity as verify_galois
-from .motive import (
-    global_ext_orders,
-    motive_from_json,
-    verify_global_identity,
-    verify_weil_identity,
-    weil_ext,
-)
+from .motive import global_ext_orders, motive_from_json
 from .witt import WittRing
 from .zeta import variety_from_spec, verify_variety_identity, zeta_special_value
 from .zgamma import HypothesisError
@@ -134,11 +128,11 @@ def _cmd_ext(args) -> int:
         "discriminant": rep.discriminant,
         "nstar": rep.nstar,
         "support": list(rep.support),
-        "global_identity": verify_global_identity(x, y)["equal"],
-        "weil_identity": verify_weil_identity(x, y)["equal"],
+        "global_identity": rep.global_identity()["equal"],
+        "weil_identity": rep.weil_identity()["equal"],
     }
     try:
-        w = weil_ext(x, y)
+        w = rep.weil_ext()
         out["weil"] = {"ext0_rank": w.ext0_rank, "ext0_torsion": w.ext0_torsion,
                        "ext1_rank": w.ext1_rank, "ext1_torsion": w.ext1_torsion,
                        "ext2_order": w.ext2_order, "z_f": w.z_f}
@@ -270,7 +264,9 @@ def main(argv=None) -> int:
         print("hypothesis violated: %s" % exc, file=sys.stderr)
         return 3
     except PrecisionError as exc:
-        print("precision not certified: %s" % exc, file=sys.stderr)
+        hint = "" if exc.required is None else \
+            "; rerun with --precision %d" % exc.required
+        print("precision not certified: %s%s" % (exc, hint), file=sys.stderr)
         return 4
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)

@@ -8,7 +8,6 @@ in ascending degree order (index = degree), trimmed of trailing zeros.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 class PrecisionError(ArithmeticError):
@@ -60,14 +59,6 @@ def l_primary(x, p: int) -> Fraction:
     Fraction(4, 1)
     """
     return Fraction(p) ** valuation(x, p)
-
-
-def unit_part(n: int, p: int) -> int:
-    """n / p^{v_p(n)} for a nonzero integer n."""
-    n0 = n
-    while n0 % p == 0:
-        n0 //= p
-    return n0
 
 
 def is_prime(n: int) -> bool:
@@ -274,47 +265,29 @@ def resultant(f: list, g: list):
 def composed_product(u: list, v: list) -> list:
     """Monic polynomial with root multiset {u_i * v_j}.
 
-    Implemented as the resultant Res_t(u(t), t^{deg v} v(x/t)) through
-    evaluation at deg u * deg v + 1 integer points followed by exact Lagrange
-    interpolation.  Both inputs must be monic.
+    The power sums of the products are the termwise products of the power
+    sums of u and v; Newton's identities turn them back into coefficients
+    (Bostan, Flajolet, Salvy, Schost, "Fast computation of special
+    resultants", JSC 2006).  Both inputs must be monic.
     """
-    u = poly_monic(u)
-    v = poly_monic(v)
-    du, dv = len(u) - 1, len(v) - 1
-    n = du * dv
-    if n == 0:
-        return [Fraction(1)]
-    xs = list(range(n + 1))
-    ys = []
-    for x0 in xs:
-        # w(t) = t^dv * v(x0/t) = sum_m v_m x0^m t^(dv-m)
-        w = [Fraction(0)] * (dv + 1)
-        for m, vm in enumerate(v):
-            w[dv - m] = Fraction(vm) * x0 ** m
-        ys.append(resultant(u, poly_trim(w)))
-    return _lagrange(xs, ys)
-
-
-def _lagrange(xs: list[int], ys: list) -> list:
-    out = []
-    for xi, yi in zip(xs, ys):
-        term = [Fraction(yi)]
-        for xj in xs:
-            if xj == xi:
-                continue
-            term = poly_mul(term, [Fraction(-xj, xi - xj), Fraction(1, xi - xj)])
-        out = poly_add(out, term)
-    # pad: poly_add trims, but the result is monic of degree len(xs)-1
-    while len(out) < len(xs):
-        out.append(Fraction(0))
-    return out
+    n = poly_deg(u) * poly_deg(v)
+    ps = [a * b for a, b in zip(power_sums(u, n), power_sums(v, n))]
+    # e[k]: k-th elementary symmetric function of the products
+    e = [Fraction(1)]
+    for k in range(1, n + 1):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            term = e[k - i] * ps[i - 1]
+            acc += term if i % 2 else -term
+        e.append(acc / k)
+    return [e[n - k] if (n - k) % 2 == 0 else -e[n - k] for k in range(n + 1)]
 
 
 def ratio_charpoly(p: list, q: list) -> list:
     """Monic polynomial with root multiset {b_j / a_i}, a_i roots of p, b_j of q.
 
     p(0) must be nonzero.  No roots are ever materialized: the inverse roots of
-    p come from coefficient reversal and the products from a resultant.
+    p come from coefficient reversal and the products from power sums.
     """
     p = poly_monic(p)
     q = poly_monic(q)
@@ -373,7 +346,3 @@ def power_sums(monic: list, n: int) -> list:
             acc += (-1) ** (k - 1) * Fraction(k) * e[k]
         ps.append(acc)
     return ps
-
-
-def lcm(a: int, b: int) -> int:
-    return abs(a * b) // gcd(a, b) if a and b else 0

@@ -62,6 +62,9 @@ class GaloisModule:
     torsion_frob must act invertibly on the corresponding finite group.
     """
 
+    # no per-instance dict: callers keep many modules alive at once
+    __slots__ = ("l", "q", "free_frob", "rank", "torsion", "torsion_frob")
+
     def __init__(self, l: int, q: int, free_frob: Matrix | None = None,
                  torsion: tuple[int, ...] = (), torsion_frob: Matrix | None = None):
         if not is_prime(l):
@@ -89,12 +92,9 @@ class GaloisModule:
             hom = GroupHom(pres, pres, self.torsion_frob)  # checks compatibility
             if hom.kernel_group().order != 1:
                 raise ValueError("torsion action must be invertible")
-        self._charpoly = None
 
     def charpoly(self) -> list[int]:
-        if self._charpoly is None:
-            self._charpoly = charpoly(self.free_frob)
-        return self._charpoly
+        return charpoly(self.free_frob)
 
     def min_poly(self):
         return minimal_polynomial(self.free_frob) if self.rank else [Fraction(1)]

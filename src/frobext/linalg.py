@@ -58,18 +58,6 @@ def transpose(a: Matrix) -> Matrix:
     return [list(r) for r in zip(*a)] if a else []
 
 
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    n = len(a)
-    out = identity(n)
-    base = mat_copy(a)
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 def trace(a: Matrix):
     return sum(a[i][i] for i in range(len(a)))
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .crystal import (
     Crystal,
@@ -312,6 +313,31 @@ def _require_comparable(x: Motive, y: Motive):
         raise ValueError("motives at different working precision")
 
 
+def _ratio_limit(x: Motive, y: Motive) -> tuple[int, Fraction]:
+    """(rho, N*) from the eigenvalue-ratio polynomial: the number of pairs
+    a_i = b_j, and the product of (1 - b_j/a_i) over the other pairs."""
+    ratio = ratio_charpoly(x.charpoly, y.charpoly) if x.rank and y.rank else [1]
+    return limit_leading(reversed_form(ratio))
+
+
+def _hom_lattice(x: Motive, y: Motive, rho: int) -> list:
+    """Basis of the saturated integer solution lattice of H F_X = F_Y H,
+    checked to have rank rho."""
+    rx, ry = x.rank, y.rank
+    basis = []
+    if rx and ry:
+        fx, fy = companion(x.charpoly), companion(y.charpoly)
+        op = mat_sub(kron(identity(ry), transpose(fx)), kron(fy, identity(rx)))
+        cols = kernel_basis(op)
+        for k in range(len(cols[0]) if cols else 0):
+            basis.append([[cols[i * rx + j][k] for j in range(rx)]
+                          for i in range(ry)])
+    if len(basis) != rho:
+        raise RuntimeError("commutant rank disagrees with the eigenvalue"
+                           " pair count; the charpolys are not squarefree?")
+    return basis
+
+
 def hom_motives(x: Motive, y: Motive) -> tuple[list, int]:
     """Basis of the saturated integer solution lattice of H F_X = F_Y H
     (matrices Y-rank by X-rank) together with its rank rho; rho is checked
@@ -324,24 +350,8 @@ def hom_motives(x: Motive, y: Motive) -> tuple[list, int]:
     0
     """
     _require_comparable(x, y)
-    rx, ry = x.rank, y.rank
-    if rx == 0 or ry == 0:
-        basis = []
-    else:
-        fx, fy = companion(x.charpoly), companion(y.charpoly)
-        op = mat_sub(kron(identity(ry), transpose(fx)), kron(fy, identity(rx)))
-        cols = kernel_basis(op)
-        basis = []
-        for k in range(len(cols[0]) if cols else 0):
-            basis.append([[cols[i * rx + j][k] for j in range(rx)]
-                          for i in range(ry)])
-    rho = len(basis)
-    ratio = ratio_charpoly(x.charpoly, y.charpoly) if rx and ry else [1]
-    rho_pairs, _ = limit_leading(reversed_form(ratio))
-    if rho_pairs != rho:
-        raise RuntimeError("commutant rank disagrees with the eigenvalue"
-                           " pair count; the charpolys are not squarefree?")
-    return basis, rho
+    rho, _ = _ratio_limit(x, y)
+    return _hom_lattice(x, y, rho), rho
 
 
 def trace_discriminant(x: Motive, y: Motive) -> int:
@@ -352,38 +362,25 @@ def trace_discriminant(x: Motive, y: Motive) -> int:
     >>> trace_discriminant(e, e)   # |det [[2, t], [t, t^2 - 2q]]|
     11
     """
-    gram = _signed_gram(x, y)
+    basis, rho = hom_motives(x, y)
+    return _discriminant(basis, _hom_lattice(y, x, rho))
+
+
+def _discriminant(basis_xy: list, basis_yx: list) -> int:
+    gram = [[trace(mat_mul(h, g)) for h in basis_xy] for g in basis_yx]
     d = abs(bareiss_det(gram)) if gram else 1
     if d == 0:
         raise ValueError("the trace pairing is degenerate")
     return d
 
 
-def _signed_gram(x: Motive, y: Motive):
-    basis_xy, rho = hom_motives(x, y)
-    basis_yx, rho_back = hom_motives(y, x)
-    if rho_back != rho:
-        raise RuntimeError("Hom ranks are not symmetric")
-    return [[trace(mat_mul(h, g)) for h in basis_xy] for g in basis_yx]
-
-
 # ---------------------------------------------------------------------------
 # per-prime local data
 
 
-def _int_root(n: int, k: int) -> int:
-    if k == 1 or n == 1:
-        return n
-    r = round(n ** (1.0 / k))
-    for c in (r - 1, r, r + 1):
-        if c > 0 and c ** k == n:
-            return c
-    raise RuntimeError("local order %d is not an exact %d-th power" % (n, k))
-
-
-def _fraction_root(z: Fraction, p: int, k: int) -> Fraction:
-    """Exact k-th root of a signed power of p."""
-    z = abs(z)
+def _p_power_root(z, p: int, k: int) -> Fraction:
+    """Exact k-th root of a signed power of p (an int or a Fraction)."""
+    z = abs(Fraction(z))
     if k == 1:
         return z
     vn = int_valuation(z.numerator, p)
@@ -442,9 +439,9 @@ def _p_side(x: Motive, y: Motive, rho: int) -> dict:
     return {
         "l": p,
         "hom_tors": 1,
-        "ext1_torsion": _int_root(rep.ext1.torsion_order, scale),
+        "ext1_torsion": int(_p_power_root(rep.ext1.torsion_order, p, scale)),
         "ext2": 1,
-        "z_f": _fraction_root(ver["lhs"], p, scale),
+        "z_f": _p_power_root(ver["lhs"], p, scale),
         "swap_tors": 1,
     }
 
@@ -455,6 +452,10 @@ def _p_side(x: Motive, y: Motive, rho: int) -> dict:
 
 @dataclass
 class GlobalExtReport:
+    """The assembled data of one motive pair.  Both identity checks and the
+    Weil-group Ext are read off it (`global_identity`, `weil_identity`,
+    `weil_ext`), so one assembly answers every question about the pair."""
+
     q: int
     rho: int
     hom_lattice: list
@@ -467,6 +468,61 @@ class GlobalExtReport:
     nstar: Fraction
     support: tuple[int, ...]
     per_prime: dict
+    leading: Fraction        # q^chi |N*|, the zeta side of both identities
+
+    def _local_product(self, key: str):
+        return prod((d[key] for d in self.per_prime.values()), start=Fraction(1))
+
+    def global_identity(self) -> dict:
+        """The result of verify_global_identity on the pair."""
+        rhs = Fraction(self.ext1_order * self.discriminant,
+                       self.hom_tors_order * self.ext2_cotors_order)
+        return {
+            "q": self.q,
+            "rho": self.rho,
+            "lhs": self.leading,
+            "rhs": rhs,
+            "equal": self.leading == rhs,
+            "duality_ok": self._local_product("swap_tors")
+            == self.ext2_cotors_order,
+            "chi": self.chi,
+            "chi_statement": self.chi_statement,
+            "ext1_order": self.ext1_order,
+            "discriminant": self.discriminant,
+            "hom_tors_order": self.hom_tors_order,
+            "ext2_cotors_order": self.ext2_cotors_order,
+            "support": self.support,
+        }
+
+    def weil_identity(self) -> dict:
+        """The result of verify_weil_identity on the pair."""
+        z_f = self._local_product("z_f")
+        balance = self.leading * z_f * self.ext2_cotors_order
+        return {
+            "q": self.q,
+            "rho": self.rho,
+            "lhs": self.leading,
+            "z_f": z_f,
+            "ext2_order": self.ext2_cotors_order,
+            "rhs": 1 / (z_f * self.ext2_cotors_order),
+            "balance": balance,
+            "equal": balance == 1,
+            "chi": self.chi,
+            "chi_statement": self.chi_statement,
+            "support": self.support,
+        }
+
+    def weil_ext(self) -> "WeilExtReport":
+        """The result of weil_ext on the pair."""
+        torsions = [d["ext1_torsion"] for d in self.per_prime.values()]
+        if None in torsions:
+            raise HypothesisError("Ext^1 torsion is not determined when torsion"
+                                  " meets positive local rank at one prime")
+        return WeilExtReport(
+            q=self.q, rho=self.rho, ext0_rank=self.rho,
+            ext0_torsion=self.hom_tors_order, ext1_rank=self.rho,
+            ext1_torsion=prod(torsions), ext2_order=self.ext2_cotors_order,
+            z_f=self._local_product("z_f"))
 
 
 @dataclass
@@ -484,18 +540,20 @@ class WeilExtReport:
     z_f: Fraction
 
 
-def _assemble(x: Motive, y: Motive) -> dict:
+def _q_power(p: int, a: int, chi: Fraction) -> Fraction:
+    e = chi * a
+    if e.denominator != 1:
+        raise RuntimeError("non-integral exponent of p")
+    return Fraction(p) ** e.numerator
+
+
+def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     _require_comparable(x, y)
-    basis, rho = hom_motives(x, y)
-    ratio = ratio_charpoly(x.charpoly, y.charpoly) if x.rank and y.rank else [1]
-    _, nstar = limit_leading(reversed_form(ratio))
-    gram = _signed_gram(x, y)
-    disc = bareiss_det(gram) if gram else 1
-    if disc == 0:
-        raise ValueError("the trace pairing is degenerate")
+    rho, nstar = _ratio_limit(x, y)
+    basis = _hom_lattice(x, y, rho)
+    disc = _discriminant(basis, _hom_lattice(y, x, rho))
     p = x.p
     chi = x.slope_sum() * y.rank
-    chi_stmt = Fraction(x.rank) * y.slope_sum()
     support = {p}
     support.update(prime_factors(nstar.numerator))
     support.update(prime_factors(nstar.denominator))
@@ -503,21 +561,13 @@ def _assemble(x: Motive, y: Motive) -> dict:
     support.update(x.exceptional)
     support.update(y.exceptional)
     per_prime: dict[int, dict] = {}
-    hom_tors, ext2, swap_tors = 1, 1, 1
+    hom_tors, ext2 = 1, 1
     ext1_order = 1
-    weil_ext1: int | None = 1
-    z_f = Fraction(1)
     for l in sorted(support):
         d = _p_side(x, y, rho) if l == p else _l_side(x, y, l, rho)
         per_prime[l] = d
         hom_tors *= d["hom_tors"]
         ext2 *= d["ext2"]
-        swap_tors *= d["swap_tors"]
-        z_f *= d["z_f"]
-        if weil_ext1 is not None and d["ext1_torsion"] is not None:
-            weil_ext1 *= d["ext1_torsion"]
-        else:
-            weil_ext1 = None
         # the group-of-extensions order carried by the identity at l:
         # [Hom_tors(l)] |D|_l / z(f_l), an l-power by the local identity
         contrib = Fraction(d["hom_tors"]) * abs_at(l, disc) / d["z_f"]
@@ -528,13 +578,12 @@ def _assemble(x: Motive, y: Motive) -> dict:
                 and contrib.numerator != d["ext1_torsion"]:
             raise RuntimeError("the z-route and the group route disagree"
                                " at l=%d" % l)
-    return {
-        "rho": rho, "basis": basis, "nstar": nstar, "disc": disc,
-        "chi": chi, "chi_statement": chi_stmt,
-        "support": tuple(sorted(support)), "per_prime": per_prime,
-        "hom_tors": hom_tors, "ext1_order": ext1_order, "ext2": ext2,
-        "swap_tors": swap_tors, "weil_ext1": weil_ext1, "z_f": z_f,
-    }
+    return GlobalExtReport(
+        q=x.q, rho=rho, hom_lattice=basis, hom_tors_order=hom_tors,
+        ext1_order=ext1_order, ext2_cotors_order=ext2, discriminant=disc,
+        chi=chi, chi_statement=Fraction(x.rank) * y.slope_sum(), nstar=nstar,
+        support=tuple(sorted(support)), per_prime=per_prime,
+        leading=_q_power(p, x.a, chi) * abs(nstar))
 
 
 def global_ext_orders(x: Motive, y: Motive) -> GlobalExtReport:
@@ -546,20 +595,7 @@ def global_ext_orders(x: Motive, y: Motive) -> GlobalExtReport:
     >>> global_ext_orders(unit_motive(5), lefschetz_motive(5, 2)).ext1_order
     24
     """
-    a = _assemble(x, y)
-    return GlobalExtReport(
-        q=x.q, rho=a["rho"], hom_lattice=a["basis"],
-        hom_tors_order=a["hom_tors"], ext1_order=a["ext1_order"],
-        ext2_cotors_order=a["ext2"], discriminant=abs(a["disc"]),
-        chi=a["chi"], chi_statement=a["chi_statement"], nstar=a["nstar"],
-        support=a["support"], per_prime=a["per_prime"])
-
-
-def _q_power(p: int, a: int, chi: Fraction) -> Fraction:
-    e = chi * a
-    if e.denominator != 1:
-        raise RuntimeError("non-integral exponent of p")
-    return Fraction(p) ** e.numerator
+    return _assemble(x, y)
 
 
 def verify_global_identity(x: Motive, y: Motive) -> dict:
@@ -570,25 +606,7 @@ def verify_global_identity(x: Motive, y: Motive) -> dict:
     >>> verify_global_identity(unit_motive(3), lefschetz_motive(3))["equal"]
     True
     """
-    a = _assemble(x, y)
-    lhs = _q_power(x.p, x.a, a["chi"]) * abs(a["nstar"])
-    rhs = Fraction(a["ext1_order"] * abs(a["disc"]),
-                   a["hom_tors"] * a["ext2"])
-    return {
-        "q": x.q,
-        "rho": a["rho"],
-        "lhs": lhs,
-        "rhs": rhs,
-        "equal": lhs == rhs,
-        "duality_ok": a["swap_tors"] == a["ext2"],
-        "chi": a["chi"],
-        "chi_statement": a["chi_statement"],
-        "ext1_order": a["ext1_order"],
-        "discriminant": abs(a["disc"]),
-        "hom_tors_order": a["hom_tors"],
-        "ext2_cotors_order": a["ext2"],
-        "support": a["support"],
-    }
+    return _assemble(x, y).global_identity()
 
 
 def weil_ext(x: Motive, y: Motive) -> WeilExtReport:
@@ -599,14 +617,7 @@ def weil_ext(x: Motive, y: Motive) -> WeilExtReport:
     >>> weil_ext(unit_motive(5), lefschetz_motive(5)).ext1_torsion
     4
     """
-    a = _assemble(x, y)
-    if a["weil_ext1"] is None:
-        raise HypothesisError("Ext^1 torsion is not determined when torsion"
-                              " meets positive local rank at one prime")
-    return WeilExtReport(
-        q=x.q, rho=a["rho"], ext0_rank=a["rho"], ext0_torsion=a["hom_tors"],
-        ext1_rank=a["rho"], ext1_torsion=a["weil_ext1"], ext2_order=a["ext2"],
-        z_f=a["z_f"])
+    return _assemble(x, y).weil_ext()
 
 
 def verify_weil_identity(x: Motive, y: Motive) -> dict:
@@ -617,19 +628,4 @@ def verify_weil_identity(x: Motive, y: Motive) -> dict:
     >>> verify_weil_identity(unit_motive(3), unit_motive(3))["equal"]
     True
     """
-    a = _assemble(x, y)
-    lhs = _q_power(x.p, x.a, a["chi"]) * abs(a["nstar"])
-    balance = lhs * a["z_f"] * a["ext2"]
-    return {
-        "q": x.q,
-        "rho": a["rho"],
-        "lhs": lhs,
-        "z_f": a["z_f"],
-        "ext2_order": a["ext2"],
-        "rhs": 1 / (a["z_f"] * a["ext2"]),
-        "balance": balance,
-        "equal": balance == 1,
-        "chi": a["chi"],
-        "chi_statement": a["chi_statement"],
-        "support": a["support"],
-    }
+    return _assemble(x, y).weil_identity()

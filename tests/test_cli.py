@@ -1,11 +1,20 @@
+import gc
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from frobext import cli
 from frobext.cli import main
-from frobext.motive import elliptic_motive, motive_to_json, unit_motive
+from frobext.exact import PrecisionError
+from frobext.motive import (
+    GlobalExtReport,
+    elliptic_motive,
+    motive_to_json,
+    unit_motive,
+)
 
 
 def run(capsys, argv):
@@ -23,6 +32,32 @@ def test_ext_command(capsys):
     assert obj["ext1_order"] == 9
     assert obj["global_identity"] is True and obj["weil_identity"] is True
     assert obj["weil"]["ext1_torsion"] == 9
+
+
+# `ext --json` output on a fixed table of pairs: (1, L^r), (1, h1E),
+# (h1E, L^r), (L, h1E) and E x E over F_5, F_9, F_25, F_8 and F_27, then two
+# pairs with 3-torsion decorations (one with indeterminate Weil Ext^1)
+EXT_TABLE = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "ext_table.json").read_text())
+
+
+def test_ext_json_table(capsys):
+    for row in EXT_TABLE:
+        code, out = run(capsys, ["ext", row["x"], row["y"], "--json"])
+        assert (code, out) == (0, row["stdout"]), (row["x"], row["y"])
+
+
+def test_ext_pairs_back_to_back(capsys):
+    # one process, different pairs in turn: each answer belongs to its own
+    # pair, also when a pair comes back after another one
+    for i in (0, 2, 1, 0, 4, 2):
+        row = EXT_TABLE[i]
+        assert run(capsys, ["ext", row["x"], row["y"], "--json"]) \
+            == (0, row["stdout"])
+    # and no assembly outlives its query, so none can be handed to a later
+    # pair (a memo keyed on object ids would be, once the ids are reused)
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, GlobalExtReport)]
 
 
 def test_ext_reads_files(tmp_path, capsys):
@@ -100,6 +135,17 @@ def test_input_error_exit_codes(capsys):
                  motive_to_json(unit_motive(5))]) == 2
     assert main(["verify-local", "--random", "1", "--prime", "4"]) == 2
     assert main(["verify-local"]) == 2  # neither --random nor --replay
+
+
+@pytest.mark.parametrize("required, hint", [
+    (28, "; rerun with --precision 28"), (None, "")])
+def test_precision_error_exit_code(capsys, monkeypatch, required, hint):
+    def fail(args):
+        raise PrecisionError("valuation unstable at K", required=required)
+    monkeypatch.setattr(cli, "_cmd_zeta", fail)
+    assert main(["zeta", "{}"]) == 4
+    assert capsys.readouterr().err == \
+        "precision not certified: valuation unstable at K%s\n" % hint
 
 
 def test_deterministic_json_output(capsys):

@@ -2,18 +2,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from frobext.exact import (
     abs_at,
     composed_product,
     is_square_in_zp,
     limit_leading,
+    poly_add,
     poly_divmod,
     poly_eval,
     poly_gcd,
     poly_monic,
     poly_mul,
+    poly_trim,
     power_sums,
     prime_factors,
     ratio_charpoly,
@@ -74,45 +76,58 @@ def test_resultant_values():
     assert resultant(f, g) == resultant(g, f)  # deg f * deg g even
 
 
-def _power_sum_poly(ps: list[Fraction]) -> list[Fraction]:
-    """Monic polynomial from power sums via Newton's identities (test oracle)."""
-    n = len(ps)
-    e = [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * ps[i - 1]
-        e.append(acc / k)
-    return [(-1) ** (n - k) * e[n - k] for k in range(n + 1)]
+def _lagrange_composed_product(u: list, v: list) -> list:
+    """Reference for composed_product by an independent route: the resultant
+    Res_t(u(t), t^{deg v} v(x/t)) at deg u * deg v + 1 integer points x,
+    followed by exact Lagrange interpolation."""
+    u, v = poly_monic(u), poly_monic(v)
+    du, dv = len(u) - 1, len(v) - 1
+    n = du * dv
+    if n == 0:
+        return [Fraction(1)]
+    xs = list(range(n + 1))
+    ys = []
+    for x0 in xs:
+        # w(t) = t^dv * v(x0/t) = sum_m v_m x0^m t^(dv-m)
+        w = [Fraction(0)] * (dv + 1)
+        for m, vm in enumerate(v):
+            w[dv - m] = vm * x0 ** m
+        ys.append(resultant(u, poly_trim(w)))
+    out = []
+    for xi, yi in zip(xs, ys):
+        term = [Fraction(yi)]
+        for xj in xs:
+            if xj != xi:
+                term = poly_mul(term, [Fraction(-xj, xi - xj),
+                                       Fraction(1, xi - xj)])
+        out = poly_add(out, term)
+    return out + [Fraction(0)] * (n + 1 - len(out))
 
 
 def test_composed_product_against_power_sums():
-    # independent route: power sums of products are products of power sums
     u = [6, -5, 1]   # roots 2, 3
     v = [-2, -1, 1]  # roots 2, -1
     got = composed_product(u, v)
+    # roots 4, -2, 6, -3
+    expected = poly_mul(poly_mul([-4, 1], [2, 1]), poly_mul([-6, 1], [3, 1]))
+    assert got == expected
+    # power sums of the products are the products of the power sums
     n = 4
-    pu = power_sums(u, n)
-    pv = power_sums(v, n)
-    expected = _power_sum_poly([a * b for a, b in zip(pu, pv)])
-    assert [Fraction(x) for x in got] == expected
+    assert power_sums(got, n) == [a * b for a, b in
+                                  zip(power_sums(u, n), power_sums(v, n))]
 
 
-@given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=3),
-       st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=3))
-def test_composed_product_random(roots_u, roots_v):
-    u = [1]
-    for r in roots_u:
-        u = poly_mul(u, [-r, 1])
-    v = [1]
-    for r in roots_v:
-        v = poly_mul(v, [-r, 1])
+monic_integer_polys = st.lists(st.integers(min_value=-6, max_value=6),
+                               min_size=0, max_size=6).map(lambda c: c + [1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(monic_integer_polys, monic_integer_polys)
+def test_composed_product_random(u, v):
     got = composed_product(u, v)
-    n = len(roots_u) * len(roots_v)
-    pu = power_sums(u, n)
-    pv = power_sums(v, n)
-    expected = _power_sum_poly([a * b for a, b in zip(pu, pv)])
-    assert [Fraction(x) for x in got] == expected
+    assert len(got) == (len(u) - 1) * (len(v) - 1) + 1
+    assert all(type(c) is Fraction for c in got)
+    assert got == _lagrange_composed_product(u, v)
 
 
 def test_ratio_charpoly_examples():

@@ -8,6 +8,7 @@ from frobext.galois import GaloisModule
 from frobext.linalg import companion
 from frobext.motive import (
     Motive,
+    _p_power_root,
     elliptic_motive,
     global_ext_orders,
     hom_motives,
@@ -221,6 +222,17 @@ def test_json_roundtrip():
     with pytest.raises(ValueError):
         motive_from_json('{"q": 5, "charpoly": [-1, 1], '
                          '"crystal": {"slopes": ["1"]}}')
+
+
+def test_p_power_root_is_exact_on_large_powers():
+    # a float root overflowed or missed on these (3**800 exceeds a double)
+    assert _p_power_root(3 ** 400, 3, 4) == 3 ** 100
+    assert _p_power_root(3 ** 800, 3, 4) == 3 ** 200
+    assert _p_power_root(Fraction(1, 3 ** 8), 3, 4) == Fraction(1, 9)
+    with pytest.raises(RuntimeError):
+        _p_power_root(3 ** 401, 3, 4)
+    with pytest.raises(RuntimeError):
+        _p_power_root(2 * 3 ** 400, 3, 4)
 
 
 def test_mixed_fields_rejected():
