@@ -5,7 +5,7 @@ Subpackages:
   linalg   -- integer/rational matrices, Smith normal form, charpoly
   zgamma   -- finitely generated abelian groups, z(f) calculus, gamma cohomology
   galois   -- l-adic Galois modules and their Hom/Ext groups
-  witt     -- truncated Witt vectors W(F_q) and skew polynomials
+  witt     -- truncated Witt vectors W(F_q) and p-adic Smith forms
   crystal  -- F-crystals, Ext presentations, local special-value identity at p
   motive   -- global motives, Hom lattices, global/Weil special-value identities
   zeta     -- varieties, point counts, zeta special values, motivic cohomology

@@ -12,8 +12,9 @@ Three subcommands:
 
 Exit codes: 0 verified, 1 a verification failed, 2 bad input, 3 the
 hypothesis of the local theorem is violated, 4 p-adic precision could not be
-certified.  JSON output is deterministic (sorted keys); a failing random
-case is written to a replay file so the exact instance can be re-run.
+certified, 5 an internal consistency check failed.  JSON output is
+deterministic (sorted keys); a failing random case is written to a replay
+file so the exact instance can be re-run.
 """
 
 from __future__ import annotations
@@ -271,6 +272,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

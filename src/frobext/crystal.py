@@ -31,9 +31,9 @@ from .witt import WittElem, WittRing, padic_det_valuation, padic_smith
 from .zgamma import (
     FinGenAbGroup,
     GroupHom,
-    HypothesisError,
-    Presentation,
+    hypothesis_gate,
     middle_cohomology,
+    moduli_presentation,
 )
 
 
@@ -191,7 +191,17 @@ class Crystal:
         return bareiss_det([[x % p for x in row] for row in phi]) % p != 0
 
     def with_ring(self, ring: WittRing) -> "Crystal":
-        return Crystal(ring, self.coords, self.exponents, self.special_poly)
+        """The same crystal over another ring.  The checks passed here hold
+        at every higher precision of the same (p, a, modulus), so moving
+        up there does not re-run them."""
+        mine = self.ring
+        if ring.K < mine.K or \
+                (ring.p, ring.a, ring.modulus) != (mine.p, mine.a, mine.modulus):
+            return Crystal(ring, self.coords, self.exponents, self.special_poly)
+        out = object.__new__(Crystal)
+        out.__dict__.update(self.__dict__, ring=ring)
+        out.frob = [[ring.elem(c) for c in row] for row in self.coords]
+        return out
 
     def at_precision(self, precision: int) -> "Crystal":
         return self.with_ring(self.ring.at_precision(precision))
@@ -248,66 +258,6 @@ def special_module(ring: WittRing, min_poly) -> Crystal:
     for i, c in enumerate(m):
         lifted[ring.a * i] = c
     return Crystal(ring, companion(lifted), special_poly=m)
-
-
-# ---------------------------------------------------------------------------
-# skew polynomials
-
-
-class SkewPoly:
-    """Polynomials in F over W with the commutation rule F·c = sigma(c)·F.
-
-    Coefficients ascending in powers of F.
-    """
-
-    def __init__(self, ring: WittRing, coeffs):
-        self.ring = ring
-        cs = [ring.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = cs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return (isinstance(other, SkewPoly) and self.ring is other.ring
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, SkewPoly):
-            other = SkewPoly(self.ring, [other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.ring.from_int(0)
-        out = [(self.coeffs[i] if i < len(self.coeffs) else z)
-               + (other.coeffs[i] if i < len(other.coeffs) else z)
-               for i in range(n)]
-        return SkewPoly(self.ring, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, SkewPoly):
-            other = SkewPoly(self.ring, [other])
-        return self + SkewPoly(other.ring, [-c for c in other.coeffs])
-
-    def __mul__(self, other):
-        ring = self.ring
-        if not isinstance(other, SkewPoly):
-            other = SkewPoly(ring, [other])
-        if not self.coeffs or not other.coeffs:
-            return SkewPoly(ring, [])
-        out = [ring.from_int(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ai in enumerate(self.coeffs):
-            for j, bj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ai * ring.sigma_iter(bj, i)
-        return SkewPoly(ring, out)
-
-    def __repr__(self):
-        return "SkewPoly(%r)" % (self.coeffs,)
-
-
-def skew_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    return f * g
 
 
 # ---------------------------------------------------------------------------
@@ -422,34 +372,61 @@ def _theta_int(m: Crystal, n: Crystal):
     return out
 
 
-def _moduli_presentation(moduli) -> Presentation:
-    n = len(moduli)
-    rels = [[moduli[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return Presentation(n, rels)
-
-
 def _theta_group_hom(m: Crystal, n: Crystal) -> GroupHom:
     """The presentation operator on the finite group of W-maps M -> N."""
     ring = m.ring
     theta = _theta_int(m, n)
     moduli = [ring.p ** n.exponents[i]
               for i in range(n.dim) for _ in range(m.dim * ring.a)]
-    pres = _moduli_presentation(moduli)
+    pres = moduli_presentation(moduli)
     return GroupHom(pres, pres, theta)
 
 
-def _theta_smith_at(m: Crystal, n: Crystal, precision: int):
-    ring = m.ring.at_precision(precision)
-    return padic_smith(_theta_int(m.with_ring(ring), n.with_ring(ring)),
-                       ring.p, precision)
+class _CrystalPair:
+    """The p-side of one pair (M, N), each p-adic object built once: the
+    pair per precision (`at`), its presentation per precision, and one
+    Smith form of θ at the deepest precision read, `reach` steps above K
+    (4 for both passes of the local identity, 2 for a presentation alone).
+    θ on a deeper ring reduces to θ on a shallower one (σ is the unique
+    Hensel root) and the Smith form over Z/p^k is unique, so
+    `theta_smith(k)` is the deeper form with every valuation >= k read as
+    None."""
+
+    def __init__(self, m: Crystal, n: Crystal, reach: int = 4):
+        self.m, self.n = _require_pair(m, n)
+        self.depth = self.m.ring.K + reach
+        self._homes = {self.m.ring.K: (self.m, self.n)}
+        self._reports = {}
+        self._vals = None
+
+    def at(self, precision: int):
+        if precision not in self._homes:
+            self._homes[precision] = (self.m.at_precision(precision),
+                                      self.n.at_precision(precision))
+        return self._homes[precision]
+
+    def theta_smith(self, precision: int):
+        if self._vals is None or precision > self.depth:
+            self.depth = max(self.depth, precision)
+            m, n = self.at(self.depth)
+            self._vals = padic_smith(_theta_int(m, n), m.ring.p, self.depth)
+        return [v if v is not None and v < precision else None
+                for v in self._vals]
+
+    def presentation(self, precision: int) -> ExtReportP:
+        rep = self._reports.get(precision)
+        if rep is None:
+            rep = self._reports[precision] = ext_presentation(
+                *self.at(precision), _pair=self)
+        return rep
 
 
-def _theta_smith_certified(m: Crystal, n: Crystal):
-    base = m.ring.K
+def _theta_smith_certified(pair: _CrystalPair, base: int):
+    """θ valuations at base+2 with none in [base, base+2), else four higher."""
     for bump in (0, 4):
         k1 = base + bump
-        v1 = _theta_smith_at(m, n, k1)
-        v2 = _theta_smith_at(m, n, k1 + 2)
+        v2 = pair.theta_smith(k1 + 2)
+        v1 = pair.theta_smith(k1)
         if ([v for v in v1 if v is not None] == [v for v in v2 if v is not None]
                 and v1.count(None) == v2.count(None)):
             return v2, k1 + 2
@@ -457,13 +434,15 @@ def _theta_smith_certified(m: Crystal, n: Crystal):
                          required=base + 8)
 
 
-def ext_presentation(m: Crystal, n: Crystal) -> ExtReportP:
+def ext_presentation(m: Crystal, n: Crystal, _pair=None) -> ExtReportP:
     """Hom = kernel and Ext¹ = cokernel of u -> u·F_M - F_N·sigma(u) on
     W-linear maps; Ext² = 0 (the source has a length-one presentation).
 
     The source must be torsion-free.  For a torsion-free target the
-    invariant factors are certified by recomputation two precision steps
-    higher; `certified_precision` reports the precision that confirmed them.
+    invariant factors are certified two precision steps higher: no
+    elementary divisor of θ may have its valuation in [K, K+2), and both
+    lists are read off one Smith form.  `certified_precision` reports the
+    precision that confirmed them.
     """
     m, n = _require_pair(m, n)
     if m.kind != "free":
@@ -473,7 +452,8 @@ def ext_presentation(m: Crystal, n: Crystal) -> ExtReportP:
         hom = _theta_group_hom(m, n)
         return ExtReportP(p, hom.kernel_group(), hom.cokernel_group(),
                           FinGenAbGroup(0), None)
-    vals, used = _theta_smith_certified(m, n)
+    pair = _pair or _CrystalPair(m, n, reach=2)
+    vals, used = _theta_smith_certified(pair, m.ring.K)
     rank = sum(1 for v in vals if v is None)
     torsion = tuple(p ** v for v in vals if v is not None and v > 0)
     return ExtReportP(p, FinGenAbGroup(rank), FinGenAbGroup(rank, torsion),
@@ -494,8 +474,8 @@ def ext_koszul_k(n: Crystal):
     from the resolution with maps t -> (tF, pt) and (x, y) -> px - yF.
 
     For torsion N everything is exact over Z and the alternating product of
-    the orders is 1 (asserted).  For torsion-free N the groups are read off
-    from N/pN, using that they are killed by p.
+    the orders is 1 (checked; RuntimeError otherwise).  For torsion-free N
+    the groups are read off from N/pN, using that they are killed by p.
 
     >>> ring = WittRing(3, 1)
     >>> [g.order for g in ext_koszul_k(k_module(ring))]
@@ -507,8 +487,8 @@ def ext_koszul_k(n: Crystal):
         phi = _semilinear_int_matrix(ring, n.frob)
         size = a * n.dim
         moduli = [p ** e for e in n.exponents for _ in range(a)]
-        pres = _moduli_presentation(moduli)
-        pres2 = _moduli_presentation(moduli + moduli)
+        pres = moduli_presentation(moduli)
+        pres2 = moduli_presentation(moduli + moduli)
         pid = [[p if i == j else 0 for j in range(size)] for i in range(size)]
         d0 = GroupHom(pres, pres2,
                       vstack(pid, [[-x for x in row] for row in phi]))
@@ -516,13 +496,15 @@ def ext_koszul_k(n: Crystal):
         e0 = d0.kernel_group()
         e1 = middle_cohomology(d0, d1)
         e2 = d1.cokernel_group()
-        assert e0.order * e2.order == e1.order, "Euler product of the complex"
+        if e0.order * e2.order != e1.order:
+            raise RuntimeError("the Euler product of the complex is not 1")
         return e0, e1, e2
     nbar = Crystal(ring, n.coords, exponents=[1] * n.dim)
     b0, b1, _ = ext_koszul_k(nbar)
     # 0 -> Ext^i(N) -> Ext^i(N/p) -> Ext^{i+1}(N) -> 0 and Ext^0(N) = 0,
     # since all three groups are killed by p.
-    assert b1.order % b0.order == 0
+    if b1.order % b0.order:
+        raise RuntimeError("[Ext^0(N/p)] does not divide [Ext^1(N/p)]")
     return (FinGenAbGroup(0), _elementary(p, b0.order),
             _elementary(p, b1.order // b0.order))
 
@@ -574,17 +556,6 @@ def ext_orders_finite_source(m: Crystal, n: Crystal):
 # the local identity at p
 
 
-def _hypothesis_gate(ma, mb):
-    """The minimal polynomials may not share a root that is multiple in
-    either; raises HypothesisError otherwise."""
-    g = poly_gcd(ma, mb)
-    if poly_deg(g) < 1:
-        return
-    if poly_deg(poly_gcd(g, poly_deriv(ma))) >= 1 or \
-       poly_deg(poly_gcd(g, poly_deriv(mb))) >= 1:
-        raise HypothesisError("minimal polynomials share a multiple root")
-
-
 def _charpoly_for_identity(x: Crystal) -> list:
     if x.special_poly:
         out = [1]
@@ -594,14 +565,21 @@ def _charpoly_for_identity(x: Crystal) -> list:
     return crystal_charpoly(x)
 
 
-def _rhs_value(ring: WittRing, pm: list, pn: list):
+def _rhs_value(ring: WittRing, pm: list, pn: list, mm=None, mn=None):
     """(coincident pairs, |q^{s(M)·r(N)} · prod_{a_i != b_j} (1 - b_j/a_i)|_p)
-    from the two characteristic polynomials."""
+    from the two characteristic polynomials.  For two special modules
+    (pm = mm^a, pn = mn^a) the ratio polynomial of pm and pn is that of mm
+    and mn to the a²-th power, so the limit is read off the small one."""
     p = ring.p
     rm, rn = poly_deg(pm), poly_deg(pn)
     if rm == 0 or rn == 0:
         return 0, Fraction(1)
-    rho, lead = limit_leading(reversed_form(ratio_charpoly(pm, pn)))
+    if mm and mn:
+        rho, lead = limit_leading(reversed_form(ratio_charpoly(mm, mn)))
+        a2 = ring.a * ring.a
+        rho, lead = a2 * rho, lead ** a2
+    else:
+        rho, lead = limit_leading(reversed_form(ratio_charpoly(pm, pn)))
     vq = int_valuation(abs(pm[0]), p)  # = a·s(M)
     return rho, abs_at(p, lead) * Fraction(1, p ** (vq * rn))
 
@@ -616,7 +594,8 @@ def _z_derivative_map(m: Crystal) -> Fraction:
     return Fraction(1, ring.p ** v)
 
 
-def _verify_once(m: Crystal, n: Crystal) -> dict:
+def _verify_once(pair: _CrystalPair, precision: int) -> dict:
+    m, n = pair.at(precision)
     ring = m.ring
     p, a = ring.p, ring.a
     out = {"p": p, "a": a, "q": p ** a, "case": None, "lhs": None,
@@ -641,28 +620,29 @@ def _verify_once(m: Crystal, n: Crystal) -> dict:
         lhs = Fraction(rep.ext0.order, rep.ext1.order)
         rhs = Fraction(1)
     else:
-        lhs, rhs = _verify_free_pair(m, n, out)
+        lhs, rhs = _verify_free_pair(pair, precision, out)
     out["lhs"], out["rhs"] = lhs, rhs
     out["equal"] = lhs == rhs
     return out
 
 
-def _verify_free_pair(m: Crystal, n: Crystal, out: dict):
+def _verify_free_pair(pair: _CrystalPair, precision: int, out: dict):
+    m, n = pair.at(precision)
     ring = m.ring
     p = ring.p
     pm, pn = _charpoly_for_identity(m), _charpoly_for_identity(n)
     mm, mn = m.special_poly, n.special_poly
     if mm and mn and mm == mn:
         out["case"] = "special-equal"
-        _hypothesis_gate(mm, mn)
+        hypothesis_gate(mm, mn)
         lhs = _z_derivative_map(m)
         out["certified_precision"] = ring.K
     elif mm and mn:
         if resultant(mm, mn) == 0:
-            _hypothesis_gate(mm, mn)
+            hypothesis_gate(mm, mn)
             raise ValueError("special pair with a shared eigenvalue is not supported")
         out["case"] = "special-coprime"
-        rep = ext_presentation(m, n)
+        rep = pair.presentation(precision)
         if rep.ext0.free_rank or rep.ext1.free_rank:
             raise PrecisionError("a coprime pair produced a nonzero rank",
                                  required=ring.K + 4)
@@ -675,18 +655,18 @@ def _verify_free_pair(m: Crystal, n: Crystal, out: dict):
                 "cannot separate the eigenvalue sets at this precision",
                 required=2 * ring.K)
         out["case"] = "free-disjoint"
-        rep = ext_presentation(m, n)
+        rep = pair.presentation(precision)
         if rep.ext0.free_rank or rep.ext1.free_rank:
             raise PrecisionError("a separated pair produced a nonzero rank",
                                  required=ring.K + 4)
         lhs = Fraction(1, rep.ext1.order)
         out["certified_precision"] = rep.certified_precision
-    rho, rhs = _rhs_value(ring, pm, pn)
+    rho, rhs = _rhs_value(ring, pm, pn, mm, mn)
     out["rho_pairs"] = rho
     return lhs, rhs
 
 
-def verify_local_identity(m: Crystal, n: Crystal) -> dict:
+def verify_local_identity(m: Crystal, n: Crystal, _pair=None) -> dict:
     """Check z(f)·[Ext²(M, N)] = |q^{s(M)·r(N)} · prod (1 - b_j/a_i)|_p with
     the product over non-coincident eigenvalue pairs of the a-th Frobenius
     iterates, on a supported pair.
@@ -695,13 +675,15 @@ def verify_local_identity(m: Crystal, n: Crystal) -> dict:
     finite target; special modules with equal or coprime minimal
     polynomials; torsion-free pairs with separated eigenvalue sets.
     Precision-dependent branches are recomputed two steps higher and must
-    reproduce both sides exactly.
+    reproduce both sides exactly; the θ valuations of both passes (up to
+    K+4) come from one Smith form.
     """
     m, n = _require_pair(m, n)
-    report = _verify_once(m, n)
+    pair = _pair or _CrystalPair(m, n)
+    report = _verify_once(pair, m.ring.K)
     if report["certified_precision"] is not None:
         bigger = m.ring.K + 2
-        again = _verify_once(m.at_precision(bigger), n.at_precision(bigger))
+        again = _verify_once(pair, bigger)
         if (again["lhs"], again["rhs"]) != (report["lhs"], report["rhs"]):
             raise PrecisionError("identity data unstable under precision increase",
                                  required=m.ring.K + 4)

@@ -27,9 +27,6 @@ from .exact import (
     is_prime,
     l_primary,
     limit_leading,
-    poly_deg,
-    poly_deriv,
-    poly_gcd,
     prime_power,
     ratio_charpoly,
     reversed_form,
@@ -51,6 +48,8 @@ from .zgamma import (
     HypothesisError,
     PairAction,
     Presentation,
+    hypothesis_gate,
+    moduli_presentation,
 )
 
 
@@ -88,7 +87,7 @@ class GaloisModule:
         self.torsion_frob = ([row[:] for row in torsion_frob]
                              if torsion_frob is not None else identity(s))
         if s:
-            pres = _torsion_presentation(self.torsion)
+            pres = moduli_presentation(self.torsion)
             hom = GroupHom(pres, pres, self.torsion_frob)  # checks compatibility
             if hom.kernel_group().order != 1:
                 raise ValueError("torsion action must be invertible")
@@ -124,12 +123,6 @@ class ExtReportL:
     z_f: Fraction | None
 
 
-def _torsion_presentation(orders) -> Presentation:
-    n = len(orders)
-    return Presentation(n, [[orders[j] if i == j else 0 for j in range(n)]
-                            for i in range(n)])
-
-
 def _require_compatible(m: GaloisModule, n: GaloisModule):
     if m.l != n.l or m.q != n.q:
         raise ValueError("modules live over different (l, q)")
@@ -163,14 +156,7 @@ def hom_module(m: GaloisModule, n: GaloisModule) -> PairAction:
         return PairAction(Presentation(0), [])
     g = block_diag(*blocks_g)
     u = block_diag(*blocks_u)
-    return PairAction(_moduli_presentation(moduli), g, u)
-
-
-def _moduli_presentation(moduli: list[int]) -> Presentation:
-    n = len(moduli)
-    cols = [i for i, d in enumerate(moduli) if d]
-    rels = [[moduli[i] if i == j else 0 for j in cols] for i in range(n)]
-    return Presentation(n, rels if cols else None)
+    return PairAction(moduli_presentation(moduli), g, u)
 
 
 def _hom_torsion_pair(m: GaloisModule, n: GaloisModule):
@@ -225,19 +211,13 @@ def ext1_bar_module(m: GaloisModule, n: GaloisModule) -> PairAction:
     for i in range(sm):
         moduli.extend([d[i]] * n.rank)
         moduli.extend(gcd(e, d[i]) for e in n.torsion)
-    return PairAction(_moduli_presentation(moduli), g_mat, u_mat)
+    return PairAction(moduli_presentation(moduli), g_mat, u_mat)
 
 
 def check_hypothesis(m: GaloisModule, n: GaloisModule):
     """The minimal polynomials may not share a root that is multiple in
     either; raises HypothesisError otherwise."""
-    pm, pn = m.min_poly(), n.min_poly()
-    g = poly_gcd(pm, pn)
-    if poly_deg(g) < 1:
-        return
-    if poly_deg(poly_gcd(g, poly_deriv(pm))) >= 1 or \
-       poly_deg(poly_gcd(g, poly_deriv(pn))) >= 1:
-        raise HypothesisError("minimal polynomials share a multiple root")
+    hypothesis_gate(m.min_poly(), n.min_poly())
 
 
 def ext_groups_l(m: GaloisModule, n: GaloisModule) -> ExtReportL:
@@ -320,7 +300,7 @@ def random_module(rng: random.Random, l: int, q: int, max_rank: int = 3,
     tfrob = None
     if torsion:
         s = len(torsion)
-        pres = _torsion_presentation(torsion)
+        pres = moduli_presentation(torsion)
         while True:
             tfrob = [[rng.randint(-2, 2) for _ in range(s)] for _ in range(s)]
             for j in range(s):

@@ -30,8 +30,8 @@ from math import prod
 
 from .crystal import (
     Crystal,
+    _CrystalPair,
     crystal_charpoly,
-    ext_presentation,
     special_module,
 )
 from .crystal import verify_local_identity as _verify_crystal_pair
@@ -428,12 +428,14 @@ def _p_side(x: Motive, y: Motive, rho: int) -> dict:
         return {"l": p, "hom_tors": 1, "ext1_torsion": 1, "ext2": 1,
                 "z_f": Fraction(1), "swap_tors": 1}
     scale = x.a * x.a
-    rep = ext_presentation(x.crystal, y.crystal)
+    # one pair for the presentation and both passes of the local identity
+    pair = _CrystalPair(x.crystal, y.crystal)
+    rep = pair.presentation(x.crystal.ring.K)
     if rep.ext0.free_rank != rho * scale or rep.ext1.free_rank != rho * scale:
         raise RuntimeError("crystal Hom rank disagrees with rho")
     if rep.ext0.torsion_order != 1:
         raise RuntimeError("torsion in Hom of torsion-free crystals")
-    ver = _verify_crystal_pair(x.crystal, y.crystal)
+    ver = _verify_crystal_pair(x.crystal, y.crystal, _pair=pair)
     if not ver["equal"]:
         raise RuntimeError("p-adic local identity failed")
     return {

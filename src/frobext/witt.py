@@ -277,6 +277,7 @@ class WittRing:
         self.sigma_image = self._hensel_sigma()
         self.sigma_matrix = self._sigma_matrix()
         self._check_sigma()
+        self._lifts: dict[int, WittRing] = {}
 
     # -- construction internals
 
@@ -306,15 +307,16 @@ class WittRing:
 
     def _check_sigma(self):
         h, p = self.modulus, self.p
-        assert _pm_eval(h, self.sigma_image, h, self.pK) == [0] * self.a, \
-            "sigma image must be a root of the modulus"
+        if _pm_eval(h, self.sigma_image, h, self.pK) != [0] * self.a:
+            raise RuntimeError("sigma image must be a root of the modulus")
         xp = _pm_pow(_pm_norm([0, 1] if self.a > 1 else [0], self.a, p), p, h, p)
-        assert [c % p for c in self.sigma_image] == xp, \
-            "sigma must reduce to the p-power map"
+        if [c % p for c in self.sigma_image] != xp:
+            raise RuntimeError("sigma must reduce to the p-power map")
         y = self.x()
         for _ in range(self.a):
             y = self.sigma(y)
-        assert y == self.x(), "sigma^a must be the identity"
+        if y != self.x():
+            raise RuntimeError("sigma^a must be the identity")
 
     # -- elements
 
@@ -352,11 +354,6 @@ class WittRing:
                     out[i] += self.sigma_matrix[i][j] * c
         return WittElem(self, out)
 
-    def sigma_iter(self, w: WittElem, k: int) -> WittElem:
-        for _ in range(k % self.a if self.a > 1 else 1):
-            w = self.sigma(w)
-        return w
-
     def unit_inverse(self, w: WittElem) -> WittElem:
         return WittElem(self, _pm_inv(list(w.c), self.modulus, self.p, self.pK))
 
@@ -370,8 +367,14 @@ class WittRing:
         return [[cols[j][i] for j in range(self.a)] for i in range(self.a)]
 
     def at_precision(self, precision: int) -> "WittRing":
-        """The same ring carried to another working precision."""
-        return WittRing(self.p, self.a, precision, self.modulus)
+        """The same ring carried to another working precision, built once."""
+        if precision == self.K:
+            return self
+        ring = self._lifts.get(precision)
+        if ring is None:
+            ring = self._lifts[precision] = WittRing(
+                self.p, self.a, precision, self.modulus)
+        return ring
 
     def __repr__(self):
         return "WittRing(p=%d, a=%d, K=%d)" % (self.p, self.a, self.K)

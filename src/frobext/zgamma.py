@@ -22,6 +22,7 @@ from .exact import (
     l_primary,
     limit_leading,
     poly_deg,
+    poly_deriv,
     poly_gcd,
     reversed_form,
     valuation,
@@ -49,6 +50,17 @@ GAMMA0 = "gamma0"        # its dense subgroup generated by gamma
 
 class HypothesisError(ValueError):
     """A stated hypothesis of the computation fails for the given input."""
+
+
+def hypothesis_gate(ma, mb):
+    """The minimal polynomials may not share a root that is multiple in
+    either; raises HypothesisError otherwise."""
+    g = poly_gcd(ma, mb)
+    if poly_deg(g) < 1:
+        return
+    if poly_deg(poly_gcd(g, poly_deriv(ma))) >= 1 or \
+       poly_deg(poly_gcd(g, poly_deriv(mb))) >= 1:
+        raise HypothesisError("minimal polynomials share a multiple root")
 
 
 @dataclass(frozen=True)
@@ -157,6 +169,15 @@ def standard_presentation(g: FinGenAbGroup) -> Presentation:
     f, s = g.free_rank, len(g.torsion)
     rels = [[g.torsion[j] if i == f + j else 0 for j in range(s)] for i in range(f + s)]
     return Presentation(f + s, rels)
+
+
+def moduli_presentation(moduli) -> Presentation:
+    """The sum of Z/d over the moduli d, one generator each; a zero modulus
+    gives a free generator."""
+    n = len(moduli)
+    cols = [i for i, d in enumerate(moduli) if d]
+    rels = [[moduli[i] if i == j else 0 for j in cols] for i in range(n)]
+    return Presentation(n, rels if cols else None)
 
 
 class GroupHom:

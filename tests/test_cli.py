@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from frobext import cli
+from frobext import cli, crystal
 from frobext.cli import main
 from frobext.exact import PrecisionError
+from frobext.zgamma import FinGenAbGroup
 from frobext.motive import (
     GlobalExtReport,
     elliptic_motive,
@@ -146,6 +147,43 @@ def test_precision_error_exit_code(capsys, monkeypatch, required, hint):
     assert main(["zeta", "{}"]) == 4
     assert capsys.readouterr().err == \
         "precision not certified: valuation unstable at K%s\n" % hint
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def fail(args):
+        raise RuntimeError("sigma^a must be the identity")
+    monkeypatch.setattr(cli, "_cmd_ext", fail)
+    assert main(["ext", "{}", "{}"]) == 5
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: sigma^a must be the identity\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_failed_internal_check_exit_code(capsys, monkeypatch):
+    # a broken middle cohomology breaks the Euler product of the Koszul
+    # complex: exit 5, not 1 ("identity failed") and no traceback
+    monkeypatch.setattr(crystal, "middle_cohomology",
+                        lambda d0, d1: FinGenAbGroup(0, (7,)))
+    assert main(["verify-local", "--random", "1", "--case", "k-finite",
+                 "--prime", "3"]) == 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: the Euler product")
+    assert "Traceback" not in captured.out + captured.err
+
+
+# `zeta --json` on P^n (n <= 3) over eight fields, curves over F_5 .. F_13,
+# E x P^1, E x E (isogenous and not), P^1 x P^2 and E x E x E, each at
+# several twists r
+ZETA_TABLE = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "zeta_table.json").read_text())
+
+
+def test_zeta_json_table(capsys):
+    for row in ZETA_TABLE:
+        code = main(row["argv"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (row["code"], row["stdout"], row["stderr"]), row["argv"]
 
 
 def test_deterministic_json_output(capsys):

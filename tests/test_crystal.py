@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -5,13 +7,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobext import cli, crystal
 from frobext.exact import PrecisionError, abs_at, poly_mul, resultant
 from frobext.witt import WittRing, padic_smith
-from frobext.zgamma import HypothesisError
+from frobext.zgamma import FinGenAbGroup, HypothesisError
 from frobext.crystal import (
     Crystal,
     LOCAL_CASES,
-    SkewPoly,
     crystal_charpoly,
     ext_koszul_k,
     ext_orders_finite_source,
@@ -21,12 +23,12 @@ from frobext.crystal import (
     random_finite_crystal,
     random_local_pair,
     random_special_module,
-    skew_mul,
     slopes,
     special_module,
     unit_crystal,
     verify_local_identity,
     _linear_int_matrix,
+    _theta_int,
     _wmat_poly_eval,
 )
 
@@ -76,21 +78,6 @@ def test_crystal_validation():
     assert k_module(R31).is_k_type()
     assert not k_module(R31).is_f_invertible()
     assert Crystal(R31, [[1]], exponents=[2]).is_f_invertible()
-
-
-def test_skew_commutation():
-    ring = WittRing(2, 2)
-    f = SkewPoly(ring, [0, 1])
-    x = SkewPoly(ring, [ring.x()])
-    # F·x = sigma(x)·F
-    assert skew_mul(f, x) == SkewPoly(ring, [0, ring.sigma(ring.x())])
-    # (F - 1)(F + 1) = F^2 - 1 since the scalars are sigma-fixed
-    one = ring.one()
-    assert (f - one) * (f + one) == SkewPoly(ring, [-1, 0, 1])
-    # associativity spot check
-    g = SkewPoly(ring, [ring.x(), 3])
-    h = SkewPoly(ring, [1, ring.x() ** 2])
-    assert (f * g) * h == f * (g * h)
 
 
 def test_hom_of_unit_pair():
@@ -278,3 +265,108 @@ def test_random_generators_shapes():
     assert c.is_f_invertible() and len(set(c.exponents)) == 1
     s = random_special_module(rng, R31, coprime_to=[-1, 1])
     assert resultant(s.special_poly, [-1, 1]) != 0
+
+
+# verify_local_identity reports, and the ext_presentation report when the
+# source is free, as computed when every precision rebuilt its own ring,
+# crystals and θ: every case at p in {3, 5}, a in {1, 2}, K in {5, 6, 20}.
+# The rows include [-1, 1] against [-(1 + p^e), 1] for e = K-2 .. K+3: at
+# e = K, K+1 the presentation is certified only after the bump (K+6), and
+# from e = K+2 on the identity stops with "nonzero rank".
+P_LOCAL = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "p_local_reports.json").read_text())
+
+
+def _outcome(fn):
+    try:
+        return cli._jsonable(fn())
+    except Exception as exc:  # the recorded outcome may be any error
+        return {"error": type(exc).__name__, "message": str(exc),
+                "required": getattr(exc, "required", None)}
+
+
+def _presentation_obj(rep):
+    out = {"ext%d" % i: [g.free_rank, list(g.torsion)]
+           for i, g in enumerate((rep.ext0, rep.ext1, rep.ext2))}
+    out["certified_precision"] = rep.certified_precision
+    return out
+
+
+def test_p_local_golden_reports():
+    for row in P_LOCAL:
+        def build(o):
+            return cli._crystal_from_obj(o, WittRing(row["p"], row["a"], row["K"]))
+        m, n = build(row["m"]), build(row["n"])
+        assert _outcome(lambda: verify_local_identity(m, n)) == row["report"], row
+        if "presentation" in row:
+            got = _outcome(lambda: _presentation_obj(ext_presentation(m, n)))
+            assert got == row["presentation"], row
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_theta_on_a_deeper_ring_reduces_to_theta(a):
+    # sigma is the unique Hensel root, so θ read on the K+4 ring is θ on
+    # the K ring, mod p^K
+    rng = random.Random(a)
+    ring = WittRing(3, a, 6)
+    deep = ring.at_precision(10)
+    pairs = [(random_special_module(rng, ring), random_special_module(rng, ring))
+             for _ in range(2)]
+    unit = [1] + [rng.randrange(9) for _ in range(a - 1)]
+    pairs.append((Crystal(ring, [[unit]]),
+                  Crystal(ring, [[[rng.randrange(9) for _ in range(a)]
+                                  for _ in range(2)], [[3], unit]])))
+    for m, n in pairs:
+        shallow = _theta_int(m, n)
+        lifted = _theta_int(m.with_ring(deep), n.with_ring(deep))
+        assert [[x % ring.pK for x in row] for row in lifted] == \
+            [[x % ring.pK for x in row] for row in shallow]
+
+
+def test_one_smith_form_per_pair(monkeypatch):
+    depths = []
+
+    def counting(mat, p, K):
+        depths.append(K)
+        return padic_smith(mat, p, K)
+
+    m, n = special_module(R31, [-1, 1]), special_module(R31, [-4, 1])
+    monkeypatch.setattr(crystal, "padic_smith", counting)
+    # both passes of the identity (K, K+2 and K+2, K+4) read one form
+    assert verify_local_identity(m, n)["certified_precision"] == 22
+    assert depths == [24]
+    # a presentation alone reads K and K+2
+    depths.clear()
+    assert ext_presentation(m, n).certified_precision == 22
+    assert depths == [22]
+    # a valuation in [K, K+2) bumps the presentation to K+4/K+6, which
+    # needs one deeper form; the second pass reads it truncated
+    ring = WittRing(3, 1, 6)
+    m, n = special_module(ring, [-1, 1]), special_module(ring, [-(1 + 3 ** 6), 1])
+    depths.clear()
+    out = verify_local_identity(m, n)
+    assert out["equal"] and out["certified_precision"] == 8
+    assert depths == [10, 12]
+
+
+def test_rehoming_skips_the_checks_only_upwards(monkeypatch):
+    m = special_module(R32, [3, -1, 1])
+    checked = []
+    monkeypatch.setattr(Crystal, "_check_free",
+                        lambda self: checked.append(self.ring.K))
+    deep = m.with_ring(R32.at_precision(24))
+    assert checked == []
+    assert deep.ring.K == 24 and all(x.ring is deep.ring
+                                     for row in deep.frob for x in row)
+    assert deep.coords == m.coords and deep.special_poly == m.special_poly
+    # a lower precision, or another modulus, is a new crystal: checked again
+    m.with_ring(WittRing(3, 2, 10))
+    m.with_ring(WittRing(3, 2, 20, modulus=[2, 2, 1]))
+    assert checked == [10, 20]
+
+
+def test_koszul_euler_check_is_not_an_assert(monkeypatch):
+    monkeypatch.setattr(crystal, "middle_cohomology",
+                        lambda d0, d1: FinGenAbGroup(0, (7,)))
+    with pytest.raises(RuntimeError, match="Euler product"):
+        ext_koszul_k(k_module(R31))

@@ -1,8 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frobext
 from frobext.exact import PrecisionError, int_valuation
-from frobext.linalg import bareiss_det, smith_normal_form
+from frobext.linalg import bareiss_det, mat_mul, smith_normal_form
 from frobext.witt import WittRing, first_irreducible, padic_det_valuation, padic_smith
 
 
@@ -34,8 +40,10 @@ def test_sigma_is_a_frobenius_lift():
         diff = sx - x ** p
         assert all(c % p == 0 for c in diff.c)
         # sigma^a = id and sigma is multiplicative
-        w = 3 + 2 * x
-        assert r.sigma_iter(w, a) == w
+        w = v = 3 + 2 * x
+        for _ in range(a):
+            v = r.sigma(v)
+        assert v == w
         assert r.sigma(w * x) == r.sigma(w) * r.sigma(x)
 
 
@@ -82,3 +90,58 @@ def test_padic_smith_against_exact_smith(entries, p):
     s = smith_normal_form([row[:] for row in mat])
     expect = sorted(int_valuation(abs(s.diagonal[i]), p) for i in range(3))
     assert vals == expect
+
+
+def _unimodular(rnd, n):
+    """A random integer matrix of determinant 1: elementary row operations
+    applied to the identity."""
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rnd.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rnd.randint(-6, 6)
+            mat[i] = [x + c * y for x, y in zip(mat[i], mat[j])]
+    return mat
+
+
+def _truncate(vals, K):
+    return [v if v is not None and v < K else None for v in vals]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(3, 12), st.integers(1, 4),
+       st.integers(1, 4), st.data())
+def test_padic_smith_is_the_deeper_form_truncated(p, K, rows, cols, data):
+    # U·diag(p^e)·V with e up to K+6, so divisors fall below, at and above K
+    rnd = data.draw(st.randoms(use_true_random=False))
+    exps = data.draw(st.lists(st.one_of(st.integers(0, K + 6), st.none()),
+                              min_size=min(rows, cols), max_size=min(rows, cols)))
+    diag = [[(p ** exps[i] * rnd.choice([1, -1, p + 1, 2 * p - 1])
+              if i == j and exps[i] is not None else 0)
+             for j in range(cols)] for i in range(rows)]
+    mat = mat_mul(mat_mul(_unimodular(rnd, rows), diag), _unimodular(rnd, cols))
+    assert padic_smith(mat, p, K) == _truncate(padic_smith(mat, p, K + 4), K)
+
+
+def test_ring_reuses_its_lifts():
+    r = WittRing(3, 2, precision=6)
+    assert r.at_precision(6) is r
+    lift = r.at_precision(10)
+    assert r.at_precision(10) is lift
+    assert (lift.K, lift.modulus) == (10, r.modulus)
+    assert [c % r.pK for c in lift.sigma_image] == r.sigma_image
+
+
+def test_sigma_checks_survive_optimize():
+    # the checks of the Frobenius lift are not asserts: python -O keeps them
+    code = ("import frobext.witt as w\n"
+            "w.WittRing._hensel_sigma = lambda self: [1] + [0] * (self.a - 1)\n"
+            "try:\n"
+            "    w.WittRing(3, 2)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(frobext.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.stdout == "sigma image must be a root of the modulus\n"
