@@ -3,7 +3,7 @@
 Subpackages:
   exact    -- scalars, valuations, polynomials (resultants, ratio polynomials)
   linalg   -- integer/rational matrices, Smith normal form, charpoly
-  zgamma   -- finitely generated abelian groups, z(f) calculus, gamma cohomology
+  zgamma   -- finitely generated abelian groups, z(f) calculus, gamma-invariants
   galois   -- l-adic Galois modules and their Hom/Ext groups
   witt     -- truncated Witt vectors W(F_q) and p-adic Smith forms
   crystal  -- F-crystals, Ext presentations, local special-value identity at p

@@ -294,7 +294,7 @@ def _berkowitz(ring: WittRing, mat):
 
 def crystal_charpoly(m: Crystal) -> list[int]:
     """Ascending integer coefficients of the characteristic polynomial of
-    the a-th Frobenius iterate.  The coefficients land in Z_p (asserted:
+    the a-th Frobenius iterate.  The coefficients land in Z_p (checked:
     their non-constant Witt coordinates vanish) and are reported through
     balanced lifts.
 
@@ -638,14 +638,18 @@ def _verify_free_pair(pair: _CrystalPair, precision: int, out: dict):
         lhs = _z_derivative_map(m)
         out["certified_precision"] = ring.K
     elif mm and mn:
-        if resultant(mm, mn) == 0:
+        res = resultant(mm, mn)
+        if res == 0:
             hypothesis_gate(mm, mn)
             raise ValueError("special pair with a shared eigenvalue is not supported")
         out["case"] = "special-coprime"
         rep = pair.presentation(precision)
         if rep.ext0.free_rank or rep.ext1.free_rank:
-            raise PrecisionError("a coprime pair produced a nonzero rank",
-                                 required=ring.K + 4)
+            # F^a acts on Ext¹ through either side, so Res(m_M, m_N)
+            # annihilates it: no elementary divisor valuation exceeds v_p(Res)
+            raise PrecisionError(
+                "a coprime pair produced a nonzero rank",
+                required=max(ring.K + 4, int_valuation(int(res), p) + 1))
         lhs = Fraction(1, rep.ext1.order)
         out["certified_precision"] = rep.certified_precision
     else:

@@ -110,23 +110,6 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, a
 
 
-def is_square_in_zp(x, p: int) -> bool:
-    """Whether a nonzero rational is a square in the p-adic field."""
-    x = Fraction(x)
-    v = valuation(x, p)
-    if v % 2 != 0:
-        return False
-    u = x / Fraction(p) ** v
-    # reduce the unit mod p (odd p) or mod 8 (p = 2)
-    if p == 2:
-        num, den = u.numerator, u.denominator
-        inv_den = pow(den, -1, 8)
-        return (num * inv_den) % 8 == 1
-    num, den = u.numerator % p, u.denominator % p
-    r = num * pow(den, p - 2, p) % p
-    return pow(r, (p - 1) // 2, p) == 1
-
-
 # ---------------------------------------------------------------------------
 # polynomials (ascending coefficients)
 
@@ -147,14 +130,6 @@ def poly_add(a: list, b: list) -> list:
     n = max(len(a), len(b))
     return poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                       for i in range(n)])
-
-
-def poly_sub(a: list, b: list) -> list:
-    return poly_add(a, [-x for x in b])
-
-
-def poly_scale(a: list, s) -> list:
-    return poly_trim([s * x for x in a])
 
 
 def poly_mul(a: list, b: list) -> list:
@@ -314,20 +289,10 @@ def limit_leading(rev: list) -> tuple[int, Fraction]:
     rho = 0
     while poly_eval(cur, 1) == 0:
         cur, rem = poly_divmod(cur, [Fraction(1), Fraction(-1)])  # divide by (1 - t)
-        assert not rem
+        if rem:
+            raise RuntimeError("(1 - t) leaves a remainder at a root t = 1")
         rho += 1
     return rho, Fraction(poly_eval(cur, 1))
-
-
-def root_multiplicity(p: list, c) -> int:
-    """Exact multiplicity of the rational root c in p."""
-    cur = [Fraction(x) for x in poly_trim(p)]
-    m = 0
-    while cur and poly_eval(cur, c) == 0:
-        cur, rem = poly_divmod(cur, [-Fraction(c), Fraction(1)])
-        assert not rem
-        m += 1
-    return m
 
 
 def power_sums(monic: list, n: int) -> list:

@@ -113,14 +113,29 @@ class GaloisModule:
 
 @dataclass
 class ExtReportL:
-    """Ext^i(M, N) in the l-adic category; everything beyond degree 2 vanishes."""
+    """Ext^i(M, N) in the l-adic category; everything beyond degree 2 vanishes.
+
+    Ext^1 is an extension of the bar-Ext invariants (finite) by the Hom
+    coinvariants, so its rank is that of the coinvariants.  Its torsion is
+    determined when the coinvariants are finite (it is then the full order)
+    or the bar-Ext invariants vanish (it is then the coinvariants' torsion).
+    """
 
     l: int
     ext0: FinGenAbGroup
-    ext1_finite: bool
-    ext1_torsion_order: int | None  # full order when finite, else undetermined
+    ext1_rank: int
+    ext1_torsion: int | None  # None: the extension is not determined
     ext2: FinGenAbGroup
-    z_f: Fraction | None
+    z_f: Fraction | None      # None: the hypothesis fails
+
+    @property
+    def ext1_finite(self) -> bool:
+        return self.ext1_rank == 0
+
+    @property
+    def ext1_torsion_order(self) -> int | None:
+        """The full order of Ext^1 when it is finite, else None."""
+        return self.ext1_torsion if self.ext1_finite else None
 
 
 def _require_compatible(m: GaloisModule, n: GaloisModule):
@@ -174,14 +189,16 @@ def _hom_torsion_pair(m: GaloisModule, n: GaloisModule):
             for j in range(sn):
                 num = n.torsion_frob[k][j] * e[j] * gt[k][i]
                 den = e[k] * gt[j][i]
-                assert num % den == 0, "left composition must stay integral"
+                if num % den:
+                    raise RuntimeError("left composition must stay integral")
                 g_mat[idx(k, i)][idx(j, i)] = num // den
     for j in range(sn):
         for i in range(sm):
             for mm in range(sm):
                 num = m.torsion_frob[mm][i] * gt[j][i]
                 den = gt[j][mm]
-                assert num % den == 0, "right composition must stay integral"
+                if num % den:
+                    raise RuntimeError("right composition must stay integral")
                 u_mat[idx(j, i)][idx(j, mm)] = num // den
     moduli = [gt[j][i] for j in range(sn) for i in range(sm)]
     return g_mat, u_mat, moduli
@@ -202,7 +219,8 @@ def ext1_bar_module(m: GaloisModule, n: GaloisModule) -> PairAction:
     for a in range(sm):
         for b in range(sm):
             num = m.torsion_frob[a][b] * d[b]
-            assert num % d[a] == 0, "conjugated lift must stay integral"
+            if num % d[a]:
+                raise RuntimeError("conjugated lift must stay integral")
             lift[a][b] = num // d[a]
     gamma_n = block_diag(n.free_frob, n.torsion_frob) if n.rank else n.torsion_frob
     g_mat = kron(identity(sm), gamma_n)
@@ -222,48 +240,62 @@ def check_hypothesis(m: GaloisModule, n: GaloisModule):
 
 def ext_groups_l(m: GaloisModule, n: GaloisModule) -> ExtReportL:
     """Ext^0 = Hom^Gamma; Ext^1 is an extension of the bar-Ext invariants by
-    the Hom coinvariants; Ext^2 = bar-Ext coinvariants (always finite)."""
+    the Hom coinvariants; Ext^2 = bar-Ext coinvariants (always finite).
+    Hom and bar-Ext are built once; z(f) is read off the same two."""
     _require_compatible(m, n)
     l = m.l
-    hom = hom_module(m, n)
-    h1 = hom.coinvariants()
+    f0 = hom_module(m, n).f0()  # Hom invariants -> Hom coinvariants
+    h1 = f0.cod.group().primary_part(l)
     epair = ext1_bar_module(m, n)
-    e_inv = epair.invariants()
-    finite = h1.free_rank == 0
+    e_inv = epair.invariants()  # a finite l-group, as is all of bar-Ext
+    if h1.free_rank == 0:
+        ext1_torsion = h1.order * e_inv.order
+    elif e_inv.order == 1:
+        ext1_torsion = h1.torsion_order
+    else:
+        ext1_torsion = None
     try:
-        z_f, _ = f_map_and_z(m, n)
+        check_hypothesis(m, n)
     except HypothesisError:
         z_f = None
+    else:
+        z0 = f0.z()
+        if z0 is None:
+            raise RuntimeError("z(f_0) is undefined although the hypothesis"
+                               " holds")
+        z_f = l_primary(z0, l) / e_inv.order
     return ExtReportL(
         l=l,
-        ext0=hom.invariants().primary_part(l),
-        ext1_finite=finite,
-        ext1_torsion_order=(
-            h1.primary_part(l).order * e_inv.order if finite else None),
+        ext0=f0.dom.group().primary_part(l),
+        ext1_rank=h1.free_rank,
+        ext1_torsion=ext1_torsion,
         ext2=epair.coinvariants().primary_part(l),
         z_f=z_f,
     )
 
 
+def _gated_report(m: GaloisModule, n: GaloisModule) -> ExtReportL:
+    """ext_groups_l, raising the hypothesis gate's error where z(f) is
+    undefined."""
+    rep = ext_groups_l(m, n)
+    if rep.z_f is None:
+        check_hypothesis(m, n)  # z(f) is None only where the gate fails
+    return rep
+
+
 def f_map_and_z(m: GaloisModule, n: GaloisModule):
     """(z(f), z(f) * [Ext^2]) where f is the Hom -> coinvariants-of-Hom-bar
     comparison map; z(f) = z(f_0) / [bar-Ext invariants], all in l-parts."""
-    check_hypothesis(m, n)
-    l = m.l
-    z0 = hom_module(m, n).z_f0()
-    assert z0 is not None, "z(f_0) is defined under the hypothesis"
-    epair = ext1_bar_module(m, n)
-    z_f = l_primary(z0, l) / epair.invariants().order
-    lhs = z_f * epair.coinvariants().order
-    return z_f, lhs
+    rep = _gated_report(m, n)
+    return rep.z_f, rep.z_f * rep.ext2.order
 
 
 def verify_local_identity(m: GaloisModule, n: GaloisModule) -> dict:
     """Check z(f) * [Ext^2(M,N)] = |prod over eigenvalue pairs a_i != b_j of
     (1 - b_j/a_i)|_l, the left side by Smith normal form and the right side
     by resultants."""
-    _require_compatible(m, n)
-    z_f, lhs = f_map_and_z(m, n)
+    rep = _gated_report(m, n)
+    lhs = rep.z_f * rep.ext2.order
     if m.rank and n.rank:
         ratio = ratio_charpoly(m.charpoly(), n.charpoly())
     else:
@@ -273,8 +305,8 @@ def verify_local_identity(m: GaloisModule, n: GaloisModule) -> dict:
     return {
         "l": m.l,
         "q": m.q,
-        "z_f": z_f,
-        "ext2_order": ext1_bar_module(m, n).coinvariants().order,
+        "z_f": rep.z_f,
+        "ext2_order": rep.ext2.order,
         "lhs": lhs,
         "rhs": rhs,
         "rho_pairs": rho,

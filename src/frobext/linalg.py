@@ -2,8 +2,8 @@
 
 Matrices are lists of rows; maps act on column vectors.  Integer routines
 never leave Z; rational ones use Fraction.  Smith normal form tracks the
-unimodular transforms on both sides (and their inverses) so callers can move
-between coordinates.
+unimodular transforms on both sides (and the inverse of the left one) so
+callers can move between coordinates.
 """
 
 from __future__ import annotations
@@ -45,13 +45,10 @@ def mat_scale(a: Matrix, s) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     m, k = dims(a)
     k2, n = dims(b)
-    assert k == k2, "shape mismatch"
+    if k != k2:
+        raise ValueError("shape mismatch")
     bt = list(zip(*b)) if b else []
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a: Matrix, v: list) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -94,7 +91,8 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
         return mat_copy(b)
     if not b:
         return mat_copy(a)
-    assert len(a) == len(b)
+    if len(a) != len(b):
+        raise ValueError("shape mismatch")
     return [ra + rb for ra, rb in zip(a, b)]
 
 
@@ -131,79 +129,6 @@ def bareiss_det(a: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def rational_rank(a: Matrix) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    if not a or not a[0]:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
-
-
-def solve_exact(a: Matrix, b: Matrix) -> Matrix:
-    """Solve A X = B over Q for A with full column rank; raises if inconsistent."""
-    m, n = dims(a)
-    mb, k = dims(b)
-    assert m == mb
-    aug = [[Fraction(x) for x in ra] + [Fraction(y) for y in rb]
-           for ra, rb in zip(a, b)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix does not have full column rank")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if any(aug[i][n + j] != 0 for j in range(k)):
-            raise ValueError("inconsistent system")
-    return [[aug[i][n + j] for j in range(k)] for i in range(n)]
-
-
-def mat_int(a: Matrix) -> Matrix:
-    """Cast a rational matrix with integer entries back to int."""
-    out = []
-    for row in a:
-        r = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("non-integer entry %s" % (x,))
-            r.append(int(f))
-        out.append(r)
-    return out
-
-
-def int_inverse(u: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    return mat_int(solve_exact(u, identity(len(u))))
-
-
 # ---------------------------------------------------------------------------
 # characteristic and minimal polynomials
 
@@ -220,7 +145,8 @@ def charpoly(a: Matrix) -> list[int]:
     for k in range(1, n + 1):
         am = mat_mul(a, m)
         t = trace(am)
-        assert t % k == 0
+        if t % k:
+            raise RuntimeError("Faddeev-LeVerrier division is not exact")
         c[n - k] = -t // k
         m = mat_add(am, mat_scale(identity(n), c[n - k]))
     return c
@@ -246,7 +172,7 @@ def minimal_polynomial(a: Matrix) -> list[Fraction]:
             return poly_monic(poly_trim(tail))
         basis.append((vec, tail))
         power = mat_mul(power, a)
-    raise AssertionError("Cayley-Hamilton violated")
+    raise RuntimeError("Cayley-Hamilton violated")
 
 
 def companion(p: list) -> Matrix:
@@ -259,7 +185,9 @@ def companion(p: list) -> Matrix:
         c[i][i - 1] = 1
     for i in range(n):
         f = Fraction(-mp[i])
-        assert f.denominator == 1
+        if f.denominator != 1:
+            raise ValueError("the monic polynomial must have integer"
+                             " coefficients")
         c[i][n - 1] = int(f)
     return c
 
@@ -276,7 +204,6 @@ class SNF:
     left: Matrix
     left_inv: Matrix
     right: Matrix
-    right_inv: Matrix
 
     @property
     def diagonal(self) -> list[int]:
@@ -293,7 +220,7 @@ def smith_normal_form(a: Matrix) -> SNF:
     m, n = dims(a)
     d = mat_copy(a)
     left, left_inv = identity(m), identity(m)
-    right, right_inv = identity(n), identity(n)
+    right = identity(n)
 
     def row_op(i, j, q):  # row_i -= q * row_j
         d[i] = [x - q * y for x, y in zip(d[i], d[j])]
@@ -306,7 +233,6 @@ def smith_normal_form(a: Matrix) -> SNF:
             d[r][i] -= q * d[r][j]
         for r in range(n):
             right[r][i] -= q * right[r][j]
-        right_inv[j] = [x + q * y for x, y in zip(right_inv[j], right_inv[i])]
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
@@ -319,7 +245,6 @@ def smith_normal_form(a: Matrix) -> SNF:
             d[r][i], d[r][j] = d[r][j], d[r][i]
         for r in range(n):
             right[r][i], right[r][j] = right[r][j], right[r][i]
-        right_inv[i], right_inv[j] = right_inv[j], right_inv[i]
 
     t = 0
     while t < min(m, n):
@@ -376,7 +301,7 @@ def smith_normal_form(a: Matrix) -> SNF:
             left[i] = [-x for x in left[i]]
             for r in range(m):
                 left_inv[r][i] = -left_inv[r][i]
-    return SNF(d, left, left_inv, right, right_inv)
+    return SNF(d, left, left_inv, right)
 
 
 def kernel_basis(a: Matrix) -> Matrix:
@@ -409,7 +334,8 @@ def lattice_solve(a: Matrix, b: Matrix) -> Matrix | None:
     """
     m, n = dims(a)
     mb, k = dims(b)
-    assert m == mb, "shape mismatch"
+    if m != mb:
+        raise ValueError("shape mismatch")
     if n == 0:
         return None if any(x for row in b for x in row) else [[] for _ in range(0)]
     s = smith_normal_form(a)
@@ -425,16 +351,3 @@ def lattice_solve(a: Matrix, b: Matrix) -> Matrix | None:
             elif c[i][j] != 0:
                 return None
     return mat_mul(s.right, y)
-
-
-def gcd_of_minors(a: Matrix, k: int) -> int:
-    """gcd of all k x k minors (0 if none are nonzero).  Brute-force oracle."""
-    from itertools import combinations
-    from math import gcd as _gcd
-    m, n = dims(a)
-    g = 0
-    for rows in combinations(range(m), k):
-        for cols in combinations(range(n), k):
-            sub = [[a[i][j] for j in cols] for i in rows]
-            g = _gcd(g, bareiss_det(sub))
-    return abs(g)

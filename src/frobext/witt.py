@@ -27,10 +27,6 @@ def _pm_norm(u: list[int], a: int, ppow: int) -> list[int]:
     return u + [0] * (a - len(u)) if len(u) < a else u[:a]
 
 
-def _pm_add(u, v, ppow):
-    return [(x + y) % ppow for x, y in zip(u, v)]
-
-
 def _pm_mul(u, v, h, ppow):
     """Product of coordinate vectors mod (h, ppow); h monic, ascending."""
     a = len(h) - 1
@@ -243,11 +239,6 @@ class WittElem:
                 terms.append("%d*x^%d" % (v, i) if i else str(v))
         return " + ".join(terms) if terms else "0"
 
-    def valuation(self) -> int | None:
-        """min p-valuation of the coordinates; None means 0 mod p^K."""
-        vals = [int_valuation(x, self.ring.p) for x in self.c if x]
-        return min(vals) if vals else None
-
     def constant_lift(self) -> int:
         """Balanced integer lift, requiring all non-constant coordinates to
         vanish mod p^K (i.e. the element lies in Z_p)."""
@@ -329,9 +320,6 @@ class WittRing:
     def zero(self) -> WittElem:
         return self.from_int(0)
 
-    def one(self) -> WittElem:
-        return self.from_int(1)
-
     def x(self) -> WittElem:
         return self.elem([0, 1]) if self.a > 1 else self.zero()
 
@@ -353,9 +341,6 @@ class WittRing:
                 for i in range(self.a):
                     out[i] += self.sigma_matrix[i][j] * c
         return WittElem(self, out)
-
-    def unit_inverse(self, w: WittElem) -> WittElem:
-        return WittElem(self, _pm_inv(list(w.c), self.modulus, self.p, self.pK))
 
     def mul_matrix(self, w: WittElem):
         """Integer matrix of multiplication by w in the x-power basis."""

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .exact import (
-    PrecisionError,
     is_prime,
     l_primary,
     limit_leading,
@@ -36,17 +35,12 @@ from .linalg import (
     identity,
     kernel_basis,
     lattice_solve,
-    mat_int,
     mat_mul,
     mat_sub,
     minimal_polynomial,
     smith_normal_form,
     zeros,
 )
-
-GAMMA_HAT = "gamma_hat"  # the full procyclic group (profinite completion of Z)
-GAMMA0 = "gamma0"        # its dense subgroup generated by gamma
-
 
 class HypothesisError(ValueError):
     """A stated hypothesis of the computation fails for the given input."""
@@ -227,7 +221,9 @@ class GroupHom:
         width = len(basis[0])
         if self.dom.rel_count:
             rels = lattice_solve(basis, self.dom.rels)
-            assert rels is not None, "domain relations must land in the kernel lattice"
+            if rels is None:
+                raise RuntimeError("domain relations must land in the kernel"
+                                   " lattice")
         else:
             rels = None
         return Presentation(width, rels), basis
@@ -258,7 +254,8 @@ class GroupHom:
         return Fraction(kg.order, cg.order)
 
     def then(self, other: GroupHom) -> GroupHom:
-        assert other.dom is self.cod or other.dom.rels == self.cod.rels
+        if other.dom is not self.cod and other.dom.rels != self.cod.rels:
+            raise ValueError("the maps do not compose")
         if 0 in (self.dom.gens, self.cod.gens, other.cod.gens):
             comp = zeros(other.cod.gens, self.dom.gens)  # empty mats lose shape
         else:
@@ -272,7 +269,8 @@ def middle_cohomology(d0: GroupHom, d1: GroupHom) -> FinGenAbGroup:
     The composite vanishing on the groups is exactly the condition that the
     columns of d0 lie in the kernel lattice of d1, so it is checked for free.
     """
-    assert d0.cod.gens == d1.dom.gens
+    if d0.cod.gens != d1.dom.gens:
+        raise ValueError("the maps do not compose")
     kpres, incl = d1.kernel()
     if kpres.gens == 0:
         return FinGenAbGroup(0)
@@ -365,9 +363,6 @@ class PairAction:
     def z_f0(self) -> Fraction | None:
         return self.f0().z()
 
-    def cohomology(self) -> list[FinGenAbGroup]:
-        return [self.invariants(), self.coinvariants()]
-
 
 class GammaModule:
     """A finitely generated group with a gamma-action in its standard
@@ -398,17 +393,12 @@ class GammaModule:
         return [row[:f] for row in self.action[:f]]
 
 
-def invariants_coinvariants(m: GammaModule):
-    """(invariants, coinvariants, induced map between them) for gamma - 1."""
-    return m.pair.invariants(), m.pair.coinvariants(), m.pair.f0()
-
-
 def z_invariants_map(m: GammaModule) -> Fraction | None:
     """z of the invariants -> coinvariants map, when 1 is at most a simple
     root of the minimal polynomial of gamma on the free part; None otherwise.
 
     When defined, z satisfies z * |prod over eigenvalues a != 1 of (1 - a)| = 1,
-    and this identity is asserted against the characteristic polynomial.
+    and this identity is checked against the characteristic polynomial.
     """
     f = m.group.free_rank
     if f:
@@ -416,90 +406,11 @@ def z_invariants_map(m: GammaModule) -> Fraction | None:
         if poly_deg(poly_gcd(mp, [1, -2, 1])) >= 2:
             return None
     z = m.pair.z_f0()
-    assert z is not None, "z must be defined under the simple-root condition"
+    if z is None:
+        raise RuntimeError("z must be defined under the simple-root condition")
     cp = charpoly(m.free_block()) if f else [1]
     _, lead = limit_leading(reversed_form(cp))
-    assert z * abs(lead) == 1
+    if z * abs(lead) != 1:
+        raise RuntimeError("z of the invariants map disagrees with the"
+                           " characteristic polynomial")
     return z
-
-
-@dataclass
-class CofinTorsionGroup:
-    """(Q_l/Z_l)^corank + finite l-group; gamma acts on the divisible part by
-    a matrix with l-unit denominators and trivially on the finite part.
-
-    `precision` bounds the certified valuation window: when a kernel order
-    would need a valuation within 2 of it, the computation refuses rather
-    than silently truncate.
-    """
-
-    l: int
-    corank: int
-    finite_part: tuple[int, ...] = ()
-    action: Matrix | None = None
-    precision: int | None = None
-
-    def __post_init__(self):
-        if not is_prime(self.l):
-            raise ValueError("l must be prime")
-        if self.corank < 0:
-            raise ValueError("corank must be nonnegative")
-        self.finite_part = tuple(self.finite_part)
-        for d in self.finite_part:
-            if d < 2 or l_primary(d, self.l) != d:
-                raise ValueError("finite part entries must be powers of l")
-        if self.action is None:
-            self.action = identity(self.corank)
-        if len(self.action) != self.corank:
-            raise ValueError("action must be corank x corank")
-
-
-def _cofin_cohomology(g: CofinTorsionGroup):
-    """H0 = ker(gamma-1), H1 = coker(gamma-1); the cokernel on the divisible
-    part vanishes whenever gamma-1 is injective there."""
-    if g.corank == 0:
-        h = FinGenAbGroup(0, g.finite_part)
-        return [h, h]
-    delta = [[Fraction(x) - (1 if i == j else 0) for j, x in enumerate(row)]
-             for i, row in enumerate(g.action)]
-    scale = lcm(*(x.denominator for row in delta for x in row), 1)
-    if scale % g.l == 0:
-        raise ValueError("action denominators must be l-units")
-    cleared = mat_int([[x * scale for x in row] for row in delta])
-    diag = smith_normal_form(cleared).diagonal
-    orders = []
-    new_corank = 0
-    for d in diag:
-        if d == 0:
-            new_corank += 1
-            continue
-        v = valuation(d, g.l) if d % g.l == 0 else 0
-        if g.precision is not None and v >= g.precision - 2:
-            raise PrecisionError("kernel valuation %d too close to precision %d"
-                                 % (v, g.precision), required=v + 4)
-        if v:
-            orders.append(g.l ** v)
-    h0_fin = group_from_orders(0, orders + list(g.finite_part))
-    if new_corank == 0:
-        return [h0_fin, FinGenAbGroup(0, g.finite_part)]
-    return [CofinTorsionGroup(g.l, new_corank, h0_fin.torsion),
-            CofinTorsionGroup(g.l, new_corank, g.finite_part)]
-
-
-def gamma_cohomology(m, group: str = GAMMA0) -> list:
-    """[H^0, H^1] of the procyclic group on m (all higher groups vanish for
-    the module kinds handled here).
-
-    The GAMMA_HAT / GAMMA0 distinction is carried for callers' bookkeeping;
-    on the finitely generated and cofinite-torsion modules supported here the
-    two theories agree in degrees 0 and 1 and share this code path.
-    """
-    if group not in (GAMMA_HAT, GAMMA0):
-        raise ValueError("unknown group kind %r" % (group,))
-    if isinstance(m, CofinTorsionGroup):
-        return _cofin_cohomology(m)
-    if isinstance(m, GammaModule):
-        return m.pair.cohomology()
-    if isinstance(m, PairAction):
-        return m.cohomology()
-    raise TypeError("unsupported module type %r" % type(m).__name__)

@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 import pathlib
@@ -6,9 +7,10 @@ import sys
 
 import pytest
 
-from frobext import cli, crystal
+from frobext import cli, crystal, exact, galois, motive
 from frobext.cli import main
 from frobext.exact import PrecisionError
+from frobext.galois import GaloisModule
 from frobext.zgamma import FinGenAbGroup
 from frobext.motive import (
     GlobalExtReport,
@@ -36,8 +38,10 @@ def test_ext_command(capsys):
 
 
 # `ext --json` output on a fixed table of pairs: (1, L^r), (1, h1E),
-# (h1E, L^r), (L, h1E) and E x E over F_5, F_9, F_25, F_8 and F_27, then two
-# pairs with 3-torsion decorations (one with indeterminate Weil Ext^1)
+# (h1E, L^r), (L, h1E) and E x E over F_5, F_9, F_25, F_8 and F_27, then
+# pairs with l-torsion decorations: on one side or both, at one prime or two,
+# of several orders and Frobenius actions, on finite motives, on twists, and
+# meeting positive local rank (three with indeterminate Weil Ext^1)
 EXT_TABLE = json.loads(
     (pathlib.Path(__file__).parent / "data" / "ext_table.json").read_text())
 
@@ -59,6 +63,58 @@ def test_ext_pairs_back_to_back(capsys):
     # pair (a memo keyed on object ids would be, once the ids are reused)
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, GlobalExtReport)]
+
+
+def test_one_l_adic_report_per_prime(capsys, monkeypatch):
+    # per prime l != p of the support, `ext` builds the forward and the
+    # swapped Hom once each and bar-Ext once, and takes the resultant side of
+    # the local identity from the pair's own N*: no ratio polynomial there
+    built = {"hom_module": 0, "ext1_bar_module": 0}
+    in_l_side, ratios_in_l_side = [], []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            built[name] += 1
+            return fn(*args)
+        return wrapper
+
+    hom, bar, l_side = galois.hom_module, galois.ext1_bar_module, motive._l_side
+    ratio = exact.ratio_charpoly
+    monkeypatch.setattr(galois, "hom_module", counted("hom_module", hom))
+    monkeypatch.setattr(motive, "hom_module", counted("hom_module", hom))
+    monkeypatch.setattr(galois, "ext1_bar_module",
+                        counted("ext1_bar_module", bar))
+
+    def tracked_l_side(*args):
+        in_l_side.append(args[2])
+        try:
+            return l_side(*args)
+        finally:
+            in_l_side.pop()
+
+    def tracked_ratio(*args):
+        if in_l_side:
+            ratios_in_l_side.append(in_l_side[-1])
+        return ratio(*args)
+
+    monkeypatch.setattr(motive, "_l_side", tracked_l_side)
+    for mod in (exact, galois, motive, crystal):
+        if getattr(mod, "ratio_charpoly", None) is ratio:
+            monkeypatch.setattr(mod, "ratio_charpoly", tracked_ratio)
+    for row in EXT_TABLE:
+        built.update(hom_module=0, ext1_bar_module=0)
+        code, out = run(capsys, ["ext", row["x"], row["y"], "--json"])
+        assert (code, out) == (0, row["stdout"])
+        primes = len(json.loads(out)["support"]) - 1  # the support holds p
+        assert built == {"hom_module": 2 * primes,
+                         "ext1_bar_module": primes}, row
+    assert ratios_in_l_side == []
+    # the l-adic identity on its own reads both Hom and bar-Ext once
+    built.update(hom_module=0, ext1_bar_module=0)
+    m = GaloisModule(3, 2, [[2, 1], [1, 1]], (3, 9), [[1, 0], [3, 2]])
+    n = GaloisModule(3, 2, [[1]], (9,), [[4]])
+    assert galois.verify_local_identity(m, n)["equal"]
+    assert built == {"hom_module": 1, "ext1_bar_module": 1}
 
 
 def test_ext_reads_files(tmp_path, capsys):
@@ -157,6 +213,16 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "internal error: sigma^a must be the identity\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_no_assert_in_src():
+    # python -O strips assert statements, so every check in the package
+    # raises instead
+    found = [(path.name, node.lineno)
+             for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_failed_internal_check_exit_code(capsys, monkeypatch):

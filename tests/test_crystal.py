@@ -186,6 +186,25 @@ def test_verify_kummer_pair():
     assert out["case"] == "special-coprime"
 
 
+@pytest.mark.parametrize("a", [1, 2])
+@pytest.mark.parametrize("e", [22, 30])
+def test_coprime_rank_names_a_sufficient_precision(a, e):
+    # [-1, 1] against [-(1 + 3^e), 1] reads a nonzero rank at K = 20; the
+    # precision the error names comes from v_3(Res) = e, and a rerun there
+    # certifies
+    def pair(K):
+        ring = WittRing(3, a, K)
+        return (special_module(ring, [-1, 1]),
+                special_module(ring, [-(1 + 3 ** e), 1]))
+
+    with pytest.raises(PrecisionError, match="nonzero rank") as exc:
+        verify_local_identity(*pair(20))
+    required = exc.value.required
+    assert required == max(24, e + 1)
+    out = verify_local_identity(*pair(required))
+    assert out["equal"] and out["certified_precision"] == required + 2
+
+
 def test_verify_weight_two_self_pair():
     # M = N = A/A(F - q), a = 1: z(f) = |q·m'(q)|_p = 1/p
     out = verify_local_identity(special_module(R51, [-5, 1]),

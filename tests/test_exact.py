@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from frobext.exact import (
     abs_at,
     composed_product,
-    is_square_in_zp,
     limit_leading,
     poly_add,
     poly_divmod,
@@ -22,7 +21,6 @@ from frobext.exact import (
     resultant,
     reversed_form,
     reversed_root_poly,
-    root_multiplicity,
     valuation,
 )
 
@@ -162,13 +160,6 @@ def test_limit_leading():
     assert (rho, lead) == (0, 3)
 
 
-def test_root_multiplicity():
-    p = poly_mul(poly_mul([-1, 1], [-1, 1]), [-3, 1])
-    assert root_multiplicity(p, 1) == 2
-    assert root_multiplicity(p, 3) == 1
-    assert root_multiplicity(p, 2) == 0
-
-
 def test_reversed_root_poly():
     # roots 2,3 -> roots 1/2,1/3
     p = [6, -5, 1]
@@ -179,13 +170,3 @@ def test_reversed_root_poly():
 
 def test_power_sums():
     assert power_sums([6, -5, 1], 3) == [5, 13, 35]
-
-
-def test_is_square_in_zp():
-    assert is_square_in_zp(17, 2)
-    assert not is_square_in_zp(3, 2)
-    assert not is_square_in_zp(2, 2)
-    assert is_square_in_zp(4, 2)
-    assert is_square_in_zp(7, 3)       # 7 = 1 mod 3
-    assert not is_square_in_zp(5, 3)
-    assert is_square_in_zp(Fraction(1, 9), 3)

@@ -17,7 +17,7 @@ from frobext.galois import (
     random_module,
     verify_local_identity,
 )
-from frobext.linalg import companion, identity, mat_mul, solve_exact
+from frobext.linalg import companion, dims, identity, mat_mul
 from frobext.zgamma import HypothesisError
 
 
@@ -75,12 +75,60 @@ def test_torsion_source():
         assert ext_groups_l(n, m).ext0.order == l
 
 
+def test_ext1_torsion_rule():
+    # Ext^1 extends the bar-Ext invariants by the Hom coinvariants: its
+    # torsion is determined when the coinvariants are finite or the bar-Ext
+    # invariants vanish, and its full order only in the first case
+    for l in (2, 5):
+        one = GaloisModule(l, 3, [[1]])
+        decorated = GaloisModule(l, 3, [[1]], (l,))
+        rep = ext_groups_l(one, decorated)  # no bar-Ext: torsion from Hom
+        assert (rep.ext1_rank, rep.ext1_torsion) == (1, l)
+        assert not rep.ext1_finite and rep.ext1_torsion_order is None
+        rep = ext_groups_l(decorated, one)  # both pieces: not determined
+        assert (rep.ext1_rank, rep.ext1_torsion) == (1, None)
+        rep = ext_groups_l(GaloisModule(l, 3, None, (l,)), one)
+        assert rep.ext1_finite and rep.ext1_torsion == rep.ext1_torsion_order == l
+
+
+def test_integrality_checks_raise():
+    # a torsion action that is no endomorphism (a generator of order 3 sent
+    # to one of order 9) breaks the integral coordinates of Hom and bar-Ext;
+    # the checks raise, also under python -O
+    m = GaloisModule(3, 2, None, (3, 9), [[1, 0], [3, 2]])
+    m.torsion_frob = [[1, 0], [1, 1]]
+    with pytest.raises(RuntimeError, match="must stay integral"):
+        hom_module(m, m)
+    with pytest.raises(RuntimeError, match="must stay integral"):
+        ext1_bar_module(m, m)
+
+
 def test_ext1_bar_shape():
     m = GaloisModule(2, 3, None, (2, 4))
     n = GaloisModule(2, 3, [[1]])
     pair = ext1_bar_module(m, n)
     assert pair.pres.gens == 2
     assert pair.invariants().order == 8  # trivial action keeps all of Z/2 + Z/4
+
+
+def solve_exact(a, b):
+    """Solve A X = B over Q for A with full column rank (test oracle)."""
+    m, n = dims(a)
+    k = dims(b)[1]
+    aug = [[Fraction(x) for x in ra] + [Fraction(y) for y in rb]
+           for ra, rb in zip(a, b)]
+    r = 0
+    for c in range(n):
+        piv = next(i for i in range(r, m) if aug[i][c] != 0)
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        r += 1
+    return [[aug[i][n + j] for j in range(k)] for i in range(n)]
 
 
 def _frac(mat):
