@@ -38,7 +38,7 @@ from .galois import GaloisModule, random_admissible_pair
 from .galois import verify_local_identity as verify_galois
 from .motive import global_ext_orders, motive_from_json
 from .witt import WittRing
-from .zeta import variety_from_spec, verify_variety_identity, zeta_special_value
+from .zeta import variety_from_spec, verify_variety_identity
 from .zgamma import HypothesisError
 
 REPLAY_FILE = "frobext-failing-case.json"
@@ -50,6 +50,13 @@ def _default_precision() -> int:
         return max(4, int(os.environ.get(PRECISION_ENV, "20")))
     except ValueError:
         return 20
+
+
+class _GivenPrecision(argparse.Action):
+    """--precision, marked as given so that it wins over a replay file's."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.precision, namespace.precision_given = values, True
 
 
 def _jsonable(x):
@@ -107,10 +114,12 @@ def _crystal_from_obj(o: dict, ring: WittRing) -> Crystal:
     return Crystal(ring, o["coords"], exponents=o.get("exponents"))
 
 
-def _write_replay(case: dict) -> str:
+def _write_replay(case: dict):
     with open(REPLAY_FILE, "w") as fh:
         json.dump(_jsonable(case), fh, sort_keys=True, indent=1)
-    return REPLAY_FILE
+    print("failing case written to %s; replay with:" % REPLAY_FILE,
+          file=sys.stderr)
+    print("  frobext verify-local --replay %s" % REPLAY_FILE, file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +157,11 @@ def _cmd_verify_local(args) -> int:
         with open(args.replay) as fh:
             case = json.load(fh)
         if "case" in case:
+            # an explicit --precision, then the file's, then the default
+            precision = args.precision if args.precision_given \
+                else int(case.get("precision", args.precision))
             ring = WittRing(int(case["p"]), int(case.get("degree", 1)),
-                            int(case.get("precision", args.precision)))
+                            precision)
             m = _crystal_from_obj(case["m"], ring)
             n = _crystal_from_obj(case["n"], ring)
             out = verify_crystal(m, n)
@@ -176,13 +188,9 @@ def _cmd_verify_local(args) -> int:
             out = verify_crystal(m, n)
             if not out["equal"]:
                 failures += 1
-                path = _write_replay({"case": args.case, "p": p, "degree": 1,
-                                      "precision": args.precision,
-                                      "m": _crystal_obj(m), "n": _crystal_obj(n)})
-                print("failing case written to %s; replay with:" % path,
-                      file=sys.stderr)
-                print("  frobext verify-local --replay %s" % path,
-                      file=sys.stderr)
+                _write_replay({"case": args.case, "p": p, "degree": 1,
+                               "precision": args.precision,
+                               "m": _crystal_obj(m), "n": _crystal_obj(n)})
         summary = {"case": args.case, "p": p, "instances": args.random,
                    "failures": failures}
     else:
@@ -195,11 +203,7 @@ def _cmd_verify_local(args) -> int:
             out = verify_galois(m, n)
             if not out["equal"]:
                 failures += 1
-                path = _write_replay({"m": _module_obj(m), "n": _module_obj(n)})
-                print("failing case written to %s; replay with:" % path,
-                      file=sys.stderr)
-                print("  frobext verify-local --replay %s" % path,
-                      file=sys.stderr)
+                _write_replay({"m": _module_obj(m), "n": _module_obj(n)})
         summary = {"l": l, "q": q, "instances": args.random,
                    "failures": failures}
     _emit(summary, args.json)
@@ -209,10 +213,7 @@ def _cmd_verify_local(args) -> int:
 def _cmd_zeta(args) -> int:
     spec = json.loads(_read_source(args.variety))
     r = int(spec.pop("r", args.r))
-    v = variety_from_spec(spec)
-    order, leading = zeta_special_value(v, r)
-    out = verify_variety_identity(v, r)
-    out["order"], out["leading"] = order, leading
+    out = verify_variety_identity(variety_from_spec(spec), r)
     _emit(out, args.json)
     return 0 if out["equal"] else 1
 
@@ -249,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
         p.add_argument("--precision", type=int, default=_default_precision(),
+                       action=_GivenPrecision,
                        help="p-adic working precision (env %s)" % PRECISION_ENV)
+        p.set_defaults(precision_given=False)
     return ap
 
 

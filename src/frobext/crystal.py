@@ -20,7 +20,7 @@ from .exact import (
     poly_deg,
     poly_deriv,
     poly_gcd,
-    poly_mul,
+    poly_pow,
     ratio_charpoly,
     resultant,
     reversed_form,
@@ -139,6 +139,7 @@ class Crystal:
         self.exponents = list(exponents) if exponents is not None else None
         self.kind = "free" if self.exponents is None else "finite"
         self.special_poly = list(special_poly) if special_poly else None
+        self.det_valuation = None  # v_p(det F^a), set by _check_free
         self.frob = [[ring.elem(c) for c in row] for row in self.coords]
         if self.kind == "finite":
             self._check_finite()
@@ -161,11 +162,13 @@ class Crystal:
     def _check_free(self):
         pi = _frobenius_product(self.ring, self.frob)
         try:
-            padic_det_valuation(_linear_int_matrix(self.ring, pi),
-                                self.ring.p, self.ring.K)
+            v = padic_det_valuation(_linear_int_matrix(self.ring, pi),
+                                    self.ring.p, self.ring.K)
         except PrecisionError:
             raise ValueError(
                 "F is singular mod p^K; the kernel must be torsion") from None
+        # the Z_p-determinant of a W-linear map is the norm of its W-determinant
+        self.det_valuation = v // self.ring.a
 
     @property
     def rank(self) -> int:
@@ -383,42 +386,25 @@ def _theta_group_hom(m: Crystal, n: Crystal) -> GroupHom:
 
 
 class _CrystalPair:
-    """The p-side of one pair (M, N), each p-adic object built once: the
-    pair per precision (`at`), its presentation per precision, and one
-    Smith form of θ at the deepest precision read, `reach` steps above K
-    (4 for both passes of the local identity, 2 for a presentation alone).
-    θ on a deeper ring reduces to θ on a shallower one (σ is the unique
-    Hensel root) and the Smith form over Z/p^k is unique, so
-    `theta_smith(k)` is the deeper form with every valuation >= k read as
-    None."""
+    """One Smith form of θ for the pair (M, N), taken at the deepest
+    precision read, `reach` steps above K (4 for the local identity, which
+    applies the θ rule at K and at K+2; 2 for a presentation alone).  θ on a
+    deeper ring reduces to θ on a shallower one (σ is the unique Hensel
+    root) and the Smith form over Z/p^k is unique, so `theta_smith(k)` is the
+    deeper form with every valuation >= k read as None."""
 
-    def __init__(self, m: Crystal, n: Crystal, reach: int = 4):
-        self.m, self.n = _require_pair(m, n)
-        self.depth = self.m.ring.K + reach
-        self._homes = {self.m.ring.K: (self.m, self.n)}
-        self._reports = {}
+    def __init__(self, m: Crystal, n: Crystal, reach: int):
+        self.m, self.n = m, n
+        self.depth = m.ring.K + reach
         self._vals = None
-
-    def at(self, precision: int):
-        if precision not in self._homes:
-            self._homes[precision] = (self.m.at_precision(precision),
-                                      self.n.at_precision(precision))
-        return self._homes[precision]
 
     def theta_smith(self, precision: int):
         if self._vals is None or precision > self.depth:
             self.depth = max(self.depth, precision)
-            m, n = self.at(self.depth)
+            m, n = self.m.at_precision(self.depth), self.n.at_precision(self.depth)
             self._vals = padic_smith(_theta_int(m, n), m.ring.p, self.depth)
         return [v if v is not None and v < precision else None
                 for v in self._vals]
-
-    def presentation(self, precision: int) -> ExtReportP:
-        rep = self._reports.get(precision)
-        if rep is None:
-            rep = self._reports[precision] = ext_presentation(
-                *self.at(precision), _pair=self)
-        return rep
 
 
 def _theta_smith_certified(pair: _CrystalPair, base: int):
@@ -434,7 +420,17 @@ def _theta_smith_certified(pair: _CrystalPair, base: int):
                          required=base + 8)
 
 
-def ext_presentation(m: Crystal, n: Crystal, _pair=None) -> ExtReportP:
+def _free_presentation(pair: _CrystalPair) -> ExtReportP:
+    """Hom and Ext¹ of a torsion-free pair, certified at its precision K."""
+    p = pair.m.ring.p
+    vals, used = _theta_smith_certified(pair, pair.m.ring.K)
+    rank = sum(1 for v in vals if v is None)
+    torsion = tuple(p ** v for v in vals if v is not None and v > 0)
+    return ExtReportP(p, FinGenAbGroup(rank), FinGenAbGroup(rank, torsion),
+                      FinGenAbGroup(0), used)
+
+
+def ext_presentation(m: Crystal, n: Crystal) -> ExtReportP:
     """Hom = kernel and Ext¹ = cokernel of u -> u·F_M - F_N·sigma(u) on
     W-linear maps; Ext² = 0 (the source has a length-one presentation).
 
@@ -447,17 +443,11 @@ def ext_presentation(m: Crystal, n: Crystal, _pair=None) -> ExtReportP:
     m, n = _require_pair(m, n)
     if m.kind != "free":
         raise ValueError("the source must be torsion-free")
-    p = m.ring.p
     if n.kind == "finite":
         hom = _theta_group_hom(m, n)
-        return ExtReportP(p, hom.kernel_group(), hom.cokernel_group(),
+        return ExtReportP(m.ring.p, hom.kernel_group(), hom.cokernel_group(),
                           FinGenAbGroup(0), None)
-    pair = _pair or _CrystalPair(m, n, reach=2)
-    vals, used = _theta_smith_certified(pair, m.ring.K)
-    rank = sum(1 for v in vals if v is None)
-    torsion = tuple(p ** v for v in vals if v is not None and v > 0)
-    return ExtReportP(p, FinGenAbGroup(rank), FinGenAbGroup(rank, torsion),
-                      FinGenAbGroup(0), used)
+    return _free_presentation(_CrystalPair(m, n, reach=2))
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +511,27 @@ def _order_torsion_capped(g: FinGenAbGroup, p: int, n: int) -> int:
 
 
 def _order_quotient_capped(g: FinGenAbGroup, p: int, n: int) -> int:
-    out = p ** (n * g.free_rank)
-    for d in g.torsion:
-        out *= p ** min(int_valuation(d, p), n)
-    return out
+    return p ** (n * g.free_rank) * _order_torsion_capped(g, p, n)
+
+
+def _torsion_free_lift(m: Crystal):
+    """(Λ, e) for a finite source with invertible F at the single exponent
+    e: Λ is the torsion-free crystal with the same F-matrix."""
+    if m.kind != "finite" or not m.is_f_invertible():
+        raise ValueError("the source must be finite with invertible F")
+    exps = set(m.exponents)
+    if len(exps) != 1:
+        raise ValueError("finite sources are supported at a single exponent")
+    return Crystal(m.ring, m.coords), exps.pop()
+
+
+def _finite_source_orders(rep: ExtReportP, e: int):
+    """([Ext⁰], [Ext¹], [Ext²]) of Λ/p^e Λ from the presentation of Λ."""
+    p = rep.p
+    e0 = _order_torsion_capped(rep.ext0, p, e)
+    e1 = _order_quotient_capped(rep.ext0, p, e) * _order_torsion_capped(rep.ext1, p, e)
+    e2 = _order_quotient_capped(rep.ext1, p, e)
+    return e0, e1, e2
 
 
 def ext_orders_finite_source(m: Crystal, n: Crystal):
@@ -537,49 +544,46 @@ def ext_orders_finite_source(m: Crystal, n: Crystal):
     Hom(Λ, N)/p^e in degree one, and Ext²(M, N) = Ext¹(Λ, N)/p^e.
     """
     m, n = _require_pair(m, n)
-    if m.kind != "finite" or not m.is_f_invertible():
-        raise ValueError("the source must be finite with invertible F")
-    exps = set(m.exponents)
-    if len(exps) != 1:
-        raise ValueError("finite sources are supported at a single exponent")
-    e = exps.pop()
-    lam = Crystal(m.ring, m.coords)
+    lam, e = _torsion_free_lift(m)
     rep = ext_presentation(lam, n)
-    p = m.ring.p
-    e0 = _order_torsion_capped(rep.ext0, p, e)
-    e1 = _order_quotient_capped(rep.ext0, p, e) * _order_torsion_capped(rep.ext1, p, e)
-    e2 = _order_quotient_capped(rep.ext1, p, e)
-    return e0, e1, e2, rep.certified_precision
+    return (*_finite_source_orders(rep, e), rep.certified_precision)
 
 
 # ---------------------------------------------------------------------------
 # the local identity at p
 
 
+@dataclass
+class LocalReportP:
+    """The left side of the local identity at p: z(f)·[Ext²(M, N)], with the
+    charpolys of two torsion-free crystals and the presentation θ gave."""
+
+    case: str
+    lhs: Fraction
+    certified_precision: int | None = None
+    charpolys: tuple | None = None
+    presentation: ExtReportP | None = None
+
+
 def _charpoly_for_identity(x: Crystal) -> list:
     if x.special_poly:
-        out = [1]
-        for _ in range(x.ring.a):
-            out = poly_mul(out, x.special_poly)
-        return [int(c) for c in out]
+        return poly_pow(x.special_poly, x.ring.a)
     return crystal_charpoly(x)
 
 
-def _rhs_value(ring: WittRing, pm: list, pn: list, mm=None, mn=None):
+def _rhs_value(m: Crystal, n: Crystal, pm: list, pn: list):
     """(coincident pairs, |q^{s(M)·r(N)} · prod_{a_i != b_j} (1 - b_j/a_i)|_p)
-    from the two characteristic polynomials.  For two special modules
-    (pm = mm^a, pn = mn^a) the ratio polynomial of pm and pn is that of mm
-    and mn to the a²-th power, so the limit is read off the small one."""
-    p = ring.p
-    rm, rn = poly_deg(pm), poly_deg(pn)
-    if rm == 0 or rn == 0:
+    from the two characteristic polynomials."""
+    p = m.ring.p
+    rn = poly_deg(pn)
+    if poly_deg(pm) == 0 or rn == 0:
         return 0, Fraction(1)
-    if mm and mn:
-        rho, lead = limit_leading(reversed_form(ratio_charpoly(mm, mn)))
-        a2 = ring.a * ring.a
-        rho, lead = a2 * rho, lead ** a2
-    else:
-        rho, lead = limit_leading(reversed_form(ratio_charpoly(pm, pn)))
+    if pm[0] == 0:
+        # det F^a vanishes mod p^K: neither s(M) nor 1/a_i can be read
+        raise PrecisionError(
+            "the determinant of F^a vanishes mod p^K",
+            required=max(m.det_valuation, n.det_valuation) + 1)
+    rho, lead = limit_leading(reversed_form(ratio_charpoly(pm, pn)))
     vq = int_valuation(abs(pm[0]), p)  # = a·s(M)
     return rho, abs_at(p, lead) * Fraction(1, p ** (vq * rn))
 
@@ -594,105 +598,86 @@ def _z_derivative_map(m: Crystal) -> Fraction:
     return Fraction(1, ring.p ** v)
 
 
-def _verify_once(pair: _CrystalPair, precision: int) -> dict:
-    m, n = pair.at(precision)
-    ring = m.ring
-    p, a = ring.p, ring.a
-    out = {"p": p, "a": a, "q": p ** a, "case": None, "lhs": None,
-           "rhs": None, "rho_pairs": 0, "equal": False,
-           "certified_precision": None}
+def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
+    """z(f)·[Ext²(M, N)] on a supported pair, computed and certified once.
+
+    Supported: residue-field source; finite source with invertible F;
+    finite target; special modules with equal or coprime minimal
+    polynomials; torsion-free pairs with separated eigenvalue sets.  Where
+    θ is read, its rule is applied at K and again at K+2 (no valuation in
+    [K+2, K+4), with the same bump) on one Smith form; those cases and the
+    special-equal one report K+2 as certified.
+    """
+    m, n = _require_pair(m, n)
+    K = m.ring.K
     if m.kind == "finite" and m.is_k_type():
-        out["case"] = "k-source"
         e0, e1, e2 = ext_koszul_k(n)
-        lhs = Fraction(e0.order * e2.order, e1.order) ** m.dim
-        rhs = Fraction(1)
-    elif m.kind == "finite":
-        out["case"] = "finite-source"
-        e0, e1, e2, cert = ext_orders_finite_source(m, n)
-        out["certified_precision"] = cert
-        lhs = Fraction(e0 * e2, e1)
-        rhs = Fraction(1)
-    elif n.kind == "finite":
+        return LocalReportP(
+            "k-source", Fraction(e0.order * e2.order, e1.order) ** m.dim)
+    if m.kind == "finite":
+        lam, e = _torsion_free_lift(m)
+        if n.kind == "finite":
+            rep, certified = ext_presentation(lam, n), None
+        else:
+            pair = _CrystalPair(lam, n, reach=4)
+            rep, certified = _free_presentation(pair), K + 2
+            _theta_smith_certified(pair, K + 2)
+        e0, e1, e2 = _finite_source_orders(rep, e)
+        return LocalReportP("finite-source", Fraction(e0 * e2, e1), certified)
+    if n.kind == "finite":
         # z(f) of any map between the finite groups Hom and Ext¹ is
         # [Ext⁰]/[Ext¹], and Ext² = 0
-        out["case"] = "finite-target"
         rep = ext_presentation(m, n)
-        lhs = Fraction(rep.ext0.order, rep.ext1.order)
-        rhs = Fraction(1)
-    else:
-        lhs, rhs = _verify_free_pair(pair, precision, out)
-    out["lhs"], out["rhs"] = lhs, rhs
-    out["equal"] = lhs == rhs
-    return out
-
-
-def _verify_free_pair(pair: _CrystalPair, precision: int, out: dict):
-    m, n = pair.at(precision)
-    ring = m.ring
-    p = ring.p
-    pm, pn = _charpoly_for_identity(m), _charpoly_for_identity(n)
+        return LocalReportP("finite-target",
+                            Fraction(rep.ext0.order, rep.ext1.order))
+    p = m.ring.p
+    charpolys = pm, pn = _charpoly_for_identity(m), _charpoly_for_identity(n)
     mm, mn = m.special_poly, n.special_poly
     if mm and mn and mm == mn:
-        out["case"] = "special-equal"
         hypothesis_gate(mm, mn)
-        lhs = _z_derivative_map(m)
-        out["certified_precision"] = ring.K
-    elif mm and mn:
+        return LocalReportP("special-equal", _z_derivative_map(m), K + 2,
+                            charpolys)
+    if mm and mn:
         res = resultant(mm, mn)
         if res == 0:
             hypothesis_gate(mm, mn)
             raise ValueError("special pair with a shared eigenvalue is not supported")
-        out["case"] = "special-coprime"
-        rep = pair.presentation(precision)
-        if rep.ext0.free_rank or rep.ext1.free_rank:
-            # F^a acts on Ext¹ through either side, so Res(m_M, m_N)
-            # annihilates it: no elementary divisor valuation exceeds v_p(Res)
-            raise PrecisionError(
-                "a coprime pair produced a nonzero rank",
-                required=max(ring.K + 4, int_valuation(int(res), p) + 1))
-        lhs = Fraction(1, rep.ext1.order)
-        out["certified_precision"] = rep.certified_precision
+        case, kind = "special-coprime", "coprime"
+        # F^a acts on Ext¹ through either side, so Res(m_M, m_N)
+        # annihilates it: no elementary divisor valuation exceeds v_p(Res)
+        required = max(K + 4, int_valuation(int(res), p) + 1)
     else:
         res = resultant(pm, pn)
-        if res == 0 or int_valuation(int(res), p) >= ring.K:
+        if res == 0 or int_valuation(int(res), p) >= K:
             raise PrecisionError(
                 "cannot separate the eigenvalue sets at this precision",
-                required=2 * ring.K)
-        out["case"] = "free-disjoint"
-        rep = pair.presentation(precision)
-        if rep.ext0.free_rank or rep.ext1.free_rank:
-            raise PrecisionError("a separated pair produced a nonzero rank",
-                                 required=ring.K + 4)
-        lhs = Fraction(1, rep.ext1.order)
-        out["certified_precision"] = rep.certified_precision
-    rho, rhs = _rhs_value(ring, pm, pn, mm, mn)
-    out["rho_pairs"] = rho
-    return lhs, rhs
+                required=2 * K)
+        case, kind, required = "free-disjoint", "separated", K + 4
+    pair = _CrystalPair(m, n, reach=4)
+    rep = _free_presentation(pair)
+    if rep.ext0.free_rank or rep.ext1.free_rank:
+        raise PrecisionError("a %s pair produced a nonzero rank" % kind,
+                             required=required)
+    _theta_smith_certified(pair, K + 2)
+    return LocalReportP(case, Fraction(1, rep.ext1.order), K + 2, charpolys,
+                        rep)
 
 
-def verify_local_identity(m: Crystal, n: Crystal, _pair=None) -> dict:
+def verify_local_identity(m: Crystal, n: Crystal) -> dict:
     """Check z(f)·[Ext²(M, N)] = |q^{s(M)·r(N)} · prod (1 - b_j/a_i)|_p with
     the product over non-coincident eigenvalue pairs of the a-th Frobenius
-    iterates, on a supported pair.
-
-    Supported: residue-field source; finite source with invertible F;
-    finite target; special modules with equal or coprime minimal
-    polynomials; torsion-free pairs with separated eigenvalue sets.
-    Precision-dependent branches are recomputed two steps higher and must
-    reproduce both sides exactly; the θ valuations of both passes (up to
-    K+4) come from one Smith form.
+    iterates, on a pair that `local_lhs` supports.  The left side is
+    `local_lhs`; the right side is read off the ratio polynomial of the two
+    characteristic polynomials.
     """
-    m, n = _require_pair(m, n)
-    pair = _pair or _CrystalPair(m, n)
-    report = _verify_once(pair, m.ring.K)
-    if report["certified_precision"] is not None:
-        bigger = m.ring.K + 2
-        again = _verify_once(pair, bigger)
-        if (again["lhs"], again["rhs"]) != (report["lhs"], report["rhs"]):
-            raise PrecisionError("identity data unstable under precision increase",
-                                 required=m.ring.K + 4)
-        report["certified_precision"] = bigger
-    return report
+    local = local_lhs(m, n)
+    p, a = m.ring.p, m.ring.a
+    rho, rhs = _rhs_value(m, n, *local.charpolys) if local.charpolys \
+        else (0, Fraction(1))
+    return {"p": p, "a": a, "q": p ** a, "case": local.case,
+            "lhs": local.lhs, "rhs": rhs, "rho_pairs": rho,
+            "equal": local.lhs == rhs,
+            "certified_precision": local.certified_precision}
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,13 @@ def poly_mul(a: list, b: list) -> list:
     return poly_trim(out)
 
 
+def poly_pow(a: list, e: int) -> list:
+    out = [1]
+    for _ in range(e):
+        out = poly_mul(out, a)
+    return out
+
+
 def poly_eval(a: list, x):
     """Horner evaluation, exact."""
     acc = 0

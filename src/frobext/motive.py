@@ -30,11 +30,11 @@ from math import prod
 
 from .crystal import (
     Crystal,
-    _CrystalPair,
     crystal_charpoly,
+    ext_presentation,
+    local_lhs,
     special_module,
 )
-from .crystal import verify_local_identity as _verify_crystal_pair
 from .exact import (
     abs_at,
     int_valuation,
@@ -42,7 +42,7 @@ from .exact import (
     poly_deg,
     poly_deriv,
     poly_gcd,
-    poly_mul,
+    poly_pow,
     prime_factors,
     prime_power,
     ratio_charpoly,
@@ -65,13 +65,6 @@ from .linalg import (
 )
 from .witt import WittRing
 from .zgamma import HypothesisError
-
-
-def _poly_power(c: list[int], e: int) -> list[int]:
-    out = [1]
-    for _ in range(e):
-        out = poly_mul(out, c)
-    return [int(x) for x in out]
 
 
 def _is_squarefree(c: list[int]) -> bool:
@@ -171,7 +164,7 @@ class Motive:
                 raise ValueError("crystal lives over the wrong Witt ring")
             if crystal.kind != "free":
                 raise ValueError("the crystal of a motive is torsion-free")
-            want = cp if a == 1 else _poly_power(cp, a)
+            want = cp if a == 1 else poly_pow(cp, a)
             if crystal_charpoly(crystal) != want:
                 raise ValueError("crystal charpoly disagrees with the motive")
             if a > 1 and list(crystal.special_poly or ()) != cp:
@@ -414,28 +407,30 @@ def _l_side(x: Motive, y: Motive, l: int, rho: int, nstar: Fraction) -> dict:
     }
 
 
-def _p_side(x: Motive, y: Motive, rho: int) -> dict:
+def _p_side(x: Motive, y: Motive, rho: int, leading: Fraction) -> dict:
     p = x.p
     if x.rank == 0 or y.rank == 0:
         return {"l": p, "hom_tors": 1, "ext1_torsion": 1, "ext2": 1,
                 "z_f": Fraction(1), "swap_tors": 1}
     scale = x.a * x.a
-    # one pair for the presentation and both passes of the local identity
-    pair = _CrystalPair(x.crystal, y.crystal)
-    rep = pair.presentation(x.crystal.ring.K)
+    local = local_lhs(x.crystal, y.crystal)
+    # equal charpolys certify through the derivative map and read no θ
+    rep = local.presentation or ext_presentation(x.crystal, y.crystal)
     if rep.ext0.free_rank != rho * scale or rep.ext1.free_rank != rho * scale:
         raise RuntimeError("crystal Hom rank disagrees with rho")
     if rep.ext0.torsion_order != 1:
         raise RuntimeError("torsion in Hom of torsion-free crystals")
-    ver = _verify_crystal_pair(x.crystal, y.crystal, _pair=pair)
-    if not ver["equal"]:
+    # each eigenvalue of the a-th Frobenius iterate repeats a times on the
+    # crystal, so the resultant side of its local identity is |q^chi N*|_p
+    # to the a²-th power
+    if local.lhs != abs_at(p, leading) ** scale:
         raise RuntimeError("p-adic local identity failed")
     return {
         "l": p,
         "hom_tors": 1,
         "ext1_torsion": int(_p_power_root(rep.ext1.torsion_order, p, scale)),
         "ext2": 1,
-        "z_f": _p_power_root(ver["lhs"], p, scale),
+        "z_f": _p_power_root(local.lhs, p, scale),
         "swap_tors": 1,
     }
 
@@ -548,6 +543,7 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     disc = _discriminant(basis, _hom_lattice(y, x, rho))
     p = x.p
     chi = x.slope_sum() * y.rank
+    leading = _q_power(p, x.a, chi) * abs(nstar)
     support = {p}
     support.update(prime_factors(nstar.numerator))
     support.update(prime_factors(nstar.denominator))
@@ -558,7 +554,8 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     hom_tors, ext2 = 1, 1
     ext1_order = 1
     for l in sorted(support):
-        d = _p_side(x, y, rho) if l == p else _l_side(x, y, l, rho, nstar)
+        d = _p_side(x, y, rho, leading) if l == p \
+            else _l_side(x, y, l, rho, nstar)
         per_prime[l] = d
         hom_tors *= d["hom_tors"]
         ext2 *= d["ext2"]
@@ -576,8 +573,7 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
         q=x.q, rho=rho, hom_lattice=basis, hom_tors_order=hom_tors,
         ext1_order=ext1_order, ext2_cotors_order=ext2, discriminant=disc,
         chi=chi, chi_statement=Fraction(x.rank) * y.slope_sum(), nstar=nstar,
-        support=tuple(sorted(support)), per_prime=per_prime,
-        leading=_q_power(p, x.a, chi) * abs(nstar))
+        support=tuple(sorted(support)), per_prime=per_prime, leading=leading)
 
 
 def global_ext_orders(x: Motive, y: Motive) -> GlobalExtReport:

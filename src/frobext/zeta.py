@@ -373,8 +373,8 @@ def verify_variety_identity(v: VarietyDescriptor, r: int) -> dict:
     >>> verify_variety_identity(projective_space(2, 1), 1)["equal"]
     True
     """
+    order, leading = zeta_special_value(v, r)  # first: it rejects r < 0
     rep = motivic_cohomology(v, r)
-    order, leading = zeta_special_value(v, r)
     lhs = abs(leading)
     rhs = rep.chi_times * Fraction(v.q) ** rep.chi_o
     equal = (lhs == rhs and order == rep.vanishing_order

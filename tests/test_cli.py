@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from frobext import cli, crystal, exact, galois, motive
+from frobext import cli, crystal, exact, galois, motive, zeta
 from frobext.cli import main
+from frobext.crystal import special_module
 from frobext.exact import PrecisionError
 from frobext.galois import GaloisModule
 from frobext.zgamma import FinGenAbGroup
@@ -18,6 +19,7 @@ from frobext.motive import (
     motive_to_json,
     unit_motive,
 )
+from frobext.witt import WittRing
 
 
 def run(capsys, argv):
@@ -117,6 +119,27 @@ def test_one_l_adic_report_per_prime(capsys, monkeypatch):
     assert built == {"hom_module": 1, "ext1_bar_module": 1}
 
 
+def test_one_ratio_polynomial_per_query(capsys, monkeypatch):
+    # the assembly builds the pair's ratio polynomial once, and both local
+    # sides take their right side from its N*: no other ratio polynomial
+    ratio = exact.ratio_charpoly
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ratio(*args)
+
+    for mod in (exact, galois, motive, crystal):
+        if getattr(mod, "ratio_charpoly", None) is ratio:
+            monkeypatch.setattr(mod, "ratio_charpoly", counted)
+    for row in EXT_TABLE:
+        calls.clear()
+        code, out = run(capsys, ["ext", row["x"], row["y"], "--json"])
+        assert (code, out) == (0, row["stdout"])
+        ranks = [len(json.loads(row[k])["charpoly"]) - 1 for k in "xy"]
+        assert len(calls) == (1 if all(ranks) else 0), row
+
+
 def test_ext_reads_files(tmp_path, capsys):
     fx = tmp_path / "x.json"
     fy = tmp_path / "y.json"
@@ -156,6 +179,25 @@ def test_verify_local_replay(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["equal"] is True
 
 
+def test_replay_precision_order(tmp_path, capsys, monkeypatch):
+    # a written replay file carries its precision; an explicit --precision
+    # wins over it, so exit 4's hint can be followed on the file
+    monkeypatch.chdir(tmp_path)
+    ring = WittRing(3, 1, 20)
+    m = special_module(ring, [-1, 1])
+    n = special_module(ring, [-(1 + 3 ** 30), 1])
+    cli._write_replay({"case": "special-coprime", "p": 3, "degree": 1,
+                       "precision": 20, "m": cli._crystal_obj(m),
+                       "n": cli._crystal_obj(n)})
+    argv = ["verify-local", "--replay", cli.REPLAY_FILE]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.endswith("; rerun with --precision 31\n")
+    assert main(argv + ["--precision", "31"]) == 0
+    # without the flag the file's precision beats the environment's
+    monkeypatch.setenv(cli.PRECISION_ENV, "31")
+    assert main(argv) == 4
+
+
 def test_hypothesis_violation_exit_code(tmp_path, capsys):
     # a shared multiple eigenvalue violates the hypothesis of the theorem
     case = {"m": {"l": 3, "q": 2, "free_frob": [[1, 1], [0, 1]],
@@ -184,6 +226,27 @@ def test_zeta_product_spec(capsys):
     code, out = run(capsys, ["zeta", json.dumps(spec), "--json"])
     assert code == 0
     assert json.loads(out)["equal"] is True
+
+
+def test_zeta_negative_r_and_one_special_value(capsys, monkeypatch):
+    spec = {"kind": "projective_space", "q": 3, "dimension": 1}
+    assert main(["zeta", json.dumps(dict(spec, r=-1))]) == 2
+    assert capsys.readouterr().err == \
+        "input error: special values at non-negative r only\n"
+    # the zeta side is computed once per query
+    calls = []
+    special_value = zeta.zeta_special_value
+
+    def counted(v, r):
+        calls.append(r)
+        return special_value(v, r)
+
+    for mod in (cli, zeta):
+        if getattr(mod, "zeta_special_value", None) is special_value:
+            monkeypatch.setattr(mod, "zeta_special_value", counted)
+    code, out = run(capsys, ["zeta", json.dumps(dict(spec, r=1)), "--json"])
+    assert code == 0 and json.loads(out)["leading"] == "3/2"
+    assert calls == [1]
 
 
 def test_input_error_exit_codes(capsys):

@@ -389,3 +389,111 @@ def test_koszul_euler_check_is_not_an_assert(monkeypatch):
                         lambda d0, d1: FinGenAbGroup(0, (7,)))
     with pytest.raises(RuntimeError, match="Euler product"):
         ext_koszul_k(k_module(R31))
+
+
+def test_vanishing_determinant_names_a_sufficient_precision():
+    # a general crystal whose det F^a is 0 mod p^K (e.g. F = [[0, -9], [3, 0]]
+    # at p = 3, a = 2, K = 5: det F^a = 3^6) is valid input that needs more
+    # precision; the error names max v_p(det F^a) + 1, and a rerun there
+    # certifies
+    rows = [row for row in P_LOCAL
+            if "determinant" in row["report"].get("message", "")]
+    assert [row["report"]["required"] for row in rows] == [7, 9, 7, 9, 9, 9, 11, 9]
+    for row in rows:
+        def pair(K):
+            ring = WittRing(row["p"], row["a"], K)
+            return [cli._crystal_from_obj(row[k], ring) for k in "mn"]
+
+        with pytest.raises(PrecisionError) as exc:
+            verify_local_identity(*pair(row["K"]))
+        assert exc.value.required == row["report"]["required"]
+        assert verify_local_identity(*pair(exc.value.required))["equal"], row
+
+
+PAIRS_BY_CASE = {
+    "special-coprime": lambda: (special_module(R31, [-1, 1]),
+                                special_module(R31, [-4, 1])),
+    "special-equal": lambda: (special_module(R32, [3, -1, 1]),
+                              special_module(R32, [3, -1, 1])),
+    "free-disjoint": lambda: (Crystal(R31, [[1]]), Crystal(R31, [[4]])),
+    "finite-source": lambda: (Crystal(R51, [[1]], exponents=[1]),
+                              special_module(R51, [5, -1, 1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIRS_BY_CASE))
+def test_identity_is_one_pass(monkeypatch, case):
+    # the K+2 check is the θ rule read off the pair's one Smith form: no
+    # ring or crystal at K+2, and one right side from one charpoly per side
+    m, n = PAIRS_BY_CASE[case]()
+    K = m.ring.K
+    rings, charpolys, rhs = [], [], []
+
+    def recording(owner, name, log, key):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            log.append(key(*args))
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    recording(WittRing, "at_precision", rings, lambda ring, k: k)
+    recording(Crystal, "with_ring", rings, lambda x, ring: ring.K)
+    recording(crystal, "_charpoly_for_identity", charpolys, lambda x: x.coords)
+    recording(crystal, "_rhs_value", rhs, lambda *args: 1)
+    out = verify_local_identity(m, n)
+    assert out["equal"] and out["case"] == case
+    assert out["certified_precision"] == K + 2
+    assert K + 2 not in rings
+    if case == "finite-source":
+        assert charpolys == [] and rhs == []
+    else:
+        assert charpolys == [m.coords, n.coords] and rhs == [1]
+
+
+def test_finite_source_shares_one_smith_form(monkeypatch):
+    # a finite-invertible source with a special target: its torsion-free
+    # lift is validated once, and both θ rules read one form at K+4
+    m = Crystal(R51, [[1]], exponents=[1])
+    n = special_module(R51, [5, -1, 1])
+    depths, lifts = [], []
+    check_free = Crystal._check_free
+
+    def counting(mat, p, K):
+        depths.append(K)
+        return padic_smith(mat, p, K)
+
+    def checked(self):
+        if self.coords == m.coords:
+            lifts.append(self.ring.K)
+        check_free(self)
+
+    monkeypatch.setattr(crystal, "padic_smith", counting)
+    monkeypatch.setattr(Crystal, "_check_free", checked)
+    out = verify_local_identity(m, n)
+    assert out["equal"] and out["case"] == "finite-source"
+    assert depths == [R51.K + 4] and lifts == [R51.K]
+
+
+def test_k_plus_2_check_is_the_theta_rule(monkeypatch):
+    # a finite source against N = diag(1 + 3^(K+2), 1 + 3^(K+6)): θ has
+    # valuations K+2 and K+6.  The rule passes at base K (both read as
+    # rank), but at base K+2 one valuation lies in [K+2, K+4) and, after
+    # the bump, the other in [K+6, K+8)
+    depths = []
+
+    def counting(mat, p, K):
+        depths.append(K)
+        return padic_smith(mat, p, K)
+
+    def pair(K):
+        ring = WittRing(3, 1, K)
+        return (Crystal(ring, [[1]], exponents=[1]),
+                Crystal(ring, [[1 + 3 ** 8, 0], [0, 1 + 3 ** 12]]))
+
+    monkeypatch.setattr(crystal, "padic_smith", counting)
+    with pytest.raises(PrecisionError, match="unstable") as exc:
+        verify_local_identity(*pair(6))
+    assert exc.value.required == 16 and depths == [10, 14]
+    out = verify_local_identity(*pair(16))
+    assert out["equal"] and out["certified_precision"] == 18
