@@ -86,17 +86,6 @@ def _semilinear_int_matrix(ring: WittRing, wmat):
     return out
 
 
-def _wmat_poly_eval(ring: WittRing, poly, wmat):
-    """poly(wmat) by Horner, scalars on the diagonal."""
-    n = len(wmat)
-    acc = [[ring.from_int(0) for _ in range(n)] for _ in range(n)]
-    for c in reversed(poly):
-        acc = mat_mul(acc, wmat)
-        for i in range(n):
-            acc[i][i] = acc[i][i] + ring.from_int(c)
-    return acc
-
-
 def _coord_list(x):
     if isinstance(x, WittElem):
         return list(x.c)
@@ -588,14 +577,22 @@ def _rhs_value(m: Crystal, n: Crystal, pm: list, pn: list):
     return rho, abs_at(p, lead) * Fraction(1, p ** (vq * rn))
 
 
-def _z_derivative_map(m: Crystal) -> Fraction:
-    """z of multiplication by F^a·(d/dF^a)(m(F^a)) on the module, evaluated
-    as |det|_p-style valuation of the integer coordinate matrix."""
-    ring = m.ring
-    pi = m.frobenius_power()
-    f = mat_mul(pi, _wmat_poly_eval(ring, poly_deriv(m.special_poly), pi))
-    v = padic_det_valuation(_linear_int_matrix(ring, f), ring.p, ring.K)
-    return Fraction(1, ring.p ** v)
+def _z_derivative_map(m: Crystal, precision: int) -> Fraction:
+    """z of multiplication by F^a·(d/dF^a)(m(F^a)) on a special module, its
+    |det|_p read mod p^precision.  F is the integer companion of m(t^a),
+    which σ fixes, so F^a is multiplication by t^a on Z[t]/(m(t^a)): a
+    copies of the companion C of m, up to a permutation of the basis.  Over
+    Z_p the map is a² such copies of C·m'(C), with the same Smith
+    valuations a² times over, so it is read off that integer matrix."""
+    c = companion(m.special_poly)
+    deriv = zeros(len(c), len(c))
+    for coef in reversed(poly_deriv(m.special_poly)):  # m'(C) by Horner
+        deriv = mat_mul(deriv, c)
+        for i in range(len(c)):
+            deriv[i][i] += coef
+    p, a = m.ring.p, m.ring.a
+    v = padic_det_valuation(mat_mul(c, deriv), p, precision)
+    return Fraction(1, p ** (a * a * v))
 
 
 def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
@@ -605,8 +602,9 @@ def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
     finite target; special modules with equal or coprime minimal
     polynomials; torsion-free pairs with separated eigenvalue sets.  Where
     θ is read, its rule is applied at K and again at K+2 (no valuation in
-    [K+2, K+4), with the same bump) on one Smith form; those cases and the
-    special-equal one report K+2 as certified.
+    [K+2, K+4), with the same bump) on one Smith form; those cases report
+    K+2 as certified, and so does the special-equal one, which reads its
+    derivative map at K+2.
     """
     m, n = _require_pair(m, n)
     K = m.ring.K
@@ -635,8 +633,9 @@ def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
     mm, mn = m.special_poly, n.special_poly
     if mm and mn and mm == mn:
         hypothesis_gate(mm, mn)
-        return LocalReportP("special-equal", _z_derivative_map(m), K + 2,
-                            charpolys)
+        # read at K+2, the precision it reports as certified
+        return LocalReportP("special-equal", _z_derivative_map(m, K + 2),
+                            K + 2, charpolys)
     if mm and mn:
         res = resultant(mm, mn)
         if res == 0:

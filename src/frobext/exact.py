@@ -8,6 +8,7 @@ in ascending degree order (index = degree), trimmed of trailing zeros.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class PrecisionError(ArithmeticError):
@@ -61,19 +62,55 @@ def l_primary(x, p: int) -> Fraction:
     return Fraction(p) ** valuation(x, p)
 
 
+# Miller-Rabin to the first 13 prime bases is exact below PRIME_BOUND
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality below PRIME_BOUND; above it a composite is still
+    recognized, but a probable prime raises ValueError.
+
+    >>> is_prime(100000000000000003)
+    True
+    """
     if n < 2:
         return False
-    if n < 4:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # b witnesses that n is composite
+    if n >= PRIME_BOUND:
+        raise ValueError("primality is certified only below %d"
+                         % PRIME_BOUND)
     return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def prime_factors(n: int) -> list[int]:
@@ -95,19 +132,27 @@ def prime_factors(n: int) -> list[int]:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, a) with q = p^a, a >= 1.
+    """(p, a) with q = p^a, a >= 1; p must lie below PRIME_BOUND.
 
     >>> prime_power(27)
     (3, 3)
     """
     if q < 2:
         raise ValueError("not a prime power: %r" % (q,))
-    fs = prime_factors(q)
-    if len(fs) != 1:
+    for b in _BASES:
+        if q % b == 0:
+            a = int_valuation(q, b)
+            if b ** a != q:
+                raise ValueError("not a prime power: %r" % (q,))
+            return b, a
+    # every prime factor exceeds 41 > 2^5, so a < bit_length / 5
+    for a in range(q.bit_length() // 5, 1, -1):
+        p = _iroot(q, a)
+        if p ** a == q and is_prime(p):
+            return p, a
+    if not is_prime(q):
         raise ValueError("not a prime power: %r" % (q,))
-    p = fs[0]
-    a = int_valuation(q, p)
-    return p, a
+    return q, 1
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +242,56 @@ def poly_gcd(a: list, b: list) -> list:
     if not a:
         return []
     return poly_monic(a)
+
+
+def poly_quo_monic(a: list, b: list) -> list:
+    """a / b for integer a and monic integer b that divides it, over Z."""
+    a, b = poly_trim(a), poly_trim(b)
+    db = len(b) - 1
+    if not b or b[-1] != 1:
+        raise ValueError("the divisor must be monic")
+    quo = [0] * max(0, len(a) - db)
+    for d in range(len(quo) - 1, -1, -1):
+        c = quo[d] = a[d + db]
+        if c:
+            for i in range(db + 1):
+                a[d + i] -= c * b[i]
+    if any(a):
+        raise RuntimeError("monic division left a remainder")
+    return poly_trim(quo)
+
+
+def _primitive(a: list) -> list:
+    """a divided by its content, with a positive leading coefficient."""
+    g = gcd(*a)
+    return [c // g for c in a] if a[-1] > 0 else [-c // g for c in a]
+
+
+def poly_gcd_monic(a: list, b: list) -> list:
+    """Monic gcd over Z of a monic integer a and an integer b, by primitive
+    pseudo-remainders (Collins, JACM 1967).  A monic factor of a monic
+    integer polynomial has integer coefficients (Gauss's lemma), so the
+    primitive gcd is monic; anything else is an internal fault."""
+    a, b = poly_trim(a), poly_trim(b)
+    if not b:
+        return a
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = a[:]
+        lb, db = b[-1], len(b) - 1
+        while len(r) > db:
+            c, d = r[-1], len(r) - 1 - db
+            r = [x * lb for x in r]
+            for i in range(db + 1):
+                r[d + i] -= c * b[i]
+            r = poly_trim(r)
+        a, b = b, _primitive(r) if r else []
+    if b:
+        return [1]  # a nonzero constant remainder: coprime
+    if a[-1] != 1:
+        raise RuntimeError("the gcd of a monic integer polynomial is not"
+                           " monic")
+    return a
 
 
 def poly_int(a: list) -> list:

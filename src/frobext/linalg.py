@@ -153,8 +153,14 @@ def charpoly(a: Matrix) -> list[int]:
 
 
 def minimal_polynomial(a: Matrix) -> list[Fraction]:
-    """Monic minimal polynomial over Q via the first Krylov dependency."""
+    """Monic minimal polynomial over Q.  A companion matrix (ones on the
+    sub-diagonal, zeros elsewhere outside the last column, as `companion`
+    builds it) is cyclic, so its minimal polynomial is its charpoly, read
+    off the last column; any other matrix takes the first Krylov
+    dependency."""
     n = len(a)
+    if all(a[i][j] == int(i == j + 1) for i in range(n) for j in range(n - 1)):
+        return [Fraction(-row[-1]) for row in a] + [Fraction(1)]
     dim = n * n
     basis: list[tuple[list[Fraction], list[Fraction]]] = []  # (reduced vec, tail)
     power = identity(n)

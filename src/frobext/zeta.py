@@ -33,10 +33,10 @@ from .exact import (
     poly_deriv,
     poly_divmod,
     poly_eval,
-    poly_gcd,
+    poly_gcd_monic,
     poly_int,
-    poly_monic,
     poly_mul,
+    poly_quo_monic,
     power_sums,
     prime_power,
 )
@@ -93,8 +93,14 @@ def _weierstrass_long(coefficients) -> tuple:
 
 
 def elliptic_point_count(p: int, coefficients) -> int:
-    """#E(F_p) for y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 by brute
-    force, including the point at infinity; rejects singular curves.
+    """#E(F_p) for y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6, including
+    the point at infinity; rejects singular curves.
+
+    For odd p the equation is (2y + a1 x + a3)^2 = v(x) with
+    v = 4(x^3 + a2 x^2 + a4 x + a6) + (a1 x + a3)^2, and y -> 2y + a1 x + a3
+    is a bijection of F_p, so each x carries 1 + (v(x)/p) points; the
+    Legendre symbol comes from Euler's criterion.  p = 2 is counted
+    directly.
 
     >>> elliptic_point_count(5, [1, 1])
     9
@@ -108,19 +114,23 @@ def elliptic_point_count(p: int, coefficients) -> int:
     disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     if disc % p == 0:
         raise ValueError("singular Weierstrass equation over F_%d" % p)
-    n = 1
+    if p == 2:
+        return 1 + sum(1 for x in range(2) for y in range(2)
+                       if (y * y + (a1 * x + a3) * y
+                           - (x ** 3 + a2 * x * x + a4 * x + a6)) % 2 == 0)
+    n = p + 1
+    half = (p - 1) // 2
     for x in range(p):
-        rhs = (x ** 3 + a2 * x * x + a4 * x + a6) % p
-        lin = (a1 * x + a3) % p
-        for y in range(p):
-            if (y * y + lin * y - rhs) % p == 0:
-                n += 1
+        lin = a1 * x + a3
+        v = (4 * (((x + a2) * x + a4) * x + a6) + lin * lin) % p
+        if v:
+            n += 1 if pow(v, half, p) == 1 else -1
     return n
 
 
 def elliptic_curve(q: int, coefficients) -> VarietyDescriptor:
     """Elliptic curve over a prime field from Weierstrass coefficients; the
-    Frobenius trace comes from the brute-force point count and is checked
+    Frobenius trace comes from the point count and is checked
     against the |t| <= 2 sqrt(q) bound."""
     p, a = prime_power(q)
     if a != 1:
@@ -139,22 +149,22 @@ def elliptic_curve(q: int, coefficients) -> VarietyDescriptor:
               "coefficients": [int(c) for c in coefficients]})
 
 
-def _squarefree_split(f) -> list:
-    """Monic f over Z -> [(monic squarefree factor, multiplicity)]."""
-    f = poly_monic(f)
-    if poly_deg(f) == 0:
+def _squarefree_split(f: list) -> list:
+    """Monic f over Z -> [(monic squarefree factor, multiplicity)], on
+    integers throughout (every factor is monic with integer coefficients)."""
+    if poly_deg(f) < 1:
         return []
-    a = poly_gcd(f, poly_deriv(f))
-    b = poly_divmod(f, a)[0]  # product of the distinct roots
+    a = poly_gcd_monic(f, poly_deriv(f))
+    b = poly_quo_monic(f, a)  # product of the distinct roots
     out = []
     mult = 1
     while poly_deg(b) > 0:
-        c = poly_gcd(a, b)
-        piece = poly_divmod(b, c)[0]
+        c = poly_gcd_monic(a, b)
+        piece = poly_quo_monic(b, c)
         if poly_deg(piece) > 0:
-            out.append((poly_int(piece), mult))
+            out.append((piece, mult))
         b = c
-        a = poly_divmod(a, c)[0]
+        a = poly_quo_monic(a, c)
         mult += 1
     return out
 
@@ -163,16 +173,16 @@ def _integer_root_split(f: list, p: int) -> list:
     """Split +-p^k roots off a squarefree monic integer polynomial so that
     no remaining factor shares an eigenvalue with a Lefschetz power."""
     out = []
-    rest = [Fraction(c) for c in f]
+    rest = f
     k = 0
-    while poly_deg(rest) > 0 and p ** k <= abs(int(rest[0])):
+    while poly_deg(rest) > 0 and p ** k <= abs(rest[0]):
         for c in (p ** k, -p ** k):
             if poly_deg(rest) > 0 and poly_eval(rest, c) == 0:
-                rest = poly_divmod(rest, [-c, 1])[0]
+                rest = poly_quo_monic(rest, [-c, 1])
                 out.append(([-c, 1], 1))
         k += 1
     if poly_deg(rest) > 0:
-        out.append((poly_int(rest), 1))
+        out.append((rest, 1))
     return out
 
 

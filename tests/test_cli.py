@@ -39,6 +39,27 @@ def test_ext_command(capsys):
     assert obj["weil"]["ext1_torsion"] == 9
 
 
+@pytest.mark.parametrize("target, order", [
+    ([-(10**17 + 3), 1], 10**17 + 2),    # (1, L): q - 1
+    ([10**17 + 3, -5, 1], 10**17 - 1),   # (1, h1E), trace 5: q + 1 - 5
+])
+def test_ext_at_an_eighteen_digit_prime(capsys, target, order):
+    q = 10**17 + 3
+    code, out = run(capsys, ["ext", json.dumps({"q": q, "charpoly": [-1, 1]}),
+                             json.dumps({"q": q, "charpoly": target}),
+                             "--json"])
+    assert code == 0
+    assert json.loads(out)["ext1_order"] == order
+
+
+def test_q_above_the_primality_cap_is_an_input_error(capsys):
+    q = 2**89 - 1  # a prime above exact.PRIME_BOUND
+    code = main(["ext", json.dumps({"q": q, "charpoly": [-1, 1]}),
+                 json.dumps({"q": q, "charpoly": [-q, 1]})])
+    assert code == 2
+    assert "certified only below" in capsys.readouterr().err
+
+
 # `ext --json` output on a fixed table of pairs: (1, L^r), (1, h1E),
 # (h1E, L^r), (L, h1E) and E x E over F_5, F_9, F_25, F_8 and F_27, then
 # pairs with l-torsion decorations: on one side or both, at one prime or two,

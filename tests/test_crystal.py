@@ -5,11 +5,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frobext import cli, crystal
-from frobext.exact import PrecisionError, abs_at, poly_mul, resultant
-from frobext.witt import WittRing, padic_smith
+from frobext.exact import (
+    PrecisionError, abs_at, poly_deriv, poly_mul, resultant)
+from frobext.linalg import mat_mul
+from frobext.witt import WittRing, padic_det_valuation, padic_smith
 from frobext.zgamma import FinGenAbGroup, HypothesisError
 from frobext.crystal import (
     Crystal,
@@ -29,12 +31,33 @@ from frobext.crystal import (
     verify_local_identity,
     _linear_int_matrix,
     _theta_int,
-    _wmat_poly_eval,
+    _z_derivative_map,
 )
 
 R31 = WittRing(3, 1)
 R51 = WittRing(5, 1)
 R32 = WittRing(3, 2)
+
+
+def _wmat_poly_eval(ring: WittRing, poly, wmat):
+    """poly(wmat) by Horner over the ring, scalars on the diagonal."""
+    n = len(wmat)
+    acc = [[ring.from_int(0) for _ in range(n)] for _ in range(n)]
+    for c in reversed(poly):
+        acc = mat_mul(acc, wmat)
+        for i in range(n):
+            acc[i][i] = acc[i][i] + ring.from_int(c)
+    return acc
+
+
+def _z_derivative_on_crystal(m: Crystal) -> Fraction:
+    """The derivative map's |det|_p read off the crystal's own Z_p-matrix
+    at its working precision: the route `_z_derivative_map` replaces."""
+    ring = m.ring
+    pi = m.frobenius_power()
+    f = mat_mul(pi, _wmat_poly_eval(ring, poly_deriv(m.special_poly), pi))
+    v = padic_det_valuation(_linear_int_matrix(ring, f), ring.p, ring.K)
+    return Fraction(1, ring.p ** v)
 
 
 def test_charpoly_examples():
@@ -268,6 +291,52 @@ def test_coprime_oracles(seed, pa):
     vals = padic_smith(_linear_int_matrix(ring, lam), p, ring.K)
     assert all(v is not None for v in vals)
     assert out["lhs"] == Fraction(1, p ** sum(vals))
+
+
+RINGS = {(p, a, K): WittRing(p, a, K)
+         for p in (2, 3, 5) for a in (1, 2, 3) for K in (3, 5)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(RINGS)), st.data())
+def test_z_derivative_integer_form_vs_crystal(key, data):
+    # the d x d integer form reads what the crystal's Z_p-matrix reads: the
+    # same |det|_p, or the same error naming the same precision
+    p, a, K = key
+    ring = RINGS[key]
+    units = st.integers(min_value=1, max_value=p - 1)
+    coeff = st.builds(lambda u, e, s: s * u * p ** e, units,
+                      st.integers(0, K + 1), st.sampled_from([1, -1]))
+    m = data.draw(st.lists(coeff, min_size=1, max_size=3)
+                  .map(lambda c: c + [1])
+                  .filter(lambda c: resultant(c, poly_deriv(c)) != 0))
+    try:
+        x = special_module(ring, m)
+    except ValueError:  # det F^a vanishes mod p^K: no crystal at K
+        assume(False)
+    try:
+        want = _z_derivative_on_crystal(x)
+    except PrecisionError as exc:
+        with pytest.raises(PrecisionError) as got:
+            _z_derivative_map(x, K)
+        assert got.value.required == exc.required
+    else:
+        assert _z_derivative_map(x, K) == want
+
+
+def test_special_equal_reads_k_plus_2():
+    # (t - 1)(t - 1 - 3^5): the derivative map's largest Smith valuation is
+    # 10, so reading it at K+2 certifies from K = 9 on
+    poly = [1 + 3**5, -(2 + 3**5), 1]
+    for K in (9, 10, 11):
+        m = special_module(WittRing(3, 1, K), poly)
+        out = verify_local_identity(m, m)
+        assert out["case"] == "special-equal" and out["equal"]
+        assert out["certified_precision"] == K + 2
+    m = special_module(WittRing(3, 1, 8), poly)
+    with pytest.raises(PrecisionError) as exc:
+        verify_local_identity(m, m)
+    assert exc.value.required == 20
 
 
 def test_special_equal_rho_counts_all_pairs():

@@ -1,22 +1,29 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobext.exact import (
+    PRIME_BOUND,
     abs_at,
     composed_product,
+    is_prime,
     limit_leading,
     poly_add,
     poly_divmod,
     poly_eval,
     poly_gcd,
+    poly_gcd_monic,
     poly_monic,
     poly_mul,
+    poly_quo_monic,
     poly_trim,
     power_sums,
     prime_factors,
+    prime_power,
     ratio_charpoly,
     resultant,
     reversed_form,
@@ -49,6 +56,69 @@ def test_product_formula(n):
     for p in prime_factors(n):
         prod *= abs_at(p, n)
     assert prod == 1
+
+
+def _trial_is_prime(n: int) -> bool:
+    """Trial division: the oracle for the Miller-Rabin test."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.integers(min_value=-5, max_value=3000),
+                 st.integers(min_value=3000, max_value=10**9)))
+def test_is_prime_vs_trial_division(n):
+    assert is_prime(n) == _trial_is_prime(n)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.integers(min_value=0, max_value=2000),
+                 st.integers(min_value=2, max_value=200).flatmap(
+                     lambda p: st.tuples(st.just(p), st.integers(1, 12)))
+                 .map(lambda t: t[0] ** t[1])))
+def test_prime_power_vs_trial_division(q):
+    fs = prime_factors(q) if q else []
+    if len(fs) == 1:
+        assert prime_power(q) == (fs[0], valuation(q, fs[0]))
+    else:
+        with pytest.raises(ValueError):
+            prime_power(q)
+
+
+def test_prime_powers_beyond_trial_division():
+    p = 10**17 + 3
+    assert prime_power(p) == (p, 1)
+    assert prime_power(p ** 2) == (p, 2)
+    assert prime_power(43 ** 5) == (43, 5)
+    # a product of two 13-digit primes is no prime power
+    with pytest.raises(ValueError, match="not a prime power"):
+        prime_power((10**12 + 39) * (10**12 + 61))
+    # strong pseudoprimes to the first 9 and first 12 prime bases
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+
+
+def test_primality_cap():
+    # the first strong pseudoprime to all 13 bases is the cap itself; a
+    # probable prime at or above it is refused, a composite still answered
+    with pytest.raises(ValueError, match="certified only below"):
+        is_prime(PRIME_BOUND)
+    with pytest.raises(ValueError, match="certified only below"):
+        prime_power(2**89 - 1)
+    assert not is_prime((2**61 - 1) * (2**31 - 1))
+
+
+def test_integer_gcd_and_division():
+    f = poly_mul(poly_mul([-1, 1], [-1, 1]), [5, -3, 1])  # (t-1)^2 (t^2-3t+5)
+    assert poly_gcd_monic(f, [2, -4, 2]) == [1, -2, 1]     # 2(t-1)^2
+    assert poly_gcd_monic(f, [7]) == [1]
+    assert poly_quo_monic(f, [5, -3, 1]) == [1, -2, 1]
+    with pytest.raises(RuntimeError, match="remainder"):
+        poly_quo_monic(f, [2, 1])
+    with pytest.raises(ValueError, match="monic"):
+        poly_quo_monic(f, [2, 2])
+    # the gcd of a non-monic input can be non-monic: the check raises
+    with pytest.raises(RuntimeError, match="not monic"):
+        poly_gcd_monic([1, 2], [3, 6])
 
 
 def test_poly_divmod_roundtrip():

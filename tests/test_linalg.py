@@ -20,6 +20,7 @@ from frobext.linalg import (
     mat_sub,
     minimal_polynomial,
     smith_normal_form,
+    transpose,
 )
 
 
@@ -69,6 +70,48 @@ def test_minimal_polynomial():
     assert minimal_polynomial([[1, 1], [0, 1]]) == [1, -2, 1]
     p = [6, -5, -2, 1]
     assert minimal_polynomial(companion(p)) == p
+
+
+def _annihilates(m, a) -> bool:
+    """m(a) == 0, by Horner over Q."""
+    n = len(a)
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(m):
+        acc = mat_mul(acc, a)
+        for i in range(n):
+            acc[i][i] += c
+    return all(x == 0 for row in acc for x in row)
+
+
+monic_polys = st.lists(st.integers(min_value=-30, max_value=30),
+                       min_size=1, max_size=6).map(lambda c: c + [1])
+
+
+@settings(max_examples=300)
+@given(monic_polys)
+def test_companion_minimal_polynomial_vs_krylov(p):
+    # a companion matrix's minimal polynomial is read off its last column;
+    # its transpose has the same minimal polynomial but not the companion
+    # shape, so for n >= 2 it takes the Krylov route
+    c = companion(p)
+    m = minimal_polynomial(c)
+    assert m == p
+    if len(c) >= 2:
+        assert minimal_polynomial(transpose(c)) == m
+
+
+@settings(max_examples=300)
+@given(monic_polys.filter(lambda p: len(p) >= 3), st.data())
+def test_near_companion_takes_krylov(p, data):
+    # one sub-diagonal entry changed: no longer a companion, so the last
+    # column does not give the minimal polynomial and Krylov must run
+    a = companion(p)
+    i = data.draw(st.integers(min_value=1, max_value=len(a) - 1))
+    a[i][i - 1] = data.draw(st.integers(min_value=-3, max_value=3)
+                            .filter(lambda v: v != 1))
+    m = minimal_polynomial(a)
+    assert _annihilates(m, a)
+    assert m == minimal_polynomial(transpose(a))
 
 
 @given(int_matrices(n_max=3, lo=-5, hi=5))

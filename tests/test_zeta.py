@@ -1,10 +1,26 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobext.exact import (
+    composed_product,
+    poly_deg,
+    poly_deriv,
+    poly_divmod,
+    poly_eval,
+    poly_gcd,
+    poly_gcd_monic,
+    poly_int,
+    poly_monic,
+    poly_mul,
+)
 from frobext.zeta import (
+    _integer_root_split,
+    _squarefree_split,
+    _weierstrass_long,
     chi_coherent,
     elliptic_curve,
     elliptic_point_count,
@@ -17,6 +33,58 @@ from frobext.zeta import (
     verify_variety_identity,
     zeta_special_value,
 )
+
+
+def brute_point_count(p: int, coefficients) -> int:
+    """#E(F_p) over all p^2 pairs (x, y), plus the point at infinity: the
+    oracle for the Euler-criterion count (no singularity check)."""
+    a1, a2, a3, a4, a6 = _weierstrass_long(coefficients)
+    n = 1
+    for x in range(p):
+        rhs = (x ** 3 + a2 * x * x + a4 * x + a6) % p
+        lin = (a1 * x + a3) % p
+        for y in range(p):
+            if (y * y + lin * y - rhs) % p == 0:
+                n += 1
+    return n
+
+
+def squarefree_split_fraction(f) -> list:
+    """The squarefree split over Q with Fraction division and gcds: the
+    oracle for the integer split."""
+    f = poly_monic(f)
+    if poly_deg(f) == 0:
+        return []
+    a = poly_gcd(f, poly_deriv(f))
+    b = poly_divmod(f, a)[0]
+    out = []
+    mult = 1
+    while poly_deg(b) > 0:
+        c = poly_gcd(a, b)
+        piece = poly_divmod(b, c)[0]
+        if poly_deg(piece) > 0:
+            out.append((poly_int(piece), mult))
+        b = c
+        a = poly_divmod(a, c)[0]
+        mult += 1
+    return out
+
+
+def integer_root_split_fraction(f: list, p: int) -> list:
+    """The +-p^k root split over Q with Fraction division: the oracle for
+    the integer split."""
+    out = []
+    rest = [Fraction(c) for c in f]
+    k = 0
+    while poly_deg(rest) > 0 and p ** k <= abs(int(rest[0])):
+        for c in (p ** k, -p ** k):
+            if poly_deg(rest) > 0 and poly_eval(rest, c) == 0:
+                rest = poly_divmod(rest, [-c, 1])[0]
+                out.append(([-c, 1], 1))
+        k += 1
+    if poly_deg(rest) > 0:
+        out.append((poly_int(rest), 1))
+    return out
 
 
 def test_projective_space_polys():
@@ -48,9 +116,67 @@ def test_zeta_descriptor_vs_brute_count():
     for p, coeffs in [(5, [1, 1]), (7, [2, 3]), (11, [1, 5]), (13, [4, 1]),
                       (3, [1, 2]), (2, [1, 0, 0, 0, 1])]:
         v = elliptic_curve(p, coeffs)
-        assert point_count(v) == elliptic_point_count(p, coeffs)
+        assert point_count(v) == brute_point_count(p, coeffs)
         t = p + 1 - point_count(v)
         assert v.frobenius_polys[1] == [1, -t, p]
+
+
+coefficient = st.integers(min_value=-200, max_value=200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 97]), st.booleans(),
+       st.lists(coefficient, min_size=5, max_size=5))
+def test_euler_count_vs_brute_force(p, long_form, coeffs):
+    coeffs = coeffs if long_form else coeffs[3:]
+    try:
+        n = elliptic_point_count(p, coeffs)
+    except ValueError:
+        # rejected exactly when the discriminant vanishes mod p: the curve
+        # then has a singular point, where both partial derivatives vanish
+        a1, a2, a3, a4, a6 = _weierstrass_long(coeffs)
+        assert any((2 * y + a1 * x + a3) % p == 0
+                   and (3 * x * x + 2 * a2 * x + a4 - a1 * y) % p == 0
+                   and (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x
+                        - a4 * x - a6) % p == 0
+                   for x in range(p) for y in range(p))
+        return
+    assert n == brute_point_count(p, coeffs)
+
+
+def test_point_count_at_a_five_digit_prime():
+    start = time.perf_counter()
+    n = elliptic_point_count(10007, [1, 3])
+    assert time.perf_counter() - start < 5
+    assert (10007 + 1 - n) ** 2 <= 4 * 10007
+
+
+def _products(p: int, draws):
+    """Monic integer polynomials of the shape `zeta.product` splits: a
+    product of composed products of Lefschetz and h^1-type factors."""
+    lefschetz = [[-p ** k, 1] for k in range(3)]
+    weil = [[p, -t, 1] for t in range(-2, 3) if t * t < 4 * p]
+    factors = lefschetz + weil + [[p * p, -t * p, 1] for t in (-1, 0, 1)]
+    acc = [1]
+    for i, j in draws:
+        u, v = factors[i % len(factors)], factors[j % len(factors)]
+        acc = poly_mul(acc, poly_int(composed_product(u, v)))
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]),
+       st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                min_size=1, max_size=4))
+def test_integer_split_vs_fraction_split(p, draws):
+    f = _products(p, draws)
+    split = _squarefree_split(f)
+    assert split == squarefree_split_fraction(f)
+    assert all(all(isinstance(c, int) for c in g) for g, _ in split)
+    for g, _ in split:
+        assert _integer_root_split(g, p) == integer_root_split_fraction(g, p)
+    g = poly_deriv(f)
+    assert poly_gcd_monic(f, g) == poly_int(poly_gcd(f, g))
 
 
 def test_special_value_anchors():
