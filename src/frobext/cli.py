@@ -12,9 +12,12 @@ Three subcommands:
 
 Exit codes: 0 verified, 1 a verification failed, 2 bad input, 3 the
 hypothesis of the local theorem is violated, 4 p-adic precision could not be
-certified, 5 an internal consistency check failed.  JSON output is
-deterministic (sorted keys); a failing random case is written to a replay
-file so the exact instance can be re-run.
+certified, 5 an internal consistency check failed.  Only `verify-local`
+takes a working precision (--precision, env FROBEXT_PRECISION) and can exit
+4: a motive's crystal is a special module, certified from its polynomials,
+so `ext` and `zeta` never do.  JSON output is deterministic (sorted keys); a
+failing random case is written to a replay file so the exact instance can
+be re-run.
 """
 
 from __future__ import annotations
@@ -127,8 +130,8 @@ def _write_replay(case: dict):
 
 
 def _cmd_ext(args) -> int:
-    x = motive_from_json(_read_source(args.x), precision=args.precision)
-    y = motive_from_json(_read_source(args.y), precision=args.precision)
+    x = motive_from_json(_read_source(args.x))
+    y = motive_from_json(_read_source(args.y))
     rep = global_ext_orders(x, y)
     out = {
         "q": rep.q, "rho": rep.rho,
@@ -249,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (pe, pv, pz):
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--precision", type=int, default=_default_precision(),
-                       action=_GivenPrecision,
-                       help="p-adic working precision (env %s)" % PRECISION_ENV)
-        p.set_defaults(precision_given=False)
+    pv.add_argument("--precision", type=int, default=_default_precision(),
+                    action=_GivenPrecision,
+                    help="p-adic working precision (env %s)" % PRECISION_ENV)
+    pv.set_defaults(precision_given=False)
     return ap
 
 

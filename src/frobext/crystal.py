@@ -20,13 +20,15 @@ from .exact import (
     poly_deg,
     poly_deriv,
     poly_gcd,
+    poly_gcd_monic,
     poly_pow,
+    poly_quo_monic,
     ratio_charpoly,
     resultant,
     reversed_form,
     limit_leading,
 )
-from .linalg import bareiss_det, companion, hstack, mat_mul, vstack, zeros
+from .linalg import bareiss_det, charpoly, companion, hstack, mat_mul, vstack, zeros
 from .witt import WittElem, WittRing, padic_det_valuation, padic_smith
 from .zgamma import (
     FinGenAbGroup,
@@ -149,6 +151,12 @@ class Crystal:
                     raise ValueError("F does not respect the torsion filtration")
 
     def _check_free(self):
+        if self.special_poly:
+            # F is the integer companion of m(t^a), so det F^a = (±m(0))^a
+            # exactly, and m(0) != 0
+            self.det_valuation = self.ring.a * int_valuation(
+                self.special_poly[0], self.ring.p)
+            return
         pi = _frobenius_product(self.ring, self.frob)
         try:
             v = padic_det_valuation(_linear_int_matrix(self.ring, pi),
@@ -194,9 +202,6 @@ class Crystal:
         out.__dict__.update(self.__dict__, ring=ring)
         out.frob = [[ring.elem(c) for c in row] for row in self.coords]
         return out
-
-    def at_precision(self, precision: int) -> "Crystal":
-        return self.with_ring(self.ring.at_precision(precision))
 
     def twist(self, k: int = 1) -> "Crystal":
         """Multiply F by p^k (only nonnegative twists stay integral)."""
@@ -374,60 +379,41 @@ def _theta_group_hom(m: Crystal, n: Crystal) -> GroupHom:
     return GroupHom(pres, pres, theta)
 
 
-class _CrystalPair:
-    """One Smith form of θ for the pair (M, N), taken at the deepest
-    precision read, `reach` steps above K (4 for the local identity, which
-    applies the θ rule at K and at K+2; 2 for a presentation alone).  θ on a
-    deeper ring reduces to θ on a shallower one (σ is the unique Hensel
-    root) and the Smith form over Z/p^k is unique, so `theta_smith(k)` is the
-    deeper form with every valuation >= k read as None."""
-
-    def __init__(self, m: Crystal, n: Crystal, reach: int):
-        self.m, self.n = m, n
-        self.depth = m.ring.K + reach
-        self._vals = None
-
-    def theta_smith(self, precision: int):
-        if self._vals is None or precision > self.depth:
-            self.depth = max(self.depth, precision)
-            m, n = self.m.at_precision(self.depth), self.n.at_precision(self.depth)
-            self._vals = padic_smith(_theta_int(m, n), m.ring.p, self.depth)
-        return [v if v is not None and v < precision else None
-                for v in self._vals]
+def _special_rank_and_bound(m: Crystal, n: Crystal) -> tuple[int, int]:
+    """(Hom rank, b) of two special modules: Ext¹ is a² copies of
+    Z_p[T]/(m_M, m_N), so with g = gcd(m_M, m_N) Hom has rank deg(g)·a² and
+    no torsion valuation of θ exceeds b = v_p(Res(m_M/g, m_N/g))."""
+    mm, mn = m.special_poly, n.special_poly
+    g = poly_gcd_monic(mm, mn)
+    res = resultant(poly_quo_monic(mm, g), poly_quo_monic(mn, g))
+    return poly_deg(g) * m.ring.a ** 2, int_valuation(int(res), m.ring.p)
 
 
-def _theta_smith_certified(pair: _CrystalPair, base: int):
-    """θ valuations at base+2 with none in [base, base+2), else four higher."""
-    for bump in (0, 4):
-        k1 = base + bump
-        v2 = pair.theta_smith(k1 + 2)
-        v1 = pair.theta_smith(k1)
-        if ([v for v in v1 if v is not None] == [v for v in v2 if v is not None]
-                and v1.count(None) == v2.count(None)):
-            return v2, k1 + 2
-    raise PrecisionError("invariant factors unstable under precision increase",
-                         required=base + 8)
-
-
-def _free_presentation(pair: _CrystalPair) -> ExtReportP:
-    """Hom and Ext¹ of a torsion-free pair, certified at its precision K."""
-    p = pair.m.ring.p
-    vals, used = _theta_smith_certified(pair, pair.m.ring.K)
-    rank = sum(1 for v in vals if v is None)
-    torsion = tuple(p ** v for v in vals if v is not None and v > 0)
-    return ExtReportP(p, FinGenAbGroup(rank), FinGenAbGroup(rank, torsion),
-                      FinGenAbGroup(0), used)
+def _theta_report(m: Crystal, n: Crystal, k: int,
+                  rank: int | None = None) -> ExtReportP:
+    """Hom and Ext¹ of a torsion-free pair from one Smith form of θ mod
+    p^k, a vanishing divisor read as rank; with `rank`, k exceeds every
+    torsion valuation and the count must equal it."""
+    ring = m.ring.at_precision(k)
+    vals = padic_smith(_theta_int(m.with_ring(ring), n.with_ring(ring)), ring.p, k)
+    zero = vals.count(None)
+    if rank is not None and zero != rank:
+        raise RuntimeError("θ has %d vanishing divisors mod p^%d where the"
+                           " Hom rank is %d" % (zero, k, rank))
+    torsion = tuple(ring.p ** v for v in vals if v is not None and v > 0)
+    return ExtReportP(ring.p, FinGenAbGroup(zero), FinGenAbGroup(zero, torsion),
+                      FinGenAbGroup(0), k)
 
 
 def ext_presentation(m: Crystal, n: Crystal) -> ExtReportP:
     """Hom = kernel and Ext¹ = cokernel of u -> u·F_M - F_N·sigma(u) on
     W-linear maps; Ext² = 0 (the source has a length-one presentation).
 
-    The source must be torsion-free.  For a torsion-free target the
-    invariant factors are certified two precision steps higher: no
-    elementary divisor of θ may have its valuation in [K, K+2), and both
-    lists are read off one Smith form.  `certified_precision` reports the
-    precision that confirmed them.
+    The source must be torsion-free.  For a torsion-free target θ is read
+    once, at the `certified_precision` k: for special modules k =
+    max(K+2, b+1) with b from `_special_rank_and_bound`, and the count of
+    vanishing divisors must be their Hom rank; any other pair is read at
+    K+2, where no divisor may vanish (else PrecisionError).
     """
     m, n = _require_pair(m, n)
     if m.kind != "free":
@@ -436,7 +422,15 @@ def ext_presentation(m: Crystal, n: Crystal) -> ExtReportP:
         hom = _theta_group_hom(m, n)
         return ExtReportP(m.ring.p, hom.kernel_group(), hom.cokernel_group(),
                           FinGenAbGroup(0), None)
-    return _free_presentation(_CrystalPair(m, n, reach=2))
+    K = m.ring.K
+    if m.special_poly and n.special_poly:
+        rank, b = _special_rank_and_bound(m, n)
+        return _theta_report(m, n, max(K + 2, b + 1), rank)
+    rep = _theta_report(m, n, K + 2)
+    if rep.ext0.free_rank:
+        raise PrecisionError("θ has elementary divisors that vanish mod p^%d"
+                             % (K + 2))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +528,10 @@ def ext_orders_finite_source(m: Crystal, n: Crystal):
     """
     m, n = _require_pair(m, n)
     lam, e = _torsion_free_lift(m)
-    rep = ext_presentation(lam, n)
+    # the orders cap valuations at e <= K, where a vanishing divisor counts
+    # as one of valuation e: θ is read at K+2 with no count
+    rep = ext_presentation(lam, n) if n.kind == "finite" \
+        else _theta_report(lam, n, m.ring.K + 2)
     return (*_finite_source_orders(rep, e), rep.certified_precision)
 
 
@@ -577,13 +574,13 @@ def _rhs_value(m: Crystal, n: Crystal, pm: list, pn: list):
     return rho, abs_at(p, lead) * Fraction(1, p ** (vq * rn))
 
 
-def _z_derivative_map(m: Crystal, precision: int) -> Fraction:
+def _z_derivative_map(m: Crystal) -> Fraction:
     """z of multiplication by F^a·(d/dF^a)(m(F^a)) on a special module, its
-    |det|_p read mod p^precision.  F is the integer companion of m(t^a),
-    which σ fixes, so F^a is multiplication by t^a on Z[t]/(m(t^a)): a
-    copies of the companion C of m, up to a permutation of the basis.  Over
-    Z_p the map is a² such copies of C·m'(C), with the same Smith
-    valuations a² times over, so it is read off that integer matrix."""
+    |det|_p read exactly.  F is the integer companion of m(t^a), which σ
+    fixes, so F^a is multiplication by t^a on Z[t]/(m(t^a)): a copies of
+    the companion C of m, up to a permutation of the basis.  Over Z_p the
+    map is a² such copies of C·m'(C), so its valuation is a² times that of
+    the integer det(C·m'(C)), nonzero for a squarefree m."""
     c = companion(m.special_poly)
     deriv = zeros(len(c), len(c))
     for coef in reversed(poly_deriv(m.special_poly)):  # m'(C) by Horner
@@ -591,8 +588,18 @@ def _z_derivative_map(m: Crystal, precision: int) -> Fraction:
         for i in range(len(c)):
             deriv[i][i] += coef
     p, a = m.ring.p, m.ring.a
-    v = padic_det_valuation(mat_mul(c, deriv), p, precision)
+    v = int_valuation(bareiss_det(mat_mul(c, deriv)), p)
     return Fraction(1, p ** (a * a * v))
+
+
+def _separating_precision(m: Crystal, n: Crystal) -> int | None:
+    """v_p(Res) + 1 for the charpolys of the exact integer F-matrices at
+    a = 1, None if they share an eigenvalue; 2K for Witt entries (a > 1)."""
+    if m.ring.a > 1:
+        return 2 * m.ring.K
+    res = resultant(*(charpoly([[c[0] if c else 0 for c in row]
+                                for row in x.coords]) for x in (m, n)))
+    return int_valuation(int(res), m.ring.p) + 1 if res else None
 
 
 def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
@@ -600,11 +607,11 @@ def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
 
     Supported: residue-field source; finite source with invertible F;
     finite target; special modules with equal or coprime minimal
-    polynomials; torsion-free pairs with separated eigenvalue sets.  Where
-    θ is read, its rule is applied at K and again at K+2 (no valuation in
-    [K+2, K+4), with the same bump) on one Smith form; those cases report
-    K+2 as certified, and so does the special-equal one, which reads its
-    derivative map at K+2.
+    polynomials; torsion-free pairs with separated eigenvalue sets.  θ is
+    read once, at k = max(K+2, b+1) with b = v_p of the resultant of the
+    minimal polynomials (or charpolys), where no divisor may vanish, and k
+    is reported as certified; a finite source reads K+2 with no count, and
+    special-equal, whose derivative map is exact, reports K+2.
     """
     m, n = _require_pair(m, n)
     K = m.ring.K
@@ -613,14 +620,7 @@ def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
         return LocalReportP(
             "k-source", Fraction(e0.order * e2.order, e1.order) ** m.dim)
     if m.kind == "finite":
-        lam, e = _torsion_free_lift(m)
-        if n.kind == "finite":
-            rep, certified = ext_presentation(lam, n), None
-        else:
-            pair = _CrystalPair(lam, n, reach=4)
-            rep, certified = _free_presentation(pair), K + 2
-            _theta_smith_certified(pair, K + 2)
-        e0, e1, e2 = _finite_source_orders(rep, e)
+        e0, e1, e2, certified = ext_orders_finite_source(m, n)
         return LocalReportP("finite-source", Fraction(e0 * e2, e1), certified)
     if n.kind == "finite":
         # z(f) of any map between the finite groups Hom and Ext¹ is
@@ -633,33 +633,25 @@ def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
     mm, mn = m.special_poly, n.special_poly
     if mm and mn and mm == mn:
         hypothesis_gate(mm, mn)
-        # read at K+2, the precision it reports as certified
-        return LocalReportP("special-equal", _z_derivative_map(m, K + 2),
-                            K + 2, charpolys)
+        return LocalReportP("special-equal", _z_derivative_map(m), K + 2,
+                            charpolys)
     if mm and mn:
-        res = resultant(mm, mn)
-        if res == 0:
+        rank, b = _special_rank_and_bound(m, n)
+        if rank:
             hypothesis_gate(mm, mn)
             raise ValueError("special pair with a shared eigenvalue is not supported")
-        case, kind = "special-coprime", "coprime"
-        # F^a acts on Ext¹ through either side, so Res(m_M, m_N)
-        # annihilates it: no elementary divisor valuation exceeds v_p(Res)
-        required = max(K + 4, int_valuation(int(res), p) + 1)
+        case = "special-coprime"
     else:
         res = resultant(pm, pn)
         if res == 0 or int_valuation(int(res), p) >= K:
             raise PrecisionError(
                 "cannot separate the eigenvalue sets at this precision",
-                required=2 * K)
-        case, kind, required = "free-disjoint", "separated", K + 4
-    pair = _CrystalPair(m, n, reach=4)
-    rep = _free_presentation(pair)
-    if rep.ext0.free_rank or rep.ext1.free_rank:
-        raise PrecisionError("a %s pair produced a nonzero rank" % kind,
-                             required=required)
-    _theta_smith_certified(pair, K + 2)
-    return LocalReportP(case, Fraction(1, rep.ext1.order), K + 2, charpolys,
-                        rep)
+                required=_separating_precision(m, n))
+        # the charpolys are exact mod p^K, and so is a valuation below K
+        case, b = "free-disjoint", int_valuation(int(res), p)
+    rep = _theta_report(m, n, max(K + 2, b + 1), 0)
+    return LocalReportP(case, Fraction(1, rep.ext1.order),
+                        rep.certified_precision, charpolys, rep)
 
 
 def verify_local_identity(m: Crystal, n: Crystal) -> dict:

@@ -113,22 +113,69 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+# trial division runs through the odd numbers below this bound; a cofactor
+# below its square with no factor there is prime
+_TRIAL_BOUND = 1000
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of an odd composite n, by Brent's variant of
+    Pollard's rho (Brent, BIT 20, 1980): x -> x^2 + c from x = 2, the
+    differences multiplied in batches of 128 before one gcd."""
+    for c in range(1, n):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = gcd(acc, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step again from its start
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(abs(x - saved), n)
+        if g != n:
+            return g
+    raise RuntimeError("no rho sequence splits %d" % n)
+
+
 def prime_factors(n: int) -> list[int]:
-    """Sorted distinct prime factors of |n|, n nonzero."""
+    """Sorted distinct prime factors of |n|, n nonzero: trial division
+    below _TRIAL_BOUND, then Pollard-Brent rho on the cofactor, each part
+    checked by `is_prime` (so a probable prime above PRIME_BOUND raises
+    ValueError).
+
+    >>> prime_factors(2 * (10**9 + 7) * (10**9 + 9))
+    [2, 1000000007, 1000000009]
+    """
     n = abs(n)
     if n == 0:
         raise ValueError("prime_factors(0)")
-    out = []
+    out = set()
     d = 2
-    while d * d <= n:
+    while d < _TRIAL_BOUND and d * d <= n:
         if n % d == 0:
-            out.append(d)
+            out.add(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    parts = [n] if n > 1 else []
+    while parts:
+        x = parts.pop()
+        if x < _TRIAL_BOUND ** 2 or is_prime(x):
+            out.add(x)
+        else:
+            f = _rho_factor(x)
+            parts += [f, x // f]
+    return sorted(out)
 
 
 def prime_power(q: int) -> tuple[int, int]:

@@ -66,6 +66,11 @@ from .linalg import (
 from .witt import WittRing
 from .zgamma import HypothesisError
 
+# the working precision of the Witt ring a motive builds for its special
+# module; θ and the derivative map of a special module are certified from
+# its polynomials, so no answer depends on it
+_RING_PRECISION = 20
+
 
 def _is_squarefree(c: list[int]) -> bool:
     if poly_deg(c) < 2:
@@ -116,8 +121,7 @@ class Motive:
 
     def __init__(self, q: int, charpoly: list[int],
                  exceptional: dict[int, GaloisModule] | None = None,
-                 crystal: Crystal | None = None, twist: int = 0,
-                 precision: int = 20):
+                 crystal: Crystal | None = None, twist: int = 0):
         p, a = prime_power(q)
         self.q, self.p, self.a = q, p, a
         cp = [int(c) for c in charpoly]
@@ -137,7 +141,6 @@ class Motive:
         self.charpoly = cp
         self.rank = poly_deg(cp)
         self.twist = int(twist)
-        self.precision = precision
         self.exceptional: dict[int, GaloisModule] = {}
         std = companion(cp) if self.rank else None
         for l, mod in (exceptional or {}).items():
@@ -157,7 +160,7 @@ class Motive:
                 raise ValueError("a finite motive carries no crystal")
             self.crystal = None
         elif crystal is None:
-            ring = WittRing(p, a, precision)
+            ring = WittRing(p, a, _RING_PRECISION)
             self.crystal = special_module(ring, cp)
         else:
             if (crystal.ring.p, crystal.ring.a) != (p, a):
@@ -206,7 +209,7 @@ class Motive:
             tfrob = [[scale * e for e in row] for row in mod.torsion_frob]
             exc[l] = GaloisModule(l, self.q, companion(cp) if n else None,
                                   mod.torsion, tfrob)
-        return Motive(self.q, cp, exc, None, self.twist + r, self.precision)
+        return Motive(self.q, cp, exc, None, self.twist + r)
 
     def __repr__(self):
         return "Motive(q=%d, charpoly=%s, twist=%d)" % (
@@ -215,7 +218,7 @@ class Motive:
 
 def motive_from_charpoly(q: int, charpoly: list[int],
                          crystal_slopes: list | None = None,
-                         twist: int = 0, precision: int = 20) -> Motive:
+                         twist: int = 0) -> Motive:
     """Motive with the default lattice everywhere; if crystal_slopes is
     given it must agree with the Newton slopes of the charpoly.
 
@@ -224,7 +227,7 @@ def motive_from_charpoly(q: int, charpoly: list[int],
     >>> motive_from_charpoly(5, [-5, 1]).slopes()  # the Lefschetz motive
     [Fraction(1, 1)]
     """
-    m = Motive(q, charpoly, twist=twist, precision=precision)
+    m = Motive(q, charpoly, twist=twist)
     if crystal_slopes is not None:
         want = [Fraction(s) for s in crystal_slopes]
         if sorted(want) != m.slopes():
@@ -233,24 +236,24 @@ def motive_from_charpoly(q: int, charpoly: list[int],
     return m
 
 
-def unit_motive(q: int, precision: int = 20) -> Motive:
-    return Motive(q, [-1, 1], precision=precision)
+def unit_motive(q: int) -> Motive:
+    return Motive(q, [-1, 1])
 
 
-def lefschetz_motive(q: int, r: int = 1, precision: int = 20) -> Motive:
+def lefschetz_motive(q: int, r: int = 1) -> Motive:
     """Eigenvalue q^r; r = 0 gives the unit motive."""
     if r < 0:
         raise ValueError("only effective powers")
-    return Motive(q, [-q ** r, 1], precision=precision)
+    return Motive(q, [-q ** r, 1])
 
 
-def elliptic_motive(q: int, frob_trace: int, precision: int = 20) -> Motive:
+def elliptic_motive(q: int, frob_trace: int) -> Motive:
     """The weight-one motive of an elliptic curve with the given Frobenius
     trace: charpoly t^2 - trace*t + q."""
     if frob_trace * frob_trace >= 4 * q:
         raise ValueError("trace violates |t| < 2 sqrt q (equality would"
                          " repeat an eigenvalue)")
-    return Motive(q, [q, -frob_trace, 1], precision=precision)
+    return Motive(q, [q, -frob_trace, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +278,7 @@ def motive_to_json(m: Motive) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def motive_from_json(text: str, precision: int = 20) -> Motive:
+def motive_from_json(text: str) -> Motive:
     obj = json.loads(text)
     q = obj["q"]
     cp = [int(c) for c in obj["charpoly"]]
@@ -285,8 +288,7 @@ def motive_from_json(text: str, precision: int = 20) -> Motive:
         exc[l] = GaloisModule(l, q, companion(cp) if poly_deg(cp) else None,
                               tuple(int(d) for d in data.get("torsion", ())),
                               data.get("torsion_frobenius"))
-    m = Motive(q, cp, exc, twist=int(obj.get("twist", 0)),
-               precision=precision)
+    m = Motive(q, cp, exc, twist=int(obj.get("twist", 0)))
     slopes = (obj.get("crystal") or {}).get("slopes")
     if slopes is not None and [Fraction(s) for s in slopes] != m.slopes():
         raise ValueError("declared slopes disagree with the charpoly")
@@ -300,8 +302,6 @@ def motive_from_json(text: str, precision: int = 20) -> Motive:
 def _require_comparable(x: Motive, y: Motive):
     if x.q != y.q:
         raise ValueError("motives over different fields")
-    if x.precision != y.precision:
-        raise ValueError("motives at different working precision")
 
 
 def _ratio_limit(x: Motive, y: Motive) -> tuple[int, Fraction]:

@@ -9,7 +9,7 @@ import pytest
 
 from frobext import cli, crystal, exact, galois, motive, zeta
 from frobext.cli import main
-from frobext.crystal import special_module
+from frobext.crystal import Crystal
 from frobext.exact import PrecisionError
 from frobext.galois import GaloisModule
 from frobext.zgamma import FinGenAbGroup
@@ -50,6 +50,18 @@ def test_ext_at_an_eighteen_digit_prime(capsys, target, order):
                              "--json"])
     assert code == 0
     assert json.loads(out)["ext1_order"] == order
+
+
+def test_ext_where_q_minus_1_has_ten_digit_primes(capsys):
+    # the support holds the primes of N* = 1 - q = -2·(10^9+7)·(10^9+9),
+    # found by rho past trial division
+    q = 2000000032000000127
+    code, out = run(capsys, ["ext", json.dumps({"q": q, "charpoly": [-1, 1]}),
+                             json.dumps({"q": q, "charpoly": [-q, 1]}),
+                             "--json"])
+    obj = json.loads(out)
+    assert code == 0 and obj["ext1_order"] == q - 1
+    assert obj["support"] == [2, 10**9 + 7, 10**9 + 9, q]
 
 
 def test_q_above_the_primality_cap_is_an_input_error(capsys):
@@ -202,20 +214,21 @@ def test_verify_local_replay(tmp_path, capsys, monkeypatch):
 
 def test_replay_precision_order(tmp_path, capsys, monkeypatch):
     # a written replay file carries its precision; an explicit --precision
-    # wins over it, so exit 4's hint can be followed on the file
+    # wins over it, so exit 4's hint can be followed on the file.  The
+    # general crystals [[1]] and [[1 + 3^45]] cannot be separated at 20, and
+    # v_3 of the resultant of their integer charpolys names 46
     monkeypatch.chdir(tmp_path)
     ring = WittRing(3, 1, 20)
-    m = special_module(ring, [-1, 1])
-    n = special_module(ring, [-(1 + 3 ** 30), 1])
-    cli._write_replay({"case": "special-coprime", "p": 3, "degree": 1,
+    m, n = Crystal(ring, [[1]]), Crystal(ring, [[1 + 3 ** 45]])
+    cli._write_replay({"case": "free-disjoint", "p": 3, "degree": 1,
                        "precision": 20, "m": cli._crystal_obj(m),
                        "n": cli._crystal_obj(n)})
     argv = ["verify-local", "--replay", cli.REPLAY_FILE]
     assert main(argv) == 4
-    assert capsys.readouterr().err.endswith("; rerun with --precision 31\n")
-    assert main(argv + ["--precision", "31"]) == 0
+    assert capsys.readouterr().err.endswith("; rerun with --precision 46\n")
+    assert main(argv + ["--precision", "46"]) == 0
     # without the flag the file's precision beats the environment's
-    monkeypatch.setenv(cli.PRECISION_ENV, "31")
+    monkeypatch.setenv(cli.PRECISION_ENV, "46")
     assert main(argv) == 4
 
 
@@ -282,11 +295,37 @@ def test_input_error_exit_codes(capsys):
     (28, "; rerun with --precision 28"), (None, "")])
 def test_precision_error_exit_code(capsys, monkeypatch, required, hint):
     def fail(args):
-        raise PrecisionError("valuation unstable at K", required=required)
-    monkeypatch.setattr(cli, "_cmd_zeta", fail)
-    assert main(["zeta", "{}"]) == 4
+        raise PrecisionError("cannot separate at K", required=required)
+    monkeypatch.setattr(cli, "_cmd_verify_local", fail)
+    assert main(["verify-local", "--random", "1"]) == 4
     assert capsys.readouterr().err == \
-        "precision not certified: valuation unstable at K%s\n" % hint
+        "precision not certified: cannot separate at K%s\n" % hint
+
+
+def test_deep_twists_answer_exactly(capsys):
+    # a special module is certified from its polynomials, whatever the
+    # valuation of its determinant: (1, L^10) over F_9 has Ext¹ of order
+    # 9^10 - 1, and (L^11, L^11) is special-equal with a·r = 22
+    one, lef10, lef11 = ('{"q": 9, "charpoly": [%d, 1]}' % c
+                         for c in (-1, -9 ** 10, -9 ** 11))
+    code, out = run(capsys, ["ext", one, lef10, "--json"])
+    assert code == 0 and json.loads(out)["ext1_order"] == 9 ** 10 - 1
+    code, out = run(capsys, ["ext", lef11, lef11, "--json"])
+    obj = json.loads(out)
+    assert code == 0 and obj["rho"] == 1
+    assert obj["global_identity"] and obj["weil_identity"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", '{"q": 5, "charpoly": [-1, 1]}', '{"q": 5, "charpoly": [-5, 1]}'],
+    ["zeta", '{"kind": "projective_space", "q": 3, "dimension": 1}']])
+def test_only_verify_local_takes_a_precision(capsys, argv):
+    # no motive answer depends on a working precision, so `ext` and `zeta`
+    # reject the option as unknown
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--precision", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision 8" in capsys.readouterr().err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -5,12 +5,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from frobext import cli, crystal
 from frobext.exact import (
-    PrecisionError, abs_at, poly_deriv, poly_mul, resultant)
-from frobext.linalg import mat_mul
+    PrecisionError, abs_at, poly_deriv, poly_mul, resultant, valuation)
+from frobext.linalg import (
+    companion, identity, kron, mat_mul, mat_sub, smith_normal_form, transpose)
 from frobext.witt import WittRing, padic_det_valuation, padic_smith
 from frobext.zgamma import FinGenAbGroup, HypothesisError
 from frobext.crystal import (
@@ -212,20 +213,17 @@ def test_verify_kummer_pair():
 @pytest.mark.parametrize("a", [1, 2])
 @pytest.mark.parametrize("e", [22, 30])
 def test_coprime_rank_names_a_sufficient_precision(a, e):
-    # [-1, 1] against [-(1 + 3^e), 1] reads a nonzero rank at K = 20; the
-    # precision the error names comes from v_3(Res) = e, and a rerun there
-    # certifies
-    def pair(K):
-        ring = WittRing(3, a, K)
-        return (special_module(ring, [-1, 1]),
-                special_module(ring, [-(1 + 3 ** e), 1]))
-
-    with pytest.raises(PrecisionError, match="nonzero rank") as exc:
-        verify_local_identity(*pair(20))
-    required = exc.value.required
-    assert required == max(24, e + 1)
-    out = verify_local_identity(*pair(required))
-    assert out["equal"] and out["certified_precision"] == required + 2
+    # [-1, 1] against [-(1 + 3^e), 1] at K = 20: v_3(Res) = e bounds every
+    # valuation of θ, so its one Smith form is read at e + 1, where Ext¹ is
+    # (Z/3^e)^{a²} and no divisor vanishes
+    ring = WittRing(3, a, 20)
+    m, n = special_module(ring, [-1, 1]), special_module(ring, [-(1 + 3 ** e), 1])
+    out = verify_local_identity(m, n)
+    assert out["equal"] and out["certified_precision"] == e + 1
+    assert out["lhs"] == Fraction(1, 3 ** (e * a * a))
+    rep = ext_presentation(m, n)
+    assert rep.ext0.order == 1 and rep.ext1.torsion == (3 ** e,) * (a * a)
+    assert rep.certified_precision == e + 1
 
 
 def test_verify_weight_two_self_pair():
@@ -310,33 +308,75 @@ def test_z_derivative_integer_form_vs_crystal(key, data):
     m = data.draw(st.lists(coeff, min_size=1, max_size=3)
                   .map(lambda c: c + [1])
                   .filter(lambda c: resultant(c, poly_deriv(c)) != 0))
-    try:
-        x = special_module(ring, m)
-    except ValueError:  # det F^a vanishes mod p^K: no crystal at K
-        assume(False)
-    try:
-        want = _z_derivative_on_crystal(x)
-    except PrecisionError as exc:
-        with pytest.raises(PrecisionError) as got:
-            _z_derivative_map(x, K)
-        assert got.value.required == exc.required
+    # a special module is built whatever v_p(det F^a) is, and the integer
+    # form reads exactly: where the crystal's own matrix cannot be read at
+    # K, it is read at the precision its error names
+    x = special_module(ring, m)
+    while True:
+        try:
+            want = _z_derivative_on_crystal(x)
+            break
+        except PrecisionError as exc:
+            x = x.with_ring(ring.at_precision(exc.required))
+    assert _z_derivative_map(special_module(ring, m)) == want
+
+
+def _integer_cokernel_oracle(mm, mn, p, a):
+    """(Hom, Ext¹) of a special pair as a² copies of the kernel and cokernel
+    of φ -> C_N·φ - φ·C_M on d_N x d_M integer matrices (C the companion
+    matrix), read at p off an integer Smith form."""
+    cm, cn = companion(mm), companion(mn)
+    op = mat_sub(kron(cn, identity(len(cm))), kron(identity(len(cn)), transpose(cm)))
+    diag = smith_normal_form(op).diagonal
+    rank = len(op) - sum(1 for d in diag if d)
+    torsion = sorted(p ** valuation(d, p) for d in diag if d and d % p == 0)
+    return (FinGenAbGroup(rank * a * a),
+            FinGenAbGroup(rank * a * a, tuple(sorted(torsion * (a * a)))))
+
+
+def _monic(p, units):
+    """A monic linear polynomial t - c with c = ±u·p^e, c != 0."""
+    return st.builds(lambda u, e, s: [-s * u * p ** e, 1],
+                     units, st.integers(0, 3), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(RINGS)),
+       st.sampled_from(["coprime", "equal", "shared", "deep"]), st.data())
+def test_certificate_vs_integer_cokernel(key, kind, data):
+    # θ is read once at max(K+2, b+1), b = v_p(Res(m_M/g, m_N/g)), and its
+    # groups are a² copies of the small integer system's
+    p, a, K = key
+    ring = RINGS[key]
+    lin = _monic(p, st.integers(1, 2 * p))
+    if kind == "deep":
+        e = data.draw(st.integers(K - 2, K + 6))
+        u, v, g = [-1, 1], [-(1 + p ** e), 1], [1]
     else:
-        assert _z_derivative_map(x, K) == want
+        u = data.draw(lin)
+        v = u if kind == "equal" else data.draw(lin.filter(
+            lambda c: resultant(c, u) != 0))
+        g = data.draw(lin) if kind == "shared" else [1]
+        if kind == "equal":
+            u, v, g = [1], [1], u
+    b = valuation(resultant(u, v), p)
+    mm, mn = poly_mul(u, g), poly_mul(v, g)
+    rep = ext_presentation(special_module(ring, mm), special_module(ring, mn))
+    assert (rep.ext0, rep.ext1) == _integer_cokernel_oracle(mm, mn, p, a)
+    assert rep.certified_precision == max(K + 2, b + 1)
 
 
 def test_special_equal_reads_k_plus_2():
     # (t - 1)(t - 1 - 3^5): the derivative map's largest Smith valuation is
-    # 10, so reading it at K+2 certifies from K = 9 on
+    # 10, but its determinant is read exactly over Z, so every K certifies,
+    # also K = 8 and below, where a read mod p^(K+2) could not
     poly = [1 + 3**5, -(2 + 3**5), 1]
-    for K in (9, 10, 11):
+    for K in (3, 8, 9, 10, 11):
         m = special_module(WittRing(3, 1, K), poly)
         out = verify_local_identity(m, m)
         assert out["case"] == "special-equal" and out["equal"]
+        assert out["lhs"] == Fraction(1, 3 ** 10)
         assert out["certified_precision"] == K + 2
-    m = special_module(WittRing(3, 1, 8), poly)
-    with pytest.raises(PrecisionError) as exc:
-        verify_local_identity(m, m)
-    assert exc.value.required == 20
 
 
 def test_special_equal_rho_counts_all_pairs():
@@ -356,11 +396,12 @@ def test_random_generators_shapes():
 
 
 # verify_local_identity reports, and the ext_presentation report when the
-# source is free, as computed when every precision rebuilt its own ring,
-# crystals and θ: every case at p in {3, 5}, a in {1, 2}, K in {5, 6, 20}.
-# The rows include [-1, 1] against [-(1 + p^e), 1] for e = K-2 .. K+3: at
-# e = K, K+1 the presentation is certified only after the bump (K+6), and
-# from e = K+2 on the identity stops with "nonzero rank".
+# source is free: every case at p in {3, 5}, a in {1, 2}, K in {5, 6, 20}.
+# The rows include [-1, 1] against [-(1 + p^e), 1] for e = K-2 .. K+3: θ is
+# read at max(K+2, e+1), so from e = K+2 on the certified precision is
+# e + 1 and Ext¹ is (Z/p^e)^{a²}.  The general crystals [[1]] and
+# [[1 + p^K]] cannot be separated at K; at a = 1 the error names
+# v_p(Res) + 1 = K + 1 from their integer F-matrices, at a = 2 it names 2K.
 P_LOCAL = json.loads(
     (pathlib.Path(__file__).parent / "data" / "p_local_reports.json").read_text())
 
@@ -420,21 +461,19 @@ def test_one_smith_form_per_pair(monkeypatch):
 
     m, n = special_module(R31, [-1, 1]), special_module(R31, [-4, 1])
     monkeypatch.setattr(crystal, "padic_smith", counting)
-    # both passes of the identity (K, K+2 and K+2, K+4) read one form
+    # the identity and a presentation alone each read one form, at K+2
     assert verify_local_identity(m, n)["certified_precision"] == 22
-    assert depths == [24]
-    # a presentation alone reads K and K+2
+    assert depths == [22]
     depths.clear()
     assert ext_presentation(m, n).certified_precision == 22
     assert depths == [22]
-    # a valuation in [K, K+2) bumps the presentation to K+4/K+6, which
-    # needs one deeper form; the second pass reads it truncated
+    # a valuation in [K, K+2) is read at K+2 too: b = v_3(Res) = 6 < K+2
     ring = WittRing(3, 1, 6)
     m, n = special_module(ring, [-1, 1]), special_module(ring, [-(1 + 3 ** 6), 1])
     depths.clear()
     out = verify_local_identity(m, n)
     assert out["equal"] and out["certified_precision"] == 8
-    assert depths == [10, 12]
+    assert depths == [8]
 
 
 def test_rehoming_skips_the_checks_only_upwards(monkeypatch):
@@ -492,8 +531,9 @@ PAIRS_BY_CASE = {
 
 @pytest.mark.parametrize("case", sorted(PAIRS_BY_CASE))
 def test_identity_is_one_pass(monkeypatch, case):
-    # the K+2 check is the θ rule read off the pair's one Smith form: no
-    # ring or crystal at K+2, and one right side from one charpoly per side
+    # θ is read once, at K+2: one ring there and the two crystals moved to
+    # it, nothing at any other precision (none at all for special-equal),
+    # and one right side from one charpoly per side
     m, n = PAIRS_BY_CASE[case]()
     K = m.ring.K
     rings, charpolys, rhs = [], [], []
@@ -513,7 +553,7 @@ def test_identity_is_one_pass(monkeypatch, case):
     out = verify_local_identity(m, n)
     assert out["equal"] and out["case"] == case
     assert out["certified_precision"] == K + 2
-    assert K + 2 not in rings
+    assert rings == ([] if case == "special-equal" else [K + 2] * 3)
     if case == "finite-source":
         assert charpolys == [] and rhs == []
     else:
@@ -522,7 +562,7 @@ def test_identity_is_one_pass(monkeypatch, case):
 
 def test_finite_source_shares_one_smith_form(monkeypatch):
     # a finite-invertible source with a special target: its torsion-free
-    # lift is validated once, and both θ rules read one form at K+4
+    # lift is validated once, and θ is read once, at K+2
     m = Crystal(R51, [[1]], exponents=[1])
     n = special_module(R51, [5, -1, 1])
     depths, lifts = [], []
@@ -541,14 +581,14 @@ def test_finite_source_shares_one_smith_form(monkeypatch):
     monkeypatch.setattr(Crystal, "_check_free", checked)
     out = verify_local_identity(m, n)
     assert out["equal"] and out["case"] == "finite-source"
-    assert depths == [R51.K + 4] and lifts == [R51.K]
+    assert depths == [R51.K + 2] and lifts == [R51.K]
 
 
 def test_k_plus_2_check_is_the_theta_rule(monkeypatch):
-    # a finite source against N = diag(1 + 3^(K+2), 1 + 3^(K+6)): θ has
-    # valuations K+2 and K+6.  The rule passes at base K (both read as
-    # rank), but at base K+2 one valuation lies in [K+2, K+4) and, after
-    # the bump, the other in [K+6, K+8)
+    # a finite source of exponent 1 against N = diag(1 + 3^8, 1 + 3^12): θ
+    # has valuations 8 and 12.  The source's orders cap every valuation at
+    # its exponent, where a vanishing divisor counts the same, so one form
+    # at K+2 answers at K = 6 what it answers at K = 16
     depths = []
 
     def counting(mat, p, K):
@@ -561,8 +601,9 @@ def test_k_plus_2_check_is_the_theta_rule(monkeypatch):
                 Crystal(ring, [[1 + 3 ** 8, 0], [0, 1 + 3 ** 12]]))
 
     monkeypatch.setattr(crystal, "padic_smith", counting)
-    with pytest.raises(PrecisionError, match="unstable") as exc:
-        verify_local_identity(*pair(6))
-    assert exc.value.required == 16 and depths == [10, 14]
-    out = verify_local_identity(*pair(16))
-    assert out["equal"] and out["certified_precision"] == 18
+    shallow = verify_local_identity(*pair(6))
+    assert shallow["equal"] and shallow["certified_precision"] == 8
+    assert depths == [8]
+    deep = verify_local_identity(*pair(16))
+    assert deep["equal"] and deep["certified_precision"] == 18
+    assert (shallow["lhs"], shallow["rhs"]) == (deep["lhs"], deep["rhs"])

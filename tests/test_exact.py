@@ -97,6 +97,40 @@ def test_prime_powers_beyond_trial_division():
     assert not is_prime(318665857834031151167461)
 
 
+def _trial_prime_factors(n: int) -> list[int]:
+    """Trial division: the oracle for `prime_factors`."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.integers(2, 2000), st.integers(10**5, 10**6)),
+                min_size=1, max_size=4))
+def test_prime_factors_vs_trial_division(factors):
+    # products of small and six-digit factors, repeats included, so that
+    # cofactors past the trial bound (squares too) reach the rho step
+    n = 1
+    for f in factors:
+        n *= f
+    assert prime_factors(n) == prime_factors(-n) == _trial_prime_factors(n)
+
+
+def test_prime_factors_beyond_trial_division():
+    assert prime_factors(2 * (10**9 + 7) * (10**9 + 9)) == \
+        [2, 10**9 + 7, 10**9 + 9]
+    assert prime_factors(7 * (10**6 + 3) ** 2 * 1009 ** 3) == [7, 1009, 10**6 + 3]
+    assert prime_factors((10**11 + 3) * (10**11 + 19)) == [10**11 + 3, 10**11 + 19]
+    # a probable prime above the cap is refused, as `is_prime` refuses it
+    with pytest.raises(ValueError, match="certified only below"):
+        prime_factors(6 * (2**89 - 1))
+
+
 def test_primality_cap():
     # the first strong pseudoprime to all 13 bases is the cap itself; a
     # probable prime at or above it is refused, a composite still answered
