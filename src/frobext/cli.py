@@ -10,9 +10,11 @@ Three subcommands:
   zeta          Special value and motivic comparison for a catalogue
                 variety described in JSON.
 
-Exit codes: 0 verified, 1 a verification failed, 2 bad input, 3 the
-hypothesis of the local theorem is violated, 4 p-adic precision could not be
-certified, 5 an internal consistency check failed.  Only `verify-local`
+Exit codes: 0 verified, 1 a verification failed, 2 bad input (an input
+above a size cap included: see `motive.MAX_HOM_DIM`, `motive.MAX_THETA_DIM`
+and `zeta.MAX_CURVE_PRIME`), 3 the hypothesis of the local theorem is
+violated, 4 p-adic precision could not be certified, 5 an internal
+consistency check failed.  Only `verify-local`
 takes a working precision (--precision, env FROBEXT_PRECISION) and can exit
 4: a motive's crystal is a special module, certified from its polynomials,
 so `ext` and `zeta` never do.  JSON output is deterministic (sorted keys); a

@@ -19,14 +19,11 @@ from .exact import (
     int_valuation,
     poly_deg,
     poly_deriv,
-    poly_gcd,
     poly_gcd_monic,
     poly_pow,
     poly_quo_monic,
-    ratio_charpoly,
+    ratio_limit,
     resultant,
-    reversed_form,
-    limit_leading,
 )
 from .linalg import bareiss_det, charpoly, companion, hstack, mat_mul, vstack, zeros
 from .witt import WittElem, WittRing, padic_det_valuation, padic_smith
@@ -386,7 +383,7 @@ def _special_rank_and_bound(m: Crystal, n: Crystal) -> tuple[int, int]:
     mm, mn = m.special_poly, n.special_poly
     g = poly_gcd_monic(mm, mn)
     res = resultant(poly_quo_monic(mm, g), poly_quo_monic(mn, g))
-    return poly_deg(g) * m.ring.a ** 2, int_valuation(int(res), m.ring.p)
+    return poly_deg(g) * m.ring.a ** 2, int_valuation(res, m.ring.p)
 
 
 def _theta_report(m: Crystal, n: Crystal, k: int,
@@ -569,7 +566,7 @@ def _rhs_value(m: Crystal, n: Crystal, pm: list, pn: list):
         raise PrecisionError(
             "the determinant of F^a vanishes mod p^K",
             required=max(m.det_valuation, n.det_valuation) + 1)
-    rho, lead = limit_leading(reversed_form(ratio_charpoly(pm, pn)))
+    rho, lead = ratio_limit(pm, pn)
     vq = int_valuation(abs(pm[0]), p)  # = a·s(M)
     return rho, abs_at(p, lead) * Fraction(1, p ** (vq * rn))
 
@@ -599,7 +596,7 @@ def _separating_precision(m: Crystal, n: Crystal) -> int | None:
         return 2 * m.ring.K
     res = resultant(*(charpoly([[c[0] if c else 0 for c in row]
                                 for row in x.coords]) for x in (m, n)))
-    return int_valuation(int(res), m.ring.p) + 1 if res else None
+    return int_valuation(res, m.ring.p) + 1 if res else None
 
 
 def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
@@ -643,12 +640,12 @@ def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
         case = "special-coprime"
     else:
         res = resultant(pm, pn)
-        if res == 0 or int_valuation(int(res), p) >= K:
+        if res == 0 or int_valuation(res, p) >= K:
             raise PrecisionError(
                 "cannot separate the eigenvalue sets at this precision",
                 required=_separating_precision(m, n))
         # the charpolys are exact mod p^K, and so is a valuation below K
-        case, b = "free-disjoint", int_valuation(int(res), p)
+        case, b = "free-disjoint", int_valuation(res, p)
     rep = _theta_report(m, n, max(K + 2, b + 1), 0)
     return LocalReportP(case, Fraction(1, rep.ext1.order),
                         rep.certified_precision, charpolys, rep)
@@ -710,7 +707,7 @@ def random_special_module(rng, ring: WittRing, max_deg: int = 2,
         m = [rng.randint(-p, p) for _ in range(deg)] + [1]
         if m[0] == 0:
             continue
-        if poly_deg(poly_gcd(m, poly_deriv(m))) >= 1:
+        if poly_deg(poly_gcd_monic(m, poly_deriv(m))) >= 1:
             continue
         if coprime_to is not None and resultant(m, coprime_to) == 0:
             continue

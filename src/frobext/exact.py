@@ -3,12 +3,18 @@
 Everything in this package runs on Python integers and fractions.Fraction;
 no floating point is used anywhere.  Polynomials are lists of coefficients
 in ascending degree order (index = degree), trimmed of trailing zeros.
+Every polynomial the package builds is monic with integer coefficients, so
+the polynomial kernels run on integers: one gcd (`poly_gcd_monic`), one
+exact division (`poly_quo_monic`), and scalings that keep roots algebraic
+integers; a Fraction appears only as a final value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+from .linalg import bareiss_det
 
 
 class PrecisionError(ArithmeticError):
@@ -257,7 +263,9 @@ def poly_deriv(a: list) -> list:
 
 
 def poly_divmod(a: list, b: list) -> tuple[list, list]:
-    """Exact division with remainder over Q."""
+    """Exact division with remainder over Q.  The package itself divides
+    only by monic integer divisors (`poly_quo_monic`); this is the general
+    rational division for callers outside it."""
     a, b = [Fraction(x) for x in poly_trim(a)], [Fraction(x) for x in poly_trim(b)]
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -271,24 +279,6 @@ def poly_divmod(a: list, b: list) -> tuple[list, list]:
             r[d + i] -= c * b[i]
         r = poly_trim(r)
     return poly_trim(q), r
-
-
-def poly_monic(a: list) -> list:
-    a = poly_trim(a)
-    if not a:
-        raise ValueError("cannot normalize the zero polynomial")
-    lc = Fraction(a[-1])
-    return [Fraction(x) / lc for x in a]
-
-
-def poly_gcd(a: list, b: list) -> list:
-    """Monic gcd over Q (constant 1 for coprime inputs)."""
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return []
-    return poly_monic(a)
 
 
 def poly_quo_monic(a: list, b: list) -> list:
@@ -341,122 +331,139 @@ def poly_gcd_monic(a: list, b: list) -> list:
     return a
 
 
-def poly_int(a: list) -> list:
-    """Cast exact-integer-valued coefficients back to int."""
-    out = []
-    for c in poly_trim(a):
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise ValueError("non-integer coefficient %s" % (c,))
-        out.append(int(f))
-    return out
+def _monic(a: list) -> list:
+    """a, trimmed and checked to be monic; the integer kernels take its
+    coefficients to be integers."""
+    a = poly_trim(a)
+    if not a or a[-1] != 1:
+        raise ValueError("expected a monic integer polynomial")
+    return a
 
 
-def reversed_root_poly(p: list) -> list:
-    """Monic polynomial whose roots are the inverses of p's roots.
+def resultant(f: list, g: list) -> int:
+    """Res(f, g) = lc(f)^deg g * prod g(alpha_i) over the roots of f, for
+    integer polynomials: the determinant of their Sylvester matrix, by
+    fraction-free elimination.  Never extracts roots.
 
-    Requires p(0) != 0.  If p = prod (t - a_i) up to a scalar, the result is
-    prod (t - 1/a_i), obtained by reversing the coefficients and normalizing.
+    >>> resultant([-1, 0, 1], [-2, 1])   # g(1) g(-1)
+    3
     """
-    p = poly_trim(p)
-    if not p or p[0] == 0:
-        raise ValueError("reversal needs a nonzero constant term")
-    return poly_monic(list(reversed(p)))
-
-
-def resultant(f: list, g: list):
-    """Res(f, g) = lc(f)^deg g * prod g(alpha_i) over roots of f, exact over Q.
-
-    Computed by the Euclidean recursion; never extracts roots.
-    """
-    f = [Fraction(x) for x in poly_trim(f)]
-    g = [Fraction(x) for x in poly_trim(g)]
+    f, g = poly_trim(f), poly_trim(g)
     if not f or not g:
-        return Fraction(0)
-    if len(f) == 1:
-        return f[0] ** (len(g) - 1)
-    if len(g) == 1:
-        return g[0] ** (len(f) - 1)
-    df, dg = len(f) - 1, len(g) - 1
-    _, r = poly_divmod(f, g)
-    if not r:
-        return Fraction(0)
-    dr = len(r) - 1
-    sign = Fraction(-1) ** (df * dg)
-    return sign * g[-1] ** (df - dr) * resultant(g, r)
+        return 0
+    m, n = len(f) - 1, len(g) - 1
+    fd, gd = f[::-1], g[::-1]
+    rows = [[0] * i + fd + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * j + gd + [0] * (m - 1 - j) for j in range(m)]
+    return bareiss_det(rows)
 
 
-def composed_product(u: list, v: list) -> list:
-    """Monic polynomial with root multiset {u_i * v_j}.
+def power_sums(monic: list, n: int) -> list[int]:
+    """Power sums p_1..p_n of the roots of a monic integer polynomial.  For
+    t^d + c_{d-1} t^{d-1} + ... + c_0, Newton's identities read
+    p_k = -(k c_{d-k} + sum_{0<i<k, i<=d} c_{d-i} p_{k-i}) (c_{d-k} = 0 for
+    k > d): no division, so the sums stay integers."""
+    m = _monic(monic)
+    d = len(m) - 1
+    ps: list[int] = []
+    for k in range(1, n + 1):
+        acc = k * m[d - k] if k <= d else 0
+        for i in range(1, min(k, d + 1)):
+            acc += m[d - i] * ps[k - i - 1]
+        ps.append(-acc)
+    return ps
+
+
+def composed_product(u: list, v: list) -> list[int]:
+    """Monic integer polynomial with root multiset {u_i * v_j}, for monic
+    integer u and v.
 
     The power sums of the products are the termwise products of the power
     sums of u and v; Newton's identities turn them back into coefficients
     (Bostan, Flajolet, Salvy, Schost, "Fast computation of special
-    resultants", JSC 2006).  Both inputs must be monic.
+    resultants", JSC 2006).  Their division by k is exact: the coefficients
+    are rational symmetric functions of algebraic integers, so integers
+    (RuntimeError otherwise).
     """
     n = poly_deg(u) * poly_deg(v)
     ps = [a * b for a, b in zip(power_sums(u, n), power_sums(v, n))]
-    # e[k]: k-th elementary symmetric function of the products
-    e = [Fraction(1)]
+    # c[k]: coefficient of t^(n-k); k c[k] = -sum_{i=1..k} c[k-i] p_i
+    c = [1]
     for k in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            term = e[k - i] * ps[i - 1]
-            acc += term if i % 2 else -term
-        e.append(acc / k)
-    return [e[n - k] if (n - k) % 2 == 0 else -e[n - k] for k in range(n + 1)]
+        coef, rem = divmod(-sum(c[k - i] * ps[i - 1]
+                                for i in range(1, k + 1)), k)
+        if rem:
+            raise RuntimeError("Newton's identities left a remainder: the"
+                               " inputs are not monic integer polynomials")
+        c.append(coef)
+    return c[::-1]
 
 
-def ratio_charpoly(p: list, q: list) -> list:
-    """Monic polynomial with root multiset {b_j / a_i}, a_i roots of p, b_j of q.
+def ratio_charpoly(p: list, q: list) -> list[int]:
+    """Monic integer polynomial with root multiset {c * b_j / a_i}, a_i the
+    roots of p, b_j of q, both monic integer, and c = p(0) nonzero.
 
-    p(0) must be nonzero.  No roots are ever materialized: the inverse roots of
-    p come from coefficient reversal and the products from power sums.
+    c / a_i is, up to sign, the product of the other roots of p, an
+    algebraic integer, so no denominator appears.  No roots are ever
+    materialized: the c / a_i are the roots of t^d + sum_{j<d} p_{d-j}
+    c^{d-1-j} t^j (d = deg p), and the products come from power sums.
+    `ratio_limit` reads the ratios b_j / a_i off it.
+
+    >>> ratio_charpoly([-1, 1], [-9, 1])   # c = -1 scales the ratio 9
+    [9, 1]
     """
-    p = poly_monic(p)
-    q = poly_monic(q)
-    if poly_deg(p) == 0 or poly_deg(q) == 0:
-        return [Fraction(1)]
-    return composed_product(reversed_root_poly(p), q)
+    p, q = _monic(p), _monic(q)
+    d = len(p) - 1
+    if d == 0 or len(q) == 1:
+        return [1]
+    c = p[0]
+    if c == 0:
+        raise ValueError("the ratio polynomial needs p(0) != 0")
+    inverse = [p[d - j] * c ** (d - 1 - j) for j in range(d)] + [1]
+    return composed_product(inverse, q)
+
+
+def ratio_limit(p: list, q: list) -> tuple[int, Fraction]:
+    """(rho, N*) for monic integer p and q with p(0) != 0: rho pairs of
+    roots with b_j = a_i, and N* = prod (1 - b_j / a_i) over the others.
+
+    The scaled ratios s = c b_j / a_i of `ratio_charpoly` (c = p(0)) meet
+    b_j = a_i exactly at s = c.  So with R the ratio polynomial divided by
+    (t - c)^rho, over Z, N* = prod (c - s) / c^deg R = R(c) / c^deg R: one
+    Fraction, at the end.
+
+    >>> ratio_limit([-1, 1], [-9, 1])   # the one pair: 1 - 9
+    (0, Fraction(-8, 1))
+    """
+    if poly_deg(p) < 1 or poly_deg(q) < 1:
+        return 0, Fraction(1)
+    c = poly_trim(p)[0]
+    rest = ratio_charpoly(p, q)
+    rho = 0
+    while len(rest) > 1 and poly_eval(rest, c) == 0:
+        rest = poly_quo_monic(rest, [-c, 1])
+        rho += 1
+    return rho, Fraction(poly_eval(rest, c), c ** (len(rest) - 1))
 
 
 def reversed_form(monic: list) -> list:
-    """prod (1 - c_k t) from the monic prod (t - c_k): plain reversal."""
-    m = poly_monic(monic)
-    return list(reversed(m))
+    """prod (1 - c_k t) from the monic integer prod (t - c_k): plain
+    reversal."""
+    return _monic(monic)[::-1]
 
 
-def limit_leading(rev: list) -> tuple[int, Fraction]:
-    """Order and leading value of prod (1 - c_k t) at t = 1.
+def limit_leading(rev: list) -> tuple[int, int]:
+    """Order and leading value of an integer prod (1 - c_k t) at t = 1.
 
-    Returns (rho, L) with rho the multiplicity of the root t=1 and
-    L = lim_{t->1} rev(t) / (1-t)^rho = prod_{c_k != 1} (1 - c_k), exact.
+    Returns (rho, L) with rho the multiplicity of the root t = 1 and
+    L = lim_{t->1} rev(t) / (1-t)^rho = prod_{c_k != 1} (1 - c_k), exact:
+    1 - t has a unit leading coefficient, so dividing it out stays in Z.
     """
-    cur = [Fraction(c) for c in poly_trim(rev)]
+    cur = poly_trim(rev)
     if not cur:
         raise ValueError("zero polynomial has no leading value")
     rho = 0
     while poly_eval(cur, 1) == 0:
-        cur, rem = poly_divmod(cur, [Fraction(1), Fraction(-1)])  # divide by (1 - t)
-        if rem:
-            raise RuntimeError("(1 - t) leaves a remainder at a root t = 1")
+        cur = [-c for c in poly_quo_monic(cur, [-1, 1])]  # divide by 1 - t
         rho += 1
-    return rho, Fraction(poly_eval(cur, 1))
-
-
-def power_sums(monic: list, n: int) -> list:
-    """Power sums p_1..p_n of the roots of a monic polynomial (Newton's identities)."""
-    m = poly_monic(monic)
-    d = len(m) - 1
-    # e_k with signs: m = x^d - e1 x^{d-1} + e2 x^{d-2} - ...
-    e = [Fraction(1)] + [(-1) ** k * Fraction(m[d - k]) for k in range(1, d + 1)]
-    ps: list[Fraction] = []
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, k):
-            if i <= d:
-                acc += (-1) ** (i - 1) * e[i] * ps[k - i - 1]
-        if k <= d:
-            acc += (-1) ** (k - 1) * Fraction(k) * e[k]
-        ps.append(acc)
-    return ps
+    return rho, poly_eval(cur, 1)

@@ -26,10 +26,8 @@ from .exact import (
     abs_at,
     is_prime,
     l_primary,
-    limit_leading,
     prime_power,
-    ratio_charpoly,
-    reversed_form,
+    ratio_limit,
 )
 from .linalg import (
     Matrix,
@@ -95,8 +93,8 @@ class GaloisModule:
     def charpoly(self) -> list[int]:
         return charpoly(self.free_frob)
 
-    def min_poly(self):
-        return minimal_polynomial(self.free_frob) if self.rank else [Fraction(1)]
+    def min_poly(self) -> list[int]:
+        return minimal_polynomial(self.free_frob) if self.rank else [1]
 
     def direct_sum(self, other: GaloisModule) -> GaloisModule:
         _require_compatible(self, other)
@@ -238,40 +236,64 @@ def check_hypothesis(m: GaloisModule, n: GaloisModule):
     hypothesis_gate(m.min_poly(), n.min_poly())
 
 
-def ext_groups_l(m: GaloisModule, n: GaloisModule) -> ExtReportL:
-    """Ext^0 = Hom^Gamma; Ext^1 is an extension of the bar-Ext invariants by
-    the Hom coinvariants; Ext^2 = bar-Ext coinvariants (always finite).
-    Hom and bar-Ext are built once; z(f) is read off the same two."""
+@dataclass
+class ExtDataL:
+    """The integer side of the l-adic Ext of a pair: the map f_0 from Hom
+    invariants to Hom coinvariants, the bar-Ext action, and z(f_0) (None
+    where the hypothesis fails).  Their kernels and cokernels are Smith
+    forms over Z, computed once; `localize` reads an l-adic report off them
+    at any l at which det U of both actions is a unit.  Localization at l
+    is exact, so those l-parts are the groups over Z_l."""
+
+    f0: GroupHom
+    bar: PairAction
+    z0: Fraction | None
+
+
+def ext_data_l(m: GaloisModule, n: GaloisModule) -> ExtDataL:
+    """Hom and bar-Ext of the pair, built once, and z(f_0) read off them."""
     _require_compatible(m, n)
-    l = m.l
     f0 = hom_module(m, n).f0()  # Hom invariants -> Hom coinvariants
-    h1 = f0.cod.group().primary_part(l)
-    epair = ext1_bar_module(m, n)
-    e_inv = epair.invariants()  # a finite l-group, as is all of bar-Ext
+    bar = ext1_bar_module(m, n)
+    try:
+        check_hypothesis(m, n)
+    except HypothesisError:
+        return ExtDataL(f0, bar, None)
+    z0 = f0.z()
+    if z0 is None:
+        raise RuntimeError("z(f_0) is undefined although the hypothesis"
+                           " holds")
+    return ExtDataL(f0, bar, z0)
+
+
+def localize(data: ExtDataL, l: int) -> ExtReportL:
+    """The l-adic report: Ext^0 = Hom^Gamma; Ext^1 is an extension of the
+    bar-Ext invariants by the Hom coinvariants; Ext^2 = bar-Ext
+    coinvariants (always finite); z(f) = z(f_0) / [bar-Ext invariants], all
+    in l-parts."""
+    h1 = data.f0.cod.group().primary_part(l)
+    e_inv = data.bar.invariants().primary_part(l)  # finite, as is bar-Ext
     if h1.free_rank == 0:
         ext1_torsion = h1.order * e_inv.order
     elif e_inv.order == 1:
         ext1_torsion = h1.torsion_order
     else:
         ext1_torsion = None
-    try:
-        check_hypothesis(m, n)
-    except HypothesisError:
-        z_f = None
-    else:
-        z0 = f0.z()
-        if z0 is None:
-            raise RuntimeError("z(f_0) is undefined although the hypothesis"
-                               " holds")
-        z_f = l_primary(z0, l) / e_inv.order
     return ExtReportL(
         l=l,
-        ext0=f0.dom.group().primary_part(l),
+        ext0=data.f0.dom.group().primary_part(l),
         ext1_rank=h1.free_rank,
         ext1_torsion=ext1_torsion,
-        ext2=epair.coinvariants().primary_part(l),
-        z_f=z_f,
+        ext2=data.bar.coinvariants().primary_part(l),
+        z_f=None if data.z0 is None
+        else l_primary(data.z0, l) / e_inv.order,
     )
+
+
+def ext_groups_l(m: GaloisModule, n: GaloisModule) -> ExtReportL:
+    """Ext of two l-adic modules: the integer data of the pair, localized
+    at its l."""
+    return localize(ext_data_l(m, n), m.l)
 
 
 def _gated_report(m: GaloisModule, n: GaloisModule) -> ExtReportL:
@@ -296,11 +318,7 @@ def verify_local_identity(m: GaloisModule, n: GaloisModule) -> dict:
     by resultants."""
     rep = _gated_report(m, n)
     lhs = rep.z_f * rep.ext2.order
-    if m.rank and n.rank:
-        ratio = ratio_charpoly(m.charpoly(), n.charpoly())
-    else:
-        ratio = [1]
-    rho, nstar = limit_leading(reversed_form(ratio))
+    rho, nstar = ratio_limit(m.charpoly(), n.charpoly())
     rhs = abs_at(m.l, nstar)
     return {
         "l": m.l,

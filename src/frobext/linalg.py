@@ -152,16 +152,16 @@ def charpoly(a: Matrix) -> list[int]:
     return c
 
 
-def minimal_polynomial(a: Matrix) -> list[Fraction]:
-    """Monic minimal polynomial over Q.  A companion matrix (ones on the
-    sub-diagonal, zeros elsewhere outside the last column, as `companion`
-    builds it) is cyclic, so its minimal polynomial is its charpoly, read
-    off the last column; any other matrix takes the first Krylov
-    dependency."""
+def minimal_polynomial(a: Matrix) -> list[int]:
+    """Monic minimal polynomial of an integer matrix; its coefficients are
+    integers (Gauss's lemma: it divides the monic integer charpoly).  A
+    companion matrix (ones on the sub-diagonal, zeros elsewhere outside the
+    last column, as `companion` builds it) is cyclic, so its minimal
+    polynomial is its charpoly, read off the last column; any other matrix
+    takes the first Krylov dependency, found over Q."""
     n = len(a)
     if all(a[i][j] == int(i == j + 1) for i in range(n) for j in range(n - 1)):
-        return [Fraction(-row[-1]) for row in a] + [Fraction(1)]
-    dim = n * n
+        return [-row[-1] for row in a] + [1]
     basis: list[tuple[list[Fraction], list[Fraction]]] = []  # (reduced vec, tail)
     power = identity(n)
     for k in range(n + 1):
@@ -174,27 +174,31 @@ def minimal_polynomial(a: Matrix) -> list[Fraction]:
                 vec = [x - f * y for x, y in zip(vec, red)]
                 tail = [x - f * y for x, y in zip(tail, rtail)]
         if all(x == 0 for x in vec):
-            from .exact import poly_monic, poly_trim
-            return poly_monic(poly_trim(tail))
+            out = [x / tail[k] for x in tail[:k + 1]]
+            if any(x.denominator != 1 for x in out):
+                raise RuntimeError("the minimal polynomial of an integer"
+                                   " matrix has a non-integer coefficient")
+            return [int(x) for x in out]
         basis.append((vec, tail))
         power = mat_mul(power, a)
     raise RuntimeError("Cayley-Hamilton violated")
 
 
 def companion(p: list) -> Matrix:
-    """Companion matrix of a monic polynomial (ascending integer coefficients)."""
-    from .exact import poly_monic
-    mp = poly_monic(p)
-    n = len(mp) - 1
+    """Companion matrix of a monic integer polynomial (ascending
+    coefficients)."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    if not p or p[-1] != 1 or not all(isinstance(c, int) for c in p):
+        raise ValueError("the polynomial must be monic with integer"
+                         " coefficients")
+    n = len(p) - 1
     c = zeros(n, n)
     for i in range(1, n):
         c[i][i - 1] = 1
     for i in range(n):
-        f = Fraction(-mp[i])
-        if f.denominator != 1:
-            raise ValueError("the monic polynomial must have integer"
-                             " coefficients")
-        c[i][n - 1] = int(f)
+        c[i][n - 1] = -p[i]
     return c
 
 

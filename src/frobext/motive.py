@@ -38,17 +38,15 @@ from .crystal import (
 from .exact import (
     abs_at,
     int_valuation,
-    limit_leading,
     poly_deg,
     poly_deriv,
-    poly_gcd,
+    poly_gcd_monic,
     poly_pow,
     prime_factors,
     prime_power,
-    ratio_charpoly,
-    reversed_form,
+    ratio_limit,
 )
-from .galois import GaloisModule, ext_groups_l, hom_module
+from .galois import GaloisModule, ext_data_l, hom_module, localize
 # unused here, but the benchmark harness's self-check (perfbench/selfcheck.py,
 # tracing) asserts that this alias is rebound and restored
 from .galois import verify_local_identity as _verify_galois_pair  # noqa: F401
@@ -71,11 +69,31 @@ from .zgamma import HypothesisError
 # its polynomials, so no answer depends on it
 _RING_PRECISION = 20
 
+# input caps.  A pair's integer Hom lattice is d_X·d_Y square and its θ is
+# a³·d_X·d_Y square (a the residue degree, d the rank).  `_assemble` refuses
+# a pair above either cap, and a motive that would exceed one even against
+# a rank-one partner is refused before its Witt ring is built.  At the caps
+# a pair takes a few seconds (CHANGES.md has the timings).
+MAX_HOM_DIM = 144
+MAX_THETA_DIM = 1024
+
+
+def _check_caps(a: int, dx: int, dy: int):
+    if dx * dy > MAX_HOM_DIM:
+        raise ValueError("ranks %d and %d give an integer Hom system of"
+                         " dimension %d, above the cap of %d"
+                         % (dx, dy, dx * dy, MAX_HOM_DIM))
+    if a ** 3 * dx * dy > MAX_THETA_DIM:
+        raise ValueError("residue degree %d and ranks %d and %d give a"
+                         " p-adic system of dimension a^3·d_X·d_Y = %d,"
+                         " above the cap of %d"
+                         % (a, dx, dy, a ** 3 * dx * dy, MAX_THETA_DIM))
+
 
 def _is_squarefree(c: list[int]) -> bool:
     if poly_deg(c) < 2:
         return True
-    return poly_deg(poly_gcd(c, poly_deriv(c))) < 1
+    return poly_deg(poly_gcd_monic(c, poly_deriv(c))) < 1
 
 
 def newton_slopes(c: list[int], p: int, a: int) -> list[Fraction]:
@@ -129,6 +147,7 @@ class Motive:
             raise ValueError("the characteristic polynomial must be monic")
         if cp[0] == 0:
             raise ValueError("the Frobenius may not have eigenvalue zero")
+        _check_caps(a, len(cp) - 1, 1)  # against a rank-one partner
         c0 = abs(cp[0])
         while c0 % p == 0:
             c0 //= p
@@ -304,13 +323,6 @@ def _require_comparable(x: Motive, y: Motive):
         raise ValueError("motives over different fields")
 
 
-def _ratio_limit(x: Motive, y: Motive) -> tuple[int, Fraction]:
-    """(rho, N*) from the eigenvalue-ratio polynomial: the number of pairs
-    a_i = b_j, and the product of (1 - b_j/a_i) over the other pairs."""
-    ratio = ratio_charpoly(x.charpoly, y.charpoly) if x.rank and y.rank else [1]
-    return limit_leading(reversed_form(ratio))
-
-
 def _hom_lattice(x: Motive, y: Motive, rho: int) -> list:
     """Basis of the saturated integer solution lattice of H F_X = F_Y H,
     checked to have rank rho."""
@@ -341,7 +353,7 @@ def hom_motives(x: Motive, y: Motive) -> tuple[list, int]:
     0
     """
     _require_comparable(x, y)
-    rho, _ = _ratio_limit(x, y)
+    rho, _ = ratio_limit(x.charpoly, y.charpoly)
     return _hom_lattice(x, y, rho), rho
 
 
@@ -384,9 +396,16 @@ def _p_power_root(z, p: int, k: int) -> Fraction:
     return Fraction(p) ** (v // k)
 
 
-def _l_side(x: Motive, y: Motive, l: int, rho: int, nstar: Fraction) -> dict:
+def _l_data(x: Motive, y: Motive, l: int) -> tuple:
+    """The integer l-adic data of the pair built from its modules at l: Hom
+    and bar-Ext (`ext_data_l`), and the invariants of the swapped Hom."""
     mx, my = x.local_module(l), y.local_module(l)
-    rep = ext_groups_l(mx, my)
+    return ext_data_l(mx, my), hom_module(my, mx).invariants()
+
+
+def _l_side(data: tuple, l: int, rho: int, nstar: Fraction) -> dict:
+    pair, swap = data
+    rep = localize(pair, l)
     if rep.ext0.free_rank != rho or rep.ext1_rank != rho:
         raise RuntimeError("local Hom rank at l=%d differs from rho" % l)
     if rep.z_f is None:
@@ -396,14 +415,13 @@ def _l_side(x: Motive, y: Motive, l: int, rho: int, nstar: Fraction) -> dict:
     # charpoly, so the resultant side of the local identity is the pair's N*
     if rep.z_f * rep.ext2.order != abs_at(l, nstar):
         raise RuntimeError("l-adic local identity failed at l=%d" % l)
-    swap = hom_module(my, mx).invariants().primary_part(l).torsion_order
     return {
         "l": l,
         "hom_tors": rep.ext0.torsion_order,
         "ext1_torsion": rep.ext1_torsion,
         "ext2": rep.ext2.order,
         "z_f": rep.z_f,
-        "swap_tors": swap,
+        "swap_tors": swap.primary_part(l).torsion_order,
     }
 
 
@@ -538,7 +556,9 @@ def _q_power(p: int, a: int, chi: Fraction) -> Fraction:
 
 def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     _require_comparable(x, y)
-    rho, nstar = _ratio_limit(x, y)
+    _check_caps(x.a, x.rank, y.rank)
+    # rho pairs a_i = b_j, and N* the product of (1 - b_j/a_i) over the rest
+    rho, nstar = ratio_limit(x.charpoly, y.charpoly)
     basis = _hom_lattice(x, y, rho)
     disc = _discriminant(basis, _hom_lattice(y, x, rho))
     p = x.p
@@ -553,9 +573,20 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     per_prime: dict[int, dict] = {}
     hom_tors, ext2 = 1, 1
     ext1_order = 1
+    # away from p and the exceptional primes both local modules are the
+    # companion lattices of the charpolys, the same integer matrices at
+    # every l, with det U = ±p^k an l-unit: their data is built once and
+    # localized at each such l
+    shared = None
     for l in sorted(support):
-        d = _p_side(x, y, rho, leading) if l == p \
-            else _l_side(x, y, l, rho, nstar)
+        if l == p:
+            d = _p_side(x, y, rho, leading)
+        elif l in x.exceptional or l in y.exceptional:
+            d = _l_side(_l_data(x, y, l), l, rho, nstar)
+        else:
+            if shared is None:
+                shared = _l_data(x, y, l)
+            d = _l_side(shared, l, rho, nstar)
         per_prime[l] = d
         hom_tors *= d["hom_tors"]
         ext2 *= d["ext2"]

@@ -13,8 +13,6 @@ known exactly.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .exact import PrecisionError, int_valuation, is_prime
 
 
@@ -160,11 +158,15 @@ def _pm_pow(u, e, h, ppow):
 
 
 def first_irreducible(p: int, a: int) -> list[int]:
-    """Lexicographically first monic degree-a polynomial irreducible mod p."""
+    """Lexicographically first monic degree-a polynomial irreducible mod p,
+    its coefficients read as the base-p digits of a counter (constant term
+    most significant).  For a > 1 it has a nonzero constant term (else x
+    divides it), so the count starts past the p^(a-1) candidates with
+    constant term 0."""
     if a == 1:
         return [0, 1]
-    for low in product(range(p), repeat=a):
-        h = list(low) + [1]
+    for n in range(p ** (a - 1), p ** a):
+        h = [n // p ** (a - 1 - i) % p for i in range(a)] + [1]
         if _is_irreducible(h, p):
             return h
     raise RuntimeError("unreachable: irreducibles exist in every degree")

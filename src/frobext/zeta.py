@@ -31,12 +31,11 @@ from .exact import (
     composed_product,
     poly_deg,
     poly_deriv,
-    poly_divmod,
     poly_eval,
     poly_gcd_monic,
-    poly_int,
     poly_mul,
     poly_quo_monic,
+    poly_trim,
     power_sums,
     prime_power,
 )
@@ -55,13 +54,13 @@ class VarietyDescriptor:
 
 
 def _pieces_to_weil(pieces) -> list[int]:
-    """Expand [(monic charpoly, mult)] into P(t) = prod(1 - b t)."""
-    acc = [Fraction(1)]
+    """Expand [(monic charpoly, mult)] into P(t) = prod(1 - b t), over Z."""
+    acc = [1]
     for cp, mult in pieces:
         rev = list(reversed(cp))  # prod(t - b) -> prod(1 - b t)
         for _ in range(mult):
             acc = poly_mul(acc, rev)
-    return poly_int(acc)
+    return acc
 
 
 def projective_space(q: int, n: int) -> VarietyDescriptor:
@@ -92,6 +91,11 @@ def _weierstrass_long(coefficients) -> tuple:
     raise ValueError("expected [a4, a6] or [a1, a2, a3, a4, a6]")
 
 
+# the count takes one modular power per x, about 2.3 µs each: 2.3 s at the
+# cap (CHANGES.md has the timings)
+MAX_CURVE_PRIME = 10 ** 6
+
+
 def elliptic_point_count(p: int, coefficients) -> int:
     """#E(F_p) for y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6, including
     the point at infinity; rejects singular curves.
@@ -100,11 +104,14 @@ def elliptic_point_count(p: int, coefficients) -> int:
     v = 4(x^3 + a2 x^2 + a4 x + a6) + (a1 x + a3)^2, and y -> 2y + a1 x + a3
     is a bijection of F_p, so each x carries 1 + (v(x)/p) points; the
     Legendre symbol comes from Euler's criterion.  p = 2 is counted
-    directly.
+    directly, and p above MAX_CURVE_PRIME is refused (ValueError).
 
     >>> elliptic_point_count(5, [1, 1])
     9
     """
+    if p > MAX_CURVE_PRIME:
+        raise ValueError("elliptic curves are counted over primes up to the"
+                         " cap of %d; got p = %d" % (MAX_CURVE_PRIME, p))
     a1, a2, a3, a4, a6 = _weierstrass_long(coefficients)
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
@@ -203,7 +210,7 @@ def product(v: VarietyDescriptor, w: VarietyDescriptor) -> VarietyDescriptor:
         for jb, row_b in enumerate(w.pieces):
             for fa, ma in row_a:
                 for fb, mb in row_b:
-                    prod_poly = poly_int(composed_product(fa, fb))
+                    prod_poly = composed_product(fa, fb)
                     for g, mg in _squarefree_split(prod_poly):
                         for h, mh in _integer_root_split(g, p):
                             _push(ja + jb, h, ma * mb * mg * mh)
@@ -258,25 +265,29 @@ def point_count(v: VarietyDescriptor, n: int = 1) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    total = Fraction(0)
+    total = 0
     for j, row in enumerate(v.pieces):
         sign = -1 if j % 2 else 1
         for cp, mult in row:
-            tr = power_sums(cp, n)[-1] if poly_deg(cp) else Fraction(0)
+            tr = power_sums(cp, n)[-1] if poly_deg(cp) else 0
             total += sign * mult * tr
-    if total.denominator != 1 or total < 0:
+    if total < 0:
         raise RuntimeError("inconsistent Frobenius data")
-    return int(total)
+    return total
 
 
-def _strip_root(weil_poly: list, b: int) -> tuple[int, list]:
-    """Factor (1 - b t)^m out of prod(1 - b_i t); returns (m, quotient)."""
-    rest = [Fraction(c) for c in weil_poly]
+def _strip_root(weil_poly: list, b: int) -> tuple[int, Fraction]:
+    """(m, value) for P(t) = prod(1 - b_i t): m factors 1 - b t divide P,
+    and value = prod over b_i != b of (1 - b_i/b), the quotient at t = 1/b.
+    On the monic integer reversal R(t) = prod(t - b_i) (P(0) = 1): m is the
+    multiplicity of the root b, and with R' = R / (t - b)^m over Z the value
+    is R'(b) / b^deg R'."""
+    rest = list(reversed(poly_trim(weil_poly)))
     m = 0
-    while poly_deg(rest) > 0 and poly_eval(rest, Fraction(1, b)) == 0:
-        rest = poly_divmod(rest, [1, -b])[0]
+    while len(rest) > 1 and poly_eval(rest, b) == 0:
+        rest = poly_quo_monic(rest, [-b, 1])
         m += 1
-    return m, rest
+    return m, Fraction(poly_eval(rest, b), b ** (len(rest) - 1))
 
 
 def zeta_special_value(v: VarietyDescriptor, r: int) -> tuple[int, Fraction]:
@@ -295,9 +306,9 @@ def zeta_special_value(v: VarietyDescriptor, r: int) -> tuple[int, Fraction]:
     lead = Fraction(1)
     for j, pj in enumerate(v.frobenius_polys):
         sign = 1 if j % 2 else -1  # odd cohomology in the numerator
-        m, rest = _strip_root(pj, b)
+        m, value = _strip_root(pj, b)
         order += sign * m
-        lead *= poly_eval(rest, Fraction(1, b)) ** sign
+        lead *= value ** sign
     return order, lead
 
 

@@ -22,7 +22,7 @@ from .exact import (
     limit_leading,
     poly_deg,
     poly_deriv,
-    poly_gcd,
+    poly_gcd_monic,
     reversed_form,
     valuation,
 )
@@ -47,13 +47,13 @@ class HypothesisError(ValueError):
 
 
 def hypothesis_gate(ma, mb):
-    """The minimal polynomials may not share a root that is multiple in
-    either; raises HypothesisError otherwise."""
-    g = poly_gcd(ma, mb)
+    """The monic integer minimal polynomials may not share a root that is
+    multiple in either; raises HypothesisError otherwise."""
+    g = poly_gcd_monic(ma, mb)
     if poly_deg(g) < 1:
         return
-    if poly_deg(poly_gcd(g, poly_deriv(ma))) >= 1 or \
-       poly_deg(poly_gcd(g, poly_deriv(mb))) >= 1:
+    if poly_deg(poly_gcd_monic(g, poly_deriv(ma))) >= 1 or \
+       poly_deg(poly_gcd_monic(g, poly_deriv(mb))) >= 1:
         raise HypothesisError("minimal polynomials share a multiple root")
 
 
@@ -403,7 +403,7 @@ def z_invariants_map(m: GammaModule) -> Fraction | None:
     f = m.group.free_rank
     if f:
         mp = minimal_polynomial(m.free_block())
-        if poly_deg(poly_gcd(mp, [1, -2, 1])) >= 2:
+        if poly_deg(poly_gcd_monic(mp, [1, -2, 1])) >= 2:
             return None
     z = m.pair.z_f0()
     if z is None:

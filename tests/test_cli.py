@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -72,6 +73,28 @@ def test_q_above_the_primality_cap_is_an_input_error(capsys):
     assert "certified only below" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, cap", [
+    # (1, L) over F_{2^16} and F_{3^20}: θ of dimension a^3 = 4096 and 8000
+    (["ext", json.dumps({"q": 2**16, "charpoly": [-1, 1]}),
+      json.dumps({"q": 2**16, "charpoly": [-2**16, 1]})], "1024"),
+    (["ext", json.dumps({"q": 3**20, "charpoly": [-1, 1]}),
+      json.dumps({"q": 3**20, "charpoly": [-3**20, 1]})], "1024"),
+    # two rank-13 motives: an integer Hom system of dimension 169
+    (["ext", json.dumps({"q": 2, "charpoly": [-2] + [0] * 12 + [1]}),
+      json.dumps({"q": 2, "charpoly": [2] + [0] * 12 + [1]})], "144"),
+    # a curve over a prime above the point-count cap
+    (["zeta", json.dumps({"kind": "elliptic_curve", "q": 10**7 + 19,
+                          "coefficients": [1, 3], "r": 1})], "1000000"),
+])
+def test_input_caps_exit_2_at_once(capsys, argv, cap):
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "cap of %s" % cap in err
+
+
 # `ext --json` output on a fixed table of pairs: (1, L^r), (1, h1E),
 # (h1E, L^r), (L, h1E) and E x E over F_5, F_9, F_25, F_8 and F_27, then
 # pairs with l-torsion decorations: on one side or both, at one prime or two,
@@ -101,9 +124,12 @@ def test_ext_pairs_back_to_back(capsys):
 
 
 def test_one_l_adic_report_per_prime(capsys, monkeypatch):
-    # per prime l != p of the support, `ext` builds the forward and the
-    # swapped Hom once each and bar-Ext once, and takes the resultant side of
-    # the local identity from the pair's own N*: no ratio polynomial there
+    # `ext` builds the forward and the swapped Hom once each and bar-Ext once
+    # per motive pair, not per prime: away from p and the exceptional primes
+    # both local modules are the same integer companion lattices at every l,
+    # and each such l reads its report off that one build.  An exceptional
+    # prime keeps its own build.  The resultant side of each local identity
+    # comes from the pair's own N*: no ratio polynomial there
     built = {"hom_module": 0, "ext1_bar_module": 0}
     in_l_side, ratios_in_l_side = [], []
 
@@ -120,10 +146,10 @@ def test_one_l_adic_report_per_prime(capsys, monkeypatch):
     monkeypatch.setattr(galois, "ext1_bar_module",
                         counted("ext1_bar_module", bar))
 
-    def tracked_l_side(*args):
-        in_l_side.append(args[2])
+    def tracked_l_side(data, l, *args):
+        in_l_side.append(l)
         try:
-            return l_side(*args)
+            return l_side(data, l, *args)
         finally:
             in_l_side.pop()
 
@@ -132,18 +158,45 @@ def test_one_l_adic_report_per_prime(capsys, monkeypatch):
             ratios_in_l_side.append(in_l_side[-1])
         return ratio(*args)
 
+    def builds(x: str, y: str, support: list) -> int:
+        exceptional = {int(l) for m in (x, y)
+                       for l in json.loads(m).get("exceptional", {})}
+        p = min(l for l in support if json.loads(x)["q"] % l == 0)
+        shared = [l for l in support if l != p and l not in exceptional]
+        return len(exceptional & set(support)) + (1 if shared else 0)
+
     monkeypatch.setattr(motive, "_l_side", tracked_l_side)
     for mod in (exact, galois, motive, crystal):
         if getattr(mod, "ratio_charpoly", None) is ratio:
             monkeypatch.setattr(mod, "ratio_charpoly", tracked_ratio)
+    shared_only = with_exceptional = 0
     for row in EXT_TABLE:
         built.update(hom_module=0, ext1_bar_module=0)
         code, out = run(capsys, ["ext", row["x"], row["y"], "--json"])
         assert (code, out) == (0, row["stdout"])
-        primes = len(json.loads(out)["support"]) - 1  # the support holds p
-        assert built == {"hom_module": 2 * primes,
-                         "ext1_bar_module": primes}, row
+        support = json.loads(out)["support"]
+        n = builds(row["x"], row["y"], support)
+        assert built == {"hom_module": 2 * n, "ext1_bar_module": n}, row
+        if n and "exceptional" in row["x"] + row["y"]:
+            with_exceptional += 1
+        elif len(support) > 2:
+            shared_only += 1  # several primes l != p, one build
+    assert shared_only and with_exceptional
     assert ratios_in_l_side == []
+    # (1 with torsion at 2, L^2) over F_5: N* = -24, so the support is
+    # {2, 3, 5}; 3 reads the shared build, 2 its own
+    x = json.dumps({"q": 5, "charpoly": [-1, 1], "exceptional": {
+        "2": {"torsion": [2], "torsion_frobenius": [[1]]}}})
+    y = json.dumps({"q": 5, "charpoly": [-25, 1]})
+    built.update(hom_module=0, ext1_bar_module=0)
+    code, out = run(capsys, ["ext", x, y, "--json"])
+    assert code == 0 and json.loads(out)["support"] == [2, 3, 5]
+    assert built == {"hom_module": 4, "ext1_bar_module": 2}
+    built.update(hom_module=0, ext1_bar_module=0)
+    code, out = run(capsys, ["ext", json.dumps({"q": 5, "charpoly": [-1, 1]}),
+                             y, "--json"])
+    assert code == 0 and json.loads(out)["support"] == [2, 3, 5]
+    assert built == {"hom_module": 2, "ext1_bar_module": 1}
     # the l-adic identity on its own reads both Hom and bar-Ext once
     built.update(hom_module=0, ext1_bar_module=0)
     m = GaloisModule(3, 2, [[2, 1], [1, 1]], (3, 9), [[1, 0], [3, 2]])

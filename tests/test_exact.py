@@ -15,9 +15,7 @@ from frobext.exact import (
     poly_add,
     poly_divmod,
     poly_eval,
-    poly_gcd,
     poly_gcd_monic,
-    poly_monic,
     poly_mul,
     poly_quo_monic,
     poly_trim,
@@ -25,11 +23,14 @@ from frobext.exact import (
     prime_factors,
     prime_power,
     ratio_charpoly,
+    ratio_limit,
     resultant,
     reversed_form,
-    reversed_root_poly,
     valuation,
 )
+
+import fraction_poly as fq
+from fraction_poly import poly_gcd, reversed_root_poly
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 small_primes = st.sampled_from([2, 3, 5, 7, 11, 13])
@@ -182,7 +183,6 @@ def _lagrange_composed_product(u: list, v: list) -> list:
     """Reference for composed_product by an independent route: the resultant
     Res_t(u(t), t^{deg v} v(x/t)) at deg u * deg v + 1 integer points x,
     followed by exact Lagrange interpolation."""
-    u, v = poly_monic(u), poly_monic(v)
     du, dv = len(u) - 1, len(v) - 1
     n = du * dv
     if n == 0:
@@ -191,7 +191,7 @@ def _lagrange_composed_product(u: list, v: list) -> list:
     ys = []
     for x0 in xs:
         # w(t) = t^dv * v(x0/t) = sum_m v_m x0^m t^(dv-m)
-        w = [Fraction(0)] * (dv + 1)
+        w = [0] * (dv + 1)
         for m, vm in enumerate(v):
             w[dv - m] = vm * x0 ** m
         ys.append(resultant(u, poly_trim(w)))
@@ -226,29 +226,34 @@ monic_integer_polys = st.lists(st.integers(min_value=-6, max_value=6),
 @settings(max_examples=60, deadline=None)
 @given(monic_integer_polys, monic_integer_polys)
 def test_composed_product_random(u, v):
+    # integer input, integer output: the Newton divisions are exact
     got = composed_product(u, v)
     assert len(got) == (len(u) - 1) * (len(v) - 1) + 1
-    assert all(type(c) is Fraction for c in got)
+    assert all(type(c) is int for c in got)
     assert got == _lagrange_composed_product(u, v)
+    assert got == fq.composed_product(u, v)
 
 
 def test_ratio_charpoly_examples():
-    # single eigenvalue pair a=1, b=q^r
+    # single eigenvalue pair a=1, b=q^r; c = p(0) = -1 scales the ratio 9
     q, r = 3, 2
-    assert ratio_charpoly([-1, 1], [-q**r, 1]) == [Fraction(-9), Fraction(1)]
-    # roots {1,2} and {2}: ratios 2 and 1
+    assert ratio_charpoly([-1, 1], [-q**r, 1]) == [9, 1]
+    assert ratio_limit([-1, 1], [-q**r, 1]) == (0, 1 - q**r)
+    # roots {1,2} and {2}: ratios 2 and 1, scaled by c = 2 to 4 and 2
     p = poly_mul([-1, 1], [-2, 1])
     got = ratio_charpoly(p, [-2, 1])
-    assert got == poly_monic(poly_mul([-2, 1], [-1, 1]))
+    assert got == poly_mul([-4, 1], [-2, 1])
+    assert ratio_limit(p, [-2, 1]) == (1, -1)
 
 
 def test_ratio_charpoly_never_materializes_roots():
-    # irrational eigenvalues: ratio polynomial still exact rational
+    # irrational eigenvalues: the scaled ratio polynomial is still integer
     p = [-1, -1, 1]  # golden ratio pair
     got = ratio_charpoly(p, p)
-    # ratios: 1, 1, phi/psi, psi/phi; sum of latter two = (p1^2 - 2 p2)/p2...
+    # scaled ratios c * (1, 1, phi/psi, psi/phi) with c = p(0) = -1
     assert len(got) == 5 and got[-1] == 1
-    rho, lead = limit_leading(reversed_form(got))
+    assert all(type(c) is int for c in got)
+    rho, lead = ratio_limit(p, p)
     assert rho == 2  # exactly the two equal-eigenvalue pairs
     # prod over ratios != 1 of (1 - r) = (1-phi/psi)(1-psi/phi) = 2 - (phi^2+psi^2)/(phi psi)
     assert lead == Fraction(2) - Fraction(3, -1)
@@ -262,6 +267,9 @@ def test_limit_leading():
     assert (rho, lead) == (1, 1)
     rho, lead = limit_leading([2, 1])
     assert (rho, lead) == (0, 3)
+    # the reversed form of a monic integer polynomial stays integer
+    rho, lead = limit_leading(reversed_form([2, -3, 1]))  # roots 1, 2
+    assert (rho, lead) == (1, -1) and type(lead) is int
 
 
 def test_reversed_root_poly():
@@ -274,3 +282,70 @@ def test_reversed_root_poly():
 
 def test_power_sums():
     assert power_sums([6, -5, 1], 3) == [5, 13, 35]
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the rational routes they replaced
+
+
+integer_polys = st.lists(st.integers(min_value=-9, max_value=9),
+                         min_size=1, max_size=6).map(poly_trim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monic_integer_polys, st.integers(min_value=0, max_value=12))
+def test_power_sums_vs_fraction(m, n):
+    got = power_sums(m, n)
+    assert all(type(x) is int for x in got)
+    assert got == fq.power_sums(m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_polys, integer_polys)
+def test_resultant_vs_fraction_euclid(f, g):
+    # any integer inputs, leading coefficients other than 1 included
+    got = resultant(f, g)
+    assert type(got) is int
+    assert got == fq.resultant(f, g)
+
+
+monic_nonzero_constant = monic_integer_polys.filter(lambda c: c[0] != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monic_nonzero_constant, monic_integer_polys)
+def test_ratio_charpoly_vs_fraction_route(p, q):
+    # the integer polynomial is the rational ratio polynomial with its
+    # roots scaled by c = p(0), and (rho, N*) agree with the rational route
+    got = ratio_charpoly(p, q)
+    assert all(type(x) is int for x in got)
+    rational = fq.ratio_charpoly(p, q)
+    n, c = len(got) - 1, p[0]
+    assert len(rational) == n + 1
+    assert [Fraction(x, c ** (n - k)) for k, x in enumerate(got)] == rational
+    assert ratio_limit(p, q) == fq.ratio_limit(p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=0,
+                max_size=5))
+def test_limit_leading_vs_fraction(roots):
+    # prod (1 - c t) with repeated 1s among the c
+    monic = [1]
+    for c in roots:
+        monic = poly_mul(monic, [-c, 1])
+    rev = reversed_form(monic)
+    got = limit_leading(rev)
+    assert type(got[1]) is int and got == fq.limit_leading(rev)
+    assert got[0] == roots.count(1)
+
+
+def test_integer_kernels_refuse_other_input():
+    for bad in ([2, 2], [1, 3], []):  # leading 2 or 3, or zero
+        with pytest.raises(ValueError, match="monic"):
+            power_sums(bad, 2)
+    with pytest.raises(ValueError, match="p\\(0\\)"):
+        ratio_charpoly([0, 1], [-2, 1])
+    # a non-integer monic input leaves a remainder in Newton's identities
+    with pytest.raises(RuntimeError, match="remainder"):
+        composed_product([Fraction(1, 2), 0, 1], [-1, 1])

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobext.exact import poly_eval
@@ -191,3 +192,21 @@ def test_kernel_basis_saturated():
         assert all(sum(row[i] * v[i] for i in range(3)) == 0 for row in a)
     s = smith_normal_form(k)
     assert s.diagonal == [1, 1]
+
+
+@settings(max_examples=100)
+@given(int_matrices(n_max=4, lo=-5, hi=5))
+def test_minimal_polynomial_is_integer(a):
+    # Gauss's lemma: the monic minimal polynomial of an integer matrix is
+    # integer, on the Krylov route as on the companion one
+    m = minimal_polynomial(a)
+    assert all(type(c) is int for c in m) and m[-1] == 1
+    assert _annihilates(m, a)
+
+
+def test_companion_takes_monic_integer_polynomials():
+    assert companion([6, -5, 1]) == [[0, -6], [1, 5]]
+    assert all(type(x) is int for row in companion([3, 0, 1]) for x in row)
+    for bad in ([2, 4], [1, 2, 2], [Fraction(1, 2), 1], []):
+        with pytest.raises(ValueError, match="monic"):
+            companion(bad)

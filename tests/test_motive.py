@@ -262,3 +262,41 @@ def test_twist_random(pair, r):
     assert tw.charpoly == [e.charpoly[i] * q ** (r * (n - i))
                            for i in range(n + 1)]
     assert verify_global_identity(unit_motive(q), tw)["equal"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=0, max_size=5),
+       st.lists(st.sampled_from([[1, 0, 1], [5, -3, 1], [-3, 0, 1]]),
+                max_size=2))
+def test_squarefree_check_vs_fraction_gcd(roots, quadratics):
+    from fraction_poly import poly_gcd
+    from frobext.exact import poly_deg, poly_deriv, poly_mul
+    from frobext.motive import _is_squarefree
+    c = [1]
+    for f in [[-r, 1] for r in roots] + quadratics:
+        c = poly_mul(c, f)
+    assert _is_squarefree(c) == (poly_deg(c) < 2 or
+                                 poly_deg(poly_gcd(c, poly_deriv(c))) < 1)
+
+
+def test_input_caps():
+    from frobext.motive import MAX_HOM_DIM, MAX_THETA_DIM, _check_caps
+    # at the caps, and one past them
+    _check_caps(10, 1, 1)      # a^3 = 1000
+    _check_caps(4, 4, 4)       # 1024
+    _check_caps(1, 12, 12)     # 144
+    _check_caps(1, 1, 144)
+    for args, cap in (((11, 1, 1), MAX_THETA_DIM), ((2, 11, 12), MAX_THETA_DIM),
+                      ((1, 12, 13), MAX_HOM_DIM)):
+        with pytest.raises(ValueError, match="cap of %d" % cap):
+            _check_caps(*args)
+    # a motive that exceeds a cap against a rank-one partner is refused
+    # before its Witt ring is built; a pair above a cap before any local
+    # computation
+    with pytest.raises(ValueError, match="1024"):
+        Motive(2 ** 16, [-1, 1])
+    with pytest.raises(ValueError, match="144"):
+        Motive(2, [-2] + [0] * 144 + [1])
+    x = Motive(2, [-2] + [0] * 12 + [1])
+    with pytest.raises(ValueError, match="ranks 13 and 13"):
+        global_ext_orders(x, x)

@@ -141,3 +141,25 @@ def test_sigma_checks_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.stdout == "sigma image must be a root of the modulus\n"
+
+
+def test_first_irreducible_skips_zero_constant_terms():
+    # the same polynomial as the plain lexicographic search over all p^a
+    # candidates, which it skips the p^(a-1) multiples of x of
+    from itertools import product
+
+    from frobext.witt import _is_irreducible
+
+    def by_enumeration(p, a):
+        for low in product(range(p), repeat=a):
+            if _is_irreducible(list(low) + [1], p):
+                return list(low) + [1]
+
+    for p in (2, 3, 5, 7):
+        for a in (2, 3, 4):
+            assert first_irreducible(p, a) == by_enumeration(p, a)
+    # the enumeration would pass about p candidates with constant term 0
+    # here; the ring over F_{p^2}, p = 10^17 + 3, builds at once
+    p = 10**17 + 3
+    h = first_irreducible(p, 2)
+    assert h[0] == 1 and _is_irreducible(h, p)

@@ -11,14 +11,13 @@ from frobext.exact import (
     poly_deriv,
     poly_divmod,
     poly_eval,
-    poly_gcd,
     poly_gcd_monic,
-    poly_int,
-    poly_monic,
     poly_mul,
 )
 from frobext.zeta import (
+    MAX_CURVE_PRIME,
     _integer_root_split,
+    _pieces_to_weil,
     _squarefree_split,
     _weierstrass_long,
     chi_coherent,
@@ -33,6 +32,8 @@ from frobext.zeta import (
     verify_variety_identity,
     zeta_special_value,
 )
+
+from fraction_poly import poly_gcd, poly_int, poly_monic
 
 
 def brute_point_count(p: int, coefficients) -> int:
@@ -177,6 +178,58 @@ def test_integer_split_vs_fraction_split(p, draws):
         assert _integer_root_split(g, p) == integer_root_split_fraction(g, p)
     g = poly_deriv(f)
     assert poly_gcd_monic(f, g) == poly_int(poly_gcd(f, g))
+
+
+def special_value_fraction(polys: list, q: int, r: int):
+    """Order and leading coefficient at s = r by Fraction division of each
+    P_j by 1 - q^r t and evaluation at t = q^-r: the oracle for the
+    integer strip on the monic reversal."""
+    b = q ** r
+    order, lead = 0, Fraction(1)
+    for j, pj in enumerate(polys):
+        sign = 1 if j % 2 else -1
+        rest, m = [Fraction(c) for c in pj], 0
+        while poly_deg(rest) > 0 and poly_eval(rest, Fraction(1, b)) == 0:
+            rest = poly_divmod(rest, [1, -b])[0]
+            m += 1
+        order += sign * m
+        lead *= poly_eval(rest, Fraction(1, b)) ** sign
+    return order, lead
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]),
+       st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                min_size=1, max_size=3),
+       st.lists(st.integers(1, 3), max_size=2), st.integers(0, 3))
+def test_integer_special_value_vs_fraction(p, draws, mults, r):
+    # P_j from pieces with multiplicities, stripped of their 1 - q^r t
+    # factors on integers, against Fraction division
+    f = _products(p, draws)
+    pieces = [(g, m) for (g, _), m in zip(_squarefree_split(f),
+                                          mults + [1] * 8)]
+    weil = _pieces_to_weil(pieces)
+    assert all(type(c) is int for c in weil)
+    expanded = [Fraction(1)]
+    for g, m in pieces:
+        for _ in range(m):
+            expanded = poly_mul(expanded, list(reversed(g)))
+    assert weil == poly_int(expanded)
+    polys = [weil, [1, -p], weil]
+    v = projective_space(p, 1)
+    v.frobenius_polys = polys
+    assert zeta_special_value(v, r) == special_value_fraction(polys, p, r)
+
+
+def test_curve_prime_cap():
+    # refused at once above the cap, with the cap in the message
+    start = time.perf_counter()
+    for p in (MAX_CURVE_PRIME + 3, 10**7 + 19):
+        with pytest.raises(ValueError, match="cap of %d" % MAX_CURVE_PRIME):
+            elliptic_point_count(p, [1, 3])
+        with pytest.raises(ValueError, match="cap"):
+            elliptic_curve(p, [1, 3])
+    assert time.perf_counter() - start < 1
 
 
 def test_special_value_anchors():

@@ -204,3 +204,39 @@ def test_group_hom_validation():
         # Z/4 -> Z/8 by 1 is not well defined
         GroupHom(Presentation(1, [[4]]), Presentation(1, [[8]]), [[1]])
     GroupHom(Presentation(1, [[4]]), Presentation(1, [[8]]), [[2]])  # x -> 2x is
+
+
+def _gate_fraction(ma, mb) -> bool:
+    """The hypothesis gate over Q with Fraction gcds: the oracle for the
+    integer gate."""
+    from fraction_poly import poly_gcd
+    from frobext.exact import poly_deg, poly_deriv
+    g = poly_gcd(ma, mb)
+    return poly_deg(g) < 1 or (poly_deg(poly_gcd(g, poly_deriv(ma))) < 1
+                               and poly_deg(poly_gcd(g, poly_deriv(mb))) < 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=0, max_size=4),
+       st.lists(st.integers(-3, 3), min_size=0, max_size=4),
+       st.lists(st.sampled_from([[1, 0, 1], [-2, 0, 1], [1, 1, 1]]),
+                max_size=2))
+def test_hypothesis_gate_vs_fraction_gcd(roots_a, roots_b, quadratics):
+    # products of linear factors (repeats included) and irreducible
+    # quadratics, shared or not
+    from frobext.exact import poly_mul
+    ma, mb = [1], [1]
+    for r in roots_a:
+        ma = poly_mul(ma, [-r, 1])
+    for r in roots_b:
+        mb = poly_mul(mb, [-r, 1])
+    for k, f in enumerate(quadratics):
+        ma = poly_mul(ma, f)
+        if k:
+            mb = poly_mul(mb, f)
+    try:
+        zgamma.hypothesis_gate(ma, mb)
+        passed = True
+    except zgamma.HypothesisError:
+        passed = False
+    assert passed == _gate_fraction(ma, mb)
