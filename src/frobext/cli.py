@@ -11,15 +11,15 @@ Three subcommands:
                 variety described in JSON.
 
 Exit codes: 0 verified, 1 a verification failed, 2 bad input (an input
-above a size cap included: see `motive.MAX_HOM_DIM`, `motive.MAX_THETA_DIM`
-and `zeta.MAX_CURVE_PRIME`), 3 the hypothesis of the local theorem is
-violated, 4 p-adic precision could not be certified, 5 an internal
-consistency check failed.  Only `verify-local`
+above a size cap included: see `motive.MAX_HOM_DIM`, `motive.MAX_THETA_DIM`,
+`zeta.MAX_CURVE_PRIME` and `exact.RHO_STEPS`), 3 the hypothesis of the local
+theorem is violated, 4 p-adic precision could not be certified, 5 an
+internal consistency check failed.  Only `verify-local`
 takes a working precision (--precision, env FROBEXT_PRECISION) and can exit
-4: a motive's crystal is a special module, certified from its polynomials,
-so `ext` and `zeta` never do.  JSON output is deterministic (sorted keys); a
-failing random case is written to a replay file so the exact instance can
-be re-run.
+4: at p a motive pair is read as the special modules of its two charpolys,
+certified from those polynomials, so `ext` and `zeta` never do.  JSON
+output is deterministic (sorted keys); a failing random case is written to
+a replay file so the exact instance can be re-run.
 """
 
 from __future__ import annotations

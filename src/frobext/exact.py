@@ -73,6 +73,12 @@ def l_primary(x, p: int) -> Fraction:
 # Math. Comp. 86, 2017)
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
+# the rho steps one factorization may take.  Splitting off a prime factor f
+# takes about sqrt(f) steps, so factors up to about 10^11 are found (a
+# product of two near 10^11 takes 0.8 million); at about 0.6 µs a step a
+# refused input fails within a second, where p^2 + p + 1 for p = 10^17 + 3
+# (a factor near 3·10^13) took 16 million steps
+RHO_STEPS = 2_000_000
 
 
 def is_prime(n: int) -> bool:
@@ -124,13 +130,19 @@ def _iroot(n: int, k: int) -> int:
 _TRIAL_BOUND = 1000
 
 
-def _rho_factor(n: int) -> int:
-    """A proper factor of an odd composite n, by Brent's variant of
-    Pollard's rho (Brent, BIT 20, 1980): x -> x^2 + c from x = 2, the
-    differences multiplied in batches of 128 before one gcd."""
+def _rho_factor(n: int, steps: int) -> tuple[int, int]:
+    """(a proper factor of an odd composite n, the steps left of `steps`),
+    by Brent's variant of Pollard's rho (Brent, BIT 20, 1980): x -> x^2 + c
+    from x = 2, the differences multiplied in batches of 128 before one
+    gcd.  Raises ValueError when the steps run out."""
     for c in range(1, n):
         y, r, acc, g = 2, 1, 1, 1
         while g == 1:
+            # the batches below take at most r more steps than this
+            steps -= 2 * r
+            if steps < 0:
+                raise ValueError("factoring %d takes more than the cap of %d"
+                                 " rho steps" % (n, RHO_STEPS))
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -149,7 +161,7 @@ def _rho_factor(n: int) -> int:
                 saved = (saved * saved + c) % n
                 g = gcd(abs(x - saved), n)
         if g != n:
-            return g
+            return g, steps
     raise RuntimeError("no rho sequence splits %d" % n)
 
 
@@ -157,7 +169,8 @@ def prime_factors(n: int) -> list[int]:
     """Sorted distinct prime factors of |n|, n nonzero: trial division
     below _TRIAL_BOUND, then Pollard-Brent rho on the cofactor, each part
     checked by `is_prime` (so a probable prime above PRIME_BOUND raises
-    ValueError).
+    ValueError).  Rho takes at most RHO_STEPS steps in all; past them
+    ValueError names the cap.
 
     >>> prime_factors(2 * (10**9 + 7) * (10**9 + 9))
     [2, 1000000007, 1000000009]
@@ -174,12 +187,13 @@ def prime_factors(n: int) -> list[int]:
                 n //= d
         d += 1 if d == 2 else 2
     parts = [n] if n > 1 else []
+    steps = RHO_STEPS
     while parts:
         x = parts.pop()
         if x < _TRIAL_BOUND ** 2 or is_prime(x):
             out.add(x)
         else:
-            f = _rho_factor(x)
+            f, steps = _rho_factor(x, steps)
             parts += [f, x // f]
     return sorted(out)
 

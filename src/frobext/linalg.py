@@ -2,8 +2,8 @@
 
 Matrices are lists of rows; maps act on column vectors.  Integer routines
 never leave Z; rational ones use Fraction.  Smith normal form tracks the
-unimodular transforms on both sides (and the inverse of the left one) so
-callers can move between coordinates.
+unimodular transforms on both sides so callers can move between
+coordinates.
 """
 
 from __future__ import annotations
@@ -212,7 +212,6 @@ class SNF:
 
     d: Matrix
     left: Matrix
-    left_inv: Matrix
     right: Matrix
 
     @property
@@ -229,14 +228,12 @@ def smith_normal_form(a: Matrix) -> SNF:
     """Diagonalize over Z, smallest-pivot selection with intermediate reduction."""
     m, n = dims(a)
     d = mat_copy(a)
-    left, left_inv = identity(m), identity(m)
+    left = identity(m)
     right = identity(n)
 
     def row_op(i, j, q):  # row_i -= q * row_j
         d[i] = [x - q * y for x, y in zip(d[i], d[j])]
         left[i] = [x - q * y for x, y in zip(left[i], left[j])]
-        for r in range(m):  # left_inv: col_j += q * col_i
-            left_inv[r][j] += q * left_inv[r][i]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in range(m):
@@ -247,8 +244,6 @@ def smith_normal_form(a: Matrix) -> SNF:
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
         left[i], left[j] = left[j], left[i]
-        for r in range(m):
-            left_inv[r][i], left_inv[r][j] = left_inv[r][j], left_inv[r][i]
 
     def col_swap(i, j):
         for r in range(m):
@@ -309,9 +304,7 @@ def smith_normal_form(a: Matrix) -> SNF:
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
             left[i] = [-x for x in left[i]]
-            for r in range(m):
-                left_inv[r][i] = -left_inv[r][i]
-    return SNF(d, left, left_inv, right)
+    return SNF(d, left, right)
 
 
 def kernel_basis(a: Matrix) -> Matrix:
@@ -326,14 +319,11 @@ def kernel_basis(a: Matrix) -> Matrix:
 
 
 def column_lattice_basis(a: Matrix) -> Matrix:
-    """Basis (as columns) of the lattice generated by the columns of A."""
-    m, n = dims(a)
+    """Basis (as columns) of the lattice generated by the columns of A: the
+    first rank(A) columns of A·R, since A·R = L⁻¹·D with R unimodular."""
     s = smith_normal_form(a)
-    basis = []
-    for i, di in enumerate(s.diagonal):
-        if di != 0:
-            basis.append([di * s.left_inv[r][i] for r in range(m)])
-    return transpose(basis) if basis else [[] for _ in range(m)]
+    r = s.rank
+    return [row[:r] for row in mat_mul(a, s.right)]
 
 
 def lattice_solve(a: Matrix, b: Matrix) -> Matrix | None:

@@ -1,6 +1,6 @@
 """Motives over F_q carried as a Frobenius characteristic polynomial with the
-standard lattice at every good prime, optional torsion at finitely many
-exceptional primes l != p, and a cyclic F-crystal at p.
+standard lattice at every good prime and optional torsion at finitely many
+exceptional primes l != p; at p the charpoly determines the cyclic F-crystal.
 
 Global Hom is the integer commutation lattice of the charpoly companions;
 global Ext orders are assembled prime by prime from the l-adic and p-adic
@@ -26,22 +26,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
-from .crystal import (
-    Crystal,
-    crystal_charpoly,
-    ext_presentation,
-    local_lhs,
-    special_module,
-)
+from .crystal import ext_presentation, local_lhs, special_module
 from .exact import (
     abs_at,
     int_valuation,
     poly_deg,
     poly_deriv,
     poly_gcd_monic,
-    poly_pow,
     prime_factors,
     prime_power,
     ratio_limit,
@@ -64,16 +58,18 @@ from .linalg import (
 from .witt import WittRing
 from .zgamma import HypothesisError
 
-# the working precision of the Witt ring a motive builds for its special
-# module; θ and the derivative map of a special module are certified from
-# its polynomials, so no answer depends on it
+# the working precision of the Witt ring the p-side builds its special
+# modules over; θ and the derivative map of a special module are certified
+# from its polynomials, so no answer depends on it
 _RING_PRECISION = 20
+# fields whose Witt ring (and its lifts) a process keeps
+_RINGS_KEPT = 16
 
 # input caps.  A pair's integer Hom lattice is d_X·d_Y square and its θ is
 # a³·d_X·d_Y square (a the residue degree, d the rank).  `_assemble` refuses
 # a pair above either cap, and a motive that would exceed one even against
-# a rank-one partner is refused before its Witt ring is built.  At the caps
-# a pair takes a few seconds (CHANGES.md has the timings).
+# a rank-one partner is refused when it is constructed.  At the caps a pair
+# takes a few seconds (CHANGES.md has the timings).
 MAX_HOM_DIM = 144
 MAX_THETA_DIM = 1024
 
@@ -124,22 +120,23 @@ def newton_slopes(c: list[int], p: int, a: int) -> list[Fraction]:
 
 class Motive:
     """An effective motive, determined by q, a monic squarefree integer
-    charpoly with constant term +-(power of p), torsion decorations at
-    exceptional primes, and an F-crystal at p.
+    charpoly with constant term +-(power of p) and torsion decorations at
+    exceptional primes.
 
     The default local lattice at l != p is the companion lattice of the
     charpoly; an exceptional entry keeps that free part (the serialized form
     carries no comparison data that could glue a different one) and adds a
-    finite l-primary torsion module.  At p the motive carries the cyclic
-    module W_sigma[F] / (charpoly(F^a)); for a = 1 this is the companion
-    crystal itself, for a > 1 it is the scalar restriction, whose invariants
-    are exact a^2-th powers of the motive's own (extracted with a check
-    wherever they are consumed).
+    finite l-primary torsion module.  At p the charpoly fixes the crystal:
+    the cyclic module W_sigma[F] / (charpoly(F^a)), which the p-side of a
+    pair builds (`_p_side`).  For a = 1 this is the companion crystal
+    itself, for a > 1 the scalar restriction, whose invariants are exact
+    a^2-th powers of the motive's own (extracted with a check wherever they
+    are consumed).
     """
 
     def __init__(self, q: int, charpoly: list[int],
                  exceptional: dict[int, GaloisModule] | None = None,
-                 crystal: Crystal | None = None, twist: int = 0):
+                 twist: int = 0):
         p, a = prime_power(q)
         self.q, self.p, self.a = q, p, a
         cp = [int(c) for c in charpoly]
@@ -174,31 +171,13 @@ class Motive:
             if mod.rank != self.rank:
                 raise ValueError("exceptional free rank differs from deg P")
             self.exceptional[l] = mod
-        if self.rank == 0:
-            if crystal is not None:
-                raise ValueError("a finite motive carries no crystal")
-            self.crystal = None
-        elif crystal is None:
-            ring = WittRing(p, a, _RING_PRECISION)
-            self.crystal = special_module(ring, cp)
-        else:
-            if (crystal.ring.p, crystal.ring.a) != (p, a):
-                raise ValueError("crystal lives over the wrong Witt ring")
-            if crystal.kind != "free":
-                raise ValueError("the crystal of a motive is torsion-free")
-            want = cp if a == 1 else poly_pow(cp, a)
-            if crystal_charpoly(crystal) != want:
-                raise ValueError("crystal charpoly disagrees with the motive")
-            if a > 1 and list(crystal.special_poly or ()) != cp:
-                raise ValueError("over a proper extension only the cyclic"
-                                 " module derived from the charpoly is"
-                                 " supported")
-            self.crystal = crystal
 
     def local_module(self, l: int) -> GaloisModule:
         """The l-adic lattice: exceptional entry if present, else companion."""
         if l == self.p:
-            raise ValueError("use .crystal at the characteristic")
+            raise ValueError("the module at the characteristic is the"
+                             " special module of the charpoly"
+                             " (crystal.special_module)")
         if l in self.exceptional:
             return self.exceptional[l]
         return GaloisModule(l, self.q, companion(self.charpoly)
@@ -228,7 +207,7 @@ class Motive:
             tfrob = [[scale * e for e in row] for row in mod.torsion_frob]
             exc[l] = GaloisModule(l, self.q, companion(cp) if n else None,
                                   mod.torsion, tfrob)
-        return Motive(self.q, cp, exc, None, self.twist + r)
+        return Motive(self.q, cp, exc, self.twist + r)
 
     def __repr__(self):
         return "Motive(q=%d, charpoly=%s, twist=%d)" % (
@@ -425,15 +404,24 @@ def _l_side(data: tuple, l: int, rho: int, nstar: Fraction) -> dict:
     }
 
 
+@lru_cache(maxsize=_RINGS_KEPT)
+def _ring(p: int, a: int) -> WittRing:
+    """The Witt ring of F_{p^a} at `_RING_PRECISION`, built once per field
+    (its lifts to other precisions are kept on it, `at_precision`)."""
+    return WittRing(p, a, _RING_PRECISION)
+
+
 def _p_side(x: Motive, y: Motive, rho: int, leading: Fraction) -> dict:
     p = x.p
     if x.rank == 0 or y.rank == 0:
         return {"l": p, "hom_tors": 1, "ext1_torsion": 1, "ext2": 1,
                 "z_f": Fraction(1), "swap_tors": 1}
     scale = x.a * x.a
-    local = local_lhs(x.crystal, y.crystal)
+    ring = _ring(p, x.a)
+    cx, cy = special_module(ring, x.charpoly), special_module(ring, y.charpoly)
+    local = local_lhs(cx, cy)
     # equal charpolys certify through the derivative map and read no θ
-    rep = local.presentation or ext_presentation(x.crystal, y.crystal)
+    rep = local.presentation or ext_presentation(cx, cy)
     if rep.ext0.free_rank != rho * scale or rep.ext1.free_rank != rho * scale:
         raise RuntimeError("crystal Hom rank disagrees with rho")
     if rep.ext0.torsion_order != 1:

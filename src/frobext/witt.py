@@ -405,18 +405,15 @@ def padic_smith(mat: list[list[int]], p: int, K: int) -> list[int | None]:
             row[top], row[bj] = row[bj], row[top]
         pivot = work[top][top]
         unit_inv = pow(pivot // p**best, -1, ppow)
+        # only the pivot column is cleared: once it is, clearing the pivot
+        # row by column operations would touch that row alone, and no later
+        # step reads it
         for i in range(top + 1, m):
             x = work[i][top]
             if x:
                 f = (x // p**best) * unit_inv % ppow
                 for j in range(top, n):
                     work[i][j] = (work[i][j] - f * work[top][j]) % ppow
-        for j in range(top + 1, n):
-            x = work[top][j]
-            if x:
-                f = (x // p**best) * unit_inv % ppow
-                for i in range(top, m):
-                    work[i][j] = (work[i][j] - f * work[i][top]) % ppow
         vals.append(best)
         top += 1
     finite = sorted(v for v in vals if v is not None)

@@ -73,6 +73,18 @@ def test_q_above_the_primality_cap_is_an_input_error(capsys):
     assert "certified only below" in capsys.readouterr().err
 
 
+def test_factoring_cap_is_an_input_error(capsys):
+    # (1, L) at q = p^3, p = 10^17 + 3: the support needs the factors of
+    # q - 1 = (p - 1)(p^2 + p + 1), one of them near 3·10^13, past the rho cap
+    q = (10**17 + 3) ** 3
+    start = time.perf_counter()
+    code = main(["ext", json.dumps({"q": q, "charpoly": [-1, 1]}),
+                 json.dumps({"q": q, "charpoly": [-q, 1]})])
+    assert time.perf_counter() - start < 3
+    assert code == 2
+    assert "cap of %d rho steps" % exact.RHO_STEPS in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, cap", [
     # (1, L) over F_{2^16} and F_{3^20}: θ of dimension a^3 = 4096 and 8000
     (["ext", json.dumps({"q": 2**16, "charpoly": [-1, 1]}),
@@ -304,6 +316,28 @@ def test_zeta_command(capsys):
     obj = json.loads(out)
     assert obj["equal"] is True and obj["order"] == -1
     assert obj["leading"] == "4/3"
+
+
+def test_one_witt_ring_per_field(capsys, monkeypatch):
+    # every motive of a query shares (p, a): the p-side builds one Witt ring
+    # per field, plus the K+2 lift that θ is read at, whatever the number of
+    # motives and pairs
+    motive._ring.cache_clear()
+    built = []
+    init = WittRing.__init__
+
+    def counted(self, p, a, precision=20, modulus=None):
+        built.append((p, a, precision))
+        init(self, p, a, precision, modulus)
+
+    monkeypatch.setattr(WittRing, "__init__", counted)
+    curve = {"kind": "elliptic_curve", "q": 5, "coefficients": [1, 1]}
+    spec = {"kind": "product", "q": 5, "r": 1, "factors": [curve, curve]}
+    assert main(["zeta", json.dumps(spec)]) == 0
+    assert main(["ext", '{"q": 9, "charpoly": [-1, 1]}',
+                 '{"q": 9, "charpoly": [-9, 1]}']) == 0
+    capsys.readouterr()
+    assert sorted(built) == [(3, 2, 20), (3, 2, 22), (5, 1, 20), (5, 1, 22)]
 
 
 def test_zeta_product_spec(capsys):

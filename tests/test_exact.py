@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobext.exact import (
     PRIME_BOUND,
+    RHO_STEPS,
     abs_at,
     composed_product,
     is_prime,
@@ -130,6 +131,17 @@ def test_prime_factors_beyond_trial_division():
     # a probable prime above the cap is refused, as `is_prime` refuses it
     with pytest.raises(ValueError, match="certified only below"):
         prime_factors(6 * (2**89 - 1))
+
+
+def test_rho_step_cap():
+    # p^2 + p + 1 for p = 10^17 + 3 has the factor 30059956947127, which
+    # rho splits off in about 16 million steps
+    p = 10**17 + 3
+    with pytest.raises(ValueError, match="cap of %d rho steps" % RHO_STEPS):
+        prime_factors(p * p + p + 1)
+    # below the cap: p^2 - 1 needs 55 thousand steps
+    assert prime_factors(p * p - 1) == [2, 3, 7, 61, 20051, 65701, 594085421,
+                                        1246820607451]
 
 
 def test_primality_cap():

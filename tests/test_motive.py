@@ -40,8 +40,6 @@ def test_motive_validation():
         # exceptional free part must be the standard companion lattice
         Motive(5, [5, 3, 1], exceptional={
             2: GaloisModule(2, 5, [[0, -5], [-1, -3]])})
-    with pytest.raises(ValueError):
-        Motive(5, [1], crystal=unit_motive(5).crystal)  # finite, no crystal
     m = Motive(5, [5, 3, 1])
     assert m.rank == 2 and m.p == 5 and m.a == 1
 

@@ -116,7 +116,12 @@ def test_padic_smith_is_the_deeper_form_truncated(p, K, rows, cols, data):
               if i == j and exps[i] is not None else 0)
              for j in range(cols)] for i in range(rows)]
     mat = mat_mul(mat_mul(_unimodular(rnd, rows), diag), _unimodular(rnd, cols))
-    assert padic_smith(mat, p, K) == _truncate(padic_smith(mat, p, K + 4), K)
+    vals = padic_smith(mat, p, K)
+    assert vals == _truncate(padic_smith(mat, p, K + 4), K)
+    # the constructed exponents, independent of padic_smith: the multipliers
+    # are p-adic units, and a zero divisor has infinite valuation
+    finite = sorted(e for e in exps if e is not None)
+    assert vals == _truncate(finite + [None] * exps.count(None), K)
 
 
 def test_ring_reuses_its_lifts():
