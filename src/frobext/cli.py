@@ -10,8 +10,10 @@ Three subcommands:
   zeta          Special value and motivic comparison for a catalogue
                 variety described in JSON.
 
-Exit codes: 0 verified, 1 a verification failed, 2 bad input (an input
-above a size cap included: see `motive.MAX_HOM_DIM`, `motive.MAX_THETA_DIM`,
+Exit codes: 0 verified, 1 a verification failed, 2 bad input (a JSON field
+of the wrong type, named in the message, and an input above a size cap
+included: see `motive.MAX_HOM_DIM`, `motive.MAX_THETA_DIM`,
+`zeta.MAX_DIMENSION`, `zeta.MAX_BETTI`, `zeta.MAX_WEIL_BITS`,
 `zeta.MAX_CURVE_PRIME` and `exact.RHO_STEPS`), 3 the hypothesis of the local
 theorem is violated, 4 p-adic precision could not be certified, 5 an
 internal consistency check failed.  Only `verify-local`
@@ -41,7 +43,7 @@ from .crystal import verify_local_identity as verify_crystal
 from .exact import PrecisionError, is_prime
 from .galois import GaloisModule, random_admissible_pair
 from .galois import verify_local_identity as verify_galois
-from .motive import global_ext_orders, motive_from_json
+from .motive import global_ext_orders, json_int, json_object, motive_from_json
 from .witt import WittRing
 from .zeta import variety_from_spec, verify_variety_identity
 from .zgamma import HypothesisError
@@ -75,11 +77,22 @@ def _jsonable(x):
 
 
 def _emit(obj: dict, as_json: bool):
-    if as_json:
-        print(json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":")))
-    else:
-        for k in sorted(obj):
-            print("%s: %s" % (k, _jsonable(obj[k])))
+    # an exact answer may have more digits than Python's int -> str limit
+    # (4300 by default; none before 3.10.7), which guards the parsing of
+    # input; the output is printed in full
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if as_json:
+            print(json.dumps(_jsonable(obj), sort_keys=True,
+                             separators=(",", ":")))
+        else:
+            for k in sorted(obj):
+                print("%s: %s" % (k, _jsonable(obj[k])))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _read_source(text: str) -> str:
@@ -216,8 +229,8 @@ def _cmd_verify_local(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    spec = json.loads(_read_source(args.variety))
-    r = int(spec.pop("r", args.r))
+    spec = json_object(json.loads(_read_source(args.variety)), "variety")
+    r = json_int(spec.pop("r", args.r), "r")
     out = verify_variety_identity(variety_from_spec(spec), r)
     _emit(out, args.json)
     return 0 if out["equal"] else 1

@@ -77,7 +77,9 @@ PRIME_BOUND = 3317044064679887385961981
 # takes about sqrt(f) steps, so factors up to about 10^11 are found (a
 # product of two near 10^11 takes 0.8 million); at about 0.6 µs a step a
 # refused input fails within a second, where p^2 + p + 1 for p = 10^17 + 3
-# (a factor near 3·10^13) took 16 million steps
+# (a factor near 3·10^13) took 16 million steps.  A step on a number of b
+# bits costs about 1 + (b/512)^2 steps of a small one (0.7 µs at 64 bits,
+# 15 µs at 2048), and is charged so
 RHO_STEPS = 2_000_000
 
 
@@ -135,11 +137,12 @@ def _rho_factor(n: int, steps: int) -> tuple[int, int]:
     by Brent's variant of Pollard's rho (Brent, BIT 20, 1980): x -> x^2 + c
     from x = 2, the differences multiplied in batches of 128 before one
     gcd.  Raises ValueError when the steps run out."""
+    weight = 1 + n.bit_length() ** 2 // 512 ** 2
     for c in range(1, n):
         y, r, acc, g = 2, 1, 1, 1
         while g == 1:
             # the batches below take at most r more steps than this
-            steps -= 2 * r
+            steps -= 2 * r * weight
             if steps < 0:
                 raise ValueError("factoring %d takes more than the cap of %d"
                                  " rho steps" % (n, RHO_STEPS))

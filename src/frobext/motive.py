@@ -2,9 +2,14 @@
 standard lattice at every good prime and optional torsion at finitely many
 exceptional primes l != p; at p the charpoly determines the cyclic F-crystal.
 
-Global Hom is the integer commutation lattice of the charpoly companions;
-global Ext orders are assembled prime by prime from the l-adic and p-adic
-local machinery, with every contribution away from the computed support
+Global Hom is the integer commutation lattice of the charpoly companions,
+the kernel of S: H -> H C_X - C_Y H.  One integer Smith form of S per pair
+(`_hom_system`) gives Hom, the swapped Hom (through the unimodular Hankel
+matrices B_f with C_f B_f = B_f C_f^T) and the local data at every l != p
+where both local modules are the companion lattices; the primes where a
+motive carries exceptional torsion take the l-adic machinery of `galois`,
+and p the special modules of `crystal`.  Global Ext orders are assembled
+prime by prime, with every contribution away from the computed support
 certified trivial by the unit valuation of
 
     N* = prod over eigenvalue pairs a_i != b_j of (1 - b_j/a_i).
@@ -33,6 +38,7 @@ from .crystal import ext_presentation, local_lhs, special_module
 from .exact import (
     abs_at,
     int_valuation,
+    l_primary,
     poly_deg,
     poly_deriv,
     poly_gcd_monic,
@@ -48,10 +54,10 @@ from .linalg import (
     bareiss_det,
     companion,
     identity,
-    kernel_basis,
     kron,
     mat_mul,
     mat_sub,
+    smith_normal_form,
     trace,
     transpose,
 )
@@ -276,20 +282,92 @@ def motive_to_json(m: Motive) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# JSON input takes integers only where JSON integers stand (a number such as
+# 1.5 or a boolean is refused, not truncated or read as 1) and objects and
+# arrays only where they stand; the ValueError names the field
+
+
+def _json_kind(value) -> str:
+    for kind, name in ((bool, "a boolean"), (int, "an integer"),
+                       (float, "a number"), (str, "a string"),
+                       (list, "an array"), (dict, "an object")):
+        if isinstance(value, kind):
+            return name
+    return "null"
+
+
+def _refuse(field: str, want: str, value):
+    raise ValueError("%s must be %s, not %s" % (field, want, _json_kind(value)))
+
+
+def json_int(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _refuse(field, "an integer", value)
+    return value
+
+
+def json_array(value, field: str) -> list:
+    if not isinstance(value, list):
+        _refuse(field, "an array", value)
+    return value
+
+
+def json_ints(value, field: str) -> list[int]:
+    return [json_int(v, "%s[%d]" % (field, i))
+            for i, v in enumerate(json_array(value, field))]
+
+
+def json_object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        _refuse(field, "an object", value)
+    return value
+
+
+def _json_exceptional(key: str, data, q: int, cp: list[int]) -> GaloisModule:
+    field = "exceptional[%s]" % json.dumps(key)
+    if not (key.isascii() and key.isdigit()):
+        raise ValueError("%s: the key must be a prime in decimal" % field)
+    data = json_object(data, field)
+    torsion = json_ints(data.get("torsion", []), field + ".torsion")
+    tfrob = data.get("torsion_frobenius")
+    if tfrob is not None:
+        tfrob = [json_ints(row, "%s.torsion_frobenius[%d]" % (field, i))
+                 for i, row in enumerate(
+                     json_array(tfrob, field + ".torsion_frobenius"))]
+        if len(tfrob) != len(torsion) or \
+                any(len(row) != len(torsion) for row in tfrob):
+            raise ValueError("%s.torsion_frobenius must be %d by %d"
+                             % (field, len(torsion), len(torsion)))
+    return GaloisModule(int(key), q, companion(cp) if poly_deg(cp) else None,
+                        tuple(torsion), tfrob)
+
+
 def motive_from_json(text: str) -> Motive:
-    obj = json.loads(text)
-    q = obj["q"]
-    cp = [int(c) for c in obj["charpoly"]]
+    obj = json_object(json.loads(text), "a motive")
+    q = json_int(obj["q"], "q")
+    cp = json_ints(obj["charpoly"], "charpoly")
     exc = {}
-    for key, data in (obj.get("exceptional") or {}).items():
-        l = int(key)
-        exc[l] = GaloisModule(l, q, companion(cp) if poly_deg(cp) else None,
-                              tuple(int(d) for d in data.get("torsion", ())),
-                              data.get("torsion_frobenius"))
-    m = Motive(q, cp, exc, twist=int(obj.get("twist", 0)))
-    slopes = (obj.get("crystal") or {}).get("slopes")
-    if slopes is not None and [Fraction(s) for s in slopes] != m.slopes():
-        raise ValueError("declared slopes disagree with the charpoly")
+    raw = obj.get("exceptional")
+    for key, data in json_object(raw if raw is not None else {},
+                                 "exceptional").items():
+        mod = _json_exceptional(key, data, q, cp)
+        exc[mod.l] = mod
+    m = Motive(q, cp, exc, twist=json_int(obj.get("twist", 0), "twist"))
+    crystal = obj.get("crystal")
+    slopes = None if crystal is None else \
+        json_object(crystal, "crystal").get("slopes")
+    if slopes is not None:
+        declared = []
+        for i, s in enumerate(json_array(slopes, "crystal.slopes")):
+            if isinstance(s, bool) or not isinstance(s, (int, str)):
+                _refuse("crystal.slopes[%d]" % i, "a string or an integer", s)
+            try:
+                declared.append(Fraction(s))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError("crystal.slopes[%d] is not a fraction: %s"
+                                 % (i, json.dumps(s))) from None
+        if declared != m.slopes():
+            raise ValueError("declared slopes disagree with the charpoly")
     return m
 
 
@@ -302,22 +380,96 @@ def _require_comparable(x: Motive, y: Motive):
         raise ValueError("motives over different fields")
 
 
-def _hom_lattice(x: Motive, y: Motive, rho: int) -> list:
-    """Basis of the saturated integer solution lattice of H F_X = F_Y H,
-    checked to have rank rho."""
+def _hankel(c: list[int]) -> list:
+    """B_f with (B_f)_ij = f_{i+j+1} (zero past the degree) for monic f: a
+    symmetric matrix with C_f·B_f = B_f·C_fᵀ (C_f = `companion(f)`) and ones
+    on the anti-diagonal, so det B_f = ±1 (Taussky and Zassenhaus, Pacific
+    J. Math. 9, 1959)."""
+    n = len(c) - 1
+    return [[c[i + j + 1] if i + j < n else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def _hankel_inverse(c: list[int]) -> list:
+    """B_f⁻¹ over Z.  B_f·J (J the reversal) is the upper unitriangular
+    Toeplitz matrix of g = 1 + f_{n-1} t + ... + f_1 t^{n-1}, so its
+    inverse is that of the power series s = 1/g mod t^n, and
+    (B_f⁻¹)_ij = s_{i+j+1-n} (zero above the anti-diagonal)."""
+    n = len(c) - 1
+    s = [1] + [0] * (n - 1)
+    for k in range(1, n):
+        s[k] = -sum(c[n - m] * s[k - m] for m in range(1, k + 1))
+    return [[s[i + j + 1 - n] if i + j + 1 >= n else 0 for j in range(n)]
+            for i in range(n)]
+
+
+@dataclass
+class _HomSystem:
+    """One integer Smith form L·S·R = D of S: H -> H·C_X - C_Y·H on Y-rank
+    by X-rank matrices, and what the pair reads off it.
+
+    Hom(X, Y) is the kernel of S: the last rho columns of R.  At every l
+    != p where both local modules are the companion lattices, Hom and Ext^1
+    over Z_l are the l-parts of the kernel and cokernel of S (det C_X =
+    ±p^k is an l-unit), the bar-Ext side vanishes, and the swapped Hom is
+    torsion-free.  So Ext^1 has l-torsion the l-part of prod d_i, and
+    f_0: Hom -> coker S, H -> [H·C_X], has z(f_0) = 1/(|det A| prod d_i),
+    A the free (last rho) rows of L applied to the images.  Hom(Y, X) is
+    H -> B_X·Hᵀ·B_Y⁻¹ of Hom(X, Y) (`_hankel`): a bijection of the integer
+    matrices carrying one commutation equation to the other, so it maps
+    the saturated lattice onto the saturated lattice, with no second
+    solve."""
+
+    basis: list       # Hom(X, Y), Y-rank by X-rank matrices
+    swap_basis: list  # Hom(Y, X), X-rank by Y-rank matrices
+    torsion: int      # prod d_i, the torsion order of coker S
+    z0: Fraction      # z(f_0) over Z
+
+    def l_side(self, l: int, nstar: Fraction) -> dict:
+        """The local data at l, checked against the local identity
+        z(f)·[Ext^2] = |N*|_l (Ext^2 vanishes)."""
+        z_f = l_primary(self.z0, l)
+        if z_f != abs_at(l, nstar):
+            raise RuntimeError("l-adic local identity failed at l=%d" % l)
+        return {
+            "l": l,
+            "hom_tors": 1,
+            "ext1_torsion": l ** int_valuation(self.torsion, l),
+            "ext2": 1,
+            "z_f": z_f,
+            "swap_tors": 1,
+        }
+
+
+def _hom_system(x: Motive, y: Motive, rho: int) -> _HomSystem:
+    """The pair's integer Hom system, its kernel checked to have rank rho
+    and z(f_0) checked to be defined."""
     rx, ry = x.rank, y.rank
-    basis = []
-    if rx and ry:
-        fx, fy = companion(x.charpoly), companion(y.charpoly)
-        op = mat_sub(kron(identity(ry), transpose(fx)), kron(fy, identity(rx)))
-        cols = kernel_basis(op)
-        for k in range(len(cols[0]) if cols else 0):
-            basis.append([[cols[i * rx + j][k] for j in range(rx)]
-                          for i in range(ry)])
-    if len(basis) != rho:
+    if not (rx and ry):
+        if rho:
+            raise RuntimeError("a rank-zero motive has no Hom")
+        return _HomSystem([], [], 1, Fraction(1))
+    cx, cy = companion(x.charpoly), companion(y.charpoly)
+    n = rx * ry
+    snf = smith_normal_form(
+        mat_sub(kron(identity(ry), transpose(cx)), kron(cy, identity(rx))))
+    r = snf.rank
+    if n - r != rho:
         raise RuntimeError("commutant rank disagrees with the eigenvalue"
                            " pair count; the charpolys are not squarefree?")
-    return basis
+    basis = [[[snf.right[i * rx + j][k] for j in range(rx)]
+              for i in range(ry)] for k in range(r, n)]
+    images = [[e for row in mat_mul(h, cx) for e in row] for h in basis]
+    free = [[sum(a * b for a, b in zip(row, v)) for v in images]
+            for row in snf.left[r:]]
+    det = bareiss_det(free)
+    if det == 0:
+        raise RuntimeError("z(f_0) is undefined although the hypothesis"
+                           " holds")
+    torsion = prod(snf.diagonal[:r])
+    bx, byi = _hankel(x.charpoly), _hankel_inverse(y.charpoly)
+    swap = [mat_mul(mat_mul(bx, transpose(h)), byi) for h in basis]
+    return _HomSystem(basis, swap, torsion, Fraction(1, abs(det) * torsion))
 
 
 def hom_motives(x: Motive, y: Motive) -> tuple[list, int]:
@@ -333,7 +485,7 @@ def hom_motives(x: Motive, y: Motive) -> tuple[list, int]:
     """
     _require_comparable(x, y)
     rho, _ = ratio_limit(x.charpoly, y.charpoly)
-    return _hom_lattice(x, y, rho), rho
+    return _hom_system(x, y, rho).basis, rho
 
 
 def trace_discriminant(x: Motive, y: Motive) -> int:
@@ -344,12 +496,14 @@ def trace_discriminant(x: Motive, y: Motive) -> int:
     >>> trace_discriminant(e, e)   # |det [[2, t], [t, t^2 - 2q]]|
     11
     """
-    basis, rho = hom_motives(x, y)
-    return _discriminant(basis, _hom_lattice(y, x, rho))
+    _require_comparable(x, y)
+    rho, _ = ratio_limit(x.charpoly, y.charpoly)
+    return _discriminant(_hom_system(x, y, rho))
 
 
-def _discriminant(basis_xy: list, basis_yx: list) -> int:
-    gram = [[trace(mat_mul(h, g)) for h in basis_xy] for g in basis_yx]
+def _discriminant(system: _HomSystem) -> int:
+    gram = [[trace(mat_mul(h, g)) for h in system.basis]
+            for g in system.swap_basis]
     d = abs(bareiss_det(gram)) if gram else 1
     if d == 0:
         raise ValueError("the trace pairing is degenerate")
@@ -547,8 +701,8 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     _check_caps(x.a, x.rank, y.rank)
     # rho pairs a_i = b_j, and N* the product of (1 - b_j/a_i) over the rest
     rho, nstar = ratio_limit(x.charpoly, y.charpoly)
-    basis = _hom_lattice(x, y, rho)
-    disc = _discriminant(basis, _hom_lattice(y, x, rho))
+    system = _hom_system(x, y, rho)
+    disc = _discriminant(system)
     p = x.p
     chi = x.slope_sum() * y.rank
     leading = _q_power(p, x.a, chi) * abs(nstar)
@@ -562,19 +716,15 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     hom_tors, ext2 = 1, 1
     ext1_order = 1
     # away from p and the exceptional primes both local modules are the
-    # companion lattices of the charpolys, the same integer matrices at
-    # every l, with det U = ±p^k an l-unit: their data is built once and
-    # localized at each such l
-    shared = None
+    # companion lattices of the charpolys: every such l reads the pair's
+    # one integer Hom system
     for l in sorted(support):
         if l == p:
             d = _p_side(x, y, rho, leading)
         elif l in x.exceptional or l in y.exceptional:
             d = _l_side(_l_data(x, y, l), l, rho, nstar)
         else:
-            if shared is None:
-                shared = _l_data(x, y, l)
-            d = _l_side(shared, l, rho, nstar)
+            d = system.l_side(l, nstar)
         per_prime[l] = d
         hom_tors *= d["hom_tors"]
         ext2 *= d["ext2"]
@@ -589,7 +739,7 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
             raise RuntimeError("the z-route and the group route disagree"
                                " at l=%d" % l)
     return GlobalExtReport(
-        q=x.q, rho=rho, hom_lattice=basis, hom_tors_order=hom_tors,
+        q=x.q, rho=rho, hom_lattice=system.basis, hom_tors_order=hom_tors,
         ext1_order=ext1_order, ext2_cotors_order=ext2, discriminant=disc,
         chi=chi, chi_statement=Fraction(x.rank) * y.slope_sum(), nstar=nstar,
         support=tuple(sorted(support)), per_prime=per_prime, leading=leading)

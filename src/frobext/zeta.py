@@ -26,9 +26,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .exact import (
     composed_product,
+    poly_add,
     poly_deg,
     poly_deriv,
     poly_eval,
@@ -39,7 +41,16 @@ from .exact import (
     power_sums,
     prime_power,
 )
-from .motive import Motive, lefschetz_motive, verify_weil_identity
+from .motive import (
+    MAX_THETA_DIM,
+    Motive,
+    json_array,
+    json_int,
+    json_ints,
+    json_object,
+    lefschetz_motive,
+    verify_weil_identity,
+)
 
 
 @dataclass
@@ -53,14 +64,59 @@ class VarietyDescriptor:
     spec: dict             # the defining data, for serialization
 
 
+def _power_product(powers: list) -> list[int]:
+    """The product of g^m over [(g, m)], each g an integer polynomial with
+    g(0) = 1.  With G the product of one copy of each g and
+    H = G·sum m g'/g, the product P satisfies G·P' = H·P, and G(0) = 1
+    gives each coefficient from the few before it (J. C. P. Miller's
+    recurrence for powers, extended to products):
+
+        k P_k = sum_i H_i P_(k-1-i) - sum_(i >= 1) G_i (k - i) P_(k-i),
+
+    where the division by k is exact: about 2·deg P·deg G products."""
+    big_g, big_h = [1], []
+    for i, (g, mult) in enumerate(powers):
+        big_g = poly_mul(big_g, g)
+        term = [mult * c for c in poly_deriv(g)]
+        for j, (other, _) in enumerate(powers):
+            if j != i:
+                term = poly_mul(term, other)
+        big_h = poly_add(big_h, term)
+    n = sum(mult * (len(g) - 1) for g, mult in powers)
+    out = [1] + [0] * n
+    for k in range(1, n + 1):
+        acc = sum(big_h[i] * out[k - 1 - i]
+                  for i in range(min(len(big_h), k)))
+        acc -= sum(big_g[i] * (k - i) * out[k - i]
+                   for i in range(1, min(len(big_g), k + 1)))
+        out[k], rem = divmod(acc, k)
+        if rem:
+            raise RuntimeError("the logarithmic-derivative recurrence left"
+                               " a remainder")
+    return out
+
+
 def _pieces_to_weil(pieces) -> list[int]:
-    """Expand [(monic charpoly, mult)] into P(t) = prod(1 - b t), over Z."""
-    acc = [1]
-    for cp, mult in pieces:
-        rev = list(reversed(cp))  # prod(t - b) -> prod(1 - b t)
+    """Expand [(monic charpoly, mult)] into P(t) = prod(1 - b t), over Z.
+
+    Each piece gives g^mult, g(t) = prod(1 - b t) its reversed charpoly.
+    Multiplying the pieces in one factor at a time costs about
+    deg P·deg g·mult products of a large by a small coefficient per piece;
+    the recurrence of `_power_product` costs about 2·deg P·deg G, whatever
+    the multiplicities, but the coefficients of G grow with each piece it
+    takes.  So it takes the pieces of largest multiplicity, the k-th of them
+    only if its multiplicity is at least 2k, and the rest are multiplied
+    in."""
+    gs = sorted(((list(reversed(cp)), mult) for cp, mult in pieces),
+                key=lambda gm: -gm[1])
+    k = 0
+    while k < len(gs) and gs[k][1] >= 2 * (k + 1):
+        k += 1
+    out = _power_product(gs[:k])
+    for g, mult in gs[k:]:
         for _ in range(mult):
-            acc = poly_mul(acc, rev)
-    return acc
+            out = poly_mul(out, g)
+    return poly_trim(out)
 
 
 def projective_space(q: int, n: int) -> VarietyDescriptor:
@@ -92,7 +148,8 @@ def _weierstrass_long(coefficients) -> tuple:
 
 
 # the count takes one modular power per x, about 2.3 µs each: 2.3 s at the
-# cap (CHANGES.md has the timings)
+# cap (CHANGES.md has the timings).  A spec's curve factors share it
+# (`variety_from_spec`)
 MAX_CURVE_PRIME = 10 ** 6
 
 
@@ -193,56 +250,149 @@ def _integer_root_split(f: list, p: int) -> list:
     return out
 
 
-def product(v: VarietyDescriptor, w: VarietyDescriptor) -> VarietyDescriptor:
-    """Product variety: Kunneth on cohomology, eigenvalue products on the
-    Frobenius side, convolution on the Hodge table."""
-    if v.q != w.q:
-        raise ValueError("factors over different fields")
-    p, _ = prime_power(v.q)
-    dim = v.dimension + w.dimension
-    pieces: list = [{} for _ in range(2 * dim + 1)]
-
-    def _push(j, cp, mult):
-        key = tuple(cp)
-        pieces[j][key] = pieces[j].get(key, 0) + mult
-
-    for ja, row_a in enumerate(v.pieces):
-        for jb, row_b in enumerate(w.pieces):
+def _kunneth(pieces_v: list, pieces_w: list, p: int) -> list:
+    """The pieces of a product: H^j is the sum of H^a ⊗ H^b over a + b = j,
+    each tensor product the squarefree factors of a composed product."""
+    pieces: list = [{} for _ in range(len(pieces_v) + len(pieces_w) - 1)]
+    for ja, row_a in enumerate(pieces_v):
+        for jb, row_b in enumerate(pieces_w):
             for fa, ma in row_a:
                 for fb, mb in row_b:
                     prod_poly = composed_product(fa, fb)
                     for g, mg in _squarefree_split(prod_poly):
                         for h, mh in _integer_root_split(g, p):
-                            _push(ja + jb, h, ma * mb * mg * mh)
-    plist = [sorted(d.items()) for d in pieces]
-    plist = [[(list(cp), m) for cp, m in row] for row in plist]
+                            key = tuple(h)
+                            pieces[ja + jb][key] = pieces[ja + jb].get(key, 0) \
+                                + ma * mb * mg * mh
+    return [[(list(cp), m) for cp, m in sorted(d.items())] for d in pieces]
+
+
+def _convolve(hodge_v: list, hodge_w: list) -> list:
+    dim = len(hodge_v) + len(hodge_w) - 2
     hodge = [[0] * (dim + 1) for _ in range(dim + 1)]
-    for i1, row1 in enumerate(v.hodge):
+    for i1, row1 in enumerate(hodge_v):
         for j1, h1 in enumerate(row1):
-            for i2, row2 in enumerate(w.hodge):
+            for i2, row2 in enumerate(hodge_w):
                 for j2, h2 in enumerate(row2):
                     hodge[i1 + i2][j1 + j2] += h1 * h2
+    return hodge
+
+
+def product(v: VarietyDescriptor, w: VarietyDescriptor,
+            *more: VarietyDescriptor) -> VarietyDescriptor:
+    """Product variety: Kunneth on cohomology, eigenvalue products on the
+    Frobenius side, convolution on the Hodge table.  Further factors are
+    multiplied in turn, and the Frobenius polynomials are expanded once,
+    for the whole product."""
+    factors = (v, w) + more
+    if any(f.q != v.q for f in factors):
+        raise ValueError("factors over different fields")
+    p, _ = prime_power(v.q)
+    pieces, hodge = v.pieces, v.hodge
+    for f in factors[1:]:
+        pieces = _kunneth(pieces, f.pieces, p)
+        hodge = _convolve(hodge, f.hodge)
     return VarietyDescriptor(
-        kind="product", q=v.q, dimension=dim, hodge=hodge,
-        frobenius_polys=[_pieces_to_weil(x) for x in plist], pieces=plist,
-        spec={"kind": "product", "q": v.q, "factors": [v.spec, w.spec]})
+        kind="product", q=v.q, dimension=sum(f.dimension for f in factors),
+        hodge=hodge, frobenius_polys=[_pieces_to_weil(x) for x in pieces],
+        pieces=pieces,
+        spec={"kind": "product", "q": v.q,
+              "factors": [f.spec for f in factors]})
+
+
+# spec caps, checked on the spec alone before any table is built: the
+# dimension, the total Betti number (the product of the factors' own), and
+# the bit size of the Weil polynomials P_j, whose coefficients are sums of
+# products of b_j eigenvalues of absolute value q^(j/2), so below
+# 2^b_j q^(j b_j / 2).  The distinct curve factors of one spec are
+# point-counted over at most MAX_CURVE_PRIME values of x in all, and every
+# piece's motive pair over F_(p^a) has a p-adic system of dimension at
+# least a^3.  At the caps a query takes up to about 2 s (CHANGES.md has
+# the timings).
+MAX_DIMENSION = 64
+MAX_BETTI = 2048
+MAX_WEIL_BITS = 10 ** 8
+
+
+def _cap(what: str, value: int, cap: int):
+    if value > cap:
+        raise ValueError("%s %d is above the cap of %d" % (what, value, cap))
+
+
+def _check_size(q: int, betti: list[int]):
+    """The caps on a variety, or on part of a product (each measure only
+    grows as factors are added), with Betti numbers [b_0, ..., b_2d]."""
+    _cap("a variety of dimension", (len(betti) - 1) // 2, MAX_DIMENSION)
+    _cap("a variety of total Betti number", sum(betti), MAX_BETTI)
+    _cap("a variety with Weil polynomials of bit size",
+         sum((b + 1) * b * (2 + j * q.bit_length()) // 2
+             for j, b in enumerate(betti)), MAX_WEIL_BITS)
+
+
+def _spec_betti(spec, field: str, curves: dict) -> tuple[int, list[int]]:
+    """(q, [b_0, ..., b_2d]) of a variety spec, read from the spec alone,
+    with each field it reads checked to be of its JSON type and the caps
+    checked as the factors come in; each curve factor is entered in
+    `curves` as (q, coefficients) -> q."""
+    spec = json_object(spec, field)
+    kind = spec.get("kind")
+    if kind == "projective_space":
+        q = json_int(spec["q"], field + ".q")
+        n = json_int(spec["dimension"], field + ".dimension")
+        if n < 0:
+            raise ValueError("negative dimension")
+        _cap("a variety of dimension", n, MAX_DIMENSION)  # before 2n + 1
+        betti = [1, 0] * n + [1]
+    elif kind == "elliptic_curve":
+        q = json_int(spec["q"], field + ".q")
+        coefficients = json_ints(spec["coefficients"], field + ".coefficients")
+        curves[q, tuple(coefficients)] = q
+        betti = [1, 2, 1]
+    elif kind == "product":
+        factors = json_array(spec["factors"], field + ".factors")
+        if len(factors) < 2:
+            raise ValueError("a product needs at least two factors")
+        q, betti = _spec_betti(factors[0], field + ".factors[0]", curves)
+        for i, f in enumerate(factors[1:], 1):
+            qf, bf = _spec_betti(f, "%s.factors[%d]" % (field, i), curves)
+            if qf != q:
+                raise ValueError("factors over different fields")
+            betti = poly_mul(betti, bf)
+            _check_size(q, betti)
+        return q, betti
+    else:
+        raise ValueError("unknown variety kind %r" % (kind,))
+    _, a = prime_power(q)
+    _cap("residue degree %d gives each piece a p-adic system of dimension"
+         " at least a^3 =" % a, a ** 3, MAX_THETA_DIM)
+    _check_size(q, betti)
+    return q, betti
+
+
+def _build(spec: dict, curves: dict) -> VarietyDescriptor:
+    """The variety of a checked spec; a curve that recurs is built (and
+    point-counted) once."""
+    kind = spec["kind"]
+    if kind == "projective_space":
+        return projective_space(spec["q"], spec["dimension"])
+    if kind == "elliptic_curve":
+        key = spec["q"], tuple(spec["coefficients"])
+        if key not in curves:
+            curves[key] = elliptic_curve(spec["q"], spec["coefficients"])
+        return curves[key]
+    return product(*[_build(f, curves) for f in spec["factors"]])
 
 
 def variety_from_spec(spec: dict) -> VarietyDescriptor:
-    kind = spec.get("kind")
-    if kind == "projective_space":
-        return projective_space(int(spec["q"]), int(spec["dimension"]))
-    if kind == "elliptic_curve":
-        return elliptic_curve(int(spec["q"]), spec["coefficients"])
-    if kind == "product":
-        factors = [variety_from_spec(s) for s in spec["factors"]]
-        if len(factors) < 2:
-            raise ValueError("a product needs at least two factors")
-        out = factors[0]
-        for f in factors[1:]:
-            out = product(out, f)
-        return out
-    raise ValueError("unknown variety kind %r" % (kind,))
+    """The variety of a JSON spec, refused (ValueError) when a field has
+    the wrong JSON type or the spec lies above a cap."""
+    curves: dict = {}
+    _spec_betti(spec, "variety", curves)
+    if sum(curves.values()) > MAX_CURVE_PRIME:
+        raise ValueError("point counts over %d values of x in all are above"
+                         " the cap of %d" % (sum(curves.values()),
+                                             MAX_CURVE_PRIME))
+    return _build(spec, {})
 
 
 def variety_from_json(text: str) -> VarietyDescriptor:
@@ -281,13 +431,20 @@ def _strip_root(weil_poly: list, b: int) -> tuple[int, Fraction]:
     and value = prod over b_i != b of (1 - b_i/b), the quotient at t = 1/b.
     On the monic integer reversal R(t) = prod(t - b_i) (P(0) = 1): m is the
     multiplicity of the root b, and with R' = R / (t - b)^m over Z the value
-    is R'(b) / b^deg R'."""
+    is R'(b) / b^deg R'.  One Horner pass gives both R(b) and, from its
+    partial sums, the quotient R / (t - b)."""
     rest = list(reversed(poly_trim(weil_poly)))
     m = 0
-    while len(rest) > 1 and poly_eval(rest, b) == 0:
-        rest = poly_quo_monic(rest, [-b, 1])
+    while True:
+        acc, partial = 0, []
+        for c in reversed(rest):
+            acc = acc * b + c
+            partial.append(acc)
+        value = partial.pop()  # R(b); the rest is the quotient, top first
+        if value:
+            return m, Fraction(value, b ** (len(rest) - 1))
+        rest = partial[::-1]
         m += 1
-    return m, Fraction(poly_eval(rest, b), b ** (len(rest) - 1))
 
 
 def zeta_special_value(v: VarietyDescriptor, r: int) -> tuple[int, Fraction]:

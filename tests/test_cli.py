@@ -107,6 +107,124 @@ def test_input_caps_exit_2_at_once(capsys, argv, cap):
     assert err.startswith("input error") and "cap of %s" % cap in err
 
 
+_L5 = '{"q": 5, "charpoly": [-5, 1]}'
+
+
+def _with(**fields) -> str:
+    obj = {"q": 5, "charpoly": [-1, 1]}
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+def _exc(data) -> str:
+    return _with(exceptional={"2": data})
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["ext", '{"q": "5", "charpoly": [-1, 1]}', _L5], "q must be"),
+    (["ext", _with(q=True), _L5], "q must be"),
+    (["ext", _with(q=5.0), _L5], "q must be"),
+    (["ext", _with(charpoly=[-1.5, 1]), _L5], "charpoly[0]"),
+    (["ext", _with(charpoly=[-1, True]), _L5], "charpoly[1]"),
+    (["ext", _with(charpoly="ab"), _L5], "charpoly must be"),
+    (["ext", _with(twist=1.5), _L5], "twist"),
+    (["ext", _with(exceptional=[2]), _L5], "exceptional must be"),
+    (["ext", _with(exceptional={"two": {"torsion": [2]}}), _L5],
+     'exceptional["two"]'),
+    (["ext", _exc([2]), _L5], 'exceptional["2"] must be'),
+    (["ext", _exc({"torsion": ["2"]}), _L5], 'exceptional["2"].torsion[0]'),
+    (["ext", _exc({"torsion": [2], "torsion_frobenius": [[1.0]]}), _L5],
+     'exceptional["2"].torsion_frobenius[0][0]'),
+    (["ext", _exc({"torsion": [2], "torsion_frobenius": [[1, 0]]}), _L5],
+     "must be 1 by 1"),
+    (["ext", _with(crystal=[]), _L5], "crystal must be"),
+    (["ext", _with(crystal={"slopes": "0"}), _L5], "crystal.slopes must be"),
+    (["ext", _with(crystal={"slopes": [0.0]}), _L5], "crystal.slopes[0]"),
+    (["ext", _with(crystal={"slopes": ["x"]}), _L5], "crystal.slopes[0]"),
+    (["ext", _with(crystal={"slopes": ["1/0"]}), _L5], "crystal.slopes[0]"),
+    (["zeta", '{"kind": "product", "q": 5, "factors": "ab"}'],
+     "variety.factors must be"),
+    (["zeta", '{"kind": "product", "factors": [1, 2]}'],
+     "variety.factors[0] must be"),
+    (["zeta", '{"kind": "projective_space", "q": 5, "dimension": 1,'
+      ' "r": 1.5}'], "r must be"),
+    (["zeta", '{"kind": "projective_space", "q": 5, "dimension": 1,'
+      ' "r": true}'], "r must be"),
+    (["zeta", '{"kind": "projective_space", "q": 5, "dimension": "2"}'],
+     "variety.dimension"),
+    (["zeta", '{"kind": "projective_space", "q": 5.0, "dimension": 2}'],
+     "variety.q"),
+    (["zeta", '{"kind": "elliptic_curve", "q": 5, "coefficients": [1, 1.0]}'],
+     "variety.coefficients[1]"),
+])
+def test_hostile_json_types_are_input_errors(capsys, argv, field):
+    # a field of the wrong JSON type exits 2 with the field named: no
+    # traceback, and no number truncated or boolean read as an integer
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("input error") and field in err, err
+
+
+def test_json_that_is_not_an_object_is_an_input_error(capsys, tmp_path):
+    # inline JSON starts with "{"; anything else is read from a file
+    path = tmp_path / "array.json"
+    path.write_text("[5]")
+    assert main(["ext", str(path), _L5]) == 2
+    assert "a motive must be an object, not an array" \
+        in capsys.readouterr().err
+    assert main(["zeta", str(path)]) == 2
+    assert "variety must be an object, not an array" \
+        in capsys.readouterr().err
+
+
+def _curve(q: int) -> dict:
+    return {"kind": "elliptic_curve", "q": q, "coefficients": [2, 3]}
+
+
+def _pn(q: int, n: int) -> dict:
+    return {"kind": "projective_space", "q": q, "dimension": n}
+
+
+def _times(*factors) -> dict:
+    return {"kind": "product", "factors": list(factors)}
+
+
+@pytest.mark.parametrize("spec, r", [
+    (_pn(2, 64), 1),                                 # dimension 64
+    (_times(*[_curve(13)] * 5, _pn(13, 1)), 1),      # total Betti number 2048
+    (_times(*[_curve(1009)] * 5, _pn(1009, 1)), 1),
+    (_times(*[_pn(33554393, 1)] * 11), 5),           # Weil polynomials, 25 bits
+])
+def test_zeta_at_the_caps(capsys, spec, r):
+    # answers of many thousand digits are printed in full
+    start = time.perf_counter()
+    code, out = run(capsys, ["zeta", json.dumps(spec), "--r", str(r),
+                             "--json"])
+    assert time.perf_counter() - start < 5
+    assert code == 0 and json.loads(out)["equal"] is True
+
+
+@pytest.mark.parametrize("spec, cap", [
+    (_pn(2, 65), 64),
+    (_pn(5, 5000), 64),
+    (_times(*[_curve(13)] * 6), 2048),           # Betti 4096
+    (_times(*[_curve(13)] * 7), 2048),
+    (_times(*[_pn(2, 1)] * 30), 2048),           # Betti 2^30
+    (_times(_curve(500009), dict(_curve(500009), coefficients=[1, 3])),
+     1000000),                                   # two counts over 500009
+    (_times(*[_pn(2 ** 400, 1)] * 2), 1024),     # residue degree 400
+    (_times(*[_pn(3317044064679887385961813, 1)] * 11), 10 ** 8),
+])
+def test_zeta_above_the_caps_exits_2_at_once(capsys, spec, cap):
+    start = time.perf_counter()
+    code = main(["zeta", json.dumps(spec), "--r", "1"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "cap of %d" % cap in err
+
+
 # `ext --json` output on a fixed table of pairs: (1, L^r), (1, h1E),
 # (h1E, L^r), (L, h1E) and E x E over F_5, F_9, F_25, F_8 and F_27, then
 # pairs with l-torsion decorations: on one side or both, at one prime or two,
@@ -136,13 +254,14 @@ def test_ext_pairs_back_to_back(capsys):
 
 
 def test_one_l_adic_report_per_prime(capsys, monkeypatch):
-    # `ext` builds the forward and the swapped Hom once each and bar-Ext once
-    # per motive pair, not per prime: away from p and the exceptional primes
-    # both local modules are the same integer companion lattices at every l,
-    # and each such l reads its report off that one build.  An exceptional
-    # prime keeps its own build.  The resultant side of each local identity
-    # comes from the pair's own N*: no ratio polynomial there
-    built = {"hom_module": 0, "ext1_bar_module": 0}
+    # `ext` reads every l != p away from the exceptional primes off one
+    # integer Smith form per motive pair (`motive._hom_system`): both local
+    # modules are the companion lattices there, so no Hom or bar-Ext module
+    # is built at those primes.  An exceptional prime keeps its own build on
+    # the galois route: the forward and the swapped Hom once each, bar-Ext
+    # once.  The resultant side of each local identity comes from the
+    # pair's own N*: no ratio polynomial there
+    built = {"hom_module": 0, "ext1_bar_module": 0, "smith": 0}
     in_l_side, ratios_in_l_side = [], []
 
     def counted(name, fn):
@@ -151,70 +270,78 @@ def test_one_l_adic_report_per_prime(capsys, monkeypatch):
             return fn(*args)
         return wrapper
 
-    hom, bar, l_side = galois.hom_module, galois.ext1_bar_module, motive._l_side
+    hom, bar = galois.hom_module, galois.ext1_bar_module
     ratio = exact.ratio_charpoly
     monkeypatch.setattr(galois, "hom_module", counted("hom_module", hom))
     monkeypatch.setattr(motive, "hom_module", counted("hom_module", hom))
     monkeypatch.setattr(galois, "ext1_bar_module",
                         counted("ext1_bar_module", bar))
+    # motive calls the integer Smith form only for the Hom system
+    monkeypatch.setattr(motive, "smith_normal_form",
+                        counted("smith", motive.smith_normal_form))
 
-    def tracked_l_side(data, l, *args):
-        in_l_side.append(l)
-        try:
-            return l_side(data, l, *args)
-        finally:
-            in_l_side.pop()
+    def tracked(fn):
+        def wrapper(*args):
+            in_l_side.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                in_l_side.pop()
+        return wrapper
 
     def tracked_ratio(*args):
         if in_l_side:
             ratios_in_l_side.append(in_l_side[-1])
         return ratio(*args)
 
-    def builds(x: str, y: str, support: list) -> int:
+    def expected(x: str, y: str, support: list) -> dict:
         exceptional = {int(l) for m in (x, y)
                        for l in json.loads(m).get("exceptional", {})}
-        p = min(l for l in support if json.loads(x)["q"] % l == 0)
-        shared = [l for l in support if l != p and l not in exceptional]
-        return len(exceptional & set(support)) + (1 if shared else 0)
+        n = len(exceptional & set(support))
+        ranks = [len(json.loads(m)["charpoly"]) - 1 for m in (x, y)]
+        return {"hom_module": 2 * n, "ext1_bar_module": n,
+                "smith": 1 if all(ranks) else 0}
 
-    monkeypatch.setattr(motive, "_l_side", tracked_l_side)
+    monkeypatch.setattr(motive, "_l_side", tracked(motive._l_side))
+    monkeypatch.setattr(motive._HomSystem, "l_side",
+                        tracked(motive._HomSystem.l_side))
     for mod in (exact, galois, motive, crystal):
         if getattr(mod, "ratio_charpoly", None) is ratio:
             monkeypatch.setattr(mod, "ratio_charpoly", tracked_ratio)
     shared_only = with_exceptional = 0
     for row in EXT_TABLE:
-        built.update(hom_module=0, ext1_bar_module=0)
+        built.update(hom_module=0, ext1_bar_module=0, smith=0)
         code, out = run(capsys, ["ext", row["x"], row["y"], "--json"])
         assert (code, out) == (0, row["stdout"])
         support = json.loads(out)["support"]
-        n = builds(row["x"], row["y"], support)
-        assert built == {"hom_module": 2 * n, "ext1_bar_module": n}, row
-        if n and "exceptional" in row["x"] + row["y"]:
+        want = expected(row["x"], row["y"], support)
+        assert built == want, row
+        if want["hom_module"]:
             with_exceptional += 1
-        elif len(support) > 2:
-            shared_only += 1  # several primes l != p, one build
+        elif len(support) > 2 and want["smith"]:
+            shared_only += 1  # several primes l != p, one Smith form
     assert shared_only and with_exceptional
     assert ratios_in_l_side == []
     # (1 with torsion at 2, L^2) over F_5: N* = -24, so the support is
-    # {2, 3, 5}; 3 reads the shared build, 2 its own
+    # {2, 3, 5}; 3 reads the Smith form, 2 its own build
     x = json.dumps({"q": 5, "charpoly": [-1, 1], "exceptional": {
         "2": {"torsion": [2], "torsion_frobenius": [[1]]}}})
     y = json.dumps({"q": 5, "charpoly": [-25, 1]})
-    built.update(hom_module=0, ext1_bar_module=0)
+    built.update(hom_module=0, ext1_bar_module=0, smith=0)
     code, out = run(capsys, ["ext", x, y, "--json"])
     assert code == 0 and json.loads(out)["support"] == [2, 3, 5]
-    assert built == {"hom_module": 4, "ext1_bar_module": 2}
-    built.update(hom_module=0, ext1_bar_module=0)
+    assert built == {"hom_module": 2, "ext1_bar_module": 1, "smith": 1}
+    built.update(hom_module=0, ext1_bar_module=0, smith=0)
     code, out = run(capsys, ["ext", json.dumps({"q": 5, "charpoly": [-1, 1]}),
                              y, "--json"])
     assert code == 0 and json.loads(out)["support"] == [2, 3, 5]
-    assert built == {"hom_module": 2, "ext1_bar_module": 1}
+    assert built == {"hom_module": 0, "ext1_bar_module": 0, "smith": 1}
     # the l-adic identity on its own reads both Hom and bar-Ext once
-    built.update(hom_module=0, ext1_bar_module=0)
+    built.update(hom_module=0, ext1_bar_module=0, smith=0)
     m = GaloisModule(3, 2, [[2, 1], [1, 1]], (3, 9), [[1, 0], [3, 2]])
     n = GaloisModule(3, 2, [[1]], (9,), [[4]])
     assert galois.verify_local_identity(m, n)["equal"]
-    assert built == {"hom_module": 1, "ext1_bar_module": 1}
+    assert built == {"hom_module": 1, "ext1_bar_module": 1, "smith": 0}
 
 
 def test_one_ratio_polynomial_per_query(capsys, monkeypatch):

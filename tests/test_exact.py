@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -142,6 +143,17 @@ def test_rho_step_cap():
     # below the cap: p^2 - 1 needs 55 thousand steps
     assert prime_factors(p * p - 1) == [2, 3, 7, 61, 20051, 65701, 594085421,
                                         1246820607451]
+
+
+def test_rho_cap_is_charged_by_size():
+    # a step on a number of b bits counts as 1 + (b/512)^2 steps, so the cap
+    # bounds time on large numbers too: a 1886-bit product of two Mersenne
+    # primes (about 13 µs a step) is refused after 143 thousand steps, where
+    # the full 2 million took about 26 s
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap of %d rho steps" % RHO_STEPS):
+        prime_factors((2**1279 - 1) * (2**607 - 1))
+    assert time.perf_counter() - start < 10
 
 
 def test_primality_cap():

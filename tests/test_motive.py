@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frobext.galois import GaloisModule
@@ -298,3 +299,105 @@ def test_input_caps():
     x = Motive(2, [-2] + [0] * 12 + [1])
     with pytest.raises(ValueError, match="ranks 13 and 13"):
         global_ext_orders(x, x)
+
+
+# ---------------------------------------------------------------------------
+# the integer Hom system: one Smith form per pair for every l away from p
+# and the exceptional primes, and the swapped Hom read off the Hankel
+# symmetrizers
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=6))
+def test_hankel_symmetrizer(low):
+    from frobext.linalg import bareiss_det, identity, mat_mul, transpose
+    from frobext.motive import _hankel, _hankel_inverse
+    f = low + [1]  # monic, of degree 1 to 6
+    c, b, b_inv = companion(f), _hankel(f), _hankel_inverse(f)
+    assert b == transpose(b)
+    assert mat_mul(c, b) == mat_mul(b, transpose(c))
+    assert bareiss_det(b) in (1, -1)
+    assert mat_mul(b, b_inv) == identity(len(low))
+
+
+def _factor(draw, q: int) -> list[int]:
+    """1, L^r or h^1 of a curve twisted by L^r, as a monic charpoly."""
+    r = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        return [-(q ** r), 1]
+    bound = isqrt(4 * q - 1)  # t^2 < 4q
+    t = draw(st.integers(-bound, bound))
+    return [q ** (2 * r + 1), -t * q ** r, 1]
+
+
+@st.composite
+def motive_pairs(draw):
+    """Two motives over F_q, q = p^a with a <= 3, each a product of one or
+    two of `_factor`; the second shares the first's first factor (so
+    rho > 0) or draws its own (mostly rho = 0)."""
+    from frobext.exact import poly_mul
+    q = draw(st.sampled_from([2, 3, 5])) ** draw(st.integers(1, 3))
+    fx = [_factor(draw, q) for _ in range(draw(st.integers(1, 2)))]
+    fy = [_factor(draw, q) for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        fy[0] = fx[0]
+    cx, cy = [1], [1]
+    for f in fx:
+        cx = poly_mul(cx, f)
+    for f in fy:
+        cy = poly_mul(cy, f)
+    try:
+        return Motive(q, cx), Motive(q, cy)
+    except ValueError:  # a repeated eigenvalue
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(motive_pairs())
+@example((unit_motive(5), lefschetz_motive(5, 2)))         # rho = 0
+@example((elliptic_motive(9, 2), elliptic_motive(9, 2)))   # rho = 2
+def test_one_smith_form_reads_every_l(pair):
+    # at every l != p of the support (and a few primes off it) the data read
+    # off the one Smith form equals the galois route's own build at l.  The
+    # support is that of the assembly, whose p-side refuses some pairs that
+    # share only part of their eigenvalues (CHANGES.md)
+    from frobext.exact import prime_factors, ratio_limit
+    from frobext.motive import _discriminant, _hom_system, _l_data, _l_side
+    x, y = pair
+    rho, nstar = ratio_limit(x.charpoly, y.charpoly)
+    system = _hom_system(x, y, rho)
+    support = {2, 3, 5, 7}
+    for n in (nstar.numerator, nstar.denominator, _discriminant(system)):
+        support.update(prime_factors(n))
+    for l in sorted(support - {x.p}):
+        want = _l_side(_l_data(x, y, l), l, rho, nstar)
+        got = system.l_side(l, nstar)
+        assert got == want, l
+        assert [type(v) for v in got.values()] \
+            == [type(v) for v in want.values()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(motive_pairs())
+@example((elliptic_motive(9, 2), elliptic_motive(9, 2)))
+def test_swapped_hom_is_the_saturated_kernel(pair):
+    # B_X·Hᵀ·B_Y⁻¹ over the Hom(X, Y) basis spans exactly the saturated
+    # kernel of the swapped system H' -> H'·C_Y - C_X·H', solved on its own
+    from frobext.exact import ratio_limit
+    from frobext.linalg import (identity, kernel_basis, kron, lattice_solve,
+                                mat_mul, mat_sub, transpose)
+    from frobext.motive import _hom_system
+    x, y = pair
+    rho, _ = ratio_limit(x.charpoly, y.charpoly)
+    swap = _hom_system(x, y, rho).swap_basis
+    rx, ry = x.rank, y.rank
+    cx, cy = companion(x.charpoly), companion(y.charpoly)
+    kernel = kernel_basis(mat_sub(kron(identity(rx), transpose(cy)),
+                                  kron(cx, identity(ry))))
+    assert len(swap) == len(kernel[0]) == rho
+    for h in swap:
+        assert mat_mul(h, cy) == mat_mul(cx, h)
+    if rho:
+        cols = [[h[i][j] for h in swap] for i in range(rx) for j in range(ry)]
+        assert lattice_solve(kernel, cols) is not None
+        assert lattice_solve(cols, kernel) is not None

@@ -18,6 +18,8 @@ from frobext.zeta import (
     MAX_CURVE_PRIME,
     _integer_root_split,
     _pieces_to_weil,
+    _power_product,
+    _spec_betti,
     _squarefree_split,
     _weierstrass_long,
     chi_coherent,
@@ -28,6 +30,7 @@ from frobext.zeta import (
     product,
     projective_space,
     variety_from_json,
+    variety_from_spec,
     variety_to_json,
     verify_variety_identity,
     zeta_special_value,
@@ -230,6 +233,80 @@ def test_curve_prime_cap():
         with pytest.raises(ValueError, match="cap"):
             elliptic_curve(p, [1, 3])
     assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([(-1, 1), (-5, 1), (5, -3, 1),
+                                           (25, 0, 1), (3, 1, 2, 1),
+                                           (-7, 0, 0, 0, 1)]),
+                          st.integers(1, 12)),
+                max_size=5, unique_by=lambda piece: piece[0]))
+def test_weil_expansion_vs_repeated_products(pieces):
+    # the recurrence of `_power_product` with the pieces multiplied in one
+    # at a time, against repeated products alone
+    pieces = [(list(cp), m) for cp, m in pieces]
+    expanded = [1]
+    for cp, m in pieces:
+        for _ in range(m):
+            expanded = poly_mul(expanded, list(reversed(cp)))
+    assert _pieces_to_weil(pieces) == expanded
+    # the recurrence alone, over every piece
+    assert _power_product([(list(reversed(cp)), m) for cp, m in pieces]) \
+        == expanded
+
+
+def test_product_of_several_factors():
+    # the factors multiply in turn; the Frobenius polynomials are expanded
+    # once, for the whole product
+    e, line = elliptic_curve(5, [1, 1]), projective_space(5, 1)
+    flat, folded = product(e, line, e), product(product(e, line), e)
+    for field in ("dimension", "hodge", "pieces", "frobenius_polys"):
+        assert getattr(flat, field) == getattr(folded, field)
+    assert flat.spec["factors"] == [e.spec, line.spec, e.spec]
+    assert variety_from_json(variety_to_json(flat)).pieces == flat.pieces
+
+
+def test_spec_caps():
+    from frobext.zeta import (MAX_BETTI, MAX_DIMENSION, MAX_WEIL_BITS,
+                              _check_size)
+
+    def weil_bits(q, betti):
+        # each P_j has b_j + 1 coefficients below 2^b_j q^(j b_j / 2)
+        return sum((b + 1) * (b + j * b * q.bit_length() / 2)
+                   for j, b in enumerate(betti))
+
+    # at the caps, and one past each
+    _check_size(2, [1, 0] * MAX_DIMENSION + [1])
+    with pytest.raises(ValueError, match="cap of %d" % MAX_DIMENSION):
+        _check_size(2, [1, 0] * (MAX_DIMENSION + 1) + [1])
+    _check_size(2, [MAX_BETTI])
+    with pytest.raises(ValueError, match="cap of %d" % MAX_BETTI):
+        _check_size(2, [MAX_BETTI + 1])
+    # (P^1)^11: its Weil polynomials pass the cap over F_q up to 25 bits
+    betti = [1]
+    for _ in range(11):
+        betti = poly_mul(betti, [1, 0, 1])
+    _check_size(33554393, betti)                 # 25 bits
+    assert weil_bits(33554393, betti) <= MAX_WEIL_BITS
+    with pytest.raises(ValueError, match="cap of %d" % MAX_WEIL_BITS):
+        _check_size(67108859, betti)             # 26 bits
+    assert weil_bits(67108859, betti) > MAX_WEIL_BITS
+    # read off the spec alone: a curve that recurs is counted once, and a
+    # product's Betti numbers are its factors' convolved
+    e = {"kind": "elliptic_curve", "q": 999983, "coefficients": [1, 3]}
+    curves = {}
+    q, betti = _spec_betti({"kind": "product", "factors": [
+        e, e, {"kind": "projective_space", "q": 999983, "dimension": 1}]},
+        "variety", curves)
+    assert (q, sum(betti), len(betti)) == (999983, 32, 7)
+    assert sum(curves.values()) == 999983
+    # two distinct curves over p = 500009 (2p past the cap), refused
+    # uncounted
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap of %d" % MAX_CURVE_PRIME):
+        variety_from_spec({"kind": "product", "factors": [
+            dict(e, q=500009), dict(e, q=500009, coefficients=[2, 3])]})
+    assert time.perf_counter() - start < 0.5
 
 
 def test_special_value_anchors():
