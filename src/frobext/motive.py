@@ -715,16 +715,20 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     per_prime: dict[int, dict] = {}
     hom_tors, ext2 = 1, 1
     ext1_order = 1
-    # away from p and the exceptional primes both local modules are the
-    # companion lattices of the charpolys: every such l reads the pair's
-    # one integer Hom system
     for l in sorted(support):
+        # away from p and the exceptional primes both local modules are the
+        # companion lattices of the charpolys: every such l reads the pair's
+        # one integer Hom system, whose Smith form gives both Ext^1 and
+        # z(f_l), so that the route check below holds there by construction
+        # and the local identity z(f_l) = |N*|_l is the check
+        on_system = l != p and l not in x.exceptional \
+            and l not in y.exceptional
         if l == p:
             d = _p_side(x, y, rho, leading)
-        elif l in x.exceptional or l in y.exceptional:
-            d = _l_side(_l_data(x, y, l), l, rho, nstar)
-        else:
+        elif on_system:
             d = system.l_side(l, nstar)
+        else:
+            d = _l_side(_l_data(x, y, l), l, rho, nstar)
         per_prime[l] = d
         hom_tors *= d["hom_tors"]
         ext2 *= d["ext2"]
@@ -734,7 +738,7 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
         if contrib.denominator != 1:
             raise RuntimeError("non-integral Ext^1 contribution at l=%d" % l)
         ext1_order *= contrib.numerator
-        if rho == 0 and d["ext1_torsion"] is not None \
+        if rho == 0 and not on_system and d["ext1_torsion"] is not None \
                 and contrib.numerator != d["ext1_torsion"]:
             raise RuntimeError("the z-route and the group route disagree"
                                " at l=%d" % l)

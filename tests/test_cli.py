@@ -85,6 +85,32 @@ def test_factoring_cap_is_an_input_error(capsys):
     assert "cap of %d rho steps" % exact.RHO_STEPS in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("start, code", [(10**8, 0), (2 * 10**8, 2)])
+def test_ext_factoring_cap_on_a_large_nstar(capsys, start, code):
+    # (1, Y) over F_5 with Y of charpoly t^2 + (N - 6) t + 5, so N* = N, the
+    # product of the 40 primes after `start` (about 1100 bits): rho charges
+    # a step on it as 5 (less as factors come off), so the first N (about
+    # 1 s) is answered and the second, which took 1.7 s when every step
+    # counted as one, is refused
+    primes, n = [], start
+    while len(primes) < 40:
+        n += 1
+        if exact.is_prime(n):
+            primes.append(n)
+    nstar = 1
+    for prime in primes:
+        nstar *= prime
+    assert nstar.bit_length() > 1024
+    assert main(["ext", json.dumps({"q": 5, "charpoly": [-1, 1]}),
+                 json.dumps({"q": 5, "charpoly": [5, nstar - 6, 1]}),
+                 "--json"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["support"] == [5] + primes
+    else:
+        assert "cap of %d rho steps" % exact.RHO_STEPS in err
+
+
 @pytest.mark.parametrize("argv, cap", [
     # (1, L) over F_{2^16} and F_{3^20}: θ of dimension a^3 = 4096 and 8000
     (["ext", json.dumps({"q": 2**16, "charpoly": [-1, 1]}),

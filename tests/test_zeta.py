@@ -18,7 +18,7 @@ from frobext.zeta import (
     MAX_CURVE_PRIME,
     _integer_root_split,
     _pieces_to_weil,
-    _power_product,
+    _power,
     _spec_betti,
     _squarefree_split,
     _weierstrass_long,
@@ -242,17 +242,20 @@ def test_curve_prime_cap():
                           st.integers(1, 12)),
                 max_size=5, unique_by=lambda piece: piece[0]))
 def test_weil_expansion_vs_repeated_products(pieces):
-    # the recurrence of `_power_product` with the pieces multiplied in one
-    # at a time, against repeated products alone
+    # `_power` on the piece of largest multiplicity with the rest multiplied
+    # in one at a time, against repeated products alone
     pieces = [(list(cp), m) for cp, m in pieces]
     expanded = [1]
     for cp, m in pieces:
         for _ in range(m):
             expanded = poly_mul(expanded, list(reversed(cp)))
     assert _pieces_to_weil(pieces) == expanded
-    # the recurrence alone, over every piece
-    assert _power_product([(list(reversed(cp)), m) for cp, m in pieces]) \
-        == expanded
+    # `_power` on every piece
+    for cp, m in pieces:
+        g, power = list(reversed(cp)), [1]
+        for _ in range(m):
+            power = poly_mul(power, g)
+        assert _power(g, m) == power
 
 
 def test_product_of_several_factors():
