@@ -15,11 +15,11 @@ of the wrong type, named in the message, and an input above a size cap
 included: see `motive.MAX_HOM_DIM`, `motive.MAX_THETA_DIM`,
 `zeta.MAX_DIMENSION`, `zeta.MAX_BETTI`, `zeta.MAX_WEIL_BITS`,
 `zeta.MAX_CURVE_PRIME` and `exact.RHO_STEPS`), 3 the hypothesis of the local
-theorem is violated, 4 p-adic precision could not be certified, 5 an
-internal consistency check failed.  Only `verify-local`
-takes a working precision (--precision, env FROBEXT_PRECISION) and can exit
-4: at p a motive pair is read as the special modules of its two charpolys,
-certified from those polynomials, so `ext` and `zeta` never do.  JSON
+theorem is violated, 4 no p-adic precision up to `PRECISION_CEILING`
+certifies a crystal pair (or the pair names none), 5 an internal consistency
+check failed.  No subcommand takes a working precision: `verify-local`
+works out its own, so only it can exit 4, and at p a motive pair is read as
+the special modules of its charpolys, certified from those polynomials.  JSON
 output is deterministic (sorted keys); a failing random case is written to
 a replay file so the exact instance can be re-run.
 """
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -43,27 +42,23 @@ from .crystal import verify_local_identity as verify_crystal
 from .exact import PrecisionError, is_prime
 from .galois import GaloisModule, random_admissible_pair
 from .galois import verify_local_identity as verify_galois
-from .motive import global_ext_orders, json_int, json_object, motive_from_json
+from .motive import (
+    global_ext_orders,
+    json_int,
+    json_ints,
+    json_matrix,
+    json_object,
+    motive_from_json,
+)
 from .witt import WittRing
 from .zeta import variety_from_spec, verify_variety_identity
 from .zgamma import HypothesisError
 
 REPLAY_FILE = "frobext-failing-case.json"
-PRECISION_ENV = "FROBEXT_PRECISION"
-
-
-def _default_precision() -> int:
-    try:
-        return max(4, int(os.environ.get(PRECISION_ENV, "20")))
-    except ValueError:
-        return 20
-
-
-class _GivenPrecision(argparse.Action):
-    """--precision, marked as given so that it wins over a replay file's."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        namespace.precision, namespace.precision_given = values, True
+# `verify-local` reads a crystal pair at PRECISION_START and again at each
+# larger precision a PrecisionError names, up to PRECISION_CEILING
+PRECISION_START = 20
+PRECISION_CEILING = 320
 
 
 def _jsonable(x):
@@ -115,10 +110,15 @@ def _module_obj(m: GaloisModule) -> dict:
             "torsion": list(m.torsion), "torsion_frob": m.torsion_frob}
 
 
-def _module_from_obj(o: dict) -> GaloisModule:
-    return GaloisModule(int(o["l"]), int(o["q"]), o.get("free_frob"),
-                        tuple(int(d) for d in o.get("torsion") or ()),
-                        o.get("torsion_frob"))
+def _module_from_obj(o, field: str) -> GaloisModule:
+    o = json_object(o, field)
+    torsion = json_ints(o.get("torsion") or [], field + ".torsion")
+    free, tfrob = o.get("free_frob"), o.get("torsion_frob")
+    return GaloisModule(
+        json_int(o.get("l"), field + ".l"), json_int(o.get("q"), field + ".q"),
+        None if free is None else json_matrix(free, field + ".free_frob"),
+        tuple(torsion), None if tfrob is None
+        else json_matrix(tfrob, field + ".torsion_frob", len(torsion)))
 
 
 def _crystal_obj(c: Crystal) -> dict:
@@ -126,10 +126,31 @@ def _crystal_obj(c: Crystal) -> dict:
             "special_poly": c.special_poly}
 
 
-def _crystal_from_obj(o: dict, ring: WittRing) -> Crystal:
-    if o.get("special_poly"):
-        return special_module(ring, [int(x) for x in o["special_poly"]])
-    return Crystal(ring, o["coords"], exponents=o.get("exponents"))
+def _crystal_from_obj(o, ring: WittRing, field: str = "crystal") -> Crystal:
+    o = json_object(o, field)
+    poly, exps = o.get("special_poly"), o.get("exponents")
+    if poly is not None and json_ints(poly, field + ".special_poly"):
+        return special_module(ring, poly)
+    # an entry is an integer or its coordinates in the x-power basis
+    coords = json_matrix(o.get("coords"), field + ".coords", entry=lambda v, f:
+                         (json_ints if isinstance(v, list) else json_int)(v, f))
+    return Crystal(ring, coords, None if exps is None
+                   else json_ints(exps, field + ".exponents"))
+
+
+def _verify_crystals(pair, ring: WittRing) -> dict:
+    """verify_crystal on pair(ring), built again at the precision that each
+    PrecisionError names, up to PRECISION_CEILING."""
+    while True:
+        try:
+            return verify_crystal(*pair(ring))
+        except PrecisionError as exc:
+            if exc.required is None or exc.required <= ring.K:
+                raise
+            if ring.K >= PRECISION_CEILING:
+                raise PrecisionError("%s (read up to the ceiling p^%d)"
+                                     % (exc, ring.K)) from None
+            ring = ring.at_precision(min(exc.required, PRECISION_CEILING))
 
 
 def _write_replay(case: dict):
@@ -173,20 +194,18 @@ def _cmd_ext(args) -> int:
 def _cmd_verify_local(args) -> int:
     if args.replay:
         with open(args.replay) as fh:
-            case = json.load(fh)
+            case = json_object(json.load(fh), "the replay file")
         if "case" in case:
-            # an explicit --precision, then the file's, then the default
-            precision = args.precision if args.precision_given \
-                else int(case.get("precision", args.precision))
-            ring = WittRing(int(case["p"]), int(case.get("degree", 1)),
-                            precision)
-            m = _crystal_from_obj(case["m"], ring)
-            n = _crystal_from_obj(case["n"], ring)
-            out = verify_crystal(m, n)
+            # older replay files carry a "precision" field; it is not read
+            ring = WittRing(json_int(case.get("p"), "p"),
+                            json_int(case.get("degree", 1), "degree"),
+                            PRECISION_START)
+            out = _verify_crystals(lambda r: (
+                _crystal_from_obj(case.get("m"), r, "m"),
+                _crystal_from_obj(case.get("n"), r, "n")), ring)
         else:
-            m = _module_from_obj(case["m"])
-            n = _module_from_obj(case["n"])
-            out = verify_galois(m, n)
+            out = verify_galois(_module_from_obj(case.get("m"), "m"),
+                                _module_from_obj(case.get("n"), "n"))
         _emit(out, args.json)
         return 0 if out["equal"] else 1
 
@@ -200,14 +219,14 @@ def _cmd_verify_local(args) -> int:
         p = args.prime or 3
         if not is_prime(p):
             raise ValueError("--prime must be a prime number")
-        ring = WittRing(p, 1, args.precision)
+        ring = WittRing(p, 1, PRECISION_START)
         for i in range(args.random):
             m, n = random_local_pair(rng, ring, args.case)
-            out = verify_crystal(m, n)
+            out = _verify_crystals(
+                lambda r: (m.with_ring(r), n.with_ring(r)), ring)
             if not out["equal"]:
                 failures += 1
                 _write_replay({"case": args.case, "p": p, "degree": 1,
-                               "precision": args.precision,
                                "m": _crystal_obj(m), "n": _crystal_obj(n)})
         summary = {"case": args.case, "p": p, "instances": args.random,
                    "failures": failures}
@@ -267,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (pe, pv, pz):
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-    pv.add_argument("--precision", type=int, default=_default_precision(),
-                    action=_GivenPrecision,
-                    help="p-adic working precision (env %s)" % PRECISION_ENV)
-    pv.set_defaults(precision_given=False)
     return ap
 
 
@@ -286,9 +301,7 @@ def main(argv=None) -> int:
         print("hypothesis violated: %s" % exc, file=sys.stderr)
         return 3
     except PrecisionError as exc:
-        hint = "" if exc.required is None else \
-            "; rerun with --precision %d" % exc.required
-        print("precision not certified: %s%s" % (exc, hint), file=sys.stderr)
+        print("precision not certified: %s" % exc, file=sys.stderr)
         return 4
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)

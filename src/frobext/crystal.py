@@ -3,7 +3,7 @@
 A crystal here is a finitely generated module over W = W(F_q) with a
 sigma-semilinear endomorphism F whose kernel is torsion.  Torsion-free
 crystals are stored through an F-matrix with torsion cokernel condition
-(det of the a-fold twisted product nonzero); torsion crystals are direct
+(det F nonzero, read exactly); torsion crystals are direct
 sums of W/p^{n_i} with an F-matrix respecting the filtration.  Hom and Ext
 are taken over the twisted polynomial ring W[F; sigma]; the local identity
 compares z(f)·[Ext²] against the p-adic absolute value of an eigenvalue
@@ -25,8 +25,17 @@ from .exact import (
     ratio_limit,
     resultant,
 )
-from .linalg import bareiss_det, charpoly, companion, hstack, mat_mul, vstack, zeros
-from .witt import WittElem, WittRing, padic_det_valuation, padic_smith
+from .linalg import (
+    bareiss_det,
+    block_diag,
+    charpoly,
+    companion,
+    hstack,
+    mat_mul,
+    vstack,
+    zeros,
+)
+from .witt import WittElem, WittRing, padic_smith
 from .zgamma import (
     FinGenAbGroup,
     GroupHom,
@@ -40,49 +49,31 @@ from .zgamma import (
 # matrices over a Witt ring
 
 
-def _wmat_sigma(ring: WittRing, m):
-    return [[ring.sigma(x) for x in row] for row in m]
-
-
-def _frobenius_product(ring: WittRing, frob):
-    """F·sigma(F)···sigma^{a-1}(F): the matrix of the a-th iterate of F,
-    which is W-linear because sigma^a = id."""
-    out = frob
-    twisted = frob
-    for _ in range(ring.a - 1):
-        twisted = _wmat_sigma(ring, twisted)
-        out = mat_mul(out, twisted)
-    return out
+def _int_mul_matrix(ring: WittRing, coords):
+    """Integer matrix of multiplication by integer coordinates on Z[x]/(h),
+    h the monic modulus: exact, with no reduction mod p^K."""
+    h, a = ring.modulus, ring.a
+    v = list(coords) + [0] * (a - len(coords))
+    cols = []
+    for _ in range(a):  # column j: the element times x^j
+        cols.append(v)
+        v = [x - v[-1] * c for x, c in zip([0] + v[:-1], h)]
+    return [[cols[j][i] for j in range(a)] for i in range(a)]
 
 
 def _linear_int_matrix(ring: WittRing, wmat):
-    """Z_p-coordinate matrix (size a·n) of v -> wmat·v, W-linearly."""
-    n = len(wmat)
-    a = ring.a
-    out = zeros(a * n, a * n)
-    for i in range(n):
-        for j in range(n):
-            blk = ring.mul_matrix(ring.coerce(wmat[i][j]))
-            for r in range(a):
-                row = out[i * a + r]
-                for c in range(a):
-                    row[j * a + c] += blk[r][c]
-    return out
+    """Z-coordinate matrix (size a·n) of v -> wmat·v over Z[x]/(h): exact
+    for integer coordinates, congruent mod p^K to the map over the ring for
+    Witt elements."""
+    blocks = [[_int_mul_matrix(ring, _coord_list(x)) for x in row] for row in wmat]
+    return [[x for blk in row for x in blk[r]]
+            for row in blocks for r in range(ring.a)]
 
 
 def _semilinear_int_matrix(ring: WittRing, wmat):
     """Z_p-coordinate matrix of v -> wmat·sigma(v)."""
-    n = len(wmat)
-    a = ring.a
-    out = zeros(a * n, a * n)
-    for i in range(n):
-        for j in range(n):
-            blk = mat_mul(ring.mul_matrix(ring.coerce(wmat[i][j])), ring.sigma_matrix)
-            for r in range(a):
-                row = out[i * a + r]
-                for c in range(a):
-                    row[j * a + c] += blk[r][c]
-    return out
+    sigma = block_diag(*[ring.sigma_matrix] * len(wmat))
+    return mat_mul(_linear_int_matrix(ring, wmat), sigma)
 
 
 def _coord_list(x):
@@ -105,8 +96,8 @@ class Crystal:
     be re-read at any working precision.  With `exponents` the module is
     ⊕_i W/p^{n_i} and the matrix must respect the filtration
     (p^{n_i - n_j} divides entry (i, j) when n_i > n_j); without, it is
-    free and the a-fold twisted product of the F-matrix must have nonzero
-    determinant mod p^K.
+    free and the F-matrix must have nonzero determinant (read exactly, at
+    no working precision).
 
     >>> ring = WittRing(5, 1)
     >>> unit_crystal(ring).rank
@@ -139,7 +130,8 @@ class Crystal:
         if len(exps) != self.dim or any(e < 1 for e in exps):
             raise ValueError("one exponent >= 1 per torsion generator")
         if max(exps, default=1) > self.ring.K:
-            raise ValueError("working precision below the torsion exponents")
+            raise PrecisionError("working precision below the torsion"
+                                 " exponents", required=max(exps))
         p = self.ring.p
         for i in range(self.dim):
             for j in range(self.dim):
@@ -154,23 +146,27 @@ class Crystal:
             self.det_valuation = self.ring.a * int_valuation(
                 self.special_poly[0], self.ring.p)
             return
-        pi = _frobenius_product(self.ring, self.frob)
-        try:
-            v = padic_det_valuation(_linear_int_matrix(self.ring, pi),
-                                    self.ring.p, self.ring.K)
-        except PrecisionError:
-            raise ValueError(
-                "F is singular mod p^K; the kernel must be torsion") from None
-        # the Z_p-determinant of a W-linear map is the norm of its W-determinant
-        self.det_valuation = v // self.ring.a
+        # Z[x]/(h) embeds in W (h is irreducible mod p), so det F is read
+        # exactly: its Z-determinant is the norm of the W-determinant, of
+        # valuation a·v(det F) = v(det F^a)
+        det = bareiss_det(_linear_int_matrix(self.ring, self.coords))
+        if det == 0:
+            raise ValueError("F is singular; the kernel must be torsion")
+        self.det_valuation = int_valuation(det, self.ring.p)
 
     @property
     def rank(self) -> int:
         return self.dim if self.kind == "free" else 0
 
     def frobenius_power(self):
-        """The W-linear matrix of the a-th iterate of F."""
-        return _frobenius_product(self.ring, self.frob)
+        """The matrix F·sigma(F)···sigma^{a-1}(F) of the a-th iterate of F,
+        W-linear because sigma^a = id."""
+        ring = self.ring
+        out = twisted = self.frob
+        for _ in range(ring.a - 1):
+            twisted = [[ring.sigma(x) for x in row] for row in twisted]
+            out = mat_mul(out, twisted)
+        return out
 
     def is_k_type(self) -> bool:
         """Copies of the residue field with zero Frobenius."""
@@ -184,7 +180,7 @@ class Crystal:
         if self.kind != "finite":
             return False
         p = self.ring.p
-        phi = _semilinear_int_matrix(self.ring, self.frob)
+        phi = _semilinear_int_matrix(self.ring, self.coords)
         return bareiss_det([[x % p for x in row] for row in phi]) % p != 0
 
     def with_ring(self, ring: WittRing) -> "Crystal":
@@ -346,18 +342,21 @@ def _theta_int(m: Crystal, n: Crystal):
     def base(i, j):
         return (i * rm + j) * a
 
+    # one multiplication matrix per F-matrix entry, σ folded into N's
+    mul_m = [[ring.mul_matrix(x) for x in row] for row in m.frob]
+    mul_n = [[mat_mul(ring.mul_matrix(x), s_mat) for x in row] for row in n.frob]
     for i in range(rn):
         for j in range(rm):
             ro = base(i, j)
             for k in range(rm):
-                blk = ring.mul_matrix(m.frob[k][j])
+                blk = mul_m[k][j]
                 co = base(i, k)
                 for r in range(a):
                     orow = out[ro + r]
                     for c in range(a):
                         orow[co + c] += blk[r][c]
             for k in range(rn):
-                blk = mat_mul(ring.mul_matrix(n.frob[i][k]), s_mat)
+                blk = mul_n[i][k]
                 co = base(k, j)
                 for r in range(a):
                     orow = out[ro + r]
@@ -454,7 +453,7 @@ def ext_koszul_k(n: Crystal):
     ring = n.ring
     p, a = ring.p, ring.a
     if n.kind == "finite":
-        phi = _semilinear_int_matrix(ring, n.frob)
+        phi = _semilinear_int_matrix(ring, n.coords)
         size = a * n.dim
         moduli = [p ** e for e in n.exponents for _ in range(a)]
         pres = moduli_presentation(moduli)

@@ -236,43 +236,28 @@ def check_hypothesis(m: GaloisModule, n: GaloisModule):
     hypothesis_gate(m.min_poly(), n.min_poly())
 
 
-@dataclass
-class ExtDataL:
-    """The integer side of the l-adic Ext of a pair: the map f_0 from Hom
-    invariants to Hom coinvariants, the bar-Ext action, and z(f_0) (None
-    where the hypothesis fails).  Their kernels and cokernels are Smith
-    forms over Z, computed once; `localize` reads an l-adic report off them
-    at any l at which det U of both actions is a unit.  Localization at l
-    is exact, so those l-parts are the groups over Z_l."""
-
-    f0: GroupHom
-    bar: PairAction
-    z0: Fraction | None
-
-
-def ext_data_l(m: GaloisModule, n: GaloisModule) -> ExtDataL:
-    """Hom and bar-Ext of the pair, built once, and z(f_0) read off them."""
+def ext_groups_l(m: GaloisModule, n: GaloisModule) -> ExtReportL:
+    """Ext of two l-adic modules: Ext^0 = Hom^Gamma; Ext^1 is an extension
+    of the bar-Ext invariants by the Hom coinvariants; Ext^2 = bar-Ext
+    coinvariants (always finite); z(f) = z(f_0) / [bar-Ext invariants], f_0
+    the map from Hom invariants to Hom coinvariants (None where the
+    hypothesis fails).  All are Smith forms over Z, read in l-parts:
+    localization at l is exact."""
     _require_compatible(m, n)
+    l = m.l
     f0 = hom_module(m, n).f0()  # Hom invariants -> Hom coinvariants
     bar = ext1_bar_module(m, n)
     try:
         check_hypothesis(m, n)
     except HypothesisError:
-        return ExtDataL(f0, bar, None)
-    z0 = f0.z()
-    if z0 is None:
-        raise RuntimeError("z(f_0) is undefined although the hypothesis"
-                           " holds")
-    return ExtDataL(f0, bar, z0)
-
-
-def localize(data: ExtDataL, l: int) -> ExtReportL:
-    """The l-adic report: Ext^0 = Hom^Gamma; Ext^1 is an extension of the
-    bar-Ext invariants by the Hom coinvariants; Ext^2 = bar-Ext
-    coinvariants (always finite); z(f) = z(f_0) / [bar-Ext invariants], all
-    in l-parts."""
-    h1 = data.f0.cod.group().primary_part(l)
-    e_inv = data.bar.invariants().primary_part(l)  # finite, as is bar-Ext
+        z0 = None
+    else:
+        z0 = f0.z()
+        if z0 is None:
+            raise RuntimeError("z(f_0) is undefined although the hypothesis"
+                               " holds")
+    h1 = f0.cod.group().primary_part(l)
+    e_inv = bar.invariants().primary_part(l)  # finite, as is bar-Ext
     if h1.free_rank == 0:
         ext1_torsion = h1.order * e_inv.order
     elif e_inv.order == 1:
@@ -281,19 +266,12 @@ def localize(data: ExtDataL, l: int) -> ExtReportL:
         ext1_torsion = None
     return ExtReportL(
         l=l,
-        ext0=data.f0.dom.group().primary_part(l),
+        ext0=f0.dom.group().primary_part(l),
         ext1_rank=h1.free_rank,
         ext1_torsion=ext1_torsion,
-        ext2=data.bar.coinvariants().primary_part(l),
-        z_f=None if data.z0 is None
-        else l_primary(data.z0, l) / e_inv.order,
+        ext2=bar.coinvariants().primary_part(l),
+        z_f=None if z0 is None else l_primary(z0, l) / e_inv.order,
     )
-
-
-def ext_groups_l(m: GaloisModule, n: GaloisModule) -> ExtReportL:
-    """Ext of two l-adic modules: the integer data of the pair, localized
-    at its l."""
-    return localize(ext_data_l(m, n), m.l)
 
 
 def _gated_report(m: GaloisModule, n: GaloisModule) -> ExtReportL:

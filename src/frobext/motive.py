@@ -46,7 +46,7 @@ from .exact import (
     prime_power,
     ratio_limit,
 )
-from .galois import GaloisModule, ext_data_l, hom_module, localize
+from .galois import GaloisModule, ext_groups_l, hom_module
 # unused here, but the benchmark harness's self-check (perfbench/selfcheck.py,
 # tracing) asserts that this alias is rebound and restored
 from .galois import verify_local_identity as _verify_galois_pair  # noqa: F401
@@ -317,6 +317,17 @@ def json_ints(value, field: str) -> list[int]:
             for i, v in enumerate(json_array(value, field))]
 
 
+def json_matrix(value, field: str, size=None, entry=json_int) -> list:
+    """A square matrix of JSON entries, size by size when a size is given."""
+    rows = [[entry(v, "%s[%d][%d]" % (field, i, j))
+             for j, v in enumerate(json_array(row, "%s[%d]" % (field, i)))]
+            for i, row in enumerate(json_array(value, field))]
+    n = len(rows) if size is None else size
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError("%s must be %d by %d" % (field, n, n))
+    return rows
+
+
 def json_object(value, field: str) -> dict:
     if not isinstance(value, dict):
         _refuse(field, "an object", value)
@@ -331,13 +342,7 @@ def _json_exceptional(key: str, data, q: int, cp: list[int]) -> GaloisModule:
     torsion = json_ints(data.get("torsion", []), field + ".torsion")
     tfrob = data.get("torsion_frobenius")
     if tfrob is not None:
-        tfrob = [json_ints(row, "%s.torsion_frobenius[%d]" % (field, i))
-                 for i, row in enumerate(
-                     json_array(tfrob, field + ".torsion_frobenius"))]
-        if len(tfrob) != len(torsion) or \
-                any(len(row) != len(torsion) for row in tfrob):
-            raise ValueError("%s.torsion_frobenius must be %d by %d"
-                             % (field, len(torsion), len(torsion)))
+        tfrob = json_matrix(tfrob, field + ".torsion_frobenius", len(torsion))
     return GaloisModule(int(key), q, companion(cp) if poly_deg(cp) else None,
                         tuple(torsion), tfrob)
 
@@ -529,16 +534,13 @@ def _p_power_root(z, p: int, k: int) -> Fraction:
     return Fraction(p) ** (v // k)
 
 
-def _l_data(x: Motive, y: Motive, l: int) -> tuple:
-    """The integer l-adic data of the pair built from its modules at l: Hom
-    and bar-Ext (`ext_data_l`), and the invariants of the swapped Hom."""
+def _l_side(x: Motive, y: Motive, l: int, rho: int, nstar: Fraction) -> dict:
+    """The local data at l from the pair's modules at l, built there: Ext
+    on the galois route (`ext_groups_l`) and the invariants of the swapped
+    Hom."""
     mx, my = x.local_module(l), y.local_module(l)
-    return ext_data_l(mx, my), hom_module(my, mx).invariants()
-
-
-def _l_side(data: tuple, l: int, rho: int, nstar: Fraction) -> dict:
-    pair, swap = data
-    rep = localize(pair, l)
+    rep = ext_groups_l(mx, my)
+    swap = hom_module(my, mx).invariants()
     if rep.ext0.free_rank != rho or rep.ext1_rank != rho:
         raise RuntimeError("local Hom rank at l=%d differs from rho" % l)
     if rep.z_f is None:
@@ -728,7 +730,7 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
         elif on_system:
             d = system.l_side(l, nstar)
         else:
-            d = _l_side(_l_data(x, y, l), l, rho, nstar)
+            d = _l_side(x, y, l, rho, nstar)
         per_prime[l] = d
         hom_tors *= d["hom_tors"]
         ext2 *= d["ext2"]

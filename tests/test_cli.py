@@ -409,12 +409,23 @@ def test_verify_local_random_l_adic(capsys):
     assert obj == {"failures": 0, "instances": 8, "l": 5, "q": 2}
 
 
-def test_verify_local_random_p_adic(capsys):
+def test_verify_local_random_p_adic(capsys, monkeypatch):
+    # random crystal pairs are read at the starting precision, and again
+    # only at a precision that an error names
+    rings = []
+    init = WittRing.__init__
+
+    def counted(self, p, a, precision=20, modulus=None):
+        rings.append(precision)
+        init(self, p, a, precision, modulus)
+
+    monkeypatch.setattr(WittRing, "__init__", counted)
     code, out = run(capsys, ["verify-local", "--random", "2", "--case",
                              "finite-invertible", "--prime", "3", "--seed",
-                             "4", "--precision", "10", "--json"])
+                             "4", "--json"])
     assert code == 0
     assert json.loads(out)["failures"] == 0
+    assert rings[0] == cli.PRECISION_START
 
 
 def test_verify_local_replay(tmp_path, capsys, monkeypatch):
@@ -430,24 +441,136 @@ def test_verify_local_replay(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["equal"] is True
 
 
+def _crystal_replay(path, a: int, m, n, **extra) -> list:
+    case = {"case": "free-disjoint", "p": 3, "degree": a,
+            "m": {"coords": m, "exponents": None, "special_poly": None},
+            "n": {"coords": n, "exponents": None, "special_poly": None}}
+    path.write_text(json.dumps(dict(case, **extra)))
+    return ["verify-local", "--replay", str(path), "--json"]
+
+
+# general crystals over F_3 and F_9 that need more than the starting
+# precision: [[1]] and [[1 + 3^45]] cannot be separated at 20, and at a = 1
+# v_3 of the resultant of their integer charpolys names 46, where θ is read
+# at 48; at a = 2 the error names 2K, so the pair is read at 40 and 80.  The
+# det of [[3^25]] vanishes mod 3^20 and is read exactly: the error names 26.
+# [[1]] against itself at a = 2 names 2K up to the ceiling, and [[0]] is
+# singular
+REPLAYS = [
+    (1, [[1]], [[1 + 3 ** 45]], 0, 48),
+    (1, [[3 ** 25]], [[1]], 0, 28),
+    (2, [[1]], [[1 + 3 ** 45]], 0, 82),
+    (2, [[1]], [[1]], 4, None),
+    (1, [[0]], [[1]], 2, None),
+]
+
+
 def test_replay_precision_order(tmp_path, capsys, monkeypatch):
-    # a written replay file carries its precision; an explicit --precision
-    # wins over it, so exit 4's hint can be followed on the file.  The
-    # general crystals [[1]] and [[1 + 3^45]] cannot be separated at 20, and
-    # v_3 of the resultant of their integer charpolys names 46
-    monkeypatch.chdir(tmp_path)
-    ring = WittRing(3, 1, 20)
-    m, n = Crystal(ring, [[1]]), Crystal(ring, [[1 + 3 ** 45]])
-    cli._write_replay({"case": "free-disjoint", "p": 3, "degree": 1,
-                       "precision": 20, "m": cli._crystal_obj(m),
-                       "n": cli._crystal_obj(n)})
-    argv = ["verify-local", "--replay", cli.REPLAY_FILE]
-    assert main(argv) == 4
-    assert capsys.readouterr().err.endswith("; rerun with --precision 46\n")
-    assert main(argv + ["--precision", "46"]) == 0
-    # without the flag the file's precision beats the environment's
-    monkeypatch.setenv(cli.PRECISION_ENV, "46")
-    assert main(argv) == 4
+    # a replay is read at PRECISION_START, then at each larger precision a
+    # PrecisionError names, and never past PRECISION_CEILING
+    rings = []
+    at_precision = WittRing.at_precision
+
+    def recorded(ring, k):
+        rings.append(k)
+        return at_precision(ring, k)
+
+    monkeypatch.setattr(WittRing, "at_precision", recorded)
+    for a, m, n, code, certified in REPLAYS:
+        rings.clear()
+        argv = _crystal_replay(tmp_path / "case.json", a, m, n)
+        start = time.perf_counter()
+        assert main(argv) == code, (a, m, n)
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert all(k <= cli.PRECISION_CEILING for k in rings)
+        if code == 0:
+            out = json.loads(captured.out)
+            assert out["equal"] and out["certified_precision"] == certified
+        elif code == 4:
+            assert rings[-1] == cli.PRECISION_CEILING
+            assert captured.err.endswith(
+                "(read up to the ceiling p^%d)\n" % cli.PRECISION_CEILING)
+            assert "--precision" not in captured.err
+
+
+def test_replay_ignores_a_precision_field(tmp_path, capsys):
+    # older replay files carry a "precision" field; it is read and ignored
+    argv = _crystal_replay(tmp_path / "case.json", 1, [[1]], [[1 + 3 ** 45]])
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    for precision in (8, 46, 100, "junk"):
+        argv = _crystal_replay(tmp_path / "old.json", 1, [[1]],
+                               [[1 + 3 ** 45]], precision=precision)
+        assert run(capsys, argv) == (0, want)
+
+
+def test_replay_reads_deep_torsion(tmp_path, capsys):
+    # a torsion exponent above the working precision names itself: the pair
+    # is read there, and above the ceiling it is not read at all
+    case = {"case": "finite-invertible", "p": 3, "degree": 1,
+            "m": {"coords": [[1]], "exponents": [30]},
+            "n": {"special_poly": [-4, 1]}}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    code, out = run(capsys, ["verify-local", "--replay", str(path), "--json"])
+    assert code == 0 and json.loads(out)["certified_precision"] == 32
+    case["m"]["exponents"] = [cli.PRECISION_CEILING + 1]
+    path.write_text(json.dumps(case))
+    assert main(["verify-local", "--replay", str(path)]) == 4
+    assert capsys.readouterr().err == "precision not certified: working" \
+        " precision below the torsion exponents (read up to the ceiling" \
+        " p^%d)\n" % cli.PRECISION_CEILING
+
+
+_MODULE = {"l": 3, "q": 5, "free_frob": [[2]], "torsion": [],
+           "torsion_frob": None}
+_CRYSTAL = {"coords": [[1]], "exponents": None, "special_poly": None}
+
+
+@pytest.mark.parametrize("case, field", [
+    ([1, 2], "the replay file must be an object, not an array"),
+    ("x", "the replay file must be an object, not a string"),
+    ({"m": {"l": 3, "q": 5, "free_frob": "x"}},
+     "m.free_frob must be an array, not a string"),
+    ({"m": _MODULE}, "n must be an object, not null"),
+    ({"m": dict(_MODULE, l="3"), "n": _MODULE},
+     "m.l must be an integer, not a string"),
+    ({"m": dict(_MODULE, q=None), "n": _MODULE},
+     "m.q must be an integer, not null"),
+    ({"m": dict(_MODULE, free_frob=[[2, 1]]), "n": _MODULE},
+     "m.free_frob must be 1 by 1"),
+    ({"m": dict(_MODULE, free_frob=[[1.5]]), "n": _MODULE},
+     "m.free_frob[0][0] must be an integer, not a number"),
+    ({"m": dict(_MODULE, torsion=[3], torsion_frob=[[1, 0]]), "n": _MODULE},
+     "m.torsion_frob must be 1 by 1"),
+    ({"m": dict(_MODULE, torsion="3"), "n": _MODULE},
+     "m.torsion must be an array, not a string"),
+    ({"case": "c", "p": 3, "m": dict(_CRYSTAL, coords="x"), "n": _CRYSTAL},
+     "m.coords must be an array, not a string"),
+    ({"case": "c", "p": 3, "m": _CRYSTAL, "n": dict(_CRYSTAL, coords=[["1"]])},
+     "n.coords[0][0] must be an integer, not a string"),
+    ({"case": "c", "p": 3, "m": dict(_CRYSTAL, coords=[[[1, True]]]),
+      "n": _CRYSTAL}, "m.coords[0][0][1] must be an integer, not a boolean"),
+    ({"case": "c", "p": 3, "m": dict(_CRYSTAL, exponents=2), "n": _CRYSTAL},
+     "m.exponents must be an array, not an integer"),
+    ({"case": "c", "p": 3, "m": dict(_CRYSTAL, special_poly={}),
+      "n": _CRYSTAL}, "m.special_poly must be an array, not an object"),
+    ({"case": "c", "p": "3", "m": _CRYSTAL, "n": _CRYSTAL},
+     "p must be an integer, not a string"),
+    ({"case": "c", "p": 3, "degree": 1.0, "m": _CRYSTAL, "n": _CRYSTAL},
+     "degree must be an integer, not a number"),
+    ({"case": "c", "p": 3, "n": _CRYSTAL}, "m must be an object, not null"),
+])
+def test_malformed_replay_is_an_input_error(tmp_path, capsys, case, field):
+    # every field of a replay file is checked as `ext` checks its JSON: exit
+    # 2 naming the field, no traceback
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    assert main(["verify-local", "--replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: %s" % field), err
 
 
 def test_hypothesis_violation_exit_code(tmp_path, capsys):
@@ -534,12 +657,16 @@ def test_input_error_exit_codes(capsys):
 @pytest.mark.parametrize("required, hint", [
     (28, "; rerun with --precision 28"), (None, "")])
 def test_precision_error_exit_code(capsys, monkeypatch, required, hint):
+    # exit 4 prints the error alone, with no hint to rerun with a
+    # precision: verify-local has already read the pair at the precision
+    # the error names
     def fail(args):
         raise PrecisionError("cannot separate at K", required=required)
     monkeypatch.setattr(cli, "_cmd_verify_local", fail)
     assert main(["verify-local", "--random", "1"]) == 4
-    assert capsys.readouterr().err == \
-        "precision not certified: cannot separate at K%s\n" % hint
+    err = capsys.readouterr().err
+    assert err == "precision not certified: cannot separate at K\n"
+    assert not hint or hint not in err
 
 
 def test_deep_twists_answer_exactly(capsys):
@@ -558,10 +685,11 @@ def test_deep_twists_answer_exactly(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["ext", '{"q": 5, "charpoly": [-1, 1]}', '{"q": 5, "charpoly": [-5, 1]}'],
-    ["zeta", '{"kind": "projective_space", "q": 3, "dimension": 1}']])
-def test_only_verify_local_takes_a_precision(capsys, argv):
-    # no motive answer depends on a working precision, so `ext` and `zeta`
-    # reject the option as unknown
+    ["zeta", '{"kind": "projective_space", "q": 3, "dimension": 1}'],
+    ["verify-local", "--random", "1", "--case", "special-coprime"]])
+def test_no_subcommand_takes_a_precision(capsys, argv):
+    # no motive answer depends on a working precision, and verify-local
+    # works out its own, so every subcommand rejects the option as unknown
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--precision", "8"])
     assert exc.value.code == 2
@@ -621,16 +749,6 @@ def test_deterministic_json_output(capsys):
     _, first = run(capsys, argv)
     _, second = run(capsys, argv)
     assert first == second
-
-
-def test_precision_env_default(monkeypatch):
-    from frobext import cli
-    monkeypatch.setenv(cli.PRECISION_ENV, "12")
-    args = cli.build_parser().parse_args(["verify-local", "--random", "1"])
-    assert args.precision == 12
-    monkeypatch.setenv(cli.PRECISION_ENV, "junk")
-    args = cli.build_parser().parse_args(["verify-local", "--random", "1"])
-    assert args.precision == 20
 
 
 def test_console_entry_point():

@@ -89,11 +89,14 @@ def test_slopes():
 
 
 def test_crystal_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="F is singular"):
         Crystal(R31, [[0]])  # singular F on a free crystal
-    with pytest.raises(ValueError):
-        Crystal(R31, [[3 ** 25]])  # indistinguishable from singular mod p^K
-    Crystal(R31, [[3]])  # p-divisible but nonsingular is fine
+    with pytest.raises(ValueError, match="F is singular"):
+        Crystal(R32, [[[1, 1], [2, 2]], [[1, 1], [2, 2]]])  # det F = 0 in W
+    # det F is read exactly, not mod p^K: 0 mod 3^20, but nonsingular
+    assert Crystal(R31, [[3 ** 25]]).det_valuation == 25
+    assert Crystal(R32, [[3 ** 25]]).det_valuation == 50
+    assert Crystal(R31, [[3]]).det_valuation == 1
     with pytest.raises(ValueError):
         Crystal(R31, [[1, 1], [1, 1]], exponents=[2, 1])  # filtration broken
     Crystal(R31, [[1, 3], [1, 1]], exponents=[2, 1])  # divisible entry is fine
@@ -474,6 +477,80 @@ def test_one_smith_form_per_pair(monkeypatch):
     out = verify_local_identity(m, n)
     assert out["equal"] and out["certified_precision"] == 8
     assert depths == [8]
+
+
+def _padic_det_route(x: Crystal) -> int:
+    """v_p(det F^a) read off the Z_p-matrix of F^a over the ring mod p^K,
+    divided by a: the route the exact determinant replaces."""
+    ring = x.ring
+    pi = x.frobenius_power()
+    n, a = len(pi), ring.a
+    mat = [[0] * (a * n) for _ in range(a * n)]
+    for i in range(n):
+        for j in range(n):
+            blk = ring.mul_matrix(pi[i][j])
+            for r in range(a):
+                for c in range(a):
+                    mat[i * a + r][j * a + c] = blk[r][c]
+    return padic_det_valuation(mat, ring.p, ring.K) // a
+
+
+DEEP_RINGS = {(p, a): WittRing(p, a, 60) for p in (2, 3, 5) for a in (1, 2, 3)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(DEEP_RINGS)), st.integers(1, 2), st.data())
+def test_exact_det_valuation_vs_padic_route(key, rank, data):
+    # the exact det of F agrees with the mod-p^K route where that route
+    # reads one, and a crystal with exact det 0 is refused
+    p, a = key
+    ring = DEEP_RINGS[key]
+    scaled = st.builds(lambda c, e: c * p ** e, st.integers(-p, p),
+                       st.integers(0, 3))
+    entry = st.lists(scaled, min_size=1, max_size=a)
+    coords = data.draw(st.lists(st.lists(entry, min_size=rank, max_size=rank),
+                                min_size=rank, max_size=rank))
+    try:
+        x = Crystal(ring, coords)
+    except ValueError:
+        # exact det 0: the p-adic route reads 0 mod p^K as well
+        x = object.__new__(Crystal)
+        x.ring, x.frob = ring, [[ring.elem(c) for c in row] for row in coords]
+        with pytest.raises(PrecisionError):
+            _padic_det_route(x)
+        return
+    assert x.det_valuation == _padic_det_route(x)
+
+
+def _unitriangular(ring: WittRing, r: int) -> Crystal:
+    return Crystal(ring, [[1 if i == j else [j, 1][:ring.a] if j > i else 0
+                           for j in range(r)] for i in range(r)])
+
+
+@pytest.mark.parametrize("ring, rm, rn", [
+    (R31, 2, 3), (R32, 3, 2), (R32, 3, 1), (WittRing(2, 3), 2, 2)])
+def test_theta_is_the_presentation_map(monkeypatch, ring, rm, rn):
+    # θ applied to the coordinates of a W-linear map u: M -> N gives those
+    # of u·F_M - F_N·sigma(u), on F-matrices that are not symmetric, and it
+    # multiplies by each entry of F_M and F_N once, not once per row and
+    # column it touches: r_M² + r_N² multiplication matrices
+    rng = random.Random(rm * 10 + rn)
+    m, n = _unitriangular(ring, rm), _unitriangular(ring, rn)
+    u = [[ring.elem([rng.randrange(-9, 10) for _ in range(ring.a)])
+          for _ in range(rm)] for _ in range(rn)]
+    want = [[sum((u[i][k] * m.frob[k][j] for k in range(rm)), ring.zero())
+             - sum((n.frob[i][k] * ring.sigma(u[k][j]) for k in range(rn)),
+                   ring.zero())
+             for j in range(rm)] for i in range(rn)]
+    calls = []
+    mul_matrix = WittRing.mul_matrix
+    monkeypatch.setattr(WittRing, "mul_matrix",
+                        lambda r, w: calls.append(w) or mul_matrix(r, w))
+    theta = _theta_int(m, n)
+    assert len(calls) == rm ** 2 + rn ** 2
+    vec = [c for row in u for x in row for c in x.c]
+    got = [sum(t * v for t, v in zip(row, vec)) for row in theta]
+    assert [x % ring.pK for x in got] == [c for row in want for x in row for c in x.c]
 
 
 def test_rehoming_skips_the_checks_only_upwards(monkeypatch):

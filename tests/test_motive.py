@@ -362,7 +362,7 @@ def test_one_smith_form_reads_every_l(pair):
     # support is that of the assembly, whose p-side refuses some pairs that
     # share only part of their eigenvalues (CHANGES.md)
     from frobext.exact import prime_factors, ratio_limit
-    from frobext.motive import _discriminant, _hom_system, _l_data, _l_side
+    from frobext.motive import _discriminant, _hom_system, _l_side
     x, y = pair
     rho, nstar = ratio_limit(x.charpoly, y.charpoly)
     system = _hom_system(x, y, rho)
@@ -370,7 +370,7 @@ def test_one_smith_form_reads_every_l(pair):
     for n in (nstar.numerator, nstar.denominator, _discriminant(system)):
         support.update(prime_factors(n))
     for l in sorted(support - {x.p}):
-        want = _l_side(_l_data(x, y, l), l, rho, nstar)
+        want = _l_side(x, y, l, rho, nstar)
         got = system.l_side(l, nstar)
         assert got == want, l
         assert [type(v) for v in got.values()] \
