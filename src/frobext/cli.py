@@ -43,6 +43,7 @@ from .exact import PrecisionError, is_prime
 from .galois import GaloisModule, random_admissible_pair
 from .galois import verify_local_identity as verify_galois
 from .motive import (
+    MAX_THETA_DIM,
     global_ext_orders,
     json_int,
     json_ints,
@@ -197,9 +198,15 @@ def _cmd_verify_local(args) -> int:
             case = json_object(json.load(fh), "the replay file")
         if "case" in case:
             # older replay files carry a "precision" field; it is not read
-            ring = WittRing(json_int(case.get("p"), "p"),
-                            json_int(case.get("degree", 1), "degree"),
-                            PRECISION_START)
+            p = json_int(case.get("p"), "p")
+            a = json_int(case.get("degree", 1), "degree")
+            # the cap `ext` and `zeta` apply: building the ring alone grows
+            # fast in a
+            if a ** 3 > MAX_THETA_DIM:
+                raise ValueError("degree %d gives a p-adic system of dimension"
+                                 " at least a^3 = %d, above the cap of %d"
+                                 % (a, a ** 3, MAX_THETA_DIM))
+            ring = WittRing(p, a, PRECISION_START)
             out = _verify_crystals(lambda r: (
                 _crystal_from_obj(case.get("m"), r, "m"),
                 _crystal_from_obj(case.get("n"), r, "n")), ring)

@@ -251,18 +251,24 @@ def smith_normal_form(a: Matrix) -> SNF:
         for r in range(n):
             right[r][i], right[r][j] = right[r][j], right[r][i]
 
-    t = 0
-    while t < min(m, n):
-        # locate the smallest nonzero entry of the trailing block
+    def pivot(t) -> bool:
+        # move the smallest nonzero entry of the trailing block to (t, t);
+        # False if the block is zero
         piv = None
         for i in range(t, m):
             for j in range(t, n):
                 if d[i][j] != 0 and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
                     piv = (i, j)
         if piv is None:
-            break
+            return False
         row_swap(t, piv[0])
         col_swap(t, piv[1])
+        return True
+
+    t = 0
+    while t < min(m, n):
+        if not pivot(t):
+            break
         while True:
             moved = False
             for i in range(t + 1, m):
@@ -279,13 +285,7 @@ def smith_normal_form(a: Matrix) -> SNF:
                     moved = moved or d[t][j] != 0
             if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
                 # leftover remainders are smaller than the pivot: re-pivot
-                piv = None
-                for i in range(t, m):
-                    for j in range(t, n):
-                        if d[i][j] != 0 and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
-                            piv = (i, j)
-                row_swap(t, piv[0])
-                col_swap(t, piv[1])
+                pivot(t)
                 continue
             # pivot clears its row and column; enforce divisibility of the rest
             bad = None

@@ -3,10 +3,11 @@ F_q -- projective spaces, elliptic curves over prime fields, and binary
 products -- with exact special values at integer arguments and a comparison
 of the leading coefficient against motivic Ext data.
 
-The zeta side is computed purely from point counts and Frobenius
-polynomials: Z(V, t) = prod_j P_j(t)^((-1)^(j+1)) with P_j(t) = prod(1 - b t)
-over the eigenvalues b on H^j, and the special value at s = r is read off
-factor by factor in powers of (1 - q^(r-s)).  The Ext side decomposes each
+The zeta side is computed purely from point counts and the Kunneth pieces
+of each H^j: Z(V, t) = prod_j P_j(t)^((-1)^(j+1)) with P_j(t) =
+prod(1 - b t) over the eigenvalues b on H^j, the product of its pieces'
+reversed charpolys.  No P_j is expanded: the special value at s = r is read
+off piece by piece in powers of (1 - q^(r-s)).  The Ext side decomposes each
 H^j into squarefree catalogue motives and assembles
 
     chi_times = q^(chi_tot - chi_O) * prod_j (z(f_j) [Ext^2_j])^((-1)^j)
@@ -35,7 +36,6 @@ from .exact import (
     poly_gcd_monic,
     poly_mul,
     poly_quo_monic,
-    poly_trim,
     power_sums,
     prime_power,
 )
@@ -57,52 +57,15 @@ class VarietyDescriptor:
     q: int
     dimension: int
     hodge: list            # hodge[i][j] = dim H^j(X, Omega^i)
-    frobenius_polys: list  # P_j(t) = prod(1 - b t), ascending, P_j(0) = 1
     pieces: list           # per degree: [(monic integer charpoly, mult), ...]
     spec: dict             # the defining data, for serialization
-
-
-def _power(g: list, mult: int) -> list[int]:
-    """g^mult for an integer polynomial g with g(0) = 1, by J. C. P. Miller's
-    recurrence: P = g^mult satisfies g·P' = mult·g'·P, so
-
-        k P_k = sum_(1 <= i <= deg g) g_i ((mult + 1) i - k) P_(k-i),
-
-    each division by k exact: about deg P·deg g products, as many as one
-    multiplication by g."""
-    n = mult * (len(g) - 1)
-    out = [1] + [0] * n
-    for k in range(1, n + 1):
-        acc = sum(g[i] * ((mult + 1) * i - k) * out[k - i]
-                  for i in range(1, min(len(g) - 1, k) + 1))
-        out[k], rem = divmod(acc, k)
-        if rem:
-            raise RuntimeError("Miller's recurrence left a remainder")
-    return out
-
-
-def _pieces_to_weil(pieces) -> list[int]:
-    """Expand [(monic charpoly, mult)] into P(t) = prod(1 - b t), over Z.
-
-    Each piece gives g^mult, g(t) = prod(1 - b t) its reversed charpoly.
-    The piece of largest multiplicity is raised by `_power` and the rest
-    are multiplied in one factor at a time: a row of (P^1)^11 is one linear
-    piece of multiplicity up to 462, which repeated products took 2.8 s to
-    expand over F_33554393 (CHANGES.md has the timings)."""
-    gs = sorted(((list(reversed(cp)), mult) for cp, mult in pieces),
-                key=lambda gm: -gm[1])
-    out = _power(*gs[0]) if gs else [1]
-    for g, mult in gs[1:]:
-        for _ in range(mult):
-            out = poly_mul(out, g)
-    return out
 
 
 def projective_space(q: int, n: int) -> VarietyDescriptor:
     """P^n: H^(2i) is the i-th power of the Lefschetz motive, odd rows vanish.
 
-    >>> projective_space(4, 2).frobenius_polys
-    [[1, -1], [1], [1, -4], [1], [1, -16]]
+    >>> projective_space(4, 2).pieces
+    [[([-1, 1], 1)], [], [([-4, 1], 1)], [], [([-16, 1], 1)]]
     """
     if n < 0:
         raise ValueError("negative dimension")
@@ -113,7 +76,7 @@ def projective_space(q: int, n: int) -> VarietyDescriptor:
     hodge = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
     return VarietyDescriptor(
         kind="projective_space", q=q, dimension=n, hodge=hodge,
-        frobenius_polys=[_pieces_to_weil(p) for p in pieces], pieces=pieces,
+        pieces=pieces,
         spec={"kind": "projective_space", "q": q, "dimension": n})
 
 
@@ -187,7 +150,7 @@ def elliptic_curve(q: int, coefficients) -> VarietyDescriptor:
     pieces = [[([-1, 1], 1)], [([q, -t, 1], 1)], [([-q, 1], 1)]]
     return VarietyDescriptor(
         kind="elliptic_curve", q=q, dimension=1, hodge=[[1, 1], [1, 1]],
-        frobenius_polys=[_pieces_to_weil(x) for x in pieces], pieces=pieces,
+        pieces=pieces,
         spec={"kind": "elliptic_curve", "q": q,
               "coefficients": [int(c) for c in coefficients]})
 
@@ -212,24 +175,7 @@ def _squarefree_split(f: list) -> list:
     return out
 
 
-def _integer_root_split(f: list, p: int) -> list:
-    """Split +-p^k roots off a squarefree monic integer polynomial so that
-    no remaining factor shares an eigenvalue with a Lefschetz power."""
-    out = []
-    rest = f
-    k = 0
-    while poly_deg(rest) > 0 and p ** k <= abs(rest[0]):
-        for c in (p ** k, -p ** k):
-            if poly_deg(rest) > 0 and poly_eval(rest, c) == 0:
-                rest = poly_quo_monic(rest, [-c, 1])
-                out.append(([-c, 1], 1))
-        k += 1
-    if poly_deg(rest) > 0:
-        out.append((rest, 1))
-    return out
-
-
-def _kunneth(pieces_v: list, pieces_w: list, p: int) -> list:
+def _kunneth(pieces_v: list, pieces_w: list) -> list:
     """The pieces of a product: H^j is the sum of H^a ⊗ H^b over a + b = j,
     each tensor product the squarefree factors of a composed product."""
     pieces: list = [{} for _ in range(len(pieces_v) + len(pieces_w) - 1)]
@@ -239,10 +185,9 @@ def _kunneth(pieces_v: list, pieces_w: list, p: int) -> list:
                 for fb, mb in row_b:
                     prod_poly = composed_product(fa, fb)
                     for g, mg in _squarefree_split(prod_poly):
-                        for h, mh in _integer_root_split(g, p):
-                            key = tuple(h)
-                            pieces[ja + jb][key] = pieces[ja + jb].get(key, 0) \
-                                + ma * mb * mg * mh
+                        key = tuple(g)
+                        pieces[ja + jb][key] = pieces[ja + jb].get(key, 0) \
+                            + ma * mb * mg
     return [[(list(cp), m) for cp, m in sorted(d.items())] for d in pieces]
 
 
@@ -261,33 +206,31 @@ def product(v: VarietyDescriptor, w: VarietyDescriptor,
             *more: VarietyDescriptor) -> VarietyDescriptor:
     """Product variety: Kunneth on cohomology, eigenvalue products on the
     Frobenius side, convolution on the Hodge table.  Further factors are
-    multiplied in turn, and the Frobenius polynomials are expanded once,
-    for the whole product."""
+    multiplied in turn."""
     factors = (v, w) + more
     if any(f.q != v.q for f in factors):
         raise ValueError("factors over different fields")
-    p, _ = prime_power(v.q)
     pieces, hodge = v.pieces, v.hodge
     for f in factors[1:]:
-        pieces = _kunneth(pieces, f.pieces, p)
+        pieces = _kunneth(pieces, f.pieces)
         hodge = _convolve(hodge, f.hodge)
     return VarietyDescriptor(
         kind="product", q=v.q, dimension=sum(f.dimension for f in factors),
-        hodge=hodge, frobenius_polys=[_pieces_to_weil(x) for x in pieces],
-        pieces=pieces,
+        hodge=hodge, pieces=pieces,
         spec={"kind": "product", "q": v.q,
               "factors": [f.spec for f in factors]})
 
 
 # spec caps, checked on the spec alone before any table is built: the
 # dimension, the total Betti number (the product of the factors' own), and
-# the bit size of the Weil polynomials P_j, whose coefficients are sums of
-# products of b_j eigenvalues of absolute value q^(j/2), so below
-# 2^b_j q^(j b_j / 2).  The distinct curve factors of one spec are
-# point-counted over at most MAX_CURVE_PRIME values of x in all, and every
-# piece's motive pair over F_(p^a) has a p-adic system of dimension at
-# least a^3.  At the caps a query takes up to about 2 s (CHANGES.md has
-# the timings).
+# the bit size of Z(V, t)'s data, its Weil polynomials P_j, whose
+# coefficients are sums of products of b_j eigenvalues of absolute value
+# q^(j/2), so below 2^b_j q^(j b_j / 2).  No P_j is expanded; the special
+# value, which the pieces' values multiply to, is of that size.  The
+# distinct curve factors of one spec are point-counted over at most
+# MAX_CURVE_PRIME values of x in all, and every piece's motive pair over
+# F_(p^a) has a p-adic system of dimension at least a^3.  At the caps a
+# query takes up to about 2 s (CHANGES.md has the timings).
 MAX_DIMENSION = 64
 MAX_BETTI = 2048
 MAX_WEIL_BITS = 10 ** 8
@@ -405,13 +348,12 @@ def point_count(v: VarietyDescriptor, n: int = 1) -> int:
     return total
 
 
-def _strip_root(weil_poly: list, b: int) -> tuple[int, Fraction]:
-    """(m, value) for P(t) = prod(1 - b_i t): m factors 1 - b t divide P,
-    and value = prod over b_i != b of (1 - b_i/b), the quotient at t = 1/b.
-    On the monic integer reversal R(t) = prod(t - b_i) (P(0) = 1): m is the
+def _strip_root(cp: list, b: int) -> tuple[int, Fraction]:
+    """(m, value) for a monic integer R(t) = prod(t - b_i): m is the
     multiplicity of the root b, and with R' = R / (t - b)^m over Z the value
-    is R'(b) / b^deg R'."""
-    rest = list(reversed(poly_trim(weil_poly)))
+    is R'(b) / b^deg R' = prod over b_i != b of (1 - b_i/b), the quotient of
+    prod(1 - b_i t) by (1 - b t)^m at t = 1/b."""
+    rest = cp
     m = 0
     while len(rest) > 1 and poly_eval(rest, b) == 0:
         rest = poly_quo_monic(rest, [-b, 1])
@@ -421,7 +363,9 @@ def _strip_root(weil_poly: list, b: int) -> tuple[int, Fraction]:
 
 def zeta_special_value(v: VarietyDescriptor, r: int) -> tuple[int, Fraction]:
     """Order of vanishing and exact leading coefficient of zeta(V, s) at
-    s = r, the expansion variable being (1 - q^(r-s)).
+    s = r, the expansion variable being (1 - q^(r-s)), read piece by piece:
+    P_j is the product of its pieces' reversed charpolys, so the order and
+    the value add and multiply over the pieces.
 
     >>> zeta_special_value(projective_space(4, 1), 1)
     (-1, Fraction(4, 3))
@@ -433,11 +377,12 @@ def zeta_special_value(v: VarietyDescriptor, r: int) -> tuple[int, Fraction]:
     b = v.q ** r
     order = 0
     lead = Fraction(1)
-    for j, pj in enumerate(v.frobenius_polys):
+    for j, row in enumerate(v.pieces):
         sign = 1 if j % 2 else -1  # odd cohomology in the numerator
-        m, value = _strip_root(pj, b)
-        order += sign * m
-        lead *= value ** sign
+        for cp, mult in row:
+            m, value = _strip_root(cp, b)
+            order += sign * mult * m
+            lead *= value ** (sign * mult)
     return order, lead
 
 
@@ -470,6 +415,16 @@ class MotivicCohomologyReport:
     pieces: list           # per-piece dicts: degree, charpoly, mult, rho, ...
 
 
+def _split_root(cp: list, b: int) -> list:
+    """[t - b, cp / (t - b)] if cp, squarefree of degree above 1, has the
+    root b, else [cp]."""
+    # only because crystal.local_lhs refuses special pairs that share an
+    # eigenvalue unless equal; reading p off the integer Smith form drops it
+    if len(cp) > 2 and poly_eval(cp, b) == 0:
+        return [[-b, 1], poly_quo_monic(cp, [-b, 1])]
+    return [cp]
+
+
 def motivic_cohomology(v: VarietyDescriptor, r: int) -> MotivicCohomologyReport:
     """Decompose every H^j into squarefree catalogue motives, pair each with
     the r-th Lefschetz power, and assemble ranks and the multiplicative Euler
@@ -477,6 +432,7 @@ def motivic_cohomology(v: VarietyDescriptor, r: int) -> MotivicCohomologyReport:
     if r < 0:
         raise ValueError("non-negative twists only")
     q = v.q
+    b = q ** r
     source = lefschetz_motive(q, r)
     rho_by_degree = [0] * (2 * v.dimension + 1)
     chi_tot = 0
@@ -485,18 +441,18 @@ def motivic_cohomology(v: VarietyDescriptor, r: int) -> MotivicCohomologyReport:
     for j, row in enumerate(v.pieces):
         sign = -1 if j % 2 else 1
         for cp, mult in row:
-            target = Motive(q, cp)
-            out = verify_weil_identity(source, target)
-            if not out["equal"]:
-                raise RuntimeError("local identity failed for a piece of"
-                                   " H^%d" % j)
-            rho_by_degree[j] += mult * out["rho"]
-            chi_tot += sign * mult * int(out["chi"])
-            zprod *= (out["z_f"] * out["ext2_order"]) ** (sign * mult)
-            piece_data.append({
-                "degree": j, "charpoly": cp, "multiplicity": mult,
-                "rho": out["rho"], "z_f": out["z_f"],
-                "ext2_order": out["ext2_order"]})
+            for motive_cp in _split_root(cp, b):
+                out = verify_weil_identity(source, Motive(q, motive_cp))
+                if not out["equal"]:
+                    raise RuntimeError("local identity failed for a piece of"
+                                       " H^%d" % j)
+                rho_by_degree[j] += mult * out["rho"]
+                chi_tot += sign * mult * int(out["chi"])
+                zprod *= (out["z_f"] * out["ext2_order"]) ** (sign * mult)
+                piece_data.append({
+                    "degree": j, "charpoly": motive_cp, "multiplicity": mult,
+                    "rho": out["rho"], "z_f": out["z_f"],
+                    "ext2_order": out["ext2_order"]})
     chi_o = chi_coherent(v, r)
     chi_times = zprod * Fraction(q) ** (chi_tot - chi_o)
     ranks = []

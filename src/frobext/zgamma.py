@@ -17,14 +17,12 @@ from fractions import Fraction
 from math import prod
 
 from .exact import (
-    is_prime,
     l_primary,
     limit_leading,
     poly_deg,
     poly_deriv,
     poly_gcd_monic,
     reversed_form,
-    valuation,
 )
 from .linalg import (
     Matrix,
@@ -293,28 +291,16 @@ def z_of_map(dom: FinGenAbGroup, cod: FinGenAbGroup, mat: Matrix) -> Fraction | 
     return GroupHom(standard_presentation(dom), standard_presentation(cod), mat).z()
 
 
-def z_det_formula(dom: FinGenAbGroup, cod: FinGenAbGroup, a: Matrix,
-                  mode: str = "integer", p: int | None = None,
-                  witt_degree: int = 1) -> Fraction | None:
-    """Closed form for z(f) from the matrix induced on the free parts.
-
-    Integer mode: [dom torsion] / (|det a| * [cod torsion]).  Witt mode
-    (modules over a truncated Witt ring of degree `witt_degree` over Z_p):
-    the determinant contributes |det|_p^witt_degree instead of 1/|det|.
-    """
+def z_det_formula(dom: FinGenAbGroup, cod: FinGenAbGroup,
+                  a: Matrix) -> Fraction | None:
+    """Closed form for z(f) from the matrix induced on the free parts:
+    [dom torsion] / (|det a| * [cod torsion])."""
     if dom.free_rank != cod.free_rank:
         raise ValueError("free ranks differ")
     det = bareiss_det(a) if dom.free_rank else 1
     if det == 0:
         return None
-    ratio = Fraction(dom.torsion_order, cod.torsion_order)
-    if mode == "integer":
-        return ratio / abs(det)
-    if mode == "witt":
-        if p is None or not is_prime(p):
-            raise ValueError("witt mode needs the residue prime")
-        return ratio * Fraction(1, p ** (witt_degree * valuation(det, p)))
-    raise ValueError("mode must be 'integer' or 'witt'")
+    return Fraction(dom.torsion_order, cod.torsion_order * abs(det))
 
 
 def z_compose_check(dom: FinGenAbGroup, mid: FinGenAbGroup, cod: FinGenAbGroup,

@@ -562,15 +562,32 @@ _CRYSTAL = {"coords": [[1]], "exponents": None, "special_poly": None}
     ({"case": "c", "p": 3, "degree": 1.0, "m": _CRYSTAL, "n": _CRYSTAL},
      "degree must be an integer, not a number"),
     ({"case": "c", "p": 3, "n": _CRYSTAL}, "m must be an object, not null"),
+    # the residue degree takes the a^3 cap of `ext` and `zeta`
+    ({"case": "c", "p": 2, "degree": 11, "m": _CRYSTAL, "n": _CRYSTAL},
+     "degree 11 gives a p-adic system of dimension at least a^3 = 1331"),
+    ({"case": "c", "p": 2, "degree": 300, "m": _CRYSTAL, "n": _CRYSTAL},
+     "degree 300 gives"),
 ])
 def test_malformed_replay_is_an_input_error(tmp_path, capsys, case, field):
     # every field of a replay file is checked as `ext` checks its JSON: exit
-    # 2 naming the field, no traceback
+    # 2 naming the field, at once and with no traceback
     path = tmp_path / "case.json"
     path.write_text(json.dumps(case))
+    start = time.perf_counter()
     assert main(["verify-local", "--replay", str(path)]) == 2
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith("input error: %s" % field), err
+
+
+def test_replay_at_the_degree_cap_answers(tmp_path, capsys):
+    # a = 10, a^3 = 1000: the largest residue degree a replay is read at
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"case": "c", "p": 2, "degree": 10,
+                                "m": {"coords": [[1]]},
+                                "n": {"coords": [[3]]}}))
+    assert main(["verify-local", "--replay", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["q"] == 1024
 
 
 def test_hypothesis_violation_exit_code(tmp_path, capsys):

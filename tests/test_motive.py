@@ -2,9 +2,10 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from frobext.exact import ratio_limit
 from frobext.galois import GaloisModule
 from frobext.linalg import companion
 from frobext.motive import (
@@ -401,3 +402,57 @@ def test_swapped_hom_is_the_saturated_kernel(pair):
         cols = [[h[i][j] for h in swap] for i in range(rx) for j in range(ry)]
         assert lattice_solve(kernel, cols) is not None
         assert lattice_solve(cols, kernel) is not None
+
+
+@st.composite
+def special_pairs(draw):
+    """(kind, X, Y): motives of rank at most 2 over F_q, q = p^a with
+    p in {2, 3, 5} and a <= 3, with coprime or equal charpolys, or sharing
+    one of their linear factors +-q^k (k <= 2) and not the other."""
+    from frobext.exact import poly_mul
+    q = draw(st.sampled_from([2, 3, 5])) ** draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["coprime", "equal", "shared"]))
+    if kind == "shared":
+        lines = [[-s * q ** k, 1] for s in (1, -1) for k in range(3)]
+        f, g, h = draw(st.permutations(lines))[:3]
+        x, y = poly_mul(f, g), draw(st.sampled_from([f, poly_mul(f, h)]))
+    else:
+        x = _factor(draw, q)
+        y = x if kind == "equal" else _factor(draw, q)
+        assume(kind == "equal" or ratio_limit(x, y)[0] == 0)
+    if draw(st.booleans()):
+        x, y = y, x
+    return kind, Motive(q, x), Motive(q, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(special_pairs())
+@example(("shared", Motive(5, [5, -6, 1]), unit_motive(5)))  # 1 ⊕ L, 1
+@example(("equal", elliptic_motive(9, 2), elliptic_motive(9, 2)))
+def test_p_side_vs_the_integer_smith_form(case):
+    # at p, the crystal route on the pair's special modules against the
+    # p-parts of its one integer Smith form.  On every pair: Hom of rank
+    # rho·a^2 and Ext^1 torsion (p-part of prod d_i)^(a^2).  On the pairs
+    # `local_lhs` reads (coprime or equal charpolys): lhs = |z0|_p^(a^2),
+    # and the assembly's data at p are the Smith form's p-parts
+    from frobext.crystal import ext_presentation, local_lhs, special_module
+    from frobext.exact import int_valuation, l_primary
+    from frobext.motive import _hom_system
+    from frobext.witt import WittRing
+    kind, x, y = case
+    p, a = x.p, x.a
+    rho, _ = ratio_limit(x.charpoly, y.charpoly)
+    system = _hom_system(x, y, rho)
+    torsion = p ** int_valuation(system.torsion, p)
+    z_f = l_primary(system.z0, p)
+    ring = WittRing(p, a)
+    mx, my = special_module(ring, x.charpoly), special_module(ring, y.charpoly)
+    rep = ext_presentation(mx, my)
+    assert rep.ext0.free_rank == rep.ext1.free_rank == rho * a * a
+    assert rep.ext1.torsion_order == torsion ** (a * a)
+    event("%s, a = %d" % (kind, a))
+    if kind == "shared":
+        return  # `local_lhs` refuses the pair
+    assert local_lhs(mx, my).lhs == z_f ** (a * a)
+    at_p = global_ext_orders(x, y).per_prime[p]
+    assert (at_p["ext1_torsion"], at_p["z_f"]) == (torsion, z_f)

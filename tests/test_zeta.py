@@ -16,9 +16,6 @@ from frobext.exact import (
 )
 from frobext.zeta import (
     MAX_CURVE_PRIME,
-    _integer_root_split,
-    _pieces_to_weil,
-    _power,
     _spec_betti,
     _squarefree_split,
     _weierstrass_long,
@@ -74,26 +71,10 @@ def squarefree_split_fraction(f) -> list:
     return out
 
 
-def integer_root_split_fraction(f: list, p: int) -> list:
-    """The +-p^k root split over Q with Fraction division: the oracle for
-    the integer split."""
-    out = []
-    rest = [Fraction(c) for c in f]
-    k = 0
-    while poly_deg(rest) > 0 and p ** k <= abs(int(rest[0])):
-        for c in (p ** k, -p ** k):
-            if poly_deg(rest) > 0 and poly_eval(rest, c) == 0:
-                rest = poly_divmod(rest, [-c, 1])[0]
-                out.append(([-c, 1], 1))
-        k += 1
-    if poly_deg(rest) > 0:
-        out.append((poly_int(rest), 1))
-    return out
-
-
 def test_projective_space_polys():
     v = projective_space(4, 2)
-    assert v.frobenius_polys == [[1, -1], [1], [1, -4], [1], [1, -16]]
+    assert v.pieces == [[([-1, 1], 1)], [], [([-4, 1], 1)], [],
+                        [([-16, 1], 1)]]
     assert v.hodge == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -122,7 +103,7 @@ def test_zeta_descriptor_vs_brute_count():
         v = elliptic_curve(p, coeffs)
         assert point_count(v) == brute_point_count(p, coeffs)
         t = p + 1 - point_count(v)
-        assert v.frobenius_polys[1] == [1, -t, p]
+        assert v.pieces[1] == [([p, -t, 1], 1)]
 
 
 coefficient = st.integers(min_value=-200, max_value=200)
@@ -168,21 +149,6 @@ def _products(p: int, draws):
     return acc
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7]),
-       st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
-                min_size=1, max_size=4))
-def test_integer_split_vs_fraction_split(p, draws):
-    f = _products(p, draws)
-    split = _squarefree_split(f)
-    assert split == squarefree_split_fraction(f)
-    assert all(all(isinstance(c, int) for c in g) for g, _ in split)
-    for g, _ in split:
-        assert _integer_root_split(g, p) == integer_root_split_fraction(g, p)
-    g = poly_deriv(f)
-    assert poly_gcd_monic(f, g) == poly_int(poly_gcd(f, g))
-
-
 def special_value_fraction(polys: list, q: int, r: int):
     """Order and leading coefficient at s = r by Fraction division of each
     P_j by 1 - q^r t and evaluation at t = q^-r: the oracle for the
@@ -206,22 +172,24 @@ def special_value_fraction(polys: list, q: int, r: int):
                 min_size=1, max_size=3),
        st.lists(st.integers(1, 3), max_size=2), st.integers(0, 3))
 def test_integer_special_value_vs_fraction(p, draws, mults, r):
-    # P_j from pieces with multiplicities, stripped of their 1 - q^r t
-    # factors on integers, against Fraction division
+    # the integer squarefree split against the Fraction one; then pieces
+    # with multiplicities, each stripped of its root q^r on integers,
+    # against Fraction division of their expansion P_j
     f = _products(p, draws)
-    pieces = [(g, m) for (g, _), m in zip(_squarefree_split(f),
-                                          mults + [1] * 8)]
-    weil = _pieces_to_weil(pieces)
-    assert all(type(c) is int for c in weil)
-    expanded = [Fraction(1)]
+    split = _squarefree_split(f)
+    assert split == squarefree_split_fraction(f)
+    assert all(all(isinstance(c, int) for c in g) for g, _ in split)
+    g = poly_deriv(f)
+    assert poly_gcd_monic(f, g) == poly_int(poly_gcd(f, g))
+    pieces = [(g, m) for (g, _), m in zip(split, mults + [1] * 8)]
+    expanded = [1]
     for g, m in pieces:
         for _ in range(m):
             expanded = poly_mul(expanded, list(reversed(g)))
-    assert weil == poly_int(expanded)
-    polys = [weil, [1, -p], weil]
     v = projective_space(p, 1)
-    v.frobenius_polys = polys
-    assert zeta_special_value(v, r) == special_value_fraction(polys, p, r)
+    v.pieces = [pieces, [([-p, 1], 1)], pieces]
+    assert zeta_special_value(v, r) == special_value_fraction(
+        [expanded, [1, -p], expanded], p, r)
 
 
 def test_curve_prime_cap():
@@ -235,35 +203,11 @@ def test_curve_prime_cap():
     assert time.perf_counter() - start < 1
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from([(-1, 1), (-5, 1), (5, -3, 1),
-                                           (25, 0, 1), (3, 1, 2, 1),
-                                           (-7, 0, 0, 0, 1)]),
-                          st.integers(1, 12)),
-                max_size=5, unique_by=lambda piece: piece[0]))
-def test_weil_expansion_vs_repeated_products(pieces):
-    # `_power` on the piece of largest multiplicity with the rest multiplied
-    # in one at a time, against repeated products alone
-    pieces = [(list(cp), m) for cp, m in pieces]
-    expanded = [1]
-    for cp, m in pieces:
-        for _ in range(m):
-            expanded = poly_mul(expanded, list(reversed(cp)))
-    assert _pieces_to_weil(pieces) == expanded
-    # `_power` on every piece
-    for cp, m in pieces:
-        g, power = list(reversed(cp)), [1]
-        for _ in range(m):
-            power = poly_mul(power, g)
-        assert _power(g, m) == power
-
-
 def test_product_of_several_factors():
-    # the factors multiply in turn; the Frobenius polynomials are expanded
-    # once, for the whole product
+    # the factors multiply in turn
     e, line = elliptic_curve(5, [1, 1]), projective_space(5, 1)
     flat, folded = product(e, line, e), product(product(e, line), e)
-    for field in ("dimension", "hodge", "pieces", "frobenius_polys"):
+    for field in ("dimension", "hodge", "pieces"):
         assert getattr(flat, field) == getattr(folded, field)
     assert flat.spec["factors"] == [e.spec, line.spec, e.spec]
     assert variety_from_json(variety_to_json(flat)).pieces == flat.pieces
@@ -330,7 +274,8 @@ def test_chi_coherent():
 
 def test_product_kunneth():
     pp = product(projective_space(4, 1), projective_space(4, 1))
-    assert pp.frobenius_polys == [[1, -1], [1], [1, -8, 16], [1], [1, -16]]
+    assert pp.pieces == [[([-1, 1], 1)], [], [([-4, 1], 2)], [],
+                         [([-16, 1], 1)]]
     assert pp.hodge[1][1] == 2  # h^11 of P1 x P1
     assert point_count(pp) == point_count(projective_space(4, 1)) ** 2
 
@@ -358,6 +303,27 @@ def test_identity_elliptic():
     assert out["chi_times"] == Fraction(9, 4) and out["chi_o"] == 0
 
 
+def test_supersingular_square_over_f7():
+    # y^2 = x^3 + x over F_7 has trace 0, so H^1 ⊗ H^1 of E x E gives the
+    # piece t^2 - 49 twice, kept whole; the Ext side splits t - 7 off it
+    # only at r = 1, where it would share 7 with L^1
+    e = elliptic_curve(7, [1, 0])
+    v = product(e, e)
+    assert v.pieces[1] == [([7, 0, 1], 2)]
+    assert v.pieces[2] == [([-49, 0, 1], 2), ([-7, 1], 2)]
+    for r, order, leading, ranks in (
+            (0, -1, Fraction(-1849, 972), [1, 1, 0, 0, 0, 0, 0]),
+            (1, -4, Fraction(-256, 63), [0, 0, 4, 4, 0, 0, 0]),
+            (2, -1, Fraction(1849, 972), [0, 0, 0, 0, 1, 1, 0])):
+        out = verify_variety_identity(v, r)
+        assert out["equal"]
+        assert (out["order"], out["leading"], out["ranks"]) \
+            == (order, leading, ranks)
+    h2 = [(d["charpoly"], d["multiplicity"]) for d in
+          motivic_cohomology(v, 1).pieces if d["degree"] == 2]
+    assert h2 == [([-7, 1], 2), ([7, 1], 2), ([-7, 1], 2)]
+
+
 def test_chi_times_formula_p2():
     # 1/(q-1)^2 for the plane at r = 1
     for q in (2, 3, 4, 5):
@@ -370,7 +336,7 @@ def test_json_roundtrip():
     text = variety_to_json(pp)
     again = variety_from_json(text)
     assert variety_to_json(again) == text
-    assert again.frobenius_polys == pp.frobenius_polys
+    assert again.pieces == pp.pieces
     with pytest.raises(ValueError):
         variety_from_json('{"kind": "abelian_surface", "q": 5}')
 
