@@ -2,7 +2,7 @@
 
 Subpackages:
   exact    -- scalars, valuations, polynomials (resultants, ratio polynomials)
-  linalg   -- integer/rational matrices, Smith normal form, charpoly
+  linalg   -- integer/rational matrices, Smith normal form, Berkowitz charpoly
   zgamma   -- finitely generated abelian groups, z(f) calculus, gamma-invariants
   galois   -- l-adic Galois modules and their Hom/Ext groups
   witt     -- truncated Witt vectors W(F_q) and p-adic Smith forms

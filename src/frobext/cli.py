@@ -43,6 +43,7 @@ from .exact import PrecisionError, is_prime
 from .galois import GaloisModule, random_admissible_pair
 from .galois import verify_local_identity as verify_galois
 from .motive import (
+    MAX_HOM_DIM,
     MAX_THETA_DIM,
     global_ext_orders,
     json_int,
@@ -216,8 +217,20 @@ def _cmd_verify_local(args) -> int:
         _emit(out, args.json)
         return 0 if out["equal"] else 1
 
+    if args.random < 0:
+        raise ValueError("--random %d: the number of instances must not be"
+                         " negative" % args.random)
     if not args.random:
         raise ValueError("need --random N or --replay FILE")
+    if args.bound < 0:
+        raise ValueError("--bound %d: a rank bound must not be negative"
+                         % args.bound)
+    # random modules of rank up to B have a Hom system of dimension up to B²,
+    # capped as `ext` caps a motive pair's
+    if args.bound ** 2 > MAX_HOM_DIM:
+        raise ValueError("--bound %d gives a Hom system of dimension up to"
+                         " %d, above the cap of %d"
+                         % (args.bound, args.bound ** 2, MAX_HOM_DIM))
     rng = random.Random(args.seed)
     failures = 0
     if args.case:

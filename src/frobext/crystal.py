@@ -7,7 +7,9 @@ crystals are stored through an F-matrix with torsion cokernel condition
 sums of W/p^{n_i} with an F-matrix respecting the filtration.  Hom and Ext
 are taken over the twisted polynomial ring W[F; sigma]; the local identity
 compares z(f)·[Ext²] against the p-adic absolute value of an eigenvalue
-product read off the characteristic polynomials.
+product read off the characteristic polynomials.  Integer matrices of maps
+come from `WittRing.mul_matrix`, and a crystal's characteristic polynomial
+from `linalg.charpoly` run over W.
 """
 
 from dataclasses import dataclass
@@ -49,23 +51,11 @@ from .zgamma import (
 # matrices over a Witt ring
 
 
-def _int_mul_matrix(ring: WittRing, coords):
-    """Integer matrix of multiplication by integer coordinates on Z[x]/(h),
-    h the monic modulus: exact, with no reduction mod p^K."""
-    h, a = ring.modulus, ring.a
-    v = list(coords) + [0] * (a - len(coords))
-    cols = []
-    for _ in range(a):  # column j: the element times x^j
-        cols.append(v)
-        v = [x - v[-1] * c for x, c in zip([0] + v[:-1], h)]
-    return [[cols[j][i] for j in range(a)] for i in range(a)]
-
-
 def _linear_int_matrix(ring: WittRing, wmat):
     """Z-coordinate matrix (size a·n) of v -> wmat·v over Z[x]/(h): exact
     for integer coordinates, congruent mod p^K to the map over the ring for
     Witt elements."""
-    blocks = [[_int_mul_matrix(ring, _coord_list(x)) for x in row] for row in wmat]
+    blocks = [[ring.mul_matrix(x) for x in row] for row in wmat]
     return [[x for blk in row for x in blk[r]]
             for row in blocks for r in range(ring.a)]
 
@@ -254,34 +244,6 @@ def special_module(ring: WittRing, min_poly) -> Crystal:
 # characteristic polynomial and slopes
 
 
-def _berkowitz(ring: WittRing, mat):
-    """Characteristic polynomial, descending coefficients, division-free."""
-    n = len(mat)
-    if n == 0:
-        return [ring.from_int(1)]
-    if n == 1:
-        return [ring.from_int(1), -ring.coerce(mat[0][0])]
-    top = ring.coerce(mat[0][0])
-    row = [ring.coerce(x) for x in mat[0][1:]]
-    col = [ring.coerce(r[0]) for r in mat[1:]]
-    minor = [r[1:] for r in mat[1:]]
-    prev = _berkowitz(ring, minor)
-    s = [ring.from_int(1), -top]
-    vec = col
-    for _ in range(n - 1):
-        s.append(-sum((x * y for x, y in zip(row, vec)), ring.from_int(0)))
-        vec = [sum((ring.coerce(minor[i][j]) * vec[j] for j in range(n - 1)),
-                   ring.from_int(0)) for i in range(n - 1)]
-    out = []
-    for i in range(n + 1):
-        acc = ring.from_int(0)
-        for j in range(n):
-            if 0 <= i - j <= n:
-                acc = acc + s[i - j] * prev[j]
-        out.append(acc)
-    return out
-
-
 def crystal_charpoly(m: Crystal) -> list[int]:
     """Ascending integer coefficients of the characteristic polynomial of
     the a-th Frobenius iterate.  The coefficients land in Z_p (checked:
@@ -293,8 +255,8 @@ def crystal_charpoly(m: Crystal) -> list[int]:
     """
     if m.kind != "free":
         raise ValueError("characteristic polynomial needs a torsion-free crystal")
-    desc = _berkowitz(m.ring, m.frobenius_power())
-    return [c.constant_lift() for c in reversed(desc)]
+    return [c.constant_lift()
+            for c in charpoly(m.frobenius_power(), m.ring.from_int(1))]
 
 
 def slopes(m: Crystal) -> tuple[int, Fraction]:

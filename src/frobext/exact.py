@@ -445,42 +445,30 @@ def ratio_limit(p: list, q: list) -> tuple[int, Fraction]:
     roots with b_j = a_i, and N* = prod (1 - b_j / a_i) over the others.
 
     The scaled ratios s = c b_j / a_i of `ratio_charpoly` (c = p(0)) meet
-    b_j = a_i exactly at s = c.  So with R the ratio polynomial divided by
-    (t - c)^rho, over Z, N* = prod (c - s) / c^deg R = R(c) / c^deg R: one
-    Fraction, at the end.
+    b_j = a_i exactly at s = c, so (rho, N*) is `strip_root` of the ratio
+    polynomial at c: prod (1 - s / c) over the others.
 
     >>> ratio_limit([-1, 1], [-9, 1])   # the one pair: 1 - 9
     (0, Fraction(-8, 1))
     """
     if poly_deg(p) < 1 or poly_deg(q) < 1:
         return 0, Fraction(1)
-    c = poly_trim(p)[0]
-    rest = ratio_charpoly(p, q)
-    rho = 0
-    while len(rest) > 1 and poly_eval(rest, c) == 0:
-        rest = poly_quo_monic(rest, [-c, 1])
-        rho += 1
-    return rho, Fraction(poly_eval(rest, c), c ** (len(rest) - 1))
+    return strip_root(ratio_charpoly(p, q), poly_trim(p)[0])
 
 
-def reversed_form(monic: list) -> list:
-    """prod (1 - c_k t) from the monic integer prod (t - c_k): plain
-    reversal."""
-    return _monic(monic)[::-1]
+def strip_root(cp: list, b: int) -> tuple[int, Fraction]:
+    """(m, value) for a monic integer R(t) = prod (t - b_i) and a nonzero
+    integer b: m is the multiplicity of the root b, and with R' = R / (t -
+    b)^m over Z the value is R'(b) / b^deg R' = prod over b_i != b of
+    (1 - b_i / b), one Fraction at the end.  So it is the leading value of
+    prod (1 - b_i t) at t = 1/b, in the variable 1 - b t.
 
-
-def limit_leading(rev: list) -> tuple[int, int]:
-    """Order and leading value of an integer prod (1 - c_k t) at t = 1.
-
-    Returns (rho, L) with rho the multiplicity of the root t = 1 and
-    L = lim_{t->1} rev(t) / (1-t)^rho = prod_{c_k != 1} (1 - c_k), exact:
-    1 - t has a unit leading coefficient, so dividing it out stays in Z.
+    >>> strip_root([2, -3, 1], 1)   # roots 1 and 2: (1, 1 - 2)
+    (1, Fraction(-1, 1))
     """
-    cur = poly_trim(rev)
-    if not cur:
-        raise ValueError("zero polynomial has no leading value")
-    rho = 0
-    while poly_eval(cur, 1) == 0:
-        cur = [-c for c in poly_quo_monic(cur, [-1, 1])]  # divide by 1 - t
-        rho += 1
-    return rho, poly_eval(cur, 1)
+    rest = _monic(cp)
+    m = 0
+    while len(rest) > 1 and poly_eval(rest, b) == 0:
+        rest = poly_quo_monic(rest, [-b, 1])
+        m += 1
+    return m, Fraction(poly_eval(rest, b), b ** (len(rest) - 1))

@@ -3,7 +3,9 @@
 Matrices are lists of rows; maps act on column vectors.  Integer routines
 never leave Z; rational ones use Fraction.  Smith normal form tracks the
 unimodular transforms on both sides so callers can move between
-coordinates.
+coordinates.  The one characteristic polynomial, Berkowitz's, is
+division-free, so it serves integer matrices and matrices over a Witt ring
+alike.
 """
 
 from __future__ import annotations
@@ -28,10 +30,6 @@ def mat_copy(a: Matrix) -> Matrix:
 
 def dims(a: Matrix) -> tuple[int, int]:
     return len(a), len(a[0]) if a else 0
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -133,23 +131,31 @@ def bareiss_det(a: Matrix) -> int:
 # characteristic and minimal polynomials
 
 
-def charpoly(a: Matrix) -> list[int]:
-    """det(t*I - A) by the Faddeev-LeVerrier recursion, ascending coefficients.
+def charpoly(a: Matrix, one=1) -> list:
+    """det(t*I - A), ascending coefficients, by Berkowitz's division-free
+    recursion (Berkowitz, IPL 18, 1984): ring operations only, so it runs
+    over Z and over any commutative ring whose unit is `one` (a Witt ring
+    passes `ring.from_int(1)`).
 
-    All divisions are exact; the input must be square over Z.
+    The charpoly of the trailing minor M of size m is extended to the one of
+    [[x, R], [C, M]] by the Toeplitz column (1, -x, -R·C, -R·M·C, ...,
+    -R·M^(m-1)·C) acting on its descending coefficients.
     """
     n = len(a)
-    c = [0] * (n + 1)
-    c[n] = 1
-    m = identity(n)
-    for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        t = trace(am)
-        if t % k:
-            raise RuntimeError("Faddeev-LeVerrier division is not exact")
-        c[n - k] = -t // k
-        m = mat_add(am, mat_scale(identity(n), c[n - k]))
-    return c
+    zero = one - one
+    poly = [one]  # descending charpoly of the trailing minor
+    for k in range(n - 1, -1, -1):
+        row, minor = a[k][k + 1:], [r[k + 1:] for r in a[k + 1:]]
+        vec = [r[k] for r in a[k + 1:]]
+        m = len(minor)
+        s = [one, -a[k][k]]
+        for _ in range(m):
+            s.append(-sum((x * y for x, y in zip(row, vec)), zero))
+            vec = [sum((x * y for x, y in zip(r, vec)), zero) for r in minor]
+        poly = [sum((s[i - j] * poly[j]
+                     for j in range(max(0, i - m - 1), min(i, m) + 1)), zero)
+                for i in range(m + 2)]
+    return poly[::-1]
 
 
 def minimal_polynomial(a: Matrix) -> list[int]:
@@ -270,19 +276,16 @@ def smith_normal_form(a: Matrix) -> SNF:
         if not pivot(t):
             break
         while True:
-            moved = False
             for i in range(t + 1, m):
                 if d[i][t] != 0:
                     q = d[i][t] // d[t][t]
                     if q:
                         row_op(i, t, q)
-                    moved = moved or d[i][t] != 0
             for j in range(t + 1, n):
                 if d[t][j] != 0:
                     q = d[t][j] // d[t][t]
                     if q:
                         col_op(j, t, q)
-                    moved = moved or d[t][j] != 0
             if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
                 # leftover remainders are smaller than the pivot: re-pivot
                 pivot(t)

@@ -344,14 +344,19 @@ class WittRing:
                     out[i] += self.sigma_matrix[i][j] * c
         return WittElem(self, out)
 
-    def mul_matrix(self, w: WittElem):
-        """Integer matrix of multiplication by w in the x-power basis."""
+    def mul_matrix(self, w):
+        """Integer matrix of multiplication by w, an element or integer
+        coordinates, on Z[x]/(h) in the x-power basis.  Column j is w·x^j,
+        by the shift recurrence with no reduction mod p^K: exact for
+        integer coordinates, and congruent mod p^K to multiplication in the
+        ring."""
+        h, a = self.modulus, self.a
+        v = list(w.c) if isinstance(w, WittElem) else list(w) + [0] * (a - len(w))
         cols = []
-        for j in range(self.a):
-            basis = [0] * self.a
-            basis[j] = 1
-            cols.append(_pm_mul(list(w.c), basis, self.modulus, self.pK))
-        return [[cols[j][i] for j in range(self.a)] for i in range(self.a)]
+        for _ in range(a):
+            cols.append(v)
+            v = [x - v[-1] * c for x, c in zip([0] + v[:-1], h)]
+        return [[cols[j][i] for j in range(a)] for i in range(a)]
 
     def at_precision(self, precision: int) -> "WittRing":
         """The same ring carried to another working precision, built once."""

@@ -38,6 +38,7 @@ from .exact import (
     poly_quo_monic,
     power_sums,
     prime_power,
+    strip_root,
 )
 from .motive import (
     MAX_THETA_DIM,
@@ -348,19 +349,6 @@ def point_count(v: VarietyDescriptor, n: int = 1) -> int:
     return total
 
 
-def _strip_root(cp: list, b: int) -> tuple[int, Fraction]:
-    """(m, value) for a monic integer R(t) = prod(t - b_i): m is the
-    multiplicity of the root b, and with R' = R / (t - b)^m over Z the value
-    is R'(b) / b^deg R' = prod over b_i != b of (1 - b_i/b), the quotient of
-    prod(1 - b_i t) by (1 - b t)^m at t = 1/b."""
-    rest = cp
-    m = 0
-    while len(rest) > 1 and poly_eval(rest, b) == 0:
-        rest = poly_quo_monic(rest, [-b, 1])
-        m += 1
-    return m, Fraction(poly_eval(rest, b), b ** (len(rest) - 1))
-
-
 def zeta_special_value(v: VarietyDescriptor, r: int) -> tuple[int, Fraction]:
     """Order of vanishing and exact leading coefficient of zeta(V, s) at
     s = r, the expansion variable being (1 - q^(r-s)), read piece by piece:
@@ -380,7 +368,7 @@ def zeta_special_value(v: VarietyDescriptor, r: int) -> tuple[int, Fraction]:
     for j, row in enumerate(v.pieces):
         sign = 1 if j % 2 else -1  # odd cohomology in the numerator
         for cp, mult in row:
-            m, value = _strip_root(cp, b)
+            m, value = strip_root(cp, b)
             order += sign * mult * m
             lead *= value ** (sign * mult)
     return order, lead

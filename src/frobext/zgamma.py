@@ -18,11 +18,10 @@ from math import prod
 
 from .exact import (
     l_primary,
-    limit_leading,
     poly_deg,
     poly_deriv,
     poly_gcd_monic,
-    reversed_form,
+    strip_root,
 )
 from .linalg import (
     Matrix,
@@ -114,11 +113,7 @@ def group_from_orders(free_rank: int, orders: list[int]) -> FinGenAbGroup:
     cyclic = [o for o in orders if o != 1]
     if any(o < 1 for o in cyclic):
         raise ValueError("orders must be positive")
-    if not cyclic:
-        return FinGenAbGroup(free_rank)
-    n = len(cyclic)
-    diag = [[cyclic[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return FinGenAbGroup(free_rank, Presentation(n, diag).group().torsion)
+    return FinGenAbGroup(free_rank, moduli_presentation(cyclic).group().torsion)
 
 
 class Presentation:
@@ -158,9 +153,7 @@ class Presentation:
 
 def standard_presentation(g: FinGenAbGroup) -> Presentation:
     """Free generators first, then torsion generators in chain order."""
-    f, s = g.free_rank, len(g.torsion)
-    rels = [[g.torsion[j] if i == f + j else 0 for j in range(s)] for i in range(f + s)]
-    return Presentation(f + s, rels)
+    return moduli_presentation([0] * g.free_rank + list(g.torsion))
 
 
 def moduli_presentation(moduli) -> Presentation:
@@ -388,14 +381,15 @@ def z_invariants_map(m: GammaModule) -> Fraction | None:
     """
     f = m.group.free_rank
     if f:
-        mp = minimal_polynomial(m.free_block())
-        if poly_deg(poly_gcd_monic(mp, [1, -2, 1])) >= 2:
+        try:
+            hypothesis_gate(minimal_polynomial(m.free_block()), [-1, 1])
+        except HypothesisError:
             return None
     z = m.pair.z_f0()
     if z is None:
         raise RuntimeError("z must be defined under the simple-root condition")
     cp = charpoly(m.free_block()) if f else [1]
-    _, lead = limit_leading(reversed_form(cp))
+    _, lead = strip_root(cp, 1)
     if z * abs(lead) != 1:
         raise RuntimeError("z of the invariants map disagrees with the"
                            " characteristic polynomial")

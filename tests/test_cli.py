@@ -428,6 +428,22 @@ def test_verify_local_random_p_adic(capsys, monkeypatch):
     assert rings[0] == cli.PRECISION_START
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--random", "-3"], "--random -3: the number of instances must not be"
+                         " negative"),
+    # B = 13: random modules of rank up to 13, a Hom system up to 169
+    (["--random", "1", "--bound", "13"], "--bound 13 gives a Hom system of"
+                                         " dimension up to 169, above the"
+                                         " cap of 144"),
+])
+def test_verify_local_random_options_are_input_errors(capsys, argv, message):
+    start = time.perf_counter()
+    assert main(["verify-local"] + argv) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == "input error: %s\n" % message
+
+
 def test_verify_local_replay(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     case = {"m": {"l": 3, "q": 2, "free_frob": [[2]], "torsion": [],

@@ -13,7 +13,6 @@ from frobext.exact import (
     abs_at,
     composed_product,
     is_prime,
-    limit_leading,
     poly_add,
     poly_divmod,
     poly_eval,
@@ -27,7 +26,7 @@ from frobext.exact import (
     ratio_charpoly,
     ratio_limit,
     resultant,
-    reversed_form,
+    strip_root,
     valuation,
 )
 
@@ -283,17 +282,18 @@ def test_ratio_charpoly_never_materializes_roots():
     assert lead == Fraction(2) - Fraction(3, -1)
 
 
-def test_limit_leading():
-    # (1-t)(1-2t): single vanishing factor
-    rho, lead = limit_leading([1, -3, 2])
-    assert (rho, lead) == (1, -1)
-    rho, lead = limit_leading([1, -1])
-    assert (rho, lead) == (1, 1)
-    rho, lead = limit_leading([2, 1])
-    assert (rho, lead) == (0, 3)
-    # the reversed form of a monic integer polynomial stays integer
-    rho, lead = limit_leading(reversed_form([2, -3, 1]))  # roots 1, 2
-    assert (rho, lead) == (1, -1) and type(lead) is int
+def test_strip_root():
+    # (t-1)(t-2) at 1: one root stripped, then 1 - 2
+    assert strip_root([2, -3, 1], 1) == (1, -1)
+    assert strip_root([-1, 1], 1) == (1, 1)
+    assert strip_root([2, 1], 1) == (0, 3)
+    # at b = q^r the value is prod (1 - b_i / b): (t-3)^2 (t-1) at 3
+    cubic = poly_mul(poly_mul([-3, 1], [-3, 1]), [-1, 1])
+    assert strip_root(cubic, 3) == (2, Fraction(2, 3))
+    assert strip_root([-9, 1], 3) == (0, -2)
+    assert strip_root([1], 5) == (0, 1)
+    _, lead = strip_root([2, -3, 1], 1)
+    assert type(lead) is Fraction
 
 
 def test_reversed_root_poly():
@@ -352,16 +352,17 @@ def test_ratio_charpoly_vs_fraction_route(p, q):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=0,
-                max_size=5))
-def test_limit_leading_vs_fraction(roots):
-    # prod (1 - c t) with repeated 1s among the c
+                max_size=5), st.sampled_from([1, 1, 2, 3, -2]))
+def test_strip_root_vs_fraction(roots, b):
+    # prod (t - c) with repeated roots b among the c, against the rational
+    # leading value of prod (1 - (c/b) t) at t = 1
     monic = [1]
     for c in roots:
         monic = poly_mul(monic, [-c, 1])
-    rev = reversed_form(monic)
-    got = limit_leading(rev)
-    assert type(got[1]) is int and got == fq.limit_leading(rev)
-    assert got[0] == roots.count(1)
+    scaled = [Fraction(c, b ** k) for k, c in enumerate(monic[::-1])]
+    got = strip_root(monic, b)
+    assert got == fq.limit_leading(scaled)
+    assert got[0] == roots.count(b)
 
 
 def test_integer_kernels_refuse_other_input():

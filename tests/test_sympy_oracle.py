@@ -1,6 +1,7 @@
 """Differential tests against sympy, an independent implementation of the
 same integer algebra: resultants, composed products and ratio polynomials,
-polynomial gcds, Smith normal forms and elliptic-curve point counts.
+polynomial gcds, characteristic polynomials, Smith normal forms and
+elliptic-curve point counts.
 
 sympy is a test-only dependency (frobext's runtime is the standard
 library); these tests are skipped where it is not installed.
@@ -24,7 +25,7 @@ from frobext.exact import (  # noqa: E402
     ratio_charpoly,
     resultant,
 )
-from frobext.linalg import smith_normal_form  # noqa: E402
+from frobext.linalg import charpoly, smith_normal_form  # noqa: E402
 from frobext.zeta import _weierstrass_long, elliptic_point_count  # noqa: E402
 
 X, Y = sympy.symbols("x y")
@@ -96,6 +97,15 @@ def test_gcd_vs_sympy(a, b, common):
     a, b = poly_mul(a, common), poly_mul(b, common)
     expected = sympy.Poly(sympy.gcd(_sym(a), _sym(b)), X).monic()
     assert poly_gcd_monic(a, b) == _coeffs(expected.as_expr())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_charpoly_vs_sympy(n, data):
+    a = [[data.draw(st.integers(-20, 20)) for _ in range(n)]
+         for _ in range(n)]
+    expected = sympy.Matrix(a).charpoly(X).all_coeffs()[::-1]
+    assert charpoly(a) == [int(c) for c in expected]
 
 
 @settings(max_examples=100, deadline=None)

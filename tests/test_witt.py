@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frobext
-from frobext.exact import PrecisionError, int_valuation
-from frobext.linalg import bareiss_det, mat_mul, smith_normal_form
+from frobext.exact import PrecisionError, int_valuation, poly_divmod, poly_mul
+from frobext.linalg import bareiss_det, charpoly, mat_mul, smith_normal_form
 from frobext.witt import WittRing, first_irreducible, padic_det_valuation, padic_smith
 
 
@@ -61,6 +61,41 @@ def test_mul_matrix_matches_multiplication():
     mat = r.mul_matrix(w)
     prod = [sum(mat[i][j] * v.c[j] for j in range(3)) % r.pK for i in range(3)]
     assert prod == list((w * v).c)
+    # integer coordinates above p^K: the matrix is exact over Z[x]/(h),
+    # and congruent mod p^K to multiplication in the ring
+    for a in (1, 2, 3):
+        r = WittRing(3, a, precision=4)
+        u = [r.pK * 7 + 5, -r.pK ** 2 + 1, 2 * r.pK][:a]
+        v = [11, -r.pK - 4, 6][:a]
+        mat = r.mul_matrix(u)
+        got = [sum(x * y for x, y in zip(row, v)) for row in mat]
+        _, rem = poly_divmod(poly_mul(u, v), r.modulus)
+        assert got == [int(c) for c in rem] + [0] * (a - len(rem))
+        assert [x % r.pK for x in got] == list((r.elem(u) * r.elem(v)).c)
+        w = r.elem(u)
+        assert r.mul_matrix(w) == r.mul_matrix(list(w.c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(3, 2), (3, 3)]), st.integers(0, 4), st.data())
+def test_one_charpoly_over_z_and_w(field, n, data):
+    # the same Berkowitz charpoly: over W(F_9) and W(F_27), an integer matrix
+    # lifts to the integer charpoly mod p^K; a matrix of Witt elements is
+    # annihilated by its own (Cayley-Hamilton)
+    r = WittRing(*field, precision=6)
+    a = [[data.draw(st.integers(-400, 400)) for _ in range(n)]
+         for _ in range(n)]
+    lifted = charpoly(a, r.from_int(1))
+    assert [c.constant_lift() % r.pK for c in lifted] == \
+        [c % r.pK for c in charpoly(a)]
+    w = [[r.elem([data.draw(st.integers(-50, 50)) for _ in range(r.a)])
+          for _ in range(n)] for _ in range(n)]
+    acc = [[r.zero()] * n for _ in range(n)]
+    for c in reversed(charpoly(w, r.from_int(1))):  # Horner at w
+        acc = mat_mul(acc, w)
+        for i in range(n):
+            acc[i][i] = acc[i][i] + c
+    assert all(not x for row in acc for x in row)
 
 
 def test_padic_smith_examples():
