@@ -97,7 +97,7 @@ def _read_source(text: str) -> str:
     if text == "-":
         return sys.stdin.read()
     t = text.strip()
-    if t.startswith("{"):
+    if t.startswith(("{", "[")):
         return t
     with open(text) as fh:
         return fh.read()

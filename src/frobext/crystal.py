@@ -186,16 +186,6 @@ class Crystal:
         out.frob = [[ring.elem(c) for c in row] for row in self.coords]
         return out
 
-    def twist(self, k: int = 1) -> "Crystal":
-        """Multiply F by p^k (only nonnegative twists stay integral)."""
-        if self.kind != "free":
-            raise ValueError("twisting is for torsion-free crystals")
-        if k < 0:
-            raise ValueError("only effective twists are represented")
-        scale = self.ring.p ** k
-        coords = [[[c * scale for c in ent] for ent in row] for row in self.coords]
-        return Crystal(self.ring, coords)
-
     def __repr__(self):
         if self.kind == "finite":
             return "Crystal(finite, exponents=%r, p=%d, a=%d)" % (
@@ -216,9 +206,9 @@ def lefschetz_crystal(ring: WittRing) -> Crystal:
     return Crystal(ring, [[ring.p]], special_poly=mp)
 
 
-def k_module(ring: WittRing, copies: int = 1) -> Crystal:
-    """The residue field (with zero Frobenius), or a direct sum of copies."""
-    return Crystal(ring, zeros(copies, copies), exponents=[1] * copies)
+def k_module(ring: WittRing) -> Crystal:
+    """The residue field, with zero Frobenius."""
+    return Crystal(ring, [[0]], exponents=[1])
 
 
 def special_module(ring: WittRing, min_poly) -> Crystal:
@@ -241,7 +231,7 @@ def special_module(ring: WittRing, min_poly) -> Crystal:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial and slopes
+# characteristic polynomial
 
 
 def crystal_charpoly(m: Crystal) -> list[int]:
@@ -257,17 +247,6 @@ def crystal_charpoly(m: Crystal) -> list[int]:
         raise ValueError("characteristic polynomial needs a torsion-free crystal")
     return [c.constant_lift()
             for c in charpoly(m.frobenius_power(), m.ring.from_int(1))]
-
-
-def slopes(m: Crystal) -> tuple[int, Fraction]:
-    """(rank, slope of the determinant) with s = ord_p(constant coeff)/a.
-
-    >>> slopes(lefschetz_crystal(WittRing(5, 1)))
-    (1, Fraction(1, 1))
-    """
-    cp = crystal_charpoly(m)
-    v = int_valuation(abs(cp[0]), m.ring.p)
-    return m.dim, Fraction(v, m.ring.a)
 
 
 # ---------------------------------------------------------------------------

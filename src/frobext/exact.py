@@ -73,19 +73,55 @@ def l_primary(x, p: int) -> Fraction:
 # Math. Comp. 86, 2017)
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
-# the rho steps one factorization may take.  Splitting off a prime factor f
-# takes about sqrt(f) steps, so factors up to about 10^11 are found (a
+# the steps one number-theoretic query may take: a factorization, a prime
+# power test or a standalone primality test.  Splitting off a prime factor
+# f takes rho about sqrt(f) steps, so factors up to about 10^11 are found (a
 # product of two near 10^11 takes 0.8 million); at about 0.6 µs a step a
 # refused input fails within a second, where p^2 + p + 1 for p = 10^17 + 3
 # (a factor near 3·10^13) took 16 million steps.  A step on a number of b
 # bits costs about 1 + (b/512)^2 steps of a small one (0.7 µs at 64 bits,
-# 15 µs at 2048), and is charged so
+# 15 µs at 2048), and is charged so.  A Miller-Rabin round on it is charged
+# as b steps and a Newton step of an integer root as one, so the largest
+# number one round fits has 8062 bits (`round_fits`)
 RHO_STEPS = 2_000_000
 
 
-def is_prime(n: int) -> bool:
+def _weight(bits: int) -> int:
+    """The steps of a small number that one step on a `bits`-bit one costs."""
+    return 1 + bits * bits // 512 ** 2
+
+
+def round_fits(bits: int) -> bool:
+    """Whether one Miller-Rabin round on a `bits`-bit number fits in
+    RHO_STEPS.
+
+    >>> round_fits(8062), round_fits(8063)
+    (True, False)
+    """
+    return bits * _weight(bits) <= RHO_STEPS
+
+
+class _Steps:
+    """The RHO_STEPS of one query, charged by operand size."""
+
+    def __init__(self):
+        self.left = RHO_STEPS
+
+    def charge(self, steps: int, n: int, what: str):
+        """Take `steps` steps on n; past the cap, ValueError names what took
+        them and n's bit length (never its digits, which may be too many to
+        print)."""
+        bits = n.bit_length()
+        self.left -= steps * _weight(bits)
+        if self.left < 0:
+            raise ValueError("%s a %d-bit number takes more than the cap of"
+                             " %d rho steps" % (what, bits, RHO_STEPS))
+
+
+def is_prime(n: int, steps: _Steps | None = None) -> bool:
     """Exact primality below PRIME_BOUND; above it a composite is still
-    recognized, but a probable prime raises ValueError.
+    recognized, but a probable prime raises ValueError.  Each Miller-Rabin
+    round is charged to `steps`, a budget of its own by default.
 
     >>> is_prime(100000000000000003)
     True
@@ -97,11 +133,14 @@ def is_prime(n: int) -> bool:
             return n == b
     if n < 43 * 43:
         return True
+    if steps is None:
+        steps = _Steps()
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
     for b in _BASES:
+        steps.charge(n.bit_length(), n, "a primality test of")
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -117,10 +156,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+def _iroot(n: int, k: int, steps: _Steps) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above, each
+    charged to `steps`."""
     x = 1 << -(-n.bit_length() // k)
     while True:
+        steps.charge(1, n, "a prime power test of")
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
             return x
@@ -132,20 +173,16 @@ def _iroot(n: int, k: int) -> int:
 _TRIAL_BOUND = 1000
 
 
-def _rho_factor(n: int, steps: int) -> tuple[int, int]:
-    """(a proper factor of an odd composite n, the steps left of `steps`),
-    by Brent's variant of Pollard's rho (Brent, BIT 20, 1980): x -> x^2 + c
-    from x = 2, the differences multiplied in batches of 128 before one
-    gcd.  Raises ValueError when the steps run out."""
-    weight = 1 + n.bit_length() ** 2 // 512 ** 2
+def _rho_factor(n: int, steps: _Steps) -> int:
+    """A proper factor of an odd composite n, by Brent's variant of
+    Pollard's rho (Brent, BIT 20, 1980): x -> x^2 + c from x = 2, the
+    differences multiplied in batches of 128 before one gcd.  Its steps are
+    charged to `steps`."""
     for c in range(1, n):
         y, r, acc, g = 2, 1, 1, 1
         while g == 1:
             # the batches below take at most r more steps than this
-            steps -= 2 * r * weight
-            if steps < 0:
-                raise ValueError("factoring %d takes more than the cap of %d"
-                                 " rho steps" % (n, RHO_STEPS))
+            steps.charge(2 * r, n, "factoring")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -164,16 +201,17 @@ def _rho_factor(n: int, steps: int) -> tuple[int, int]:
                 saved = (saved * saved + c) % n
                 g = gcd(abs(x - saved), n)
         if g != n:
-            return g, steps
-    raise RuntimeError("no rho sequence splits %d" % n)
+            return g
+    raise RuntimeError("no rho sequence splits a %d-bit number"
+                       % n.bit_length())
 
 
 def prime_factors(n: int) -> list[int]:
     """Sorted distinct prime factors of |n|, n nonzero: trial division
     below _TRIAL_BOUND, then Pollard-Brent rho on the cofactor, each part
     checked by `is_prime` (so a probable prime above PRIME_BOUND raises
-    ValueError).  Rho takes at most RHO_STEPS steps in all; past them
-    ValueError names the cap.
+    ValueError).  Rho and the primality tests take at most RHO_STEPS steps
+    in all; past them ValueError names the cap.
 
     >>> prime_factors(2 * (10**9 + 7) * (10**9 + 9))
     [2, 1000000007, 1000000009]
@@ -190,19 +228,21 @@ def prime_factors(n: int) -> list[int]:
                 n //= d
         d += 1 if d == 2 else 2
     parts = [n] if n > 1 else []
-    steps = RHO_STEPS
+    steps = _Steps()
     while parts:
         x = parts.pop()
-        if x < _TRIAL_BOUND ** 2 or is_prime(x):
+        if x < _TRIAL_BOUND ** 2 or is_prime(x, steps):
             out.add(x)
         else:
-            f, steps = _rho_factor(x, steps)
+            f = _rho_factor(x, steps)
             parts += [f, x // f]
     return sorted(out)
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, a) with q = p^a, a >= 1; p must lie below PRIME_BOUND.
+    """(p, a) with q = p^a, a >= 1; p must lie below PRIME_BOUND.  The root
+    search and the primality tests take at most RHO_STEPS steps; past them
+    ValueError names the cap.
 
     >>> prime_power(27)
     (3, 3)
@@ -215,12 +255,13 @@ def prime_power(q: int) -> tuple[int, int]:
             if b ** a != q:
                 raise ValueError("not a prime power: %r" % (q,))
             return b, a
+    steps = _Steps()
     # every prime factor exceeds 41 > 2^5, so a < bit_length / 5
     for a in range(q.bit_length() // 5, 1, -1):
-        p = _iroot(q, a)
-        if p ** a == q and is_prime(p):
+        p = _iroot(q, a, steps)
+        if p ** a == q and is_prime(p, steps):
             return p, a
-    if not is_prime(q):
+    if not is_prime(q, steps):
         raise ValueError("not a prime power: %r" % (q,))
     return q, 1
 
@@ -239,12 +280,6 @@ def poly_trim(c: list) -> list:
 def poly_deg(c: list) -> int:
     """Degree, with deg 0 = -1 by convention."""
     return len(poly_trim(c)) - 1
-
-
-def poly_add(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    return poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                      for i in range(n)])
 
 
 def poly_mul(a: list, b: list) -> list:

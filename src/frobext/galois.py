@@ -96,14 +96,6 @@ class GaloisModule:
     def min_poly(self) -> list[int]:
         return minimal_polynomial(self.free_frob) if self.rank else [1]
 
-    def direct_sum(self, other: GaloisModule) -> GaloisModule:
-        _require_compatible(self, other)
-        return GaloisModule(
-            self.l, self.q,
-            block_diag(self.free_frob, other.free_frob) if self.rank + other.rank else None,
-            self.torsion + other.torsion,
-            block_diag(self.torsion_frob, other.torsion_frob))
-
     def __repr__(self):
         return "GaloisModule(l=%d, q=%d, rank=%d, torsion=%s)" % (
             self.l, self.q, self.rank, list(self.torsion))
@@ -125,15 +117,6 @@ class ExtReportL:
     ext1_torsion: int | None  # None: the extension is not determined
     ext2: FinGenAbGroup
     z_f: Fraction | None      # None: the hypothesis fails
-
-    @property
-    def ext1_finite(self) -> bool:
-        return self.ext1_rank == 0
-
-    @property
-    def ext1_torsion_order(self) -> int | None:
-        """The full order of Ext^1 when it is finite, else None."""
-        return self.ext1_torsion if self.ext1_finite else None
 
 
 def _require_compatible(m: GaloisModule, n: GaloisModule):

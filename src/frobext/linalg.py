@@ -36,10 +36,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a: Matrix, s) -> Matrix:
-    return [[s * x for x in row] for row in a]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     m, k = dims(a)
     k2, n = dims(b)

@@ -162,6 +162,9 @@ class Motive:
                              " separately")
         self.charpoly = cp
         self.rank = poly_deg(cp)
+        if twist < 0:
+            raise ValueError("twist %d: a motive is effective, so twist >= 0"
+                             % twist)
         self.twist = int(twist)
         self.exceptional: dict[int, GaloisModule] = {}
         std = companion(cp) if self.rank else None
@@ -220,26 +223,6 @@ class Motive:
             self.q, self.charpoly, self.twist)
 
 
-def motive_from_charpoly(q: int, charpoly: list[int],
-                         crystal_slopes: list | None = None,
-                         twist: int = 0) -> Motive:
-    """Motive with the default lattice everywhere; if crystal_slopes is
-    given it must agree with the Newton slopes of the charpoly.
-
-    >>> motive_from_charpoly(5, [-1, 1]).rank      # the unit motive
-    1
-    >>> motive_from_charpoly(5, [-5, 1]).slopes()  # the Lefschetz motive
-    [Fraction(1, 1)]
-    """
-    m = Motive(q, charpoly, twist=twist)
-    if crystal_slopes is not None:
-        want = [Fraction(s) for s in crystal_slopes]
-        if sorted(want) != m.slopes():
-            raise ValueError("declared slopes disagree with the Newton"
-                             " polygon of the charpoly")
-    return m
-
-
 def unit_motive(q: int) -> Motive:
     return Motive(q, [-1, 1])
 
@@ -258,28 +241,6 @@ def elliptic_motive(q: int, frob_trace: int) -> Motive:
         raise ValueError("trace violates |t| < 2 sqrt q (equality would"
                          " repeat an eigenvalue)")
     return Motive(q, [q, -frob_trace, 1])
-
-
-# ---------------------------------------------------------------------------
-# serialization (deterministic, bit-exact round trip)
-
-
-def motive_to_json(m: Motive) -> str:
-    exc = {}
-    for l in sorted(m.exceptional):
-        mod = m.exceptional[l]
-        exc[str(l)] = {
-            "torsion": list(mod.torsion),
-            "torsion_frobenius": [row[:] for row in mod.torsion_frob],
-        }
-    obj = {
-        "q": m.q,
-        "charpoly": m.charpoly,
-        "exceptional": exc,
-        "crystal": {"slopes": [str(s) for s in m.slopes()]},
-        "twist": m.twist,
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 # JSON input takes integers only where JSON integers stand (a number such as
@@ -493,20 +454,9 @@ def hom_motives(x: Motive, y: Motive) -> tuple[list, int]:
     return _hom_system(x, y, rho).basis, rho
 
 
-def trace_discriminant(x: Motive, y: Motive) -> int:
-    """|det| of the pairing Hom(Y,X) x Hom(X,Y) -> End(Y) -> Z by (g, f) ->
-    trace(f o g), on the lattice bases; 1 for empty Hom.
-
-    >>> e = elliptic_motive(5, -3)
-    >>> trace_discriminant(e, e)   # |det [[2, t], [t, t^2 - 2q]]|
-    11
-    """
-    _require_comparable(x, y)
-    rho, _ = ratio_limit(x.charpoly, y.charpoly)
-    return _discriminant(_hom_system(x, y, rho))
-
-
 def _discriminant(system: _HomSystem) -> int:
+    """|det| of the trace pairing Hom(Y,X) x Hom(X,Y) -> Z, (g, f) ->
+    trace(f o g), on the lattice bases; 1 for empty Hom."""
     gram = [[trace(mat_mul(h, g)) for h in system.basis]
             for g in system.swap_basis]
     d = abs(bareiss_det(gram)) if gram else 1

@@ -325,15 +325,6 @@ class WittRing:
     def x(self) -> WittElem:
         return self.elem([0, 1]) if self.a > 1 else self.zero()
 
-    def coerce(self, v) -> WittElem:
-        if isinstance(v, WittElem):
-            if v.ring is not self:
-                raise ValueError("element of a different ring")
-            return v
-        if isinstance(v, int):
-            return self.from_int(v)
-        return self.elem(v)
-
     # -- operations
 
     def sigma(self, w: WittElem) -> WittElem:

@@ -24,11 +24,11 @@ no code beyond exact arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    RHO_STEPS,
     composed_product,
     poly_deg,
     poly_deriv,
@@ -38,6 +38,7 @@ from .exact import (
     poly_quo_monic,
     power_sums,
     prime_power,
+    round_fits,
     strip_root,
 )
 from .motive import (
@@ -252,6 +253,20 @@ def _check_size(q: int, betti: list[int]):
              for j, b in enumerate(betti)), MAX_WEIL_BITS)
 
 
+def _check_r(q: int, r: int):
+    """r >= 0, refused when q^r lies above the largest number one primality
+    round fits in exact.RHO_STEPS (`round_fits`): the pieces' N* are of its
+    size and are factored.  q^r has at most r·b + 1 bits, b the bit length
+    of q - 1, so the check never forms it."""
+    if r < 0:
+        raise ValueError("special values at non-negative r only")
+    bits = r * (q - 1).bit_length() + 1
+    if not round_fits(bits):
+        raise ValueError("r = %d gives q^r of up to %d bits; one primality"
+                         " round on a number that large takes more than the"
+                         " cap of %d rho steps" % (r, bits, RHO_STEPS))
+
+
 def _spec_betti(spec, field: str, curves: dict) -> tuple[int, list[int]]:
     """(q, [b_0, ..., b_2d]) of a variety spec, read from the spec alone,
     with each field it reads checked to be of its JSON type and the caps
@@ -318,14 +333,6 @@ def variety_from_spec(spec: dict) -> VarietyDescriptor:
     return _build(spec, {})
 
 
-def variety_from_json(text: str) -> VarietyDescriptor:
-    return variety_from_spec(json.loads(text))
-
-
-def variety_to_json(v: VarietyDescriptor) -> str:
-    return json.dumps(v.spec, sort_keys=True, separators=(",", ":"))
-
-
 # ---------------------------------------------------------------------------
 # the zeta side: point counts and exact special values
 
@@ -360,8 +367,7 @@ def zeta_special_value(v: VarietyDescriptor, r: int) -> tuple[int, Fraction]:
     >>> zeta_special_value(elliptic_curve(5, [1, 1]), 0)
     (-1, Fraction(-9, 4))
     """
-    if r < 0:
-        raise ValueError("special values at non-negative r only")
+    _check_r(v.q, r)
     b = v.q ** r
     order = 0
     lead = Fraction(1)
@@ -417,8 +423,7 @@ def motivic_cohomology(v: VarietyDescriptor, r: int) -> MotivicCohomologyReport:
     """Decompose every H^j into squarefree catalogue motives, pair each with
     the r-th Lefschetz power, and assemble ranks and the multiplicative Euler
     characteristic from the verified local-to-global Ext machinery."""
-    if r < 0:
-        raise ValueError("non-negative twists only")
+    _check_r(v.q, r)
     q = v.q
     b = q ** r
     source = lefschetz_motive(q, r)

@@ -94,10 +94,6 @@ class FinGenAbGroup:
         parts = tuple(l_primary(d, l) for d in self.torsion)
         return FinGenAbGroup(self.free_rank, tuple(int(x) for x in parts if x != 1))
 
-    def direct_sum(self, other: FinGenAbGroup) -> FinGenAbGroup:
-        return group_from_orders(self.free_rank + other.free_rank,
-                                 list(self.torsion) + list(other.torsion))
-
     def __str__(self):
         parts = []
         if self.free_rank == 1:
@@ -142,9 +138,6 @@ class Presentation:
                 tors = tuple(d for d in diag if d > 1)
                 self._group = FinGenAbGroup(self.gens - rank, tors)
         return self._group
-
-    def order(self) -> int | None:
-        return self.group().order
 
     def __repr__(self):
         return "Presentation(%d gens, %d rels: %s)" % (

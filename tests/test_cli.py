@@ -14,12 +14,7 @@ from frobext.crystal import Crystal
 from frobext.exact import PrecisionError
 from frobext.galois import GaloisModule
 from frobext.zgamma import FinGenAbGroup
-from frobext.motive import (
-    GlobalExtReport,
-    elliptic_motive,
-    motive_to_json,
-    unit_motive,
-)
+from frobext.motive import GlobalExtReport
 from frobext.witt import WittRing
 
 
@@ -30,8 +25,8 @@ def run(capsys, argv):
 
 
 def test_ext_command(capsys):
-    mx = motive_to_json(unit_motive(5))
-    my = motive_to_json(elliptic_motive(5, -3))
+    mx = '{"q": 5, "charpoly": [-1, 1]}'
+    my = '{"q": 5, "charpoly": [5, 3, 1], "crystal": {"slopes": ["0", "1"]}}'
     code, out = run(capsys, ["ext", mx, my, "--json"])
     assert code == 0
     obj = json.loads(out)
@@ -182,6 +177,7 @@ def _exc(data) -> str:
      "variety.q"),
     (["zeta", '{"kind": "elliptic_curve", "q": 5, "coefficients": [1, 1.0]}'],
      "variety.coefficients[1]"),
+    (["ext", _with(twist=-1), _L5], "twist -1"),
 ])
 def test_hostile_json_types_are_input_errors(capsys, argv, field):
     # a field of the wrong JSON type exits 2 with the field named: no
@@ -193,15 +189,56 @@ def test_hostile_json_types_are_input_errors(capsys, argv, field):
 
 
 def test_json_that_is_not_an_object_is_an_input_error(capsys, tmp_path):
-    # inline JSON starts with "{"; anything else is read from a file
+    # inline JSON starts with "{" or "["; anything else is read from a file
     path = tmp_path / "array.json"
     path.write_text("[5]")
-    assert main(["ext", str(path), _L5]) == 2
-    assert "a motive must be an object, not an array" \
-        in capsys.readouterr().err
-    assert main(["zeta", str(path)]) == 2
-    assert "variety must be an object, not an array" \
-        in capsys.readouterr().err
+    for source in (str(path), "[1]", " []"):
+        assert main(["ext", source, _L5]) == 2
+        assert "a motive must be an object, not an array" \
+            in capsys.readouterr().err
+        assert main(["zeta", source]) == 2
+        assert "variety must be an object, not an array" \
+            in capsys.readouterr().err
+
+
+_MERSENNE = 2 ** 11213 - 1  # a prime of 11213 bits
+
+
+def _p1(r: int) -> str:
+    return json.dumps({"kind": "projective_space", "q": 5, "dimension": 1,
+                       "r": r})
+
+
+@pytest.mark.parametrize("argv, says", [
+    # (1, L^4000) and (1, L^6000) over F_5: N* = 1 - 5^r of 9288 and 13932
+    # bits, whose cofactor is refused before its first primality round
+    (["ext", _with(), json.dumps({"q": 5, "charpoly": [-5 ** 4000, 1]})],
+     "a primality test of a 9208-bit number"),
+    (["ext", _with(), json.dumps({"q": 5, "charpoly": [-5 ** 6000, 1]})],
+     "a primality test of a"),
+    # q = 10^4000 + 1: the prime power search tries up to 2656 roots
+    (["ext", _with(q=10 ** 4000 + 1), _with(q=10 ** 4000 + 1)],
+     "a prime power test of a 13288-bit number"),
+    # a prime l of 11213 bits, as --prime and as an exceptional key
+    (["verify-local", "--random", "1", "--prime", str(_MERSENNE)],
+     "a primality test of a 11213-bit number"),
+    (["ext", _with(exceptional={str(_MERSENNE): {"torsion": []}}), _L5],
+     "a primality test of a 11213-bit number"),
+    # P^1 over F_5 at r = 4000, 8000 and 10^5: refused from r and q alone
+    (["zeta", _p1(4000)], "r = 4000 gives q^r of up to 12001 bits"),
+    (["zeta", _p1(8000)], "r = 8000 gives q^r of up to 24001 bits"),
+    (["zeta", _p1(10 ** 5)], "r = 100000 gives q^r"),
+])
+def test_huge_numbers_are_refused_at_once(argv, says):
+    # primality rounds and integer roots are charged to the step cap, and
+    # zeta caps r, so each of these is refused before any costly step
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "frobext.cli"] + argv,
+                         capture_output=True, text=True)
+    assert time.perf_counter() - start < 2
+    assert out.returncode == 2 and "Traceback" not in out.stderr
+    assert out.stderr.startswith("input error: " + says), out.stderr
+    assert "cap of %d rho steps" % exact.RHO_STEPS in out.stderr
 
 
 def _curve(q: int) -> dict:
@@ -394,8 +431,8 @@ def test_one_ratio_polynomial_per_query(capsys, monkeypatch):
 def test_ext_reads_files(tmp_path, capsys):
     fx = tmp_path / "x.json"
     fy = tmp_path / "y.json"
-    fx.write_text(motive_to_json(unit_motive(3)))
-    fy.write_text(motive_to_json(unit_motive(3)))
+    fx.write_text('{"q": 3, "charpoly": [-1, 1]}')
+    fy.write_text('{"q": 3, "charpoly": [-1, 1]}')
     code, out = run(capsys, ["ext", str(fx), str(fy), "--json"])
     assert code == 0
     assert json.loads(out)["rho"] == 1
@@ -682,7 +719,7 @@ def test_zeta_negative_r_and_one_special_value(capsys, monkeypatch):
 def test_input_error_exit_codes(capsys):
     assert main(["zeta", '{"kind": "abelian", "q": 5}']) == 2
     assert main(["ext", '{"q":5,"charpoly":[6,1]}',
-                 motive_to_json(unit_motive(5))]) == 2
+                 '{"q": 5, "charpoly": [-1, 1]}']) == 2
     assert main(["verify-local", "--random", "1", "--prime", "4"]) == 2
     assert main(["verify-local"]) == 2  # neither --random nor --replay
 

@@ -26,7 +26,6 @@ from frobext.crystal import (
     random_finite_crystal,
     random_local_pair,
     random_special_module,
-    slopes,
     special_module,
     unit_crystal,
     verify_local_identity,
@@ -76,16 +75,6 @@ def test_charpoly_of_special_is_min_poly_power():
         m = [ring.p, -1, 1]
         expect = poly_mul(m, m)
         assert crystal_charpoly(special_module(ring, m)) == [int(c) for c in expect]
-
-
-def test_slopes():
-    assert slopes(unit_crystal(R32)) == (1, Fraction(0))
-    assert slopes(lefschetz_crystal(R51)) == (1, Fraction(1))
-    assert slopes(special_module(R51, [5, -1, 1])) == (2, Fraction(1))
-    # twisting by the weight-two line shifts the slope by the rank
-    m = special_module(R32, [3, -1, 1])
-    r, s = slopes(m)
-    assert slopes(m.twist()) == (r, s + r)
 
 
 def test_crystal_validation():

@@ -13,7 +13,6 @@ from frobext.exact import (
     abs_at,
     composed_product,
     is_prime,
-    poly_add,
     poly_divmod,
     poly_eval,
     poly_gcd_monic,
@@ -26,6 +25,7 @@ from frobext.exact import (
     ratio_charpoly,
     ratio_limit,
     resultant,
+    round_fits,
     strip_root,
     valuation,
 )
@@ -165,6 +165,41 @@ def test_primality_cap():
     assert not is_prime((2**61 - 1) * (2**31 - 1))
 
 
+def _refused_at_once(call, says: str, n: int):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        call()
+    assert time.perf_counter() - start < 1
+    msg = str(info.value)
+    assert msg.startswith(says) and str(n)[:12] not in msg
+    assert msg.endswith("the cap of %d rho steps" % RHO_STEPS)
+
+
+def test_primality_rounds_are_charged():
+    # a Miller-Rabin round on b bits is charged b steps of weight
+    # 1 + b^2 // 512^2; one round on 8062 bits fits the cap, on 8063 not
+    assert round_fits(8062) and not round_fits(8063)
+    m = 2**11213 - 1  # prime: all 13 rounds would take about 37 s
+    _refused_at_once(lambda: is_prime(m),
+                     "a primality test of a 11213-bit number", m)
+    # in a factorization the rounds share the budget with rho
+    n = (2**4423 - 1) * (2**4253 - 1)
+    _refused_at_once(lambda: prime_factors(3 * n),
+                     "a primality test of a 8676-bit number", n)
+    # a large composite is still recognized by its first round
+    assert not is_prime((2**1279 - 1) * (2**607 - 1))
+
+
+def test_prime_power_root_search_is_charged():
+    # each Newton step of an integer root is charged one step of q's size:
+    # q = 10^4000 + 1 would take 2656 roots and about 19 s
+    q = 10**4000 + 1
+    _refused_at_once(lambda: prime_power(q),
+                     "a prime power test of a 13288-bit number", q)
+    p = 10**17 + 3
+    assert prime_power(p ** 7) == (p, 7)
+
+
 def test_integer_gcd_and_division():
     f = poly_mul(poly_mul([-1, 1], [-1, 1]), [5, -3, 1])  # (t-1)^2 (t^2-3t+5)
     assert poly_gcd_monic(f, [2, -4, 2]) == [1, -2, 1]     # 2(t-1)^2
@@ -202,6 +237,12 @@ def test_resultant_values():
     assert resultant(f, g) == resultant(g, f)  # deg f * deg g even
 
 
+def _poly_add(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    return poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                      for i in range(n)])
+
+
 def _lagrange_composed_product(u: list, v: list) -> list:
     """Reference for composed_product by an independent route: the resultant
     Res_t(u(t), t^{deg v} v(x/t)) at deg u * deg v + 1 integer points x,
@@ -225,7 +266,7 @@ def _lagrange_composed_product(u: list, v: list) -> list:
             if xj != xi:
                 term = poly_mul(term, [Fraction(-xj, xi - xj),
                                        Fraction(1, xi - xj)])
-        out = poly_add(out, term)
+        out = _poly_add(out, term)
     return out + [Fraction(0)] * (n + 1 - len(out))
 
 

@@ -17,7 +17,7 @@ from frobext.galois import (
     random_module,
     verify_local_identity,
 )
-from frobext.linalg import companion, dims, identity, mat_mul
+from frobext.linalg import block_diag, companion, dims, identity, mat_mul
 from frobext.zgamma import HypothesisError
 
 
@@ -38,7 +38,7 @@ def test_trivial_pair():
     one = GaloisModule(2, 3, [[1]])
     rep = ext_groups_l(one, one)
     assert rep.ext0.free_rank == 1 and rep.ext0.torsion == ()
-    assert not rep.ext1_finite and rep.ext1_torsion_order is None
+    assert rep.ext1_rank == 1
     assert rep.ext2.order == 1
     assert rep.z_f == 1
     out = verify_local_identity(one, one)
@@ -52,8 +52,8 @@ def test_twist_line_orders():
         line = GaloisModule(l, q, [[q**r]])
         rep = ext_groups_l(one, line)
         assert rep.ext0.order == 1
-        assert rep.ext1_finite
-        assert rep.ext1_torsion_order == l_primary(q**r - 1, l)
+        assert rep.ext1_rank == 0
+        assert rep.ext1_torsion == l_primary(q**r - 1, l)
         assert rep.ext2.order == 1
         out = verify_local_identity(one, line)
         assert out["equal"]
@@ -67,7 +67,7 @@ def test_torsion_source():
         n = GaloisModule(l, 3, [[1]])
         rep = ext_groups_l(m, n)
         assert rep.ext0.order == 1
-        assert rep.ext1_finite and rep.ext1_torsion_order == l
+        assert (rep.ext1_rank, rep.ext1_torsion) == (0, l)
         assert rep.ext2.order == l and rep.ext2.torsion == (l,)
         out = verify_local_identity(m, n)
         assert out["lhs"] == out["rhs"] == 1
@@ -84,11 +84,10 @@ def test_ext1_torsion_rule():
         decorated = GaloisModule(l, 3, [[1]], (l,))
         rep = ext_groups_l(one, decorated)  # no bar-Ext: torsion from Hom
         assert (rep.ext1_rank, rep.ext1_torsion) == (1, l)
-        assert not rep.ext1_finite and rep.ext1_torsion_order is None
         rep = ext_groups_l(decorated, one)  # both pieces: not determined
         assert (rep.ext1_rank, rep.ext1_torsion) == (1, None)
         rep = ext_groups_l(GaloisModule(l, 3, None, (l,)), one)
-        assert rep.ext1_finite and rep.ext1_torsion == rep.ext1_torsion_order == l
+        assert (rep.ext1_rank, rep.ext1_torsion) == (0, l)
 
 
 def test_integrality_checks_raise():
@@ -197,6 +196,13 @@ def test_duality_torsion_vs_free(seed, l):
     assert ext_groups_l(n, m).ext0.order == ext_groups_l(m, n).ext2.order
 
 
+def _direct_sum(m: GaloisModule, n: GaloisModule) -> GaloisModule:
+    return GaloisModule(
+        m.l, m.q,
+        block_diag(m.free_frob, n.free_frob) if m.rank + n.rank else None,
+        m.torsion + n.torsion, block_diag(m.torsion_frob, n.torsion_frob))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_direct_sum_additivity(seed):
@@ -205,14 +211,14 @@ def test_direct_sum_additivity(seed):
     m1 = random_module(rng, l, 5, 2, 1)
     m2 = random_module(rng, l, 5, 2, 1)
     n = random_module(rng, l, 5, 2, 1)
-    whole = ext_groups_l(m1.direct_sum(m2), n)
+    whole = ext_groups_l(_direct_sum(m1, m2), n)
     p1, p2 = ext_groups_l(m1, n), ext_groups_l(m2, n)
     assert whole.ext0.free_rank == p1.ext0.free_rank + p2.ext0.free_rank
     assert whole.ext0.torsion_order == p1.ext0.torsion_order * p2.ext0.torsion_order
     assert whole.ext2.order == p1.ext2.order * p2.ext2.order
-    assert whole.ext1_finite == (p1.ext1_finite and p2.ext1_finite)
-    if whole.ext1_finite:
-        assert whole.ext1_torsion_order == p1.ext1_torsion_order * p2.ext1_torsion_order
+    assert whole.ext1_rank == p1.ext1_rank + p2.ext1_rank
+    if whole.ext1_rank == 0:
+        assert whole.ext1_torsion == p1.ext1_torsion * p2.ext1_torsion
 
 
 @settings(max_examples=30, deadline=None)

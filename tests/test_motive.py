@@ -15,11 +15,8 @@ from frobext.motive import (
     global_ext_orders,
     hom_motives,
     lefschetz_motive,
-    motive_from_charpoly,
     motive_from_json,
-    motive_to_json,
     newton_slopes,
-    trace_discriminant,
     unit_motive,
     verify_global_identity,
     verify_weil_identity,
@@ -61,8 +58,9 @@ def test_constructors_and_slopes():
     assert elliptic_motive(7, 0).slopes() == [Fraction(1, 2)] * 2
     with pytest.raises(ValueError):
         elliptic_motive(5, 5)  # |trace| beyond the Weil bound
-    with pytest.raises(ValueError):
-        motive_from_charpoly(5, [5, 3, 1], crystal_slopes=[0, 0])
+    with pytest.raises(ValueError, match="declared slopes disagree"):
+        motive_from_json('{"q": 5, "charpoly": [5, 3, 1],'
+                         ' "crystal": {"slopes": [0, 0]}}')
 
 
 def test_hom_rank():
@@ -79,8 +77,9 @@ def test_trace_discriminant_elliptic():
     # basis {1, F}: |det [[2, t], [t, t^2 - 2q]]| = |t^2 - 4q|
     for q, t in [(5, -3), (7, 2), (11, 0), (13, 4)]:
         e = elliptic_motive(q, t)
-        assert trace_discriminant(e, e) == abs(t * t - 4 * q)
-    assert trace_discriminant(unit_motive(5), lefschetz_motive(5)) == 1
+        assert global_ext_orders(e, e).discriminant == abs(t * t - 4 * q)
+    assert global_ext_orders(unit_motive(5),
+                             lefschetz_motive(5)).discriminant == 1
 
 
 def test_ext1_unit_to_lefschetz_powers():
@@ -199,7 +198,7 @@ def test_twist_covariance():
     e, z = elliptic_motive(5, -3), unit_motive(5)
     t = e.twisted(1)
     assert t.charpoly == [125, 15, 1] and t.twist == 1
-    direct = motive_from_charpoly(5, [125, 15, 1])
+    direct = Motive(5, [125, 15, 1])
     assert global_ext_orders(z, t).ext1_order \
         == global_ext_orders(z, direct).ext1_order == 141
     assert verify_global_identity(t, t)["equal"]
@@ -208,17 +207,17 @@ def test_twist_covariance():
 
 
 def test_json_roundtrip():
-    e = elliptic_motive(5, -3)
-    text = motive_to_json(e)
-    again = motive_from_json(text)
-    assert motive_to_json(again) == text
-    assert again.charpoly == e.charpoly and again.q == 5
-    ed = Motive(5, [5, 3, 1], exceptional={
-        2: GaloisModule(2, 5, companion([5, 3, 1]), (2, 4), [[1, 2], [0, 1]])})
-    text = motive_to_json(ed)
-    again = motive_from_json(text)
-    assert motive_to_json(again) == text
-    assert again.exceptional[2].torsion == (2, 4)
+    e = motive_from_json('{"q": 5, "charpoly": [5, 3, 1], "twist": 2,'
+                         ' "crystal": {"slopes": ["0", "1"]}}')
+    assert (e.q, e.charpoly, e.twist, e.exceptional) == (5, [5, 3, 1], 2, {})
+    assert e.slopes() == [0, 1]
+    ed = motive_from_json(
+        '{"q": 5, "charpoly": [5, 3, 1], "exceptional": {"2": {"torsion":'
+        ' [2, 4], "torsion_frobenius": [[1, 2], [0, 1]]}}}')
+    mod = ed.exceptional[2]
+    assert (mod.l, mod.q, mod.free_frob) == (2, 5, companion([5, 3, 1]))
+    assert mod.torsion == (2, 4) and mod.torsion_frob == [[1, 2], [0, 1]]
+    assert ed.twist == 0
     with pytest.raises(ValueError):
         motive_from_json('{"q": 5, "charpoly": [-1, 1], '
                          '"crystal": {"slopes": ["1"]}}')
