@@ -13,6 +13,7 @@ Three subcommands:
 Exit codes: 0 verified, 1 a verification failed, 2 bad input (a JSON field
 of the wrong type, named in the message, and an input above a size cap
 included: see `motive.MAX_HOM_DIM`, `motive.MAX_THETA_DIM`,
+`motive.MAX_TORSION_GENS`, `MAX_CRYSTAL_RANK`, `MAX_CRYSTAL_TORSION`,
 `zeta.MAX_DIMENSION`, `zeta.MAX_BETTI`, `zeta.MAX_WEIL_BITS`,
 `zeta.MAX_CURVE_PRIME` and `exact.RHO_STEPS`), 3 the hypothesis of the local
 theorem is violated, 4 no p-adic precision up to `PRECISION_CEILING`
@@ -45,6 +46,8 @@ from .galois import verify_local_identity as verify_galois
 from .motive import (
     MAX_HOM_DIM,
     MAX_THETA_DIM,
+    MAX_TORSION_GENS,
+    check_cap,
     global_ext_orders,
     json_int,
     json_ints,
@@ -57,10 +60,14 @@ from .zeta import variety_from_spec, verify_variety_identity
 from .zgamma import HypothesisError
 
 REPLAY_FILE = "frobext-failing-case.json"
-# `verify-local` reads a crystal pair at PRECISION_START and again at each
-# larger precision a PrecisionError names, up to PRECISION_CEILING
-PRECISION_START = 20
+# `verify-local` reads a crystal pair at WittRing's default precision and
+# again at each larger precision a PrecisionError names, up to this
 PRECISION_CEILING = 320
+# a replayed crystal of r generators over W(F_{p^a}) has Z_p-rank a·r, at
+# most MAX_CRYSTAL_RANK when free (so θ is at most 144 square) and
+# MAX_CRYSTAL_TORSION when finite (its Koszul complex is read over Z)
+MAX_CRYSTAL_RANK = 12
+MAX_CRYSTAL_TORSION = 4
 
 
 def _jsonable(x):
@@ -115,12 +122,17 @@ def _module_obj(m: GaloisModule) -> dict:
 def _module_from_obj(o, field: str) -> GaloisModule:
     o = json_object(o, field)
     torsion = json_ints(o.get("torsion") or [], field + ".torsion")
+    check_cap(field + ".torsion has a torsion generator count of",
+              len(torsion), MAX_TORSION_GENS)
+    l, q = json_int(o.get("l"), field + ".l"), json_int(o.get("q"), field + ".q")
     free, tfrob = o.get("free_frob"), o.get("torsion_frob")
-    return GaloisModule(
-        json_int(o.get("l"), field + ".l"), json_int(o.get("q"), field + ".q"),
-        None if free is None else json_matrix(free, field + ".free_frob"),
-        tuple(torsion), None if tfrob is None
-        else json_matrix(tfrob, field + ".torsion_frob", len(torsion)))
+    if free is not None:  # --bound's cap: a pair's Hom system is up to rank²
+        free = json_matrix(free, field + ".free_frob")
+        check_cap("%s.free_frob of rank %d gives a Hom system of dimension"
+                  " up to" % (field, len(free)), len(free) ** 2, MAX_HOM_DIM)
+    return GaloisModule(l, q, free, tuple(torsion), None if tfrob is None
+                        else json_matrix(tfrob, field + ".torsion_frob",
+                                         len(torsion)))
 
 
 def _crystal_obj(c: Crystal) -> dict:
@@ -132,12 +144,19 @@ def _crystal_from_obj(o, ring: WittRing, field: str = "crystal") -> Crystal:
     o = json_object(o, field)
     poly, exps = o.get("special_poly"), o.get("exponents")
     if poly is not None and json_ints(poly, field + ".special_poly"):
+        check_cap(field + ".special_poly gives a free crystal of Z_p-rank",
+                  ring.a ** 2 * (len(poly) - 1), MAX_CRYSTAL_RANK)
         return special_module(ring, poly)
     # an entry is an integer or its coordinates in the x-power basis
     coords = json_matrix(o.get("coords"), field + ".coords", entry=lambda v, f:
                          (json_ints if isinstance(v, list) else json_int)(v, f))
-    return Crystal(ring, coords, None if exps is None
-                   else json_ints(exps, field + ".exponents"))
+    if exps is not None:
+        exps = json_ints(exps, field + ".exponents")
+    kind, cap = ("free", MAX_CRYSTAL_RANK) if exps is None \
+        else ("finite", MAX_CRYSTAL_TORSION)
+    check_cap("%s.coords gives a %s crystal of Z_p-rank" % (field, kind),
+              ring.a * len(coords), cap)
+    return Crystal(ring, coords, exps)
 
 
 def _verify_crystals(pair, ring: WittRing) -> dict:
@@ -203,11 +222,9 @@ def _cmd_verify_local(args) -> int:
             a = json_int(case.get("degree", 1), "degree")
             # the cap `ext` and `zeta` apply: building the ring alone grows
             # fast in a
-            if a ** 3 > MAX_THETA_DIM:
-                raise ValueError("degree %d gives a p-adic system of dimension"
-                                 " at least a^3 = %d, above the cap of %d"
-                                 % (a, a ** 3, MAX_THETA_DIM))
-            ring = WittRing(p, a, PRECISION_START)
+            check_cap("degree %d gives a p-adic system of dimension at least"
+                      " a^3 =" % a, a ** 3, MAX_THETA_DIM)
+            ring = WittRing(p, a)
             out = _verify_crystals(lambda r: (
                 _crystal_from_obj(case.get("m"), r, "m"),
                 _crystal_from_obj(case.get("n"), r, "n")), ring)
@@ -227,42 +244,36 @@ def _cmd_verify_local(args) -> int:
                          % args.bound)
     # random modules of rank up to B have a Hom system of dimension up to B²,
     # capped as `ext` caps a motive pair's
-    if args.bound ** 2 > MAX_HOM_DIM:
-        raise ValueError("--bound %d gives a Hom system of dimension up to"
-                         " %d, above the cap of %d"
-                         % (args.bound, args.bound ** 2, MAX_HOM_DIM))
+    check_cap("--bound %d gives a Hom system of dimension up to" % args.bound,
+              args.bound ** 2, MAX_HOM_DIM)
+    prime = args.prime or 3
+    if not is_prime(prime):
+        raise ValueError("--prime must be a prime number")
     rng = random.Random(args.seed)
-    failures = 0
+    # one loop over the chosen mode's pair generator, verifier and replay case
     if args.case:
-        if args.case not in LOCAL_CASES:
-            raise ValueError("--case must be one of %s" % (LOCAL_CASES,))
-        p = args.prime or 3
-        if not is_prime(p):
-            raise ValueError("--prime must be a prime number")
-        ring = WittRing(p, 1, PRECISION_START)
-        for i in range(args.random):
-            m, n = random_local_pair(rng, ring, args.case)
-            out = _verify_crystals(
-                lambda r: (m.with_ring(r), n.with_ring(r)), ring)
-            if not out["equal"]:
-                failures += 1
-                _write_replay({"case": args.case, "p": p, "degree": 1,
-                               "m": _crystal_obj(m), "n": _crystal_obj(n)})
-        summary = {"case": args.case, "p": p, "instances": args.random,
-                   "failures": failures}
+        ring = WittRing(prime, 1)
+        summary = {"case": args.case, "p": prime}
+        draw, verify, replay = (
+            lambda: random_local_pair(rng, ring, args.case),
+            lambda m, n: _verify_crystals(
+                lambda r: (m.with_ring(r), n.with_ring(r)), ring),
+            lambda m, n: {"case": args.case, "p": prime, "degree": 1,
+                          "m": _crystal_obj(m), "n": _crystal_obj(n)})
     else:
-        l = args.prime or 3
-        if not is_prime(l):
-            raise ValueError("--prime must be a prime number")
-        q = 3 if l == 2 else 2
-        for i in range(args.random):
-            m, n = random_admissible_pair(rng, l, q, max_rank=args.bound)
-            out = verify_galois(m, n)
-            if not out["equal"]:
-                failures += 1
-                _write_replay({"m": _module_obj(m), "n": _module_obj(n)})
-        summary = {"l": l, "q": q, "instances": args.random,
-                   "failures": failures}
+        q = 3 if prime == 2 else 2
+        summary = {"l": prime, "q": q}
+        draw, verify, replay = (
+            lambda: random_admissible_pair(rng, prime, q, max_rank=args.bound),
+            verify_galois,
+            lambda m, n: {"m": _module_obj(m), "n": _module_obj(n)})
+    failures = 0
+    for _ in range(args.random):
+        m, n = draw()
+        if not verify(m, n)["equal"]:
+            failures += 1
+            _write_replay(replay(m, n))
+    summary.update(instances=args.random, failures=failures)
     _emit(summary, args.json)
     return 0 if failures == 0 else 1
 

@@ -37,7 +37,7 @@ from .linalg import (
     vstack,
     zeros,
 )
-from .witt import WittElem, WittRing, padic_smith
+from .witt import WittRing, padic_smith
 from .zgamma import (
     FinGenAbGroup,
     GroupHom,
@@ -67,8 +67,6 @@ def _semilinear_int_matrix(ring: WittRing, wmat):
 
 
 def _coord_list(x):
-    if isinstance(x, WittElem):
-        return list(x.c)
     if isinstance(x, (list, tuple)):
         return [int(c) for c in x]
     return [int(x)]
@@ -90,7 +88,7 @@ class Crystal:
     no working precision).
 
     >>> ring = WittRing(5, 1)
-    >>> unit_crystal(ring).rank
+    >>> unit_crystal(ring).dim
     1
     >>> k_module(ring).kind
     'finite'
@@ -109,7 +107,6 @@ class Crystal:
         self.kind = "free" if self.exponents is None else "finite"
         self.special_poly = list(special_poly) if special_poly else None
         self.det_valuation = None  # v_p(det F^a), set by _check_free
-        self.frob = [[ring.elem(c) for c in row] for row in self.coords]
         if self.kind == "finite":
             self._check_finite()
         elif n:
@@ -144,15 +141,11 @@ class Crystal:
             raise ValueError("F is singular; the kernel must be torsion")
         self.det_valuation = int_valuation(det, self.ring.p)
 
-    @property
-    def rank(self) -> int:
-        return self.dim if self.kind == "free" else 0
-
     def frobenius_power(self):
         """The matrix F·sigma(F)···sigma^{a-1}(F) of the a-th iterate of F,
         W-linear because sigma^a = id."""
         ring = self.ring
-        out = twisted = self.frob
+        out = twisted = [[ring.elem(c) for c in row] for row in self.coords]
         for _ in range(ring.a - 1):
             twisted = [[ring.sigma(x) for x in row] for row in twisted]
             out = mat_mul(out, twisted)
@@ -174,17 +167,8 @@ class Crystal:
         return bareiss_det([[x % p for x in row] for row in phi]) % p != 0
 
     def with_ring(self, ring: WittRing) -> "Crystal":
-        """The same crystal over another ring.  The checks passed here hold
-        at every higher precision of the same (p, a, modulus), so moving
-        up there does not re-run them."""
-        mine = self.ring
-        if ring.K < mine.K or \
-                (ring.p, ring.a, ring.modulus) != (mine.p, mine.a, mine.modulus):
-            return Crystal(ring, self.coords, self.exponents, self.special_poly)
-        out = object.__new__(Crystal)
-        out.__dict__.update(self.__dict__, ring=ring)
-        out.frob = [[ring.elem(c) for c in row] for row in self.coords]
-        return out
+        """The same crystal over another ring."""
+        return Crystal(ring, self.coords, self.exponents, self.special_poly)
 
     def __repr__(self):
         if self.kind == "finite":
@@ -216,7 +200,7 @@ def special_module(ring: WittRing, min_poly) -> Crystal:
     monic integer polynomial m: the F-matrix is the companion of m(t^a), so
     the characteristic polynomial of the iterate is m^a.
 
-    >>> special_module(WittRing(5, 1), [5, -1, 1]).rank
+    >>> special_module(WittRing(5, 1), [5, -1, 1]).dim
     2
     """
     m = [int(c) for c in min_poly]
@@ -264,17 +248,15 @@ class ExtReportP:
 
 def _require_pair(m: Crystal, n: Crystal):
     ra, rb = m.ring, n.ring
-    if ra is rb:
-        return m, n
-    if (ra.p, ra.a, ra.K, ra.modulus) != (rb.p, rb.a, rb.K, rb.modulus):
+    if ra is not rb and \
+            (ra.p, ra.a, ra.K, ra.modulus) != (rb.p, rb.a, rb.K, rb.modulus):
         raise ValueError("crystals live over different rings")
-    return m, n.with_ring(ra)
 
 
-def _theta_int(m: Crystal, n: Crystal):
+def _theta_int(m: Crystal, n: Crystal, ring: WittRing):
     """Integer matrix of u -> u·F_M - F_N·sigma(u) on W-linear maps M -> N,
-    in the (N-index, M-index, Witt coordinate) basis; size a·r(M)·r(N)."""
-    ring = m.ring
+    in the (N-index, M-index, Witt coordinate) basis; size a·r(M)·r(N).
+    From the exact coordinates and σ of `ring`: θ over `ring` mod its p^K."""
     a, rm, rn = ring.a, m.dim, n.dim
     s_mat = ring.sigma_matrix
     size = a * rm * rn
@@ -284,8 +266,9 @@ def _theta_int(m: Crystal, n: Crystal):
         return (i * rm + j) * a
 
     # one multiplication matrix per F-matrix entry, σ folded into N's
-    mul_m = [[ring.mul_matrix(x) for x in row] for row in m.frob]
-    mul_n = [[mat_mul(ring.mul_matrix(x), s_mat) for x in row] for row in n.frob]
+    mul_m = [[ring.mul_matrix(x) for x in row] for row in m.coords]
+    mul_n = [[mat_mul(ring.mul_matrix(x), s_mat) for x in row]
+             for row in n.coords]
     for i in range(rn):
         for j in range(rm):
             ro = base(i, j)
@@ -306,14 +289,33 @@ def _theta_int(m: Crystal, n: Crystal):
     return out
 
 
-def _theta_group_hom(m: Crystal, n: Crystal) -> GroupHom:
-    """The presentation operator on the finite group of W-maps M -> N."""
+def _finite_cokernel(mat, exps: list[int], p: int) -> FinGenAbGroup:
+    """The cokernel of mat into ⊕ Z/p^e, killed by p^max(e): exact from
+    [mat | diag(p^e)] read mod p^(max(e)+1)."""
+    rows = [row + [p ** e if i == j else 0 for j in range(len(exps))]
+            for i, (row, e) in enumerate(zip(mat, exps))]
+    vals = padic_smith(rows, p, max(exps, default=0) + 1)
+    return FinGenAbGroup(0, tuple(p ** v for v in vals if v))
+
+
+def _finite_target_report(m: Crystal, n: Crystal) -> ExtReportP:
+    """Hom and Ext¹ into a finite target: the kernel and cokernel of θ on
+    the group ⊕ W/p^{e_i} of W-maps M -> N, the kernel by Pontryagin duality
+    as the cokernel of θ'_ji = θ_ij·p^(e_j - e_i) (integral: θ respects the
+    torsion filtration)."""
     ring = m.ring
-    theta = _theta_int(m, n)
-    moduli = [ring.p ** n.exponents[i]
-              for i in range(n.dim) for _ in range(m.dim * ring.a)]
-    pres = moduli_presentation(moduli)
-    return GroupHom(pres, pres, theta)
+    p = ring.p
+    theta = _theta_int(m, n, ring)
+    exps = [e for e in n.exponents for _ in range(m.dim * ring.a)]
+    dual = [[0] * len(exps) for _ in exps]
+    for i, row in enumerate(theta):
+        for j, x in enumerate(row):
+            y, r = divmod(x * p ** exps[j], p ** exps[i])
+            if r:
+                raise RuntimeError("θ does not respect the torsion filtration")
+            dual[j][i] = y
+    return ExtReportP(p, _finite_cokernel(dual, exps, p),
+                      _finite_cokernel(theta, exps, p), FinGenAbGroup(0), None)
 
 
 def _special_rank_and_bound(m: Crystal, n: Crystal) -> tuple[int, int]:
@@ -332,7 +334,7 @@ def _theta_report(m: Crystal, n: Crystal, k: int,
     p^k, a vanishing divisor read as rank; with `rank`, k exceeds every
     torsion valuation and the count must equal it."""
     ring = m.ring.at_precision(k)
-    vals = padic_smith(_theta_int(m.with_ring(ring), n.with_ring(ring)), ring.p, k)
+    vals = padic_smith(_theta_int(m, n, ring), ring.p, k)
     zero = vals.count(None)
     if rank is not None and zero != rank:
         raise RuntimeError("θ has %d vanishing divisors mod p^%d where the"
@@ -352,13 +354,11 @@ def ext_presentation(m: Crystal, n: Crystal) -> ExtReportP:
     vanishing divisors must be their Hom rank; any other pair is read at
     K+2, where no divisor may vanish (else PrecisionError).
     """
-    m, n = _require_pair(m, n)
+    _require_pair(m, n)
     if m.kind != "free":
         raise ValueError("the source must be torsion-free")
     if n.kind == "finite":
-        hom = _theta_group_hom(m, n)
-        return ExtReportP(m.ring.p, hom.kernel_group(), hom.cokernel_group(),
-                          FinGenAbGroup(0), None)
+        return _finite_target_report(m, n)
     K = m.ring.K
     if m.special_poly and n.special_poly:
         rank, b = _special_rank_and_bound(m, n)
@@ -463,7 +463,7 @@ def ext_orders_finite_source(m: Crystal, n: Crystal):
     Ext⁰(M, N) = Hom(Λ, N)[p^e], an extension of Ext¹(Λ, N)[p^e] by
     Hom(Λ, N)/p^e in degree one, and Ext²(M, N) = Ext¹(Λ, N)/p^e.
     """
-    m, n = _require_pair(m, n)
+    _require_pair(m, n)
     lam, e = _torsion_free_lift(m)
     # the orders cap valuations at e <= K, where a vanishing divisor counts
     # as one of valuation e: θ is read at K+2 with no count
@@ -550,7 +550,7 @@ def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
     is reported as certified; a finite source reads K+2 with no count, and
     special-equal, whose derivative map is exact, reports K+2.
     """
-    m, n = _require_pair(m, n)
+    _require_pair(m, n)
     K = m.ring.K
     if m.kind == "finite" and m.is_k_type():
         e0, e1, e2 = ext_koszul_k(n)

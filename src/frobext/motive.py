@@ -64,10 +64,6 @@ from .linalg import (
 from .witt import WittRing
 from .zgamma import HypothesisError
 
-# the working precision of the Witt ring the p-side builds its special
-# modules over; θ and the derivative map of a special module are certified
-# from its polynomials, so no answer depends on it
-_RING_PRECISION = 20
 # fields whose Witt ring (and its lifts) a process keeps
 _RINGS_KEPT = 16
 
@@ -78,18 +74,22 @@ _RINGS_KEPT = 16
 # takes a few seconds (CHANGES.md has the timings).
 MAX_HOM_DIM = 144
 MAX_THETA_DIM = 1024
+# torsion generators of an l-adic module read from JSON, exceptional or
+# replayed: the galois route's integer Smith forms grow fast with them
+MAX_TORSION_GENS = 6
+
+
+def check_cap(what: str, value: int, cap: int):
+    if value > cap:
+        raise ValueError("%s %d, above the cap of %d" % (what, value, cap))
 
 
 def _check_caps(a: int, dx: int, dy: int):
-    if dx * dy > MAX_HOM_DIM:
-        raise ValueError("ranks %d and %d give an integer Hom system of"
-                         " dimension %d, above the cap of %d"
-                         % (dx, dy, dx * dy, MAX_HOM_DIM))
-    if a ** 3 * dx * dy > MAX_THETA_DIM:
-        raise ValueError("residue degree %d and ranks %d and %d give a"
-                         " p-adic system of dimension a^3·d_X·d_Y = %d,"
-                         " above the cap of %d"
-                         % (a, dx, dy, a ** 3 * dx * dy, MAX_THETA_DIM))
+    check_cap("ranks %d and %d give an integer Hom system of dimension"
+              % (dx, dy), dx * dy, MAX_HOM_DIM)
+    check_cap("residue degree %d and ranks %d and %d give a p-adic system of"
+              " dimension a^3·d_X·d_Y =" % (a, dx, dy), a ** 3 * dx * dy,
+              MAX_THETA_DIM)
 
 
 def _is_squarefree(c: list[int]) -> bool:
@@ -301,6 +301,8 @@ def _json_exceptional(key: str, data, q: int, cp: list[int]) -> GaloisModule:
         raise ValueError("%s: the key must be a prime in decimal" % field)
     data = json_object(data, field)
     torsion = json_ints(data.get("torsion", []), field + ".torsion")
+    check_cap(field + ".torsion has a torsion generator count of",
+              len(torsion), MAX_TORSION_GENS)
     tfrob = data.get("torsion_frobenius")
     if tfrob is not None:
         tfrob = json_matrix(tfrob, field + ".torsion_frobenius", len(torsion))
@@ -328,6 +330,9 @@ def motive_from_json(text: str) -> Motive:
             if isinstance(s, bool) or not isinstance(s, (int, str)):
                 _refuse("crystal.slopes[%d]" % i, "a string or an integer", s)
             try:
+                # Fraction(str) would expand an exponent such as 1e99999999
+                if isinstance(s, str) and ("e" in s or "E" in s):
+                    raise ValueError(s)
                 declared.append(Fraction(s))
             except (ValueError, ZeroDivisionError):
                 raise ValueError("crystal.slopes[%d] is not a fraction: %s"
@@ -398,7 +403,6 @@ class _HomSystem:
         if z_f != abs_at(l, nstar):
             raise RuntimeError("l-adic local identity failed at l=%d" % l)
         return {
-            "l": l,
             "hom_tors": 1,
             "ext1_torsion": l ** int_valuation(self.torsion, l),
             "ext2": 1,
@@ -501,7 +505,6 @@ def _l_side(x: Motive, y: Motive, l: int, rho: int, nstar: Fraction) -> dict:
     if rep.z_f * rep.ext2.order != abs_at(l, nstar):
         raise RuntimeError("l-adic local identity failed at l=%d" % l)
     return {
-        "l": l,
         "hom_tors": rep.ext0.torsion_order,
         "ext1_torsion": rep.ext1_torsion,
         "ext2": rep.ext2.order,
@@ -512,15 +515,15 @@ def _l_side(x: Motive, y: Motive, l: int, rho: int, nstar: Fraction) -> dict:
 
 @lru_cache(maxsize=_RINGS_KEPT)
 def _ring(p: int, a: int) -> WittRing:
-    """The Witt ring of F_{p^a} at `_RING_PRECISION`, built once per field
-    (its lifts to other precisions are kept on it, `at_precision`)."""
-    return WittRing(p, a, _RING_PRECISION)
+    """The Witt ring of F_{p^a}, built once per field (its lifts to other
+    precisions are kept on it, `at_precision`)."""
+    return WittRing(p, a)
 
 
 def _p_side(x: Motive, y: Motive, rho: int, leading: Fraction) -> dict:
     p = x.p
     if x.rank == 0 or y.rank == 0:
-        return {"l": p, "hom_tors": 1, "ext1_torsion": 1, "ext2": 1,
+        return {"hom_tors": 1, "ext1_torsion": 1, "ext2": 1,
                 "z_f": Fraction(1), "swap_tors": 1}
     scale = x.a * x.a
     ring = _ring(p, x.a)
@@ -538,7 +541,6 @@ def _p_side(x: Motive, y: Motive, rho: int, leading: Fraction) -> dict:
     if local.lhs != abs_at(p, leading) ** scale:
         raise RuntimeError("p-adic local identity failed")
     return {
-        "l": p,
         "hom_tors": 1,
         "ext1_torsion": int(_p_power_root(rep.ext1.torsion_order, p, scale)),
         "ext2": 1,
@@ -559,7 +561,6 @@ class GlobalExtReport:
 
     q: int
     rho: int
-    hom_lattice: list
     hom_tors_order: int
     ext1_order: int
     ext2_cotors_order: int
@@ -695,7 +696,7 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
             raise RuntimeError("the z-route and the group route disagree"
                                " at l=%d" % l)
     return GlobalExtReport(
-        q=x.q, rho=rho, hom_lattice=system.basis, hom_tors_order=hom_tors,
+        q=x.q, rho=rho, hom_tors_order=hom_tors,
         ext1_order=ext1_order, ext2_cotors_order=ext2, discriminant=disc,
         chi=chi, chi_statement=Fraction(x.rank) * y.slope_sum(), nstar=nstar,
         support=tuple(sorted(support)), per_prime=per_prime, leading=leading)

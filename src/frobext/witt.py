@@ -260,7 +260,6 @@ class WittRing:
         if a < 1 or precision < 3:
             raise ValueError("need a >= 1 and precision >= 3")
         self.p, self.a, self.K = p, a, precision
-        self.q = p**a
         self.pK = p**precision
         self.modulus = list(modulus) if modulus else first_irreducible(p, a)
         if len(self.modulus) != a + 1 or self.modulus[-1] != 1:

@@ -44,6 +44,7 @@ from .exact import (
 from .motive import (
     MAX_THETA_DIM,
     Motive,
+    check_cap,
     json_array,
     json_int,
     json_ints,
@@ -60,7 +61,6 @@ class VarietyDescriptor:
     dimension: int
     hodge: list            # hodge[i][j] = dim H^j(X, Omega^i)
     pieces: list           # per degree: [(monic integer charpoly, mult), ...]
-    spec: dict             # the defining data, for serialization
 
 
 def projective_space(q: int, n: int) -> VarietyDescriptor:
@@ -78,8 +78,7 @@ def projective_space(q: int, n: int) -> VarietyDescriptor:
     hodge = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
     return VarietyDescriptor(
         kind="projective_space", q=q, dimension=n, hodge=hodge,
-        pieces=pieces,
-        spec={"kind": "projective_space", "q": q, "dimension": n})
+        pieces=pieces)
 
 
 def _weierstrass_long(coefficients) -> tuple:
@@ -152,9 +151,7 @@ def elliptic_curve(q: int, coefficients) -> VarietyDescriptor:
     pieces = [[([-1, 1], 1)], [([q, -t, 1], 1)], [([-q, 1], 1)]]
     return VarietyDescriptor(
         kind="elliptic_curve", q=q, dimension=1, hodge=[[1, 1], [1, 1]],
-        pieces=pieces,
-        spec={"kind": "elliptic_curve", "q": q,
-              "coefficients": [int(c) for c in coefficients]})
+        pieces=pieces)
 
 
 def _squarefree_split(f: list) -> list:
@@ -218,9 +215,7 @@ def product(v: VarietyDescriptor, w: VarietyDescriptor,
         hodge = _convolve(hodge, f.hodge)
     return VarietyDescriptor(
         kind="product", q=v.q, dimension=sum(f.dimension for f in factors),
-        hodge=hodge, pieces=pieces,
-        spec={"kind": "product", "q": v.q,
-              "factors": [f.spec for f in factors]})
+        hodge=hodge, pieces=pieces)
 
 
 # spec caps, checked on the spec alone before any table is built: the
@@ -238,19 +233,14 @@ MAX_BETTI = 2048
 MAX_WEIL_BITS = 10 ** 8
 
 
-def _cap(what: str, value: int, cap: int):
-    if value > cap:
-        raise ValueError("%s %d is above the cap of %d" % (what, value, cap))
-
-
 def _check_size(q: int, betti: list[int]):
     """The caps on a variety, or on part of a product (each measure only
     grows as factors are added), with Betti numbers [b_0, ..., b_2d]."""
-    _cap("a variety of dimension", (len(betti) - 1) // 2, MAX_DIMENSION)
-    _cap("a variety of total Betti number", sum(betti), MAX_BETTI)
-    _cap("a variety with Weil polynomials of bit size",
-         sum((b + 1) * b * (2 + j * q.bit_length()) // 2
-             for j, b in enumerate(betti)), MAX_WEIL_BITS)
+    check_cap("a variety of dimension", (len(betti) - 1) // 2, MAX_DIMENSION)
+    check_cap("a variety of total Betti number", sum(betti), MAX_BETTI)
+    check_cap("a variety with Weil polynomials of bit size",
+              sum((b + 1) * b * (2 + j * q.bit_length()) // 2
+                  for j, b in enumerate(betti)), MAX_WEIL_BITS)
 
 
 def _check_r(q: int, r: int):
@@ -279,7 +269,7 @@ def _spec_betti(spec, field: str, curves: dict) -> tuple[int, list[int]]:
         n = json_int(spec["dimension"], field + ".dimension")
         if n < 0:
             raise ValueError("negative dimension")
-        _cap("a variety of dimension", n, MAX_DIMENSION)  # before 2n + 1
+        check_cap("a variety of dimension", n, MAX_DIMENSION)  # before 2n + 1
         betti = [1, 0] * n + [1]
     elif kind == "elliptic_curve":
         q = json_int(spec["q"], field + ".q")
@@ -301,8 +291,8 @@ def _spec_betti(spec, field: str, curves: dict) -> tuple[int, list[int]]:
     else:
         raise ValueError("unknown variety kind %r" % (kind,))
     _, a = prime_power(q)
-    _cap("residue degree %d gives each piece a p-adic system of dimension"
-         " at least a^3 =" % a, a ** 3, MAX_THETA_DIM)
+    check_cap("residue degree %d gives each piece a p-adic system of"
+              " dimension at least a^3 =" % a, a ** 3, MAX_THETA_DIM)
     _check_size(q, betti)
     return q, betti
 

@@ -307,16 +307,14 @@ class PairAction:
     the identity from invariants to coinvariants sends y to the class of U y.
     """
 
-    def __init__(self, pres: Presentation, g_mat: Matrix, u_mat: Matrix | None = None,
-                 check: bool = True):
+    def __init__(self, pres: Presentation, g_mat: Matrix, u_mat: Matrix | None = None):
         self.pres = pres
         self.g_mat = g_mat
         self.u_mat = u_mat if u_mat is not None else identity(pres.gens)
-        if check:
-            GroupHom(pres, pres, self.g_mat)
-            GroupHom(pres, pres, self.u_mat)
-            if pres.gens and bareiss_det(self.u_mat) == 0:
-                raise ValueError("U must be injective")
+        GroupHom(pres, pres, self.g_mat)
+        GroupHom(pres, pres, self.u_mat)
+        if pres.gens and bareiss_det(self.u_mat) == 0:
+            raise ValueError("U must be injective")
         self._delta = GroupHom(pres, pres, mat_sub(self.g_mat, self.u_mat), check=False)
 
     def invariants(self) -> FinGenAbGroup:

@@ -178,11 +178,18 @@ def _exc(data) -> str:
     (["zeta", '{"kind": "elliptic_curve", "q": 5, "coefficients": [1, 1.0]}'],
      "variety.coefficients[1]"),
     (["ext", _with(twist=-1), _L5], "twist -1"),
+    # Fraction("1e99999999") would expand the exponent
+    (["ext", _with(crystal={"slopes": ["1e99999999"]}), _L5],
+     "crystal.slopes[0] is not a fraction"),
+    (["ext", _with(crystal={"slopes": ["0", "1E9999999"]}), _L5],
+     "crystal.slopes[1] is not a fraction"),
 ])
 def test_hostile_json_types_are_input_errors(capsys, argv, field):
-    # a field of the wrong JSON type exits 2 with the field named: no
-    # traceback, and no number truncated or boolean read as an integer
+    # a field of the wrong JSON type exits 2 with the field named, at once:
+    # no traceback, and no number truncated or boolean read as an integer
+    start = time.perf_counter()
     code = main(argv)
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("input error") and field in err, err
@@ -228,6 +235,10 @@ def _p1(r: int) -> str:
     (["zeta", _p1(4000)], "r = 4000 gives q^r of up to 12001 bits"),
     (["zeta", _p1(8000)], "r = 8000 gives q^r of up to 24001 bits"),
     (["zeta", _p1(10 ** 5)], "r = 100000 gives q^r"),
+    # a pair over F_125 whose N* has an 82-bit cofactor past the rho cap
+    (["ext", _with(q=125, charpoly=[30517578125, -62500, 1]),
+      _with(q=125, charpoly=[15625, -125, 250, -1, 1])],
+     "factoring a 82-bit number"),
 ])
 def test_huge_numbers_are_refused_at_once(argv, says):
     # primality rounds and integer roots are charged to the step cap, and
@@ -462,7 +473,7 @@ def test_verify_local_random_p_adic(capsys, monkeypatch):
                              "4", "--json"])
     assert code == 0
     assert json.loads(out)["failures"] == 0
-    assert rings[0] == cli.PRECISION_START
+    assert rings[0] == 20  # WittRing's default working precision
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -519,8 +530,8 @@ REPLAYS = [
 
 
 def test_replay_precision_order(tmp_path, capsys, monkeypatch):
-    # a replay is read at PRECISION_START, then at each larger precision a
-    # PrecisionError names, and never past PRECISION_CEILING
+    # a replay is read at WittRing's default precision, then at each larger
+    # precision a PrecisionError names, and never past PRECISION_CEILING
     rings = []
     at_precision = WittRing.at_precision
 
@@ -557,6 +568,71 @@ def test_replay_ignores_a_precision_field(tmp_path, capsys):
         argv = _crystal_replay(tmp_path / "old.json", 1, [[1]],
                                [[1 + 3 ** 45]], precision=precision)
         assert run(capsys, argv) == (0, want)
+
+
+def _diag(r: int, d: int = 1) -> list:
+    return [[d if i == j else 0 for j in range(r)] for i in range(r)]
+
+
+def _l_adic(rank: int, gens: int) -> dict:
+    return {"l": 3, "q": 2, "free_frob": _diag(rank), "torsion": [3] * gens}
+
+
+def _crystals(a: int, m: dict, n: dict) -> dict:
+    return {"case": "c", "p": 3, "degree": a, "m": m, "n": n}
+
+
+@pytest.mark.parametrize("case, says", [
+    # two free l-adic modules of rank 16, and free rank 2 with 16 torsion
+    # generators (85 s before)
+    ({"m": _l_adic(16, 0), "n": _l_adic(16, 0)},
+     "m.free_frob of rank 16 gives a Hom system of dimension up to 256,"
+     " above the cap of 144"),
+    ({"m": _l_adic(1, 0), "n": _l_adic(2, 16)},
+     "n.torsion has a torsion generator count of 16, above the cap of 6"),
+    # a 40 x 40 crystal against a 1 x 1 one (3.4 s before), a finite crystal
+    # of rank 2·3 over Z_p, and a special module of rank 2·8 over Z_p
+    (_crystals(1, {"coords": _diag(40)}, {"coords": [[1]]}),
+     "m.coords gives a free crystal of Z_p-rank 40, above the cap of 12"),
+    (_crystals(2, {"coords": [[1]]},
+               {"coords": _diag(3, 0), "exponents": [1] * 3}),
+     "n.coords gives a finite crystal of Z_p-rank 6, above the cap of 4"),
+    (_crystals(2, {"special_poly": [2, 0, 0, 1, 1]}, {"coords": [[1]]}),
+     "m.special_poly gives a free crystal of Z_p-rank 16, above the cap of"
+     " 12"),
+])
+def test_oversized_replays_are_refused_at_once(tmp_path, capsys, case, says):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    start = time.perf_counter()
+    assert main(["verify-local", "--replay", str(path)]) == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == "input error: %s\n" % says
+
+
+def test_replays_at_the_caps_are_read():
+    # what `--random --bound 12` and the p-adic generators draw lies below
+    # every cap: l-adic free rank 12 with up to 6 torsion generators, free
+    # crystals of Z_p-rank 12 and finite ones of Z_p-rank 4
+    mod = cli._module_from_obj(_l_adic(12, 6), "m")
+    assert (mod.rank, len(mod.torsion)) == (12, 6)
+    for a, obj in ((1, {"coords": _diag(12)}),
+                   (2, {"special_poly": [2, 0, 1, 1]}),
+                   (1, {"coords": _diag(4, 0), "exponents": [1] * 4}),
+                   (2, {"coords": _diag(2, 0), "exponents": [1] * 2})):
+        x = cli._crystal_from_obj(obj, WittRing(3, a))
+        assert x.ring.a * x.dim == (4 if x.exponents else 12)
+
+
+def test_exceptional_torsion_generators_are_capped(capsys):
+    # 160 torsion generators at l = 3 ran 10.6 s and exited 0
+    big = _with(exceptional={"3": {"torsion": [3] * 160}})
+    start = time.perf_counter()
+    assert main(["ext", big, _L5]) == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == (
+        'input error: exceptional["3"].torsion has a torsion generator count'
+        " of 160, above the cap of 6\n")
 
 
 def test_replay_reads_deep_torsion(tmp_path, capsys):

@@ -61,6 +61,12 @@ def test_constructors_and_slopes():
     with pytest.raises(ValueError, match="declared slopes disagree"):
         motive_from_json('{"q": 5, "charpoly": [5, 3, 1],'
                          ' "crystal": {"slopes": [0, 0]}}')
+    # declared slopes are integers, fractions or decimals (no exponent)
+    for slopes in ('[0, 1]', '["0", "1/1"]', '["0.0", "1"]'):
+        motive_from_json('{"q": 5, "charpoly": [5, -6, 1],'
+                         ' "crystal": {"slopes": %s}}' % slopes)
+    motive_from_json('{"q": 7, "charpoly": [7, 0, 1],'
+                     ' "crystal": {"slopes": ["1/2", "0.5"]}}')
 
 
 def test_hom_rank():
@@ -367,8 +373,15 @@ def test_one_smith_form_reads_every_l(pair):
     rho, nstar = ratio_limit(x.charpoly, y.charpoly)
     system = _hom_system(x, y, rho)
     support = {2, 3, 5, 7}
-    for n in (nstar.numerator, nstar.denominator, _discriminant(system)):
-        support.update(prime_factors(n))
+    try:
+        for n in (nstar.numerator, nstar.denominator, _discriminant(system)):
+            support.update(prime_factors(n))
+    except ValueError as exc:
+        # a cofactor past the rho cap, which `ext` refuses (exit 2,
+        # `test_cli.py::test_huge_numbers_are_refused_at_once`)
+        if "rho steps" not in str(exc):
+            raise
+        assume(False)
     for l in sorted(support - {x.p}):
         want = _l_side(x, y, l, rho, nstar)
         got = system.l_side(l, nstar)
