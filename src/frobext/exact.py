@@ -12,6 +12,7 @@ integers; a Fraction appears only as a final value.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
 from .linalg import bareiss_det
@@ -81,8 +82,8 @@ PRIME_BOUND = 3317044064679887385961981
 # (a factor near 3·10^13) took 16 million steps.  A step on a number of b
 # bits costs about 1 + (b/512)^2 steps of a small one (0.7 µs at 64 bits,
 # 15 µs at 2048), and is charged so.  A Miller-Rabin round on it is charged
-# as b steps and a Newton step of an integer root as one, so the largest
-# number one round fits has 8062 bits (`round_fits`)
+# as b steps, so the largest number one round fits has 8062 bits
+# (`round_fits`), and a k-th power in an integer root search as log2(k)
 RHO_STEPS = 2_000_000
 
 
@@ -157,11 +158,25 @@ def is_prime(n: int, steps: _Steps | None = None) -> bool:
 
 
 def _iroot(n: int, k: int, steps: _Steps) -> int:
-    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above, each
-    charged to `steps`."""
-    x = 1 << -(-n.bit_length() // k)
+    """floor(n^(1/k)) for n >= 1, each power of the search charged to
+    `steps` as the log2(k) products of n's size it takes.  A root of at most
+    2L bits, L = log2(k) + 2, is found by bisection; a longer one by Newton
+    steps from above, started at one more than the L-bit root of n's
+    leading bits.  That start is within a factor 1 + 1/(2k) of the root, so
+    each step about squares the error and a few steps end the search."""
+    bits, cost = -(-n.bit_length() // k), k.bit_length()
+    lead = cost + 2
+    if bits <= 2 * lead:
+        lo, hi = 0, 1 << bits  # lo^k <= n < hi^k
+        while hi - lo > 1:
+            steps.charge(cost, n, "a prime power test of")
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mid ** k <= n else (lo, mid)
+        return lo
+    shift = bits - lead
+    x = (_iroot(n >> (k * shift), k, steps) + 1) << shift
     while True:
-        steps.charge(1, n, "a prime power test of")
+        steps.charge(cost, n, "a prime power test of")
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
             return x
@@ -256,14 +271,18 @@ def prime_power(q: int) -> tuple[int, int]:
                 raise ValueError("not a prime power: %r" % (q,))
             return b, a
     steps = _Steps()
-    # every prime factor exceeds 41 > 2^5, so a < bit_length / 5
-    for a in range(q.bit_length() // 5, 1, -1):
-        p = _iroot(q, a, steps)
-        if p ** a == q and is_prime(p, steps):
-            return p, a
-    if not is_prime(q, steps):
+    p, a, k = q, 1, 2
+    # take prime k-th roots while they are exact: every prime factor
+    # exceeds 41 > 2^5, so a k-th power has k < bit_length / 5
+    while k <= p.bit_length() // 5:
+        r = _iroot(p, k, steps)
+        if r ** k == p:
+            p, a = r, a * k
+        else:
+            k = next(j for j in count(k + 1) if is_prime(j))
+    if not is_prime(p, steps):
         raise ValueError("not a prime power: %r" % (q,))
-    return q, 1
+    return p, a
 
 
 # ---------------------------------------------------------------------------

@@ -247,25 +247,6 @@ class GroupHom:
         return GroupHom(self.dom, other.cod, comp, check=False)
 
 
-def middle_cohomology(d0: GroupHom, d1: GroupHom) -> FinGenAbGroup:
-    """ker(d1)/im(d0) for consecutive maps with d1 o d0 = 0.
-
-    The composite vanishing on the groups is exactly the condition that the
-    columns of d0 lie in the kernel lattice of d1, so it is checked for free.
-    """
-    if d0.cod.gens != d1.dom.gens:
-        raise ValueError("the maps do not compose")
-    kpres, incl = d1.kernel()
-    if kpres.gens == 0:
-        return FinGenAbGroup(0)
-    if d0.dom.gens == 0:
-        return kpres.group()
-    lift = lattice_solve(incl, d0.mat)
-    if lift is None:
-        raise ValueError("maps do not compose to zero")
-    return GroupHom(d0.dom, kpres, lift, check=False).cokernel_group()
-
-
 def z_of_map(dom: FinGenAbGroup, cod: FinGenAbGroup, mat: Matrix) -> Fraction | None:
     """z(f) = [Ker f]/[Coker f] for f given in the standard presentations.
 

@@ -863,10 +863,10 @@ def test_no_assert_in_src():
 
 
 def test_failed_internal_check_exit_code(capsys, monkeypatch):
-    # a broken middle cohomology breaks the Euler product of the Koszul
+    # a broken duality reader breaks the Euler product of the Koszul
     # complex: exit 5, not 1 ("identity failed") and no traceback
-    monkeypatch.setattr(crystal, "middle_cohomology",
-                        lambda d0, d1: FinGenAbGroup(0, (7,)))
+    monkeypatch.setattr(crystal, "_finite_kernel",
+                        lambda mat, src, tgt, p: FinGenAbGroup(0, (7,)))
     assert main(["verify-local", "--random", "1", "--case", "k-finite",
                  "--prime", "3"]) == 5
     captured = capsys.readouterr()

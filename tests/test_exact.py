@@ -28,6 +28,8 @@ from frobext.exact import (
     round_fits,
     strip_root,
     valuation,
+    _Steps,
+    _iroot,
 )
 
 import fraction_poly as fq
@@ -191,13 +193,25 @@ def test_primality_rounds_are_charged():
 
 
 def test_prime_power_root_search_is_charged():
-    # each Newton step of an integer root is charged one step of q's size:
-    # q = 10^4000 + 1 would take 2656 roots and about 19 s
+    # each k-th power of a root search is charged log2(k) steps of q's
+    # size: the cap is spent before q = 10^4000 + 1 is tried against all
+    # 384 prime exponents below 13288/5
     q = 10**4000 + 1
     _refused_at_once(lambda: prime_power(q),
                      "a prime power test of a 13288-bit number", q)
     p = 10**17 + 3
     assert prime_power(p ** 7) == (p, 7)
+    # a root search started from q's leading bits takes a few powers; from
+    # 2^(b/k) it took the whole cap on this 6100-bit q
+    m = 2**61 - 1
+    assert prime_power(m ** 100) == (m, 100)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 2**3000), st.integers(2, 1000))
+def test_iroot_brackets_the_root(n, k):
+    r = _iroot(n, k, _Steps())
+    assert r ** k <= n < (r + 1) ** k
 
 
 def test_integer_gcd_and_division():
