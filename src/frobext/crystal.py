@@ -38,7 +38,7 @@ from .linalg import (
     zeros,
 )
 from .witt import WittRing, padic_smith
-from .zgamma import FinGenAbGroup, hypothesis_gate
+from .zgamma import FinGenAbGroup, finite_automorphism, hypothesis_gate
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +153,14 @@ class Crystal:
                 and all(c % p == 0 for row in self.coords for ent in row for c in ent))
 
     def is_f_invertible(self) -> bool:
-        """F bijective on a finite crystal (checked on the mod-p fibre)."""
+        """F bijective on a finite crystal: its Z_p-matrix on ⊕ W/p^{n_i}
+        has a determinant that is a unit mod p (`finite_automorphism`)."""
         if self.kind != "finite":
             return False
-        p = self.ring.p
-        phi = _semilinear_int_matrix(self.ring, self.coords)
-        return bareiss_det([[x % p for x in row] for row in phi]) % p != 0
+        ring = self.ring
+        return finite_automorphism(
+            _semilinear_int_matrix(ring, self.coords),
+            [ring.p ** e for e in self.exponents for _ in range(ring.a)], ring.p)
 
     def with_ring(self, ring: WittRing) -> "Crystal":
         """The same crystal over another ring."""

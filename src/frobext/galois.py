@@ -42,10 +42,10 @@ from .linalg import (
 )
 from .zgamma import (
     FinGenAbGroup,
-    GroupHom,
     HypothesisError,
     PairAction,
     Presentation,
+    finite_automorphism,
     hypothesis_gate,
     moduli_presentation,
 )
@@ -84,11 +84,8 @@ class GaloisModule:
         s = len(self.torsion)
         self.torsion_frob = ([row[:] for row in torsion_frob]
                              if torsion_frob is not None else identity(s))
-        if s:
-            pres = moduli_presentation(self.torsion)
-            hom = GroupHom(pres, pres, self.torsion_frob)  # checks compatibility
-            if hom.kernel_group().order != 1:
-                raise ValueError("torsion action must be invertible")
+        if s and not finite_automorphism(self.torsion_frob, self.torsion, l):
+            raise ValueError("torsion action must be invertible")
 
     def charpoly(self) -> list[int]:
         return charpoly(self.free_frob)
@@ -311,7 +308,6 @@ def random_module(rng: random.Random, l: int, q: int, max_rank: int = 3,
     tfrob = None
     if torsion:
         s = len(torsion)
-        pres = moduli_presentation(torsion)
         while True:
             tfrob = [[rng.randint(-2, 2) for _ in range(s)] for _ in range(s)]
             for j in range(s):
@@ -321,7 +317,7 @@ def random_module(rng: random.Random, l: int, q: int, max_rank: int = 3,
                 if tfrob[j][j] % l == 0:
                     tfrob[j][j] += 1  # push the diagonal away from l
             try:
-                if GroupHom(pres, pres, tfrob).kernel_group().order == 1:
+                if finite_automorphism(tfrob, torsion, l):
                     break
             except ValueError:
                 continue

@@ -261,6 +261,15 @@ def _refuse(field: str, want: str, value):
     raise ValueError("%s must be %s, not %s" % (field, want, _json_kind(value)))
 
 
+def json_field(obj: dict, field: str, read):
+    """read(value, field) of the required key that ends the JSON path
+    `field`; ValueError naming the path when obj lacks it."""
+    key = field.rpartition(".")[2]
+    if key not in obj:
+        raise ValueError("%s is missing" % field)
+    return read(obj[key], field)
+
+
 def json_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _refuse(field, "an integer", value)
@@ -312,8 +321,8 @@ def _json_exceptional(key: str, data, q: int, cp: list[int]) -> GaloisModule:
 
 def motive_from_json(text: str) -> Motive:
     obj = json_object(json.loads(text), "a motive")
-    q = json_int(obj["q"], "q")
-    cp = json_ints(obj["charpoly"], "charpoly")
+    q = json_field(obj, "q", json_int)
+    cp = json_field(obj, "charpoly", json_ints)
     exc = {}
     raw = obj.get("exceptional")
     for key, data in json_object(raw if raw is not None else {},

@@ -14,6 +14,7 @@ known exactly.
 from __future__ import annotations
 
 from .exact import PrecisionError, int_valuation, is_prime
+from .linalg import bareiss_det
 
 
 # ---------------------------------------------------------------------------
@@ -52,49 +53,38 @@ def _pm_eval(poly: list[int], y: list[int], h, ppow) -> list[int]:
     return out
 
 
-def _fp_poly_divmod(f, g, p):
-    f = f[:]
-    ginv = pow(g[-1], -1, p)
-    quot = [0] * max(0, len(f) - len(g) + 1)
-    for k in range(len(f) - len(g), -1, -1):
-        c = (f[k + len(g) - 1] * ginv) % p
-        quot[k] = c
-        if c:
-            for i in range(len(g)):
-                f[k + i] = (f[k + i] - c * g[i]) % p
-    while f and f[-1] % p == 0:
-        f.pop()
-    return quot, f
+def _pm_pow(u, e, h, ppow):
+    out = _pm_norm([1], len(h) - 1, ppow)
+    base = u[:]
+    while e:
+        if e & 1:
+            out = _pm_mul(out, base, h, ppow)
+        base = _pm_mul(base, base, h, ppow)
+        e >>= 1
+    return out
 
 
-def _fp_inv(u: list[int], h: list[int], p: int) -> list[int]:
-    """Inverse of u mod (h, p) by the extended Euclidean algorithm."""
-    u = [c % p for c in u]
-    while u and u[-1] == 0:
-        u.pop()
-    if not u:
-        raise ZeroDivisionError("not a unit")
-    r0, r1 = h[:], u
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _fp_poly_divmod(r0, r1, p)
-        s = s0[:]
-        s += [0] * (len(q) + len(s1) - 1 - len(s))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    s[i + j] = (s[i + j] - qi * sj) % p
-        r0, r1, s0, s1 = r1, r, s1, s
-    if len(r0) != 1:
-        raise ZeroDivisionError("not a unit")
-    c = pow(r0[0], -1, p)
-    return [(c * x) % p for x in s0]
+def _mul_matrix(h: list[int], v: list[int]) -> list[list[int]]:
+    """Integer matrix of multiplication by v (a-length coordinates) on
+    Z[x]/(h) in the x-power basis.  Column j is v·x^j, by the shift
+    recurrence with no reduction: exact over Z, and congruent mod any p^m to
+    multiplication mod (h, p^m)."""
+    a = len(h) - 1
+    cols = []
+    for _ in range(a):
+        cols.append(v)
+        v = [x - v[-1] * c for x, c in zip([0] + v[:-1], h)]
+    return [[cols[j][i] for j in range(a)] for i in range(a)]
 
 
 def _pm_inv(u, h, p, ppow):
-    """Unit inverse mod (h, ppow): F_q inverse refined by Newton doubling."""
+    """Unit inverse mod (h, ppow): u^(q-2) inverts u in F_q = F_p[x]/(h),
+    then Newton doubling lifts it."""
     a = len(h) - 1
-    v = _pm_norm(_fp_inv(u, h, p), a, ppow)
+    v = _pm_pow(_pm_norm(u, a, p), p ** a - 2, h, p)
+    if _pm_mul(u, v, h, p) != _pm_norm([1], a, p):
+        raise RuntimeError("the element to invert is not a unit mod p")
+    v = _pm_norm(v, a, ppow)
     m = p
     while m < ppow:
         m = min(m * m, ppow)
@@ -106,7 +96,10 @@ def _pm_inv(u, h, p, ppow):
 
 
 def _is_irreducible(h: list[int], p: int) -> bool:
-    """h monic: irreducible over F_p iff x^{p^a} = x and gcd tests pass."""
+    """h monic: irreducible over F_p iff x^{p^a} = x and, for each prime
+    ell | a, gcd(x^{p^{a/ell}} - x, h) = 1 (Rabin).  That gcd is 1 iff the
+    element is a unit of F_p[x]/(h), i.e. iff the determinant of its
+    multiplication matrix is nonzero mod p."""
     a = len(h) - 1
     if a < 1:
         return False
@@ -124,37 +117,9 @@ def _is_irreducible(h: list[int], p: int) -> bool:
     for ell in {d for d in range(2, a + 1) if a % d == 0 and is_prime(d)}:
         y = frob_power(a // ell)
         diff = [(yc - xc) % p for yc, xc in zip(y, x)]
-        while diff and diff[-1] == 0:
-            diff.pop()
-        if not diff:
-            return False
-        g = _fp_gcd(h, diff, p)
-        if len(g) != 1:
+        if bareiss_det(_mul_matrix(h, diff)) % p == 0:
             return False
     return True
-
-
-def _fp_gcd(f, g, p):
-    f = [c % p for c in f]
-    g = [c % p for c in g]
-    while g and g[-1] == 0:
-        g.pop()
-    while g:
-        _, r = _fp_poly_divmod(f, g, p)
-        f, g = g, r
-    c = pow(f[-1], -1, p)
-    return [(c * x) % p for x in f]
-
-
-def _pm_pow(u, e, h, ppow):
-    out = _pm_norm([1], len(h) - 1, ppow)
-    base = u[:]
-    while e:
-        if e & 1:
-            out = _pm_mul(out, base, h, ppow)
-        base = _pm_mul(base, base, h, ppow)
-        e >>= 1
-    return out
 
 
 def first_irreducible(p: int, a: int) -> list[int]:
@@ -336,17 +301,12 @@ class WittRing:
 
     def mul_matrix(self, w):
         """Integer matrix of multiplication by w, an element or integer
-        coordinates, on Z[x]/(h) in the x-power basis.  Column j is w·x^j,
-        by the shift recurrence with no reduction mod p^K: exact for
-        integer coordinates, and congruent mod p^K to multiplication in the
-        ring."""
-        h, a = self.modulus, self.a
+        coordinates, on Z[x]/(h) in the x-power basis (`_mul_matrix`):
+        exact for integer coordinates, and congruent mod p^K to
+        multiplication in the ring."""
+        a = self.a
         v = list(w.c) if isinstance(w, WittElem) else list(w) + [0] * (a - len(w))
-        cols = []
-        for _ in range(a):
-            cols.append(v)
-            v = [x - v[-1] * c for x, c in zip([0] + v[:-1], h)]
-        return [[cols[j][i] for j in range(a)] for i in range(a)]
+        return _mul_matrix(self.modulus, v)
 
     def at_precision(self, precision: int) -> "WittRing":
         """The same ring carried to another working precision, built once."""

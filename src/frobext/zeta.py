@@ -46,6 +46,7 @@ from .motive import (
     Motive,
     check_cap,
     json_array,
+    json_field,
     json_int,
     json_ints,
     json_object,
@@ -265,19 +266,19 @@ def _spec_betti(spec, field: str, curves: dict) -> tuple[int, list[int]]:
     spec = json_object(spec, field)
     kind = spec.get("kind")
     if kind == "projective_space":
-        q = json_int(spec["q"], field + ".q")
-        n = json_int(spec["dimension"], field + ".dimension")
+        q = json_field(spec, field + ".q", json_int)
+        n = json_field(spec, field + ".dimension", json_int)
         if n < 0:
             raise ValueError("negative dimension")
         check_cap("a variety of dimension", n, MAX_DIMENSION)  # before 2n + 1
         betti = [1, 0] * n + [1]
     elif kind == "elliptic_curve":
-        q = json_int(spec["q"], field + ".q")
-        coefficients = json_ints(spec["coefficients"], field + ".coefficients")
+        q = json_field(spec, field + ".q", json_int)
+        coefficients = json_field(spec, field + ".coefficients", json_ints)
         curves[q, tuple(coefficients)] = q
         betti = [1, 2, 1]
     elif kind == "product":
-        factors = json_array(spec["factors"], field + ".factors")
+        factors = json_field(spec, field + ".factors", json_array)
         if len(factors) < 2:
             raise ValueError("a product needs at least two factors")
         q, betti = _spec_betti(factors[0], field + ".factors[0]", curves)

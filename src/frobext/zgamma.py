@@ -158,6 +158,20 @@ def moduli_presentation(moduli) -> Presentation:
     return Presentation(n, rels if cols else None)
 
 
+def finite_automorphism(mat: Matrix, moduli, p: int) -> bool:
+    """Whether mat is an automorphism of the finite p-group sum of Z/d over
+    the moduli d (powers p^e, e >= 1, one generator each).  ValueError unless mat
+    is a homomorphism, d_i | mat_ij·d_j (the check GroupHom makes on the
+    moduli presentation).  By Nakayama's lemma it is then bijective iff it
+    is so mod p, i.e. iff det(mat) is a unit mod p."""
+    n = len(moduli)
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise ValueError("matrix shape does not match the presentations")
+    if any(mat[i][j] * moduli[j] % moduli[i] for i in range(n) for j in range(n)):
+        raise ValueError("matrix does not define a homomorphism")
+    return bareiss_det([[x % p for x in row] for row in mat]) % p != 0
+
+
 class GroupHom:
     """A homomorphism of presented groups, given on ambient coordinates.
 

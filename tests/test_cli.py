@@ -183,6 +183,19 @@ def _exc(data) -> str:
      "crystal.slopes[0] is not a fraction"),
     (["ext", _with(crystal={"slopes": ["0", "1E9999999"]}), _L5],
      "crystal.slopes[1] is not a fraction"),
+    # a required field that is missing is named by its JSON path
+    (["ext", '{"charpoly": [-1, 1]}', _L5], "q is missing"),
+    (["ext", '{"q": 5}', _L5], "charpoly is missing"),
+    (["zeta", '{"kind": "projective_space", "dimension": 1}'],
+     "variety.q is missing"),
+    (["zeta", '{"kind": "projective_space", "q": 5}'],
+     "variety.dimension is missing"),
+    (["zeta", '{"kind": "elliptic_curve", "q": 5}'],
+     "variety.coefficients is missing"),
+    (["zeta", '{"kind": "product"}'], "variety.factors is missing"),
+    (["zeta", '{"kind": "product", "factors": [{"kind": "projective_space",'
+      ' "q": 5, "dimension": 1}, {"kind": "elliptic_curve",'
+      ' "coefficients": [1, 1]}]}'], "variety.factors[1].q is missing"),
 ])
 def test_hostile_json_types_are_input_errors(capsys, argv, field):
     # a field of the wrong JSON type exits 2 with the field named, at once:

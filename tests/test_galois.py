@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobext import cli
 from frobext.exact import l_primary
 from frobext.galois import (
     GaloisModule,
@@ -231,3 +234,22 @@ def test_ext2_always_finite(seed):
     rep = ext_groups_l(m, n)
     assert rep.ext2.is_finite
     assert all(d % l == 0 for d in rep.ext2.torsion)
+
+
+# For l in {2, 3, 5, 7} (q = 3 at l = 2, else 2, as `verify-local` picks),
+# the first 25 pairs random_admissible_pair(random.Random(l), l, q,
+# max_rank=4) draws, each with its verify_local_identity report: the table
+# pins the generator's draws and every l-adic answer on them
+L_LOCAL = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "l_local_reports.json").read_text())
+
+
+def test_l_local_golden_reports():
+    rngs = {}
+    for row in L_LOCAL:
+        l, q = row["l"], row["q"]
+        rng = rngs.setdefault(l, random.Random(l))
+        m, n = random_admissible_pair(rng, l, q, max_rank=4)
+        assert (cli._module_obj(m), cli._module_obj(n)) == (row["m"], row["n"])
+        assert cli._jsonable(verify_local_identity(m, n)) == row["report"], row
+    assert sorted(rngs) == [2, 3, 5, 7] and len(L_LOCAL) == 100

@@ -203,3 +203,43 @@ def test_first_irreducible_skips_zero_constant_terms():
     p = 10**17 + 3
     h = first_irreducible(p, 2)
     assert h[0] == 1 and _is_irreducible(h, p)
+
+
+def test_is_irreducible_vs_the_fp_gcd_route():
+    # the determinant test for Rabin's gcd condition against the Euclidean
+    # route it replaced, on every monic candidate with p <= 13, p^a <= 2000
+    # (p^a <= 10^5 agrees too, but takes minutes)
+    from fp_poly import rabin_irreducible
+
+    from frobext.witt import _is_irreducible
+
+    for p in (2, 3, 5, 7, 11, 13):
+        a = 1
+        while p ** a <= 2000:
+            for n in range(p ** a):
+                h = [n // p ** i % p for i in range(a)] + [1]
+                assert _is_irreducible(h, p) == rabin_irreducible(h, p), (h, p)
+            a += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 2), (5, 3), (7, 2), (2, 5)]), st.data())
+def test_unit_inverse_vs_euclid(field, data):
+    # the power u^(q-2) seeds the same inverse as the extended Euclid, and
+    # Newton doubling lifts it mod p^6; a non-unit is refused
+    from fp_poly import fp_inv
+
+    from frobext.witt import _pm_inv, _pm_mul, _pm_norm
+
+    p, a = field
+    h, ppow = first_irreducible(p, a), p ** 6
+    u = data.draw(st.lists(st.integers(0, ppow - 1), min_size=a, max_size=a))
+    if data.draw(st.booleans()):
+        u = [p * c for c in u]
+    if all(c % p == 0 for c in u):
+        with pytest.raises(RuntimeError, match="not a unit"):
+            _pm_inv(u, h, p, ppow)
+        return
+    v = _pm_inv(u, h, p, ppow)
+    assert [c % p for c in v] == fp_inv(u, h, p)
+    assert _pm_mul(u, v, h, ppow) == _pm_norm([1], a, ppow)

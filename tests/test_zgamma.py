@@ -12,7 +12,9 @@ from frobext.zgamma import (
     GroupHom,
     PairAction,
     Presentation,
+    finite_automorphism,
     group_from_orders,
+    moduli_presentation,
     standard_presentation,
     z_compose_check,
     z_det_formula,
@@ -202,6 +204,30 @@ def test_group_hom_validation():
         # Z/4 -> Z/8 by 1 is not well defined
         GroupHom(Presentation(1, [[4]]), Presentation(1, [[8]]), [[1]])
     GroupHom(Presentation(1, [[4]]), Presentation(1, [[8]]), [[2]])  # x -> 2x is
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5]),
+       st.lists(st.integers(1, 3), min_size=1, max_size=4))
+def test_finite_automorphism_vs_the_kernel(data, l, exps):
+    # the determinant test against the Smith-form kernel of the moduli
+    # presentation, on matrices that are homomorphisms or not: half the
+    # draws are scaled to respect the moduli, the rest are left free
+    moduli = [l ** e for e in exps]
+    s = len(moduli)
+    mat = [[data.draw(st.integers(-2 * l, 2 * l)) for _ in range(s)]
+           for _ in range(s)]
+    if data.draw(st.booleans()):
+        mat = [[x * (moduli[i] // min(moduli[i], moduli[j]))
+                for j, x in enumerate(row)] for i, row in enumerate(mat)]
+    pres = moduli_presentation(moduli)
+    try:
+        want = GroupHom(pres, pres, mat).kernel_group().order == 1
+    except ValueError:
+        with pytest.raises(ValueError, match="does not define a homomorphism"):
+            finite_automorphism(mat, moduli, l)
+        return
+    assert finite_automorphism(mat, moduli, l) == want
 
 
 def _gate_fraction(ma, mb) -> bool:
