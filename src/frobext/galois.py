@@ -90,8 +90,9 @@ class GaloisModule:
     def charpoly(self) -> list[int]:
         return charpoly(self.free_frob)
 
-    def min_poly(self) -> list[int]:
-        return minimal_polynomial(self.free_frob) if self.rank else [1]
+    def min_poly(self, cp: list[int] | None = None) -> list[int]:
+        """`cp`: the charpoly, where the caller already holds it."""
+        return minimal_polynomial(self.free_frob, cp) if self.rank else [1]
 
     def __repr__(self):
         return "GaloisModule(l=%d, q=%d, rank=%d, torsion=%s)" % (
@@ -210,25 +211,27 @@ def ext1_bar_module(m: GaloisModule, n: GaloisModule) -> PairAction:
     return PairAction(moduli_presentation(moduli), g_mat, u_mat)
 
 
-def check_hypothesis(m: GaloisModule, n: GaloisModule):
+def check_hypothesis(m: GaloisModule, n: GaloisModule, charpolys=(None, None)):
     """The minimal polynomials may not share a root that is multiple in
-    either; raises HypothesisError otherwise."""
-    hypothesis_gate(m.min_poly(), n.min_poly())
+    either; raises HypothesisError otherwise.  `charpolys`: the modules'
+    charpolys, where the caller already holds them."""
+    hypothesis_gate(m.min_poly(charpolys[0]), n.min_poly(charpolys[1]))
 
 
-def ext_groups_l(m: GaloisModule, n: GaloisModule) -> ExtReportL:
+def ext_groups_l(m: GaloisModule, n: GaloisModule,
+                 charpolys=(None, None)) -> ExtReportL:
     """Ext of two l-adic modules: Ext^0 = Hom^Gamma; Ext^1 is an extension
     of the bar-Ext invariants by the Hom coinvariants; Ext^2 = bar-Ext
     coinvariants (always finite); z(f) = z(f_0) / [bar-Ext invariants], f_0
     the map from Hom invariants to Hom coinvariants (None where the
     hypothesis fails).  All are Smith forms over Z, read in l-parts:
-    localization at l is exact."""
+    localization at l is exact.  `charpolys` as for `check_hypothesis`."""
     _require_compatible(m, n)
     l = m.l
     f0 = hom_module(m, n).f0()  # Hom invariants -> Hom coinvariants
     bar = ext1_bar_module(m, n)
     try:
-        check_hypothesis(m, n)
+        check_hypothesis(m, n, charpolys)
     except HypothesisError:
         z0 = None
     else:
@@ -254,12 +257,13 @@ def ext_groups_l(m: GaloisModule, n: GaloisModule) -> ExtReportL:
     )
 
 
-def _gated_report(m: GaloisModule, n: GaloisModule) -> ExtReportL:
+def _gated_report(m: GaloisModule, n: GaloisModule,
+                  charpolys=(None, None)) -> ExtReportL:
     """ext_groups_l, raising the hypothesis gate's error where z(f) is
     undefined."""
-    rep = ext_groups_l(m, n)
+    rep = ext_groups_l(m, n, charpolys)
     if rep.z_f is None:
-        check_hypothesis(m, n)  # z(f) is None only where the gate fails
+        check_hypothesis(m, n, charpolys)  # None only where the gate fails
     return rep
 
 
@@ -274,9 +278,10 @@ def verify_local_identity(m: GaloisModule, n: GaloisModule) -> dict:
     """Check z(f) * [Ext^2(M,N)] = |prod over eigenvalue pairs a_i != b_j of
     (1 - b_j/a_i)|_l, the left side by Smith normal form and the right side
     by resultants."""
-    rep = _gated_report(m, n)
+    charpolys = m.charpoly(), n.charpoly()
+    rep = _gated_report(m, n, charpolys)
     lhs = rep.z_f * rep.ext2.order
-    rho, nstar = ratio_limit(m.charpoly(), n.charpoly())
+    rho, nstar = ratio_limit(*charpolys)
     rhs = abs_at(m.l, nstar)
     return {
         "l": m.l,

@@ -154,16 +154,31 @@ def charpoly(a: Matrix, one=1) -> list:
     return poly[::-1]
 
 
-def minimal_polynomial(a: Matrix) -> list[int]:
+def minimal_polynomial(a: Matrix, cp: list[int] | None = None) -> list[int]:
     """Monic minimal polynomial of an integer matrix; its coefficients are
     integers (Gauss's lemma: it divides the monic integer charpoly).  A
     companion matrix (ones on the sub-diagonal, zeros elsewhere outside the
     last column, as `companion` builds it) is cyclic, so its minimal
-    polynomial is its charpoly, read off the last column; any other matrix
-    takes the first Krylov dependency, found over Q."""
+    polynomial is its charpoly, read off the last column.  So is a matrix
+    whose charpoly χ is squarefree, gcd(χ, χ') = 1: the minimal polynomial
+    divides χ and has every root of χ.  Any other matrix takes the first
+    Krylov dependency, found over Q.  `cp` is a's charpoly, where the caller
+    already holds it."""
+    from .exact import poly_deriv, poly_gcd_monic  # exact imports linalg
+
     n = len(a)
     if all(a[i][j] == int(i == j + 1) for i in range(n) for j in range(n - 1)):
         return [-row[-1] for row in a] + [1]
+    if cp is None:
+        cp = charpoly(a)
+    if poly_gcd_monic(cp, poly_deriv(cp)) == [1]:
+        return cp
+    return _krylov_minimal_polynomial(a)
+
+
+def _krylov_minimal_polynomial(a: Matrix) -> list[int]:
+    """The first dependency among I, A, A^2, ... over Q, monic."""
+    n = len(a)
     basis: list[tuple[list[Fraction], list[Fraction]]] = []  # (reduced vec, tail)
     power = identity(n)
     for k in range(n + 1):

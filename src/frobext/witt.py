@@ -84,6 +84,13 @@ def _pm_inv(u, h, p, ppow):
     v = _pm_pow(_pm_norm(u, a, p), p ** a - 2, h, p)
     if _pm_mul(u, v, h, p) != _pm_norm([1], a, p):
         raise RuntimeError("the element to invert is not a unit mod p")
+    return _pm_lift_inv(u, v, h, p, ppow)
+
+
+def _pm_lift_inv(u, v, h, p, ppow):
+    """The inverse of u mod (h, ppow), lifted by Newton doubling from v, an
+    inverse of u mod (h, p)."""
+    a = len(h) - 1
     v = _pm_norm(v, a, ppow)
     m = p
     while m < ppow:
@@ -244,12 +251,14 @@ class WittRing:
             return [0]
         y = _pm_pow(_pm_norm([0, 1], a, p), p, h, p)
         dh = [i * c for i, c in enumerate(h)][1:]
+        # y stays x^p mod p, so h'(y) has one inverse mod p: each step lifts it
+        seed = _pm_inv(_pm_eval(dh, y, h, p), h, p, p)
         m = 1
         while m < self.K:
             m = min(2 * m, self.K)
             ppow = p**m
             err = _pm_eval(h, y, h, ppow)
-            inv = _pm_inv(_pm_eval(dh, y, h, ppow), h, p, ppow)
+            inv = _pm_lift_inv(_pm_eval(dh, y, h, ppow), seed, h, p, ppow)
             step = _pm_mul(err, inv, h, ppow)
             y = [(u - s) % ppow for u, s in zip(y, step)]
         return y

@@ -17,10 +17,12 @@ from fractions import Fraction
 from math import prod
 
 from .exact import (
+    int_valuation,
     l_primary,
     poly_deg,
     poly_deriv,
     poly_gcd_monic,
+    prime_factors,
     strip_root,
 )
 from .linalg import (
@@ -113,13 +115,18 @@ def group_from_orders(free_rank: int, orders: list[int]) -> FinGenAbGroup:
 
 
 class Presentation:
-    """Z^gens modulo the column lattice of `rels` (a gens x k integer matrix)."""
+    """Z^gens modulo the column lattice of `rels` (a gens x k integer matrix).
+
+    `moduli` is the diagonal d of a presentation built by
+    `moduli_presentation` (the sum of Z/d_i), and None for any other.
+    """
 
     def __init__(self, gens: int, rels: Matrix | None = None):
         self.gens = gens
         self.rels = [row[:] for row in rels] if rels else [[] for _ in range(gens)]
         if len(self.rels) != gens:
             raise ValueError("relation matrix must have one row per generator")
+        self.moduli: tuple[int, ...] | None = None
         self._group: FinGenAbGroup | None = None
 
     @property
@@ -155,7 +162,17 @@ def moduli_presentation(moduli) -> Presentation:
     n = len(moduli)
     cols = [i for i, d in enumerate(moduli) if d]
     rels = [[moduli[i] if i == j else 0 for j in cols] for i in range(n)]
-    return Presentation(n, rels if cols else None)
+    pres = Presentation(n, rels if cols else None)
+    pres.moduli = tuple(moduli)
+    return pres
+
+
+def _respects_moduli(mat: Matrix, dom, cod) -> bool:
+    """Whether mat (len(cod) x len(dom)) maps the sum of Z/d over the moduli
+    `dom` into the one over `cod`: d_cod,i | mat_ij·d_dom,j, read as
+    mat_ij·d_dom,j = 0 where d_cod,i = 0 (a free generator)."""
+    return all(x * d % c == 0 if c else x * d == 0
+               for row, c in zip(mat, cod) for x, d in zip(row, dom))
 
 
 def finite_automorphism(mat: Matrix, moduli, p: int) -> bool:
@@ -167,7 +184,7 @@ def finite_automorphism(mat: Matrix, moduli, p: int) -> bool:
     n = len(moduli)
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError("matrix shape does not match the presentations")
-    if any(mat[i][j] * moduli[j] % moduli[i] for i in range(n) for j in range(n)):
+    if not _respects_moduli(mat, moduli, moduli):
         raise ValueError("matrix does not define a homomorphism")
     return bareiss_det([[x % p for x in row] for row in mat]) % p != 0
 
@@ -176,7 +193,8 @@ class GroupHom:
     """A homomorphism of presented groups, given on ambient coordinates.
 
     `mat` has shape cod.gens x dom.gens and must carry the domain's relation
-    lattice into the codomain's (checked on construction).
+    lattice into the codomain's (checked on construction: by divisibility
+    between two moduli presentations, else by solving over Z).
     """
 
     def __init__(self, dom: Presentation, cod: Presentation, mat: Matrix, check=True):
@@ -186,11 +204,14 @@ class GroupHom:
         if len(self.mat) != cod.gens or (cod.gens and len(self.mat[0]) != dom.gens):
             raise ValueError("matrix shape does not match the presentations")
         if check and dom.rel_count and cod.gens:
-            image = mat_mul(self.mat, dom.rels)
-            if cod.rel_count:
-                ok = lattice_solve(cod.rels, image) is not None
+            if dom.moduli is not None and cod.moduli is not None:
+                ok = _respects_moduli(self.mat, dom.moduli, cod.moduli)
             else:
-                ok = all(x == 0 for row in image for x in row)
+                image = mat_mul(self.mat, dom.rels)
+                if cod.rel_count:
+                    ok = lattice_solve(cod.rels, image) is not None
+                else:
+                    ok = all(x == 0 for row in image for x in row)
             if not ok:
                 raise ValueError("matrix does not define a homomorphism")
         self._kernel = None
@@ -347,10 +368,18 @@ class GammaModule:
         self.pair = PairAction(self.pres, self.action)
         if f and bareiss_det(self.free_block()) == 0:
             raise ValueError("action must be invertible on the free part over Q")
-        if s:
-            tors = Presentation(s, [row[f:] for row in self.pres.rels[f:]])
-            tblock = [row[f:] for row in self.action[f:]]
-            if GroupHom(tors, tors, tblock).kernel_group().order != 1:
+        # the torsion is the sum of its p-parts, each the sum of Z/p^v_p(d)
+        # over the invariants d with p | d, and PairAction checked that the
+        # action is a homomorphism, so it is one on each p-part.  Mod p the
+        # action is block triangular for the split p | d, p ∤ d, whose other
+        # block says nothing of the p-part: the full determinant would not
+        # do.  prime_factors charges its step budget.
+        tors = group.torsion
+        for p in prime_factors(tors[-1]) if tors else ():
+            idx = [i for i, d in enumerate(tors) if d % p == 0]
+            block = [[self.action[f + i][f + j] for j in idx] for i in idx]
+            moduli = [p ** int_valuation(tors[i], p) for i in idx]
+            if not finite_automorphism(block, moduli, p):
                 raise ValueError("action must be invertible on the torsion part")
 
     def free_block(self) -> Matrix:
@@ -366,15 +395,15 @@ def z_invariants_map(m: GammaModule) -> Fraction | None:
     and this identity is checked against the characteristic polynomial.
     """
     f = m.group.free_rank
+    cp = charpoly(m.free_block()) if f else [1]
     if f:
         try:
-            hypothesis_gate(minimal_polynomial(m.free_block()), [-1, 1])
+            hypothesis_gate(minimal_polynomial(m.free_block(), cp), [-1, 1])
         except HypothesisError:
             return None
     z = m.pair.z_f0()
     if z is None:
         raise RuntimeError("z must be defined under the simple-root condition")
-    cp = charpoly(m.free_block()) if f else [1]
     _, lead = strip_root(cp, 1)
     if z * abs(lead) != 1:
         raise RuntimeError("z of the invariants map disagrees with the"

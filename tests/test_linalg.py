@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from frobext.exact import poly_eval
 from frobext.linalg import (
+    _krylov_minimal_polynomial,
     bareiss_det,
+    block_diag,
     charpoly,
     column_lattice_basis,
     companion,
@@ -105,6 +107,7 @@ def test_companion_minimal_polynomial_vs_krylov(p):
     assert m == p
     if len(c) >= 2:
         assert minimal_polynomial(transpose(c)) == m
+        assert _krylov_minimal_polynomial(transpose(c)) == m
 
 
 @settings(max_examples=300)
@@ -119,6 +122,35 @@ def test_near_companion_takes_krylov(p, data):
     m = minimal_polynomial(a)
     assert _annihilates(m, a)
     assert m == minimal_polynomial(transpose(a))
+    assert m == _krylov_minimal_polynomial(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices(n_max=3, lo=-4, hi=4),
+       st.sampled_from(["plain", "double", "jordan"]), st.data())
+def test_minimal_polynomial_vs_krylov(b, shape, data):
+    # the squarefree-charpoly route against the Krylov route: plain
+    # matrices (mostly squarefree), and repeated eigenvalues, block_diag(B, B)
+    # and a Jordan block J_k(c) beside B, conjugated by an elementary
+    # matrix so that no block shape shows
+    if shape == "double":
+        a = block_diag(b, b)
+    elif shape == "jordan":
+        c, k = data.draw(st.integers(-3, 3)), data.draw(st.integers(2, 3))
+        a = block_diag([[c if j == i else int(j == i + 1) for j in range(k)]
+                        for i in range(k)], b)
+    else:
+        a = b
+    n = len(a)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if i != j:
+        t = data.draw(st.integers(-2, 2))
+        e, e_inv = identity(n), identity(n)
+        e[i][j], e_inv[i][j] = t, -t
+        a = mat_mul(mat_mul(e, a), e_inv)
+    want = _krylov_minimal_polynomial(a)
+    assert minimal_polynomial(a) == want
+    assert minimal_polynomial(a, charpoly(a)) == want
 
 
 @given(int_matrices(n_max=3, lo=-5, hi=5))

@@ -243,3 +243,16 @@ def test_unit_inverse_vs_euclid(field, data):
     v = _pm_inv(u, h, p, ppow)
     assert [c % p for c in v] == fp_inv(u, h, p)
     assert _pm_mul(u, v, h, ppow) == _pm_norm([1], a, ppow)
+
+
+def test_sigma_takes_one_unit_power(monkeypatch):
+    # y stays x^p mod p through the Hensel steps, so h'(y) is inverted by
+    # the power u^(q-2) once per ring; each step lifts that seed
+    from frobext import witt
+
+    calls = []
+    real = witt._pm_inv
+    monkeypatch.setattr(witt, "_pm_inv",
+                        lambda *args: calls.append(args) or real(*args))
+    WittRing(5, 3, 40)  # six Hensel steps
+    assert len(calls) == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,6 +205,106 @@ def test_group_hom_validation():
         # Z/4 -> Z/8 by 1 is not well defined
         GroupHom(Presentation(1, [[4]]), Presentation(1, [[8]]), [[1]])
     GroupHom(Presentation(1, [[4]]), Presentation(1, [[8]]), [[2]])  # x -> 2x is
+    # the same on moduli presentations, checked by divisibility
+    z, z4, z8 = (moduli_presentation([d]) for d in (0, 4, 8))
+    not_hom = pytest.raises(ValueError, match="does not define a homomorphism")
+    with not_hom:
+        GroupHom(z4, z8, [[1]])
+    GroupHom(z4, z8, [[2]])
+    # free generators (modulus 0): Z -> Z/4 is any map, Z/4 -> Z only 0,
+    # and on Z + Z/4 the torsion column may not feed the free row
+    GroupHom(z, z4, [[3]])
+    GroupHom(z4, z, [[0]])
+    with not_hom:
+        GroupHom(z4, z, [[1]])
+    zt = moduli_presentation([0, 4])
+    GroupHom(zt, zt, [[2, 0], [5, 3]])
+    with not_hom:
+        GroupHom(zt, zt, [[1, 1], [0, 1]])
+    # rectangular: Z/2 + Z/4 -> Z/4
+    two_four = moduli_presentation([2, 4])
+    GroupHom(two_four, z4, [[2, 1]])
+    with not_hom:
+        GroupHom(two_four, z4, [[1, 1]])
+    with pytest.raises(ValueError, match="shape"):
+        GroupHom(two_four, z4, [[2, 1, 0]])
+
+
+def _is_hom(dom: Presentation, cod: Presentation, mat) -> bool:
+    try:
+        GroupHom(dom, cod, mat)
+    except ValueError as exc:
+        assert "does not define a homomorphism" in str(exc)
+        return False
+    return True
+
+
+moduli_lists = st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12]),
+                        min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(moduli_lists, moduli_lists, st.data())
+def test_moduli_hom_check_vs_lattice_solve(dom_m, cod_m, data):
+    # the divisibility check on two moduli presentations against the
+    # lattice_solve check on untagged copies of the same relations; half
+    # the draws are scaled to be homomorphisms, the rest are left free
+    mat = [[data.draw(st.integers(-6, 6)) for _ in dom_m] for _ in cod_m]
+    if data.draw(st.booleans()):
+        mat = [[x * c // gcd(c, d) if c else x * (d == 0)
+                for x, d in zip(row, dom_m)] for row, c in zip(mat, cod_m)]
+    dom, cod = moduli_presentation(dom_m), moduli_presentation(cod_m)
+    plain = [Presentation(p.gens, p.rels) for p in (dom, cod)]
+    assert plain[0].moduli is None and dom.moduli == tuple(dom_m)
+    assert _is_hom(dom, cod, mat) == _is_hom(*plain, mat)
+
+
+def _torsion_invertible_by_kernel(group: FinGenAbGroup, action) -> bool:
+    """The Smith-form route: the torsion block's kernel on the torsion
+    presentation (its relations, untagged, so checked by lattice_solve) is
+    trivial.  Test oracle."""
+    f, s = group.free_rank, len(group.torsion)
+    tors = Presentation(s, moduli_presentation(group.torsion).rels)
+    tblock = [row[f:] for row in action[f:]]
+    return GroupHom(tors, tors, tblock).kernel_group().order == 1
+
+
+def test_torsion_invertibility_beside_a_free_part():
+    # free generators have no relation column, so the torsion relations are
+    # not the last columns' tail; read so, Z^2 + Z/3 had torsion "Z" and
+    # Z + Z/2 + Z/2 had torsion "Z + Z/2"
+    with pytest.raises(ValueError, match="invertible on the torsion part"):
+        GammaModule(FinGenAbGroup(2, (3,)), [[1, 0, 0], [0, 1, 0], [0, 0, 3]])
+    GammaModule(FinGenAbGroup(1, (2, 2)), [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 6, 10, 12, 15, 30]),
+       st.lists(st.sampled_from([1, 2, 3, 5, 6, 10]), max_size=2),
+       st.integers(0, 1), st.data())
+def test_torsion_invertibility_vs_the_kernel(first, steps, free, data):
+    # chains with mixed primes: GammaModule's per-prime determinant test
+    # against the Smith-form kernel, on actions that are homomorphisms
+    # (torsion columns scaled, none feeding the free row)
+    chain = [first]
+    for m in steps:
+        chain.append(chain[-1] * m)
+    g = FinGenAbGroup(free, tuple(chain))
+    n = free + len(chain)
+    mods = [0] * free + chain
+    act = [[data.draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(free, n):
+            act[i][j] = act[i][j] * mods[i] // gcd(mods[i], mods[j]) if mods[i] else 0
+    if free and act[0][0] == 0:
+        act[0][0] = 1
+    try:
+        GammaModule(g, act)
+        accepted = True
+    except ValueError as exc:
+        assert "invertible on the torsion part" in str(exc)
+        accepted = False
+    assert accepted == _torsion_invertible_by_kernel(g, act)
 
 
 @settings(max_examples=300, deadline=None)
