@@ -242,7 +242,12 @@ class SNF:
 
 
 def smith_normal_form(a: Matrix) -> SNF:
-    """Diagonalize over Z, smallest-pivot selection with intermediate reduction."""
+    """Diagonalize over Z, smallest-pivot selection with intermediate reduction.
+
+    Each pivot is the first entry of least absolute value, in row-major
+    order, of the trailing block.  The search for it stops at the first
+    unit, which no later entry can beat.
+    """
     m, n = dims(a)
     d = mat_copy(a)
     left = identity(m)
@@ -269,17 +274,23 @@ def smith_normal_form(a: Matrix) -> SNF:
             right[r][i], right[r][j] = right[r][j], right[r][i]
 
     def pivot(t) -> bool:
-        # move the smallest nonzero entry of the trailing block to (t, t);
-        # False if the block is zero
-        piv = None
+        # move the first smallest nonzero entry (row-major) of the trailing
+        # block to (t, t); False if the block is zero
+        best = 0
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                if d[i][j] != 0 and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
+                x = row[j]
+                if x:
+                    x = abs(x)
+                    if x < best or not best:
+                        best, pi, pj = x, i, j
+            if best == 1:  # no later entry beats a unit
+                break
+        if not best:
             return False
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
+        row_swap(t, pi)
+        col_swap(t, pj)
         return True
 
     t = 0
@@ -340,11 +351,12 @@ def column_lattice_basis(a: Matrix) -> Matrix:
     return [row[:r] for row in mat_mul(a, s.right)]
 
 
-def lattice_solve(a: Matrix, b: Matrix) -> Matrix | None:
+def lattice_solve(a: Matrix, b: Matrix, s: SNF | None = None) -> Matrix | None:
     """Integer solutions X of A X = B, or None if some column has none.
 
     Solvability of each column is decided in the Smith coordinates of A, so
-    A may be rank-deficient or rectangular.
+    A may be rank-deficient or rectangular.  `s` is A's Smith form, where
+    the caller already holds it.
     """
     m, n = dims(a)
     mb, k = dims(b)
@@ -352,7 +364,8 @@ def lattice_solve(a: Matrix, b: Matrix) -> Matrix | None:
         raise ValueError("shape mismatch")
     if n == 0:
         return None if any(x for row in b for x in row) else [[] for _ in range(0)]
-    s = smith_normal_form(a)
+    if s is None:
+        s = smith_normal_form(a)
     r = s.rank
     c = mat_mul(s.left, b)
     y = zeros(n, k)

@@ -26,6 +26,7 @@ from .exact import (
     strip_root,
 )
 from .linalg import (
+    SNF,
     Matrix,
     bareiss_det,
     charpoly,
@@ -118,7 +119,10 @@ class Presentation:
     """Z^gens modulo the column lattice of `rels` (a gens x k integer matrix).
 
     `moduli` is the diagonal d of a presentation built by
-    `moduli_presentation` (the sum of Z/d_i), and None for any other.
+    `moduli_presentation` (the sum of Z/d_i), and None for any other.  The
+    Smith form of `rels` is taken on first read and kept: the group reads
+    its diagonal, and a homomorphism check into this presentation solves
+    against it.
     """
 
     def __init__(self, gens: int, rels: Matrix | None = None):
@@ -127,11 +131,17 @@ class Presentation:
         if len(self.rels) != gens:
             raise ValueError("relation matrix must have one row per generator")
         self.moduli: tuple[int, ...] | None = None
+        self._snf: SNF | None = None
         self._group: FinGenAbGroup | None = None
 
     @property
     def rel_count(self) -> int:
         return len(self.rels[0]) if self.gens else 0
+
+    def snf(self) -> SNF:
+        if self._snf is None:
+            self._snf = smith_normal_form(self.rels)
+        return self._snf
 
     def group(self) -> FinGenAbGroup:
         if self._group is None:
@@ -140,7 +150,7 @@ class Presentation:
             elif self.rel_count == 0:
                 self._group = FinGenAbGroup(self.gens)
             else:
-                diag = smith_normal_form(self.rels).diagonal
+                diag = self.snf().diagonal
                 rank = sum(1 for d in diag if d != 0)
                 tors = tuple(d for d in diag if d > 1)
                 self._group = FinGenAbGroup(self.gens - rank, tors)
@@ -194,7 +204,8 @@ class GroupHom:
 
     `mat` has shape cod.gens x dom.gens and must carry the domain's relation
     lattice into the codomain's (checked on construction: by divisibility
-    between two moduli presentations, else by solving over Z).
+    between two moduli presentations, else by solving over Z against the
+    codomain's kept Smith form).
     """
 
     def __init__(self, dom: Presentation, cod: Presentation, mat: Matrix, check=True):
@@ -209,7 +220,7 @@ class GroupHom:
             else:
                 image = mat_mul(self.mat, dom.rels)
                 if cod.rel_count:
-                    ok = lattice_solve(cod.rels, image) is not None
+                    ok = lattice_solve(cod.rels, image, cod.snf()) is not None
                 else:
                     ok = all(x == 0 for row in image for x in row)
             if not ok:

@@ -253,3 +253,27 @@ def test_l_local_golden_reports():
         assert (cli._module_obj(m), cli._module_obj(n)) == (row["m"], row["n"])
         assert cli._jsonable(verify_local_identity(m, n)) == row["report"], row
     assert sorted(rngs) == [2, 3, 5, 7] and len(L_LOCAL) == 100
+
+
+# On the same 100 draws, every field of ext_groups_l: the groups Ext^0 and
+# Ext^2, Ext^1's rank and torsion order, and z(f)
+L_EXT_GROUPS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "l_ext_groups.json").read_text())
+
+
+def _group_obj(g):
+    return {"free_rank": g.free_rank, "torsion": list(g.torsion)}
+
+
+def test_l_ext_groups_golden():
+    rngs = {}
+    for row in L_EXT_GROUPS:
+        l, q = row["l"], row["q"]
+        rng = rngs.setdefault(l, random.Random(l))
+        rep = ext_groups_l(*random_admissible_pair(rng, l, q, max_rank=4))
+        got = {"l": l, "q": q, "ext0": _group_obj(rep.ext0),
+               "ext1_rank": rep.ext1_rank, "ext1_torsion": rep.ext1_torsion,
+               "ext2": _group_obj(rep.ext2), "z_f": cli._jsonable(rep.z_f)}
+        assert got == row
+    assert [(r["l"], r["q"]) for r in L_EXT_GROUPS] == \
+        [(r["l"], r["q"]) for r in L_LOCAL]

@@ -6,7 +6,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frobext.exact import poly_eval
 from frobext.linalg import (
@@ -217,6 +217,40 @@ def test_snf_properties(a):
                 min_size=2, max_size=2))
 def test_snf_wide(a):
     _check_snf(a)
+
+
+# entries: many units, small ties, and some up to 2^64 in size; or no
+# units at all, so that ties above 1 decide each pivot
+_snf_big = st.integers(-2 ** 64, 2 ** 64)
+_snf_entries = (
+    st.one_of(st.sampled_from([0, 1, -1]), st.integers(-3, 3), _snf_big),
+    st.one_of(st.sampled_from([0, 2, -2, 3, -3, 4, 6]), _snf_big),
+)
+
+
+@st.composite
+def _snf_inputs(draw):
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 10))
+    entries = draw(st.sampled_from(_snf_entries))
+    a = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)) if m else ():
+        a[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else ():
+        for row in a:
+            row[j] = 0
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_snf_inputs())
+@example([[2, 3], [1, 0]])  # the unit is not in the first nonzero row
+def test_snf_pivot_keeps_the_transforms(a):
+    # the pivot search stops at the first unit; the first entry of least
+    # absolute value is the same, so D, L and R equal the full scan's
+    from snf_oracle import full_scan_smith_normal_form
+
+    s, t = smith_normal_form(a), full_scan_smith_normal_form(a)
+    assert (s.d, s.left, s.right) == (t.d, t.left, t.right)
 
 
 @settings(max_examples=100)

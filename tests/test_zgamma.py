@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobext import zgamma
+from frobext.linalg import identity
 from frobext.zgamma import (
     FinGenAbGroup,
     GammaModule,
@@ -228,6 +229,29 @@ def test_group_hom_validation():
         GroupHom(two_four, z4, [[1, 1]])
     with pytest.raises(ValueError, match="shape"):
         GroupHom(two_four, z4, [[2, 1, 0]])
+
+
+def test_presentation_takes_one_smith_form(monkeypatch):
+    # a homomorphism check into a non-diagonal codomain solves against the
+    # codomain's kept Smith form, whose diagonal its group reads
+    from frobext import linalg
+
+    calls = []
+    real = linalg.smith_normal_form
+    count = lambda a: calls.append(a) or real(a)
+    monkeypatch.setattr(linalg, "smith_normal_form", count)
+    monkeypatch.setattr(zgamma, "smith_normal_form", count)
+    cod = Presentation(2, [[2, 4], [0, 6]])
+    GroupHom(moduli_presentation([4]), cod, [[1], [0]])
+    assert len(calls) == 1
+    assert cod.group() == FinGenAbGroup(0, (2, 6))
+    assert len(calls) == 1
+    # so with f0, invariants to coinvariants: the coinvariants are a
+    # cokernel presentation, checked against and then read
+    f0 = PairAction(moduli_presentation([0, 4]), identity(2)).f0()
+    taken = len(calls)
+    assert f0.cod.group() == FinGenAbGroup(1, (4,))
+    assert len(calls) == taken
 
 
 def _is_hom(dom: Presentation, cod: Presentation, mat) -> bool:
