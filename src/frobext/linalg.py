@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 Matrix = list  # list[list[int]] or list[list[Fraction]]
 
@@ -37,12 +38,14 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """A·B.  Each entry is sum(map(mul, row, col)): the products in order,
+    added from 0, with the dot product's loop in C."""
     m, k = dims(a)
     k2, n = dims(b)
     if k != k2:
         raise ValueError("shape mismatch")
     bt = list(zip(*b)) if b else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -246,7 +249,9 @@ def smith_normal_form(a: Matrix) -> SNF:
 
     Each pivot is the first entry of least absolute value, in row-major
     order, of the trailing block.  The search for it stops at the first
-    unit, which no later entry can beat.
+    unit, which no later entry can beat.  Column operations and swaps walk
+    the rows of D and R (`for row in d`), so that no entry is reached by
+    index arithmetic; the arithmetic and its order are a column loop's.
     """
     m, n = dims(a)
     d = mat_copy(a)
@@ -258,20 +263,20 @@ def smith_normal_form(a: Matrix) -> SNF:
         left[i] = [x - q * y for x, y in zip(left[i], left[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(m):
-            d[r][i] -= q * d[r][j]
-        for r in range(n):
-            right[r][i] -= q * right[r][j]
+        for row in d:
+            row[i] -= q * row[j]
+        for row in right:
+            row[i] -= q * row[j]
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
         left[i], left[j] = left[j], left[i]
 
     def col_swap(i, j):
-        for r in range(m):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(n):
-            right[r][i], right[r][j] = right[r][j], right[r][i]
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in right:
+            row[i], row[j] = row[j], row[i]
 
     def pivot(t) -> bool:
         # move the first smallest nonzero entry (row-major) of the trailing

@@ -55,6 +55,51 @@ def test_bareiss_against_cofactor(a):
     assert bareiss_det(a) == _cofactor_det(a)
 
 
+def _schoolbook(a, b, m, k, n):
+    """A·B (m×k by k×n) by the triple loop, each entry summed from 0 in
+    order (test oracle)."""
+    out = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            for t in range(k):
+                out[i][j] = out[i][j] + a[i][t] * b[t][j]
+    return out
+
+
+def _mat_of(m, n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n),
+                    min_size=m, max_size=m)
+
+
+_mm_entries = st.one_of(st.integers(-2 ** 64, 2 ** 64),
+                        st.fractions(max_denominator=2 ** 64))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_mat_mul_is_the_schoolbook_product(m, k, n, data):
+    # a zero dimension where the list form carries it: an m×0 matrix is m
+    # empty rows, but [] has no column count, so m = 0 (a = []) forces
+    # k = 0, and k = 0 (b = []) forces n = 0
+    k = k if m else 0
+    n = n if k else 0
+    a = data.draw(_mat_of(m, k, _mm_entries))
+    b = data.draw(_mat_of(k, n, _mm_entries))
+    got, want = mat_mul(a, b), _schoolbook(a, b, m, k, n)
+    assert got == want
+    assert [[type(x) for x in row] for row in got] == \
+        [[type(x) for x in row] for row in want]
+
+
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+def test_mat_mul_refuses_a_shape_mismatch(m, k, k2, n):
+    if k == k2:
+        k2 += 1
+    a, b = [[1] * k for _ in range(m)], [[1] * n for _ in range(k2)]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mat_mul(a, b)
+
+
 def _mat_scale(a, s):
     return [[s * x for x in row] for row in a]
 
