@@ -8,12 +8,15 @@ sums of W/p^{n_i} with an F-matrix respecting the filtration.  Hom and Ext
 are taken over the twisted polynomial ring W[F; sigma]; the local identity
 compares z(f)·[Ext²] against the p-adic absolute value of an eigenvalue
 product read off the characteristic polynomials.  Integer matrices of maps
-come from `WittRing.mul_matrix`, and a crystal's characteristic polynomial
-from `linalg.charpoly` run over W.
+come from `WittRing.mul_matrix`, their groups from the local Smith form
+`linalg.padic_smith`, and a crystal's characteristic polynomial from
+`linalg.charpoly` run over W.  The torsion filtration is tested by
+`zgamma.respects_moduli`, as moduli homomorphisms are at l.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .exact import (
     PrecisionError,
@@ -34,11 +37,17 @@ from .linalg import (
     companion,
     hstack,
     mat_mul,
+    padic_smith,
     vstack,
     zeros,
 )
-from .witt import WittRing, padic_smith
-from .zgamma import FinGenAbGroup, finite_automorphism, hypothesis_gate
+from .witt import WittRing
+from .zgamma import (
+    FinGenAbGroup,
+    finite_automorphism,
+    hypothesis_gate,
+    respects_moduli,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +122,11 @@ class Crystal:
         if max(exps, default=1) > self.ring.K:
             raise PrecisionError("working precision below the torsion"
                                  " exponents", required=max(exps))
-        p = self.ring.p
-        for i in range(self.dim):
-            for j in range(self.dim):
-                gap = exps[i] - exps[j]
-                if gap > 0 and any(c % p ** gap for c in self.coords[i][j]):
-                    raise ValueError("F does not respect the torsion filtration")
+        # an entry respects the filtration iff the gcd of its coordinates does
+        moduli = [self.ring.p ** e for e in exps]
+        content = [[gcd(*c) for c in row] for row in self.coords]
+        if not respects_moduli(content, moduli, moduli):
+            raise ValueError("F does not respect the torsion filtration")
 
     def _check_free(self):
         if self.special_poly:
@@ -299,14 +307,12 @@ def _finite_kernel(mat, src_exps: list[int], tgt_exps: list[int],
     """The kernel of mat from ⊕ Z/p^f to ⊕ Z/p^g, by Pontryagin duality: the
     cokernel of the dual map A'_ji = A_ij·p^(f_j - g_i), integral when mat
     is a map of these groups (RuntimeError otherwise)."""
-    dual = [[0] * len(tgt_exps) for _ in src_exps]
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            y, r = divmod(x * p ** src_exps[j], p ** tgt_exps[i])
-            if r:
-                raise RuntimeError("the map does not respect the torsion"
-                                   " filtration")
-            dual[j][i] = y
+    src = [p ** f for f in src_exps]
+    tgt = [p ** g for g in tgt_exps]
+    if not respects_moduli(mat, src, tgt):
+        raise RuntimeError("the map does not respect the torsion filtration")
+    dual = [[row[j] * s // t for row, t in zip(mat, tgt)]
+            for j, s in enumerate(src)]
     return _finite_cokernel(dual, src_exps, p)
 
 

@@ -44,7 +44,6 @@ from .zgamma import (
     FinGenAbGroup,
     HypothesisError,
     PairAction,
-    Presentation,
     finite_automorphism,
     hypothesis_gate,
     moduli_presentation,
@@ -146,8 +145,6 @@ def hom_module(m: GaloisModule, n: GaloisModule) -> PairAction:
         blocks_g.append(g_tt)
         blocks_u.append(u_tt)
         moduli.extend(mod_tt)
-    if not blocks_g:
-        return PairAction(Presentation(0), [])
     g = block_diag(*blocks_g)
     u = block_diag(*blocks_u)
     return PairAction(moduli_presentation(moduli), g, u)
@@ -191,8 +188,6 @@ def ext1_bar_module(m: GaloisModule, n: GaloisModule) -> PairAction:
     _require_compatible(m, n)
     sm = len(m.torsion)
     dim_n = n.rank + len(n.torsion)
-    if sm == 0 or dim_n == 0:
-        return PairAction(Presentation(0), [])
     d = m.torsion
     lift = zeros(sm, sm)
     for a in range(sm):
@@ -201,7 +196,7 @@ def ext1_bar_module(m: GaloisModule, n: GaloisModule) -> PairAction:
             if num % d[a]:
                 raise RuntimeError("conjugated lift must stay integral")
             lift[a][b] = num // d[a]
-    gamma_n = block_diag(n.free_frob, n.torsion_frob) if n.rank else n.torsion_frob
+    gamma_n = block_diag(n.free_frob, n.torsion_frob)
     g_mat = kron(identity(sm), gamma_n)
     u_mat = kron(transpose(lift), identity(dim_n))
     moduli = []

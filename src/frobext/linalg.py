@@ -1,9 +1,13 @@
 """Exact integer / rational matrix algebra.
 
-Matrices are lists of rows; maps act on column vectors.  Integer routines
-never leave Z; rational ones use Fraction.  Smith normal form tracks the
-unimodular transforms on both sides so callers can move between
-coordinates.  The one characteristic polynomial, Berkowitz's, is
+Matrices are lists of rows; maps act on column vectors.  An m×0 matrix is
+m empty rows, and [] is 0×k for every k, so only a product through a zero
+inner dimension loses its column count.  Integer routines never leave Z;
+rational ones use Fraction.  Smith normal form over Z tracks the unimodular
+transforms on both sides so callers can move between coordinates.  The
+local Smith form (`padic_smith`) reads only the p-valuations of the
+elementary divisors, from the matrix mod p^K: a module over Z_p or W is
+read off it.  The one characteristic polynomial, Berkowitz's, is
 division-free, so it serves integer matrices and matrices over a Witt ring
 alike.
 """
@@ -40,11 +44,9 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """A·B.  Each entry is sum(map(mul, row, col)): the products in order,
     added from 0, with the dot product's loop in C."""
-    m, k = dims(a)
-    k2, n = dims(b)
-    if k != k2:
+    if a and len(a[0]) != len(b):  # [] is 0×k for any k
         raise ValueError("shape mismatch")
-    bt = list(zip(*b)) if b else []
+    bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
@@ -84,10 +86,6 @@ def block_diag(*blocks: Matrix) -> Matrix:
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return mat_copy(b)
-    if not b:
-        return mat_copy(a)
     if len(a) != len(b):
         raise ValueError("shape mismatch")
     return [ra + rb for ra, rb in zip(a, b)]
@@ -337,15 +335,76 @@ def smith_normal_form(a: Matrix) -> SNF:
     return SNF(d, left, right)
 
 
+def padic_smith(mat: Matrix, p: int, K: int) -> list[int | None]:
+    """Elementary divisor p-valuations of an integer matrix read mod p^K.
+
+    Returns min(m, n) entries sorted ascending, None meaning the divisor is
+    0 mod p^K (valuation at least K, possibly infinite).  Valuations below K
+    are exact: they are determined by the matrix mod p^K.
+    """
+    from .exact import int_valuation  # exact imports linalg
+
+    work = [[x % p**K for x in row] for row in mat]
+    ppow = p**K
+    m, n = dims(work)
+    vals: list[int | None] = []
+    top = 0
+    while top < min(m, n):
+        best, bi, bj = None, None, None
+        for i in range(top, m):
+            for j in range(top, n):
+                x = work[i][j]
+                if x:
+                    v = int_valuation(x, p)
+                    if best is None or v < best:
+                        best, bi, bj = v, i, j
+                        if v == 0:
+                            break
+            if best == 0:
+                break
+        if best is None:
+            vals.extend([None] * (min(m, n) - top))
+            break
+        work[top], work[bi] = work[bi], work[top]
+        for row in work:
+            row[top], row[bj] = row[bj], row[top]
+        pivot = work[top][top]
+        unit_inv = pow(pivot // p**best, -1, ppow)
+        # only the pivot column is cleared: once it is, clearing the pivot
+        # row by column operations would touch that row alone, and no later
+        # step reads it
+        for i in range(top + 1, m):
+            x = work[i][top]
+            if x:
+                f = (x // p**best) * unit_inv % ppow
+                for j in range(top, n):
+                    work[i][j] = (work[i][j] - f * work[top][j]) % ppow
+        vals.append(best)
+        top += 1
+    finite = sorted(v for v in vals if v is not None)
+    return finite + [None] * (len(vals) - len(finite))
+
+
+def padic_det_valuation(mat: Matrix, p: int, K: int) -> int:
+    """Exact p-valuation of det for a square matrix known mod p^K.
+
+    Raises PrecisionError when the determinant vanishes mod p^K, since then
+    its valuation is not determined by the data.
+    """
+    from .exact import PrecisionError  # exact imports linalg
+
+    vals = padic_smith(mat, p, K)
+    if any(v is None for v in vals):
+        raise PrecisionError("determinant valuation not determined mod p^%d" % K,
+                             required=2 * K)
+    return sum(vals)
+
+
 def kernel_basis(a: Matrix) -> Matrix:
     """Columns form a basis of the saturated integer kernel lattice of A."""
-    m, n = dims(a)
-    if n == 0:
-        return [[] for _ in range(0)]
     s = smith_normal_form(a)
     r = s.rank
-    cols = [[s.right[i][j] for j in range(r, n)] for i in range(n)]
-    return cols
+    return [row[r:] for row in s.right]
 
 
 def column_lattice_basis(a: Matrix) -> Matrix:
@@ -367,8 +426,6 @@ def lattice_solve(a: Matrix, b: Matrix, s: SNF | None = None) -> Matrix | None:
     mb, k = dims(b)
     if m != mb:
         raise ValueError("shape mismatch")
-    if n == 0:
-        return None if any(x for row in b for x in row) else [[] for _ in range(0)]
     if s is None:
         s = smith_normal_form(a)
     r = s.rank

@@ -1,4 +1,4 @@
-"""Truncated Witt vectors of F_q and p-adic integer linear algebra.
+"""Truncated Witt vectors of F_q.
 
 W(F_q), q = p^a, is modeled as Z_p[x]/(h) with h monic of degree a and
 irreducible mod p, all coefficients carried mod p^K.  Elements are length-a
@@ -8,13 +8,17 @@ iteration and represented by its coordinate matrix.
 
 The mod-p^K model is exact within its precision: ring operations introduce
 no further error, so a quantity whose valuation is certified below K is
-known exactly.
+known exactly.  The Smith form mod p^K uses nothing of the ring and lives
+in `linalg` (`padic_smith`), beside the one over Z.
 """
 
 from __future__ import annotations
 
-from .exact import PrecisionError, int_valuation, is_prime
+from .exact import is_prime
 from .linalg import bareiss_det
+# unused here: the local Smith form lives in linalg, and the benchmark
+# harness (perfbench/spans.py) traces it under these names
+from .linalg import padic_det_valuation, padic_smith  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -329,69 +333,3 @@ class WittRing:
 
     def __repr__(self):
         return "WittRing(p=%d, a=%d, K=%d)" % (self.p, self.a, self.K)
-
-
-# ---------------------------------------------------------------------------
-# p-adic Smith normal form
-
-
-def padic_smith(mat: list[list[int]], p: int, K: int) -> list[int | None]:
-    """Elementary divisor p-valuations of an integer matrix read mod p^K.
-
-    Returns min(m, n) entries sorted ascending, None meaning the divisor is
-    0 mod p^K (valuation at least K, possibly infinite).  Valuations below K
-    are exact: they are determined by the matrix mod p^K.
-    """
-    work = [[x % p**K for x in row] for row in mat]
-    ppow = p**K
-    m = len(work)
-    n = len(work[0]) if work else 0
-    vals: list[int | None] = []
-    top = 0
-    while top < min(m, n):
-        best, bi, bj = None, None, None
-        for i in range(top, m):
-            for j in range(top, n):
-                x = work[i][j]
-                if x:
-                    v = int_valuation(x, p)
-                    if best is None or v < best:
-                        best, bi, bj = v, i, j
-                        if v == 0:
-                            break
-            if best == 0:
-                break
-        if best is None:
-            vals.extend([None] * (min(m, n) - top))
-            break
-        work[top], work[bi] = work[bi], work[top]
-        for row in work:
-            row[top], row[bj] = row[bj], row[top]
-        pivot = work[top][top]
-        unit_inv = pow(pivot // p**best, -1, ppow)
-        # only the pivot column is cleared: once it is, clearing the pivot
-        # row by column operations would touch that row alone, and no later
-        # step reads it
-        for i in range(top + 1, m):
-            x = work[i][top]
-            if x:
-                f = (x // p**best) * unit_inv % ppow
-                for j in range(top, n):
-                    work[i][j] = (work[i][j] - f * work[top][j]) % ppow
-        vals.append(best)
-        top += 1
-    finite = sorted(v for v in vals if v is not None)
-    return finite + [None] * (len(vals) - len(finite))
-
-
-def padic_det_valuation(mat: list[list[int]], p: int, K: int) -> int:
-    """Exact p-valuation of det for a square matrix known mod p^K.
-
-    Raises PrecisionError when the determinant vanishes mod p^K, since then
-    its valuation is not determined by the data.
-    """
-    vals = padic_smith(mat, p, K)
-    if any(v is None for v in vals):
-        raise PrecisionError("determinant valuation not determined mod p^%d" % K,
-                             required=2 * K)
-    return sum(vals)

@@ -177,7 +177,7 @@ def moduli_presentation(moduli) -> Presentation:
     return pres
 
 
-def _respects_moduli(mat: Matrix, dom, cod) -> bool:
+def respects_moduli(mat: Matrix, dom, cod) -> bool:
     """Whether mat (len(cod) x len(dom)) maps the sum of Z/d over the moduli
     `dom` into the one over `cod`: d_cod,i | mat_ij·d_dom,j, read as
     mat_ij·d_dom,j = 0 where d_cod,i = 0 (a free generator)."""
@@ -194,7 +194,7 @@ def finite_automorphism(mat: Matrix, moduli, p: int) -> bool:
     n = len(moduli)
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError("matrix shape does not match the presentations")
-    if not _respects_moduli(mat, moduli, moduli):
+    if not respects_moduli(mat, moduli, moduli):
         raise ValueError("matrix does not define a homomorphism")
     return bareiss_det([[x % p for x in row] for row in mat]) % p != 0
 
@@ -211,12 +211,12 @@ class GroupHom:
     def __init__(self, dom: Presentation, cod: Presentation, mat: Matrix, check=True):
         self.dom = dom
         self.cod = cod
-        self.mat = [row[:] for row in mat] if mat else [[] for _ in range(cod.gens)]
+        self.mat = [row[:] for row in mat]
         if len(self.mat) != cod.gens or (cod.gens and len(self.mat[0]) != dom.gens):
             raise ValueError("matrix shape does not match the presentations")
         if check and dom.rel_count and cod.gens:
             if dom.moduli is not None and cod.moduli is not None:
-                ok = _respects_moduli(self.mat, dom.moduli, cod.moduli)
+                ok = respects_moduli(self.mat, dom.moduli, cod.moduli)
             else:
                 image = mat_mul(self.mat, dom.rels)
                 if cod.rel_count:
@@ -236,19 +236,11 @@ class GroupHom:
 
     def _compute_kernel(self):
         m, n = self.dom.gens, self.cod.gens
-        if m == 0:
-            return Presentation(0), []
-        if n == 0:
+        if not (m and n):  # from or to Z^0: the kernel is the domain
             return self.dom, identity(m)
-        psi = hstack(self.mat, self.cod.rels) if self.cod.rel_count else self.mat
-        full = kernel_basis(psi)
-        if not full or not full[0]:
-            return Presentation(0), [[] for _ in range(m)]
-        proj = [full[i] for i in range(m)]
-        basis = column_lattice_basis(proj)
-        if not basis or not basis[0]:
-            return Presentation(0), [[] for _ in range(m)]
-        width = len(basis[0])
+        full = kernel_basis(hstack(self.mat, self.cod.rels))
+        # with no columns, full[:m] is its own lattice basis: no Smith form
+        basis = column_lattice_basis(full[:m]) if full[0] else full[:m]
         if self.dom.rel_count:
             rels = lattice_solve(basis, self.dom.rels)
             if rels is None:
@@ -256,18 +248,12 @@ class GroupHom:
                                    " lattice")
         else:
             rels = None
-        return Presentation(width, rels), basis
+        return Presentation(len(basis[0]), rels), basis
 
     def cokernel(self) -> Presentation:
         if self._cokernel is None:
-            n = self.cod.gens
-            if n == 0:
-                self._cokernel = Presentation(0)
-            else:
-                rels = self.mat
-                if self.cod.rel_count:
-                    rels = hstack(self.mat, self.cod.rels)
-                self._cokernel = Presentation(n, rels if rels and rels[0] else None)
+            self._cokernel = Presentation(self.cod.gens,
+                                          hstack(self.mat, self.cod.rels))
         return self._cokernel
 
     def kernel_group(self) -> FinGenAbGroup:
@@ -286,10 +272,10 @@ class GroupHom:
     def then(self, other: GroupHom) -> GroupHom:
         if other.dom is not self.cod and other.dom.rels != self.cod.rels:
             raise ValueError("the maps do not compose")
-        if 0 in (self.dom.gens, self.cod.gens, other.cod.gens):
-            comp = zeros(other.cod.gens, self.dom.gens)  # empty mats lose shape
-        else:
+        if self.cod.gens:
             comp = mat_mul(other.mat, self.mat)
+        else:  # a product through Z^0 has lost its column count
+            comp = zeros(other.cod.gens, self.dom.gens)
         return GroupHom(self.dom, other.cod, comp, check=False)
 
 
@@ -354,8 +340,7 @@ class PairAction:
         """The invariants -> coinvariants map induced by the identity."""
         kpres, incl = self._delta.kernel()
         cpres = self._delta.cokernel()
-        mat = mat_mul(self.u_mat, incl) if kpres.gens else [[] for _ in range(cpres.gens)]
-        return GroupHom(kpres, cpres, mat)
+        return GroupHom(kpres, cpres, mat_mul(self.u_mat, incl))
 
     def z_f0(self) -> Fraction | None:
         return self.f0().z()

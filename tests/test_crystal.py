@@ -11,8 +11,9 @@ from frobext import cli, crystal
 from frobext.exact import (
     PrecisionError, abs_at, poly_deriv, poly_mul, resultant, valuation)
 from frobext.linalg import (
-    companion, identity, kron, mat_mul, mat_sub, smith_normal_form, transpose)
-from frobext.witt import WittRing, padic_det_valuation, padic_smith
+    companion, identity, kron, mat_mul, mat_sub, padic_det_valuation,
+    padic_smith, smith_normal_form, transpose)
+from frobext.witt import WittRing
 from frobext.zgamma import FinGenAbGroup, HypothesisError
 from frobext.crystal import (
     Crystal,
@@ -89,6 +90,10 @@ def test_crystal_validation():
     with pytest.raises(ValueError):
         Crystal(R31, [[1, 1], [1, 1]], exponents=[2, 1])  # filtration broken
     Crystal(R31, [[1, 3], [1, 1]], exponents=[2, 1])  # divisible entry is fine
+    # over W(F_9) every coordinate of the entry must be divisible
+    Crystal(R32, [[[1], [3, 6]], [[1, 1], [1]]], exponents=[2, 1])
+    with pytest.raises(ValueError, match="filtration"):
+        Crystal(R32, [[[1], [3, 1]], [[1, 1], [1]]], exponents=[2, 1])
     with pytest.raises(ValueError):
         special_module(R31, [0, 1])
     assert k_module(R31).is_k_type()

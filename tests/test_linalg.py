@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frobext.exact import poly_eval
+from frobext.exact import PrecisionError, int_valuation, poly_eval
 from frobext.linalg import (
     _krylov_minimal_polynomial,
     bareiss_det,
@@ -17,12 +17,15 @@ from frobext.linalg import (
     column_lattice_basis,
     companion,
     dims,
+    hstack,
     identity,
     kernel_basis,
     lattice_solve,
     mat_mul,
     mat_sub,
     minimal_polynomial,
+    padic_det_valuation,
+    padic_smith,
     smith_normal_form,
     transpose,
     zeros,
@@ -78,10 +81,9 @@ _mm_entries = st.one_of(st.integers(-2 ** 64, 2 ** 64),
 @settings(max_examples=200)
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
 def test_mat_mul_is_the_schoolbook_product(m, k, n, data):
-    # a zero dimension where the list form carries it: an m×0 matrix is m
-    # empty rows, but [] has no column count, so m = 0 (a = []) forces
-    # k = 0, and k = 0 (b = []) forces n = 0
-    k = k if m else 0
+    # an m×0 matrix is m empty rows, and [] is 0×k for any k; only a
+    # product through k = 0 (b = []) loses its column count, so k = 0
+    # forces n = 0
     n = n if k else 0
     a = data.draw(_mat_of(m, k, _mm_entries))
     b = data.draw(_mat_of(k, n, _mm_entries))
@@ -327,6 +329,79 @@ def test_kernel_basis_saturated():
         assert all(sum(row[i] * v[i] for i in range(3)) == 0 for row in a)
     s = smith_normal_form(k)
     assert s.diagonal == [1, 1]
+    # no columns: the kernel lives in Z^0, a basis with no rows
+    assert kernel_basis([[], []]) == []
+
+
+def test_hstack_keeps_zero_dimensions():
+    # hstack of m×0 and m×k is the m×k block; [] is 0×k, so it stacks
+    # only with another matrix of no rows
+    assert hstack([[], []], [[1], [2]]) == [[1], [2]]
+    assert hstack([[1], [2]], [[], []]) == [[1], [2]]
+    assert hstack([], []) == []
+    with pytest.raises(ValueError, match="shape mismatch"):
+        hstack([], [[1]])
+
+
+def test_padic_smith_examples():
+    assert padic_smith([[2, 4], [4, 2]], 2, 10) == [1, 1]
+    assert padic_smith([[4, 0], [0, 6]], 2, 10) == [1, 2]
+    assert padic_smith([[8, 0], [0, 256]], 2, 8) == [3, None]
+    assert padic_smith([[0, 0], [0, 0]], 3, 6) == [None, None]
+    assert padic_det_valuation([[3, 1], [0, 9]], 3, 8) == 3
+    # factor valuations below K certify the sum even when the sum exceeds K
+    assert padic_det_valuation([[9, 0], [0, 9]], 3, 3) == 4
+    with pytest.raises(PrecisionError) as err:
+        padic_det_valuation([[27, 0], [0, 1]], 3, 3)
+    assert err.value.required == 6
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(-40, 40), min_size=9, max_size=9), st.sampled_from([2, 3, 5]))
+def test_padic_smith_against_exact_smith(entries, p):
+    mat = [entries[0:3], entries[3:6], entries[6:9]]
+    if bareiss_det(mat) == 0:
+        return
+    vals = padic_smith([row[:] for row in mat], p, 40)
+    s = smith_normal_form([row[:] for row in mat])
+    expect = sorted(int_valuation(abs(s.diagonal[i]), p) for i in range(3))
+    assert vals == expect
+
+
+def _unimodular(rnd, n):
+    """A random integer matrix of determinant 1: elementary row operations
+    applied to the identity."""
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rnd.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rnd.randint(-6, 6)
+            mat[i] = [x + c * y for x, y in zip(mat[i], mat[j])]
+    return mat
+
+
+def _truncate(vals, K):
+    return [v if v is not None and v < K else None for v in vals]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(3, 12), st.integers(1, 4),
+       st.integers(1, 4), st.data())
+def test_padic_smith_is_the_deeper_form_truncated(p, K, rows, cols, data):
+    # U·diag(p^e)·V with e up to K+6, so divisors fall below, at and above K
+    rnd = data.draw(st.randoms(use_true_random=False))
+    exps = data.draw(st.lists(st.one_of(st.integers(0, K + 6), st.none()),
+                              min_size=min(rows, cols), max_size=min(rows, cols)))
+    diag = [[(p ** exps[i] * rnd.choice([1, -1, p + 1, 2 * p - 1])
+              if i == j and exps[i] is not None else 0)
+             for j in range(cols)] for i in range(rows)]
+    mat = mat_mul(mat_mul(_unimodular(rnd, rows), diag), _unimodular(rnd, cols))
+    vals = padic_smith(mat, p, K)
+    assert vals == _truncate(padic_smith(mat, p, K + 4), K)
+    # the constructed exponents, independent of padic_smith: the multipliers
+    # are p-adic units, and a zero divisor has infinite valuation
+    finite = sorted(e for e in exps if e is not None)
+    assert vals == _truncate(finite + [None] * exps.count(None), K)
 
 
 @settings(max_examples=100)

@@ -1,0 +1,63 @@
+"""The benchmark workloads' answers, pinned.
+
+Rounds 0-9 of seed 1 of each workload in `perfbench/workloads.py` run in
+process, as the benchmark loop runs them.  Each op's input, result and the
+workload's own check verdict are hashed per round and compared with
+`tests/data/workload_digests.json`.  The golden tables pin a few hundred
+answers; these rounds reach about 2170 ops, among them the residue degree
+2 and 3 pairs and the refusals, so a wrong answer that the workloads' own
+references miss still fails here.
+
+`workloads.py` is loaded from its file and not changed.  If a change to the
+workloads moves their draws, regenerate the table with
+
+    PYTHONPATH=src python3 tests/test_workload_digests.py
+
+and record why in CHANGES.md.
+"""
+
+import hashlib
+import json
+import pathlib
+import types
+
+import pytest
+
+from frobext import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TABLE = ROOT / "tests" / "data" / "workload_digests.json"
+SEED, ROUNDS = 1, 10
+
+
+def _workloads():
+    # executed from its source, so that no bytecode cache is written there
+    path = ROOT / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module.WORKLOADS
+
+
+def digests(name: str) -> list[str]:
+    """One sha256 per round: of each op's (input, result, verdict) in turn."""
+    make_round, call, check = _workloads()[name]
+    state: dict = {}  # rounds share state, so they are made in order
+    out = []
+    for k in range(ROUNDS):
+        h = hashlib.sha256()
+        for op in make_round(SEED, k, state):
+            res = call(op)
+            row = [op["input"], cli._jsonable(res), check(op, res)]
+            h.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+        out.append(h.hexdigest())
+    return out
+
+
+@pytest.mark.parametrize("name", ["ext-pairs", "local-l", "zeta-varieties"])
+def test_workload_digests(name):
+    assert digests(name) == json.loads(TABLE.read_text())[name]
+
+
+if __name__ == "__main__":
+    table = {name: digests(name) for name in sorted(_workloads())}
+    TABLE.write_text(json.dumps(table, indent=1) + "\n")

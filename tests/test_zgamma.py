@@ -44,6 +44,14 @@ def test_z_of_map_examples():
     assert z_of_map(FinGenAbGroup(0, (4,)), FinGenAbGroup(0, (2,)), [[1]]) == 2
     assert z_of_map(FinGenAbGroup(1), FinGenAbGroup(1), [[0]]) is None
     assert z_of_map(FinGenAbGroup(2), FinGenAbGroup(2), [[2, 0], [0, 3]]) == Fraction(1, 6)
+    # out of the zero group, a map is one empty row per codomain generator;
+    # into Z its cokernel is Z, a presentation with no relations
+    zero = FinGenAbGroup(0)
+    assert z_of_map(zero, FinGenAbGroup(1), [[]]) is None
+    assert z_of_map(zero, FinGenAbGroup(0, (4,)), [[]]) == Fraction(1, 4)
+    assert z_of_map(FinGenAbGroup(0, (4,)), zero, []) == 4
+    with pytest.raises(ValueError, match="shape"):
+        z_of_map(zero, FinGenAbGroup(1), [])
 
 
 def test_z_det_formula_examples():
@@ -61,6 +69,10 @@ def test_z_compose_examples():
         Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
     assert z_compose_check(FinGenAbGroup(0, (4,)), FinGenAbGroup(0, (2,)),
                            FinGenAbGroup(0, (2,)), [[1]], [[1]]) == (2, 1, 2)
+    # through the zero group, where the product has no inner dimension
+    assert z_compose_check(FinGenAbGroup(0, (4,)), FinGenAbGroup(0),
+                           FinGenAbGroup(0, (2,)), [], [[]]) == (
+        4, Fraction(1, 2), 2)
 
 
 small_groups = st.builds(
