@@ -18,17 +18,19 @@ included: see `motive.MAX_HOM_DIM`, `motive.MAX_THETA_DIM`,
 `zeta.MAX_CURVE_PRIME` and `exact.RHO_STEPS`), 3 the hypothesis of the local
 theorem is violated, 4 no p-adic precision up to `PRECISION_CEILING`
 certifies a crystal pair (or the pair names none), 5 an internal consistency
-check failed.  No subcommand takes a working precision: `verify-local`
-works out its own, so only it can exit 4, and at p a motive pair is read as
-the special modules of its charpolys, certified from those polynomials.  JSON
-output is deterministic (sorted keys); a failing random case is written to
-a replay file so the exact instance can be re-run.
+check failed, 141 stdout was closed before the output was written (128 +
+SIGPIPE, with nothing on stderr).  No subcommand takes a working precision:
+`verify-local` works out its own, so only it can exit 4, and at p a motive
+pair is read as the special modules of its charpolys, certified from those
+polynomials.  JSON output is deterministic (sorted keys); a failing random
+case is written to a replay file so the exact instance can be re-run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -326,10 +328,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "ext":
-            return _cmd_ext(args)
-        if args.command == "verify-local":
-            return _cmd_verify_local(args)
-        return _cmd_zeta(args)
+            code = _cmd_ext(args)
+        elif args.command == "verify-local":
+            code = _cmd_verify_local(args)
+        else:
+            code = _cmd_zeta(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed (`frobext ... | head -0`): exit quietly as SIGPIPE
+        # would, with stdout on devnull so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except HypothesisError as exc:
         print("hypothesis violated: %s" % exc, file=sys.stderr)
         return 3

@@ -14,7 +14,6 @@ come from `WittRing.mul_matrix`, their groups from the local Smith form
 `zgamma.respects_moduli`, as moduli homomorphisms are at l.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -241,13 +240,13 @@ def crystal_charpoly(m: Crystal) -> list[int]:
 # Hom/Ext via the two-term presentation (torsion-free source)
 
 
-@dataclass
 class ExtReportP:
-    p: int
-    ext0: FinGenAbGroup
-    ext1: FinGenAbGroup
-    ext2: FinGenAbGroup
-    certified_precision: int | None = None
+    __slots__ = ("p", "ext0", "ext1", "ext2", "certified_precision")
+
+    def __init__(self, p: int, ext0: FinGenAbGroup, ext1: FinGenAbGroup,
+                 ext2: FinGenAbGroup, certified_precision: int | None = None):
+        self.p, self.ext0, self.ext1, self.ext2 = p, ext0, ext1, ext2
+        self.certified_precision = certified_precision
 
 
 def _require_pair(m: Crystal, n: Crystal):
@@ -481,16 +480,18 @@ def ext_orders_finite_source(m: Crystal, n: Crystal):
 # the local identity at p
 
 
-@dataclass
 class LocalReportP:
     """The left side of the local identity at p: z(f)·[Ext²(M, N)], with the
     charpolys of two torsion-free crystals and the presentation θ gave."""
 
-    case: str
-    lhs: Fraction
-    certified_precision: int | None = None
-    charpolys: tuple | None = None
-    presentation: ExtReportP | None = None
+    __slots__ = ("case", "lhs", "certified_precision", "charpolys", "presentation")
+
+    def __init__(self, case: str, lhs: Fraction, certified_precision: int | None = None,
+                 charpolys: tuple | None = None,
+                 presentation: ExtReportP | None = None):
+        self.case, self.lhs = case, lhs
+        self.certified_precision = certified_precision
+        self.charpolys, self.presentation = charpolys, presentation
 
 
 def _charpoly_for_identity(x: Crystal) -> list:

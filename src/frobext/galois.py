@@ -18,7 +18,6 @@ and l-parts are read off at the end.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -98,7 +97,6 @@ class GaloisModule:
             self.l, self.q, self.rank, list(self.torsion))
 
 
-@dataclass
 class ExtReportL:
     """Ext^i(M, N) in the l-adic category; everything beyond degree 2 vanishes.
 
@@ -108,12 +106,13 @@ class ExtReportL:
     or the bar-Ext invariants vanish (it is then the coinvariants' torsion).
     """
 
-    l: int
-    ext0: FinGenAbGroup
-    ext1_rank: int
-    ext1_torsion: int | None  # None: the extension is not determined
-    ext2: FinGenAbGroup
-    z_f: Fraction | None      # None: the hypothesis fails
+    __slots__ = ("l", "ext0", "ext1_rank", "ext1_torsion", "ext2", "z_f")
+
+    def __init__(self, l: int, ext0: FinGenAbGroup, ext1_rank: int,
+                 ext1_torsion: int | None, ext2: FinGenAbGroup, z_f: Fraction | None):
+        self.l, self.ext0, self.ext1_rank, self.ext2 = l, ext0, ext1_rank, ext2
+        self.ext1_torsion = ext1_torsion  # None: the extension is not determined
+        self.z_f = z_f                    # None: the hypothesis fails
 
 
 def _require_compatible(m: GaloisModule, n: GaloisModule):

@@ -14,7 +14,6 @@ alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -224,13 +223,15 @@ def companion(p: list) -> Matrix:
 # Smith normal form
 
 
-@dataclass
 class SNF:
     """L @ A @ R = D with L, R unimodular, D diagonal with a divisibility chain."""
 
-    d: Matrix
-    left: Matrix
-    right: Matrix
+    __slots__ = ("d", "left", "right")
+
+    def __init__(self, d: Matrix, left: Matrix, right: Matrix):
+        self.d = d
+        self.left = left
+        self.right = right
 
     @property
     def diagonal(self) -> list[int]:

@@ -29,7 +29,6 @@ discriminant D.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -383,7 +382,6 @@ def _hankel_inverse(c: list[int]) -> list:
             for i in range(n)]
 
 
-@dataclass
 class _HomSystem:
     """One integer Smith form L·S·R = D of S: H -> H·C_X - C_Y·H on Y-rank
     by X-rank matrices, and what the pair reads off it.
@@ -400,10 +398,13 @@ class _HomSystem:
     the saturated lattice onto the saturated lattice, with no second
     solve."""
 
-    basis: list       # Hom(X, Y), Y-rank by X-rank matrices
-    swap_basis: list  # Hom(Y, X), X-rank by Y-rank matrices
-    torsion: int      # prod d_i, the torsion order of coker S
-    z0: Fraction      # z(f_0) over Z
+    __slots__ = ("basis", "swap_basis", "torsion", "z0")
+
+    def __init__(self, basis: list, swap_basis: list, torsion: int, z0: Fraction):
+        self.basis = basis            # Hom(X, Y), Y-rank by X-rank matrices
+        self.swap_basis = swap_basis  # Hom(Y, X), X-rank by Y-rank matrices
+        self.torsion = torsion        # prod d_i, the torsion order of coker S
+        self.z0 = z0                  # z(f_0) over Z
 
     def l_side(self, l: int, nstar: Fraction) -> dict:
         """The local data at l, checked against the local identity
@@ -562,24 +563,26 @@ def _p_side(x: Motive, y: Motive, rho: int, leading: Fraction) -> dict:
 # assembly
 
 
-@dataclass
 class GlobalExtReport:
     """The assembled data of one motive pair.  Both identity checks and the
     Weil-group Ext are read off it (`global_identity`, `weil_identity`,
     `weil_ext`), so one assembly answers every question about the pair."""
 
-    q: int
-    rho: int
-    hom_tors_order: int
-    ext1_order: int
-    ext2_cotors_order: int
-    discriminant: int
-    chi: Fraction            # s(X_p) r(Y_p), the exponent the identity uses
-    chi_statement: Fraction  # r(X_p) s(Y_p), the printed variant
-    nstar: Fraction
-    support: tuple[int, ...]
-    per_prime: dict
-    leading: Fraction        # q^chi |N*|, the zeta side of both identities
+    __slots__ = ("q", "rho", "hom_tors_order", "ext1_order", "ext2_cotors_order",
+                 "discriminant", "chi", "chi_statement", "nstar", "support",
+                 "per_prime", "leading")
+
+    def __init__(self, q: int, rho: int, hom_tors_order: int, ext1_order: int,
+                 ext2_cotors_order: int, discriminant: int, chi: Fraction,
+                 chi_statement: Fraction, nstar: Fraction,
+                 support: tuple[int, ...], per_prime: dict, leading: Fraction):
+        self.q, self.rho, self.hom_tors_order = q, rho, hom_tors_order
+        self.ext1_order, self.ext2_cotors_order = ext1_order, ext2_cotors_order
+        self.discriminant = discriminant
+        self.chi = chi  # s(X_p) r(Y_p), the exponent the identity uses
+        self.chi_statement = chi_statement  # r(X_p) s(Y_p), the printed variant
+        self.nstar, self.support, self.per_prime = nstar, support, per_prime
+        self.leading = leading  # q^chi |N*|, the zeta side of both identities
 
     def _local_product(self, key: str):
         return prod((d[key] for d in self.per_prime.values()), start=Fraction(1))
@@ -636,19 +639,19 @@ class GlobalExtReport:
             z_f=self._local_product("z_f"))
 
 
-@dataclass
 class WeilExtReport:
     """Hom/Ext over the discrete-Frobenius subgroup: finitely generated,
     rank rho in degrees 0 and 1, finite in degree 2, zero above."""
 
-    q: int
-    rho: int
-    ext0_rank: int
-    ext0_torsion: int
-    ext1_rank: int
-    ext1_torsion: int
-    ext2_order: int
-    z_f: Fraction
+    __slots__ = ("q", "rho", "ext0_rank", "ext0_torsion", "ext1_rank",
+                 "ext1_torsion", "ext2_order", "z_f")
+
+    def __init__(self, q: int, rho: int, ext0_rank: int, ext0_torsion: int,
+                 ext1_rank: int, ext1_torsion: int, ext2_order: int, z_f: Fraction):
+        self.q, self.rho, self.z_f = q, rho, z_f
+        self.ext0_rank, self.ext0_torsion = ext0_rank, ext0_torsion
+        self.ext1_rank, self.ext1_torsion = ext1_rank, ext1_torsion
+        self.ext2_order = ext2_order
 
 
 def _q_power(p: int, a: int, chi: Fraction) -> Fraction:

@@ -24,7 +24,6 @@ no code beyond exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
@@ -55,13 +54,13 @@ from .motive import (
 )
 
 
-@dataclass
 class VarietyDescriptor:
-    kind: str
-    q: int
-    dimension: int
-    hodge: list            # hodge[i][j] = dim H^j(X, Omega^i)
-    pieces: list           # per degree: [(monic integer charpoly, mult), ...]
+    __slots__ = ("kind", "q", "dimension", "hodge", "pieces")
+
+    def __init__(self, kind: str, q: int, dimension: int, hodge: list, pieces: list):
+        self.kind, self.q, self.dimension = kind, q, dimension
+        self.hodge = hodge    # hodge[i][j] = dim H^j(X, Omega^i)
+        self.pieces = pieces  # per degree: [(monic integer charpoly, mult), ...]
 
 
 def projective_space(q: int, n: int) -> VarietyDescriptor:
@@ -388,16 +387,18 @@ def chi_coherent(v: VarietyDescriptor, r: int) -> int:
 # the Ext side: motivic cohomology of the catalogue decomposition
 
 
-@dataclass
 class MotivicCohomologyReport:
-    q: int
-    r: int
-    ranks: list            # rank of H^i for i = 0 .. 2 dim + 2
-    euler_rank: int        # alternating rank sum (must vanish)
-    vanishing_order: int   # sum (-1)^i i rank_i
-    chi_times: Fraction    # alternating product over the comparison complex
-    chi_o: int
-    pieces: list           # per-piece dicts: degree, charpoly, mult, rho, ...
+    __slots__ = ("q", "r", "ranks", "euler_rank", "vanishing_order", "chi_times",
+                 "chi_o", "pieces")
+
+    def __init__(self, q: int, r: int, ranks: list, euler_rank: int,
+                 vanishing_order: int, chi_times: Fraction, chi_o: int, pieces: list):
+        self.q, self.r, self.chi_o = q, r, chi_o
+        self.ranks = ranks  # rank of H^i for i = 0 .. 2 dim + 2
+        self.euler_rank = euler_rank  # alternating rank sum (must vanish)
+        self.vanishing_order = vanishing_order  # sum (-1)^i i rank_i
+        self.chi_times = chi_times  # alternating product over the comparison complex
+        self.pieces = pieces  # per-piece dicts: degree, charpoly, mult, rho, ...
 
 
 def _split_root(cp: list, b: int) -> list:

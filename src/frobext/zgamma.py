@@ -12,7 +12,6 @@ study (the denominator sits in U and never moves a valuation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -57,7 +56,6 @@ def hypothesis_gate(ma, mb):
         raise HypothesisError("minimal polynomials share a multiple root")
 
 
-@dataclass(frozen=True)
 class FinGenAbGroup:
     """Z^free_rank + sum_i Z/d_i in canonical form: 1 < d_1 | d_2 | ...
 
@@ -67,18 +65,30 @@ class FinGenAbGroup:
     12
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative rank")
+        self.free_rank = free_rank
+        self.torsion = torsion = tuple(torsion)
         prev = 1
-        for d in self.torsion:
+        for d in torsion:
             if d <= 1 or d % prev != 0:
                 raise ValueError("torsion must be a divisibility chain of factors > 1")
             prev = d
+
+    def __eq__(self, other):
+        if other.__class__ is not FinGenAbGroup:
+            return NotImplemented
+        return self.free_rank == other.free_rank and self.torsion == other.torsion
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
+
+    def __repr__(self):
+        return "FinGenAbGroup(free_rank=%r, torsion=%r)" % (self.free_rank,
+                                                             self.torsion)
 
     @property
     def is_finite(self) -> bool:
@@ -211,8 +221,9 @@ class GroupHom:
     def __init__(self, dom: Presentation, cod: Presentation, mat: Matrix, check=True):
         self.dom = dom
         self.cod = cod
-        self.mat = [row[:] for row in mat]
-        if len(self.mat) != cod.gens or (cod.gens and len(self.mat[0]) != dom.gens):
+        # a row of the wrong length drops out of the copy, so the counts differ
+        self.mat = [row[:] for row in mat if len(row) == dom.gens]
+        if len(self.mat) != len(mat) or len(mat) != cod.gens:
             raise ValueError("matrix shape does not match the presentations")
         if check and dom.rel_count and cod.gens:
             if dom.moduli is not None and cod.moduli is not None:

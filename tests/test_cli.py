@@ -1,6 +1,7 @@
 import ast
 import gc
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -917,3 +918,46 @@ def test_console_entry_point():
          "--json"], capture_output=True, text=True)
     assert out.returncode == 0
     assert json.loads(out.stdout)["equal"] is True
+
+
+def _src_env() -> dict:
+    # a fresh interpreter that imports this checkout's frobext
+    return dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_as_sigpipe(unbuffered):
+    # `frobext zeta ... | head -0`: the reader is gone before the first
+    # write.  That is exit 141 (128 + SIGPIPE) with nothing on stderr, not an
+    # input error, whether the write fails in print or in the final flush
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "frobext.cli", "zeta",
+             '{"kind": "projective_space", "q": 3, "dimension": 2, "r": 1}'],
+            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (141, b"")
+
+
+def test_cli_imports_only_the_standard_library():
+    # the runtime is stdlib-only, and its records are __slots__ classes, so
+    # a fresh `import frobext.cli` loads nothing outside the standard library
+    # and neither dataclasses nor the inspect it brings (about 14 ms of
+    # start-up); -S keeps site's own imports out of the comparison
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import frobext.cli\n"
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=_src_env(),
+                         capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "frobext" in loaded
+    assert not loaded - {"frobext"} - sys.stdlib_module_names
+    assert not loaded & {"dataclasses", "inspect"}

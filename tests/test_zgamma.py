@@ -239,8 +239,11 @@ def test_group_hom_validation():
     GroupHom(two_four, z4, [[2, 1]])
     with not_hom:
         GroupHom(two_four, z4, [[1, 1]])
-    with pytest.raises(ValueError, match="shape"):
-        GroupHom(two_four, z4, [[2, 1, 0]])
+    # a row of the wrong length, the first row or a later one
+    zz = moduli_presentation([0, 0])
+    for dom, cod, mat in ((two_four, z4, [[2, 1, 0]]), (zz, zz, [[1, 0], [1]])):
+        with pytest.raises(ValueError, match="shape"):
+            GroupHom(dom, cod, mat)
 
 
 def test_presentation_takes_one_smith_form(monkeypatch):
