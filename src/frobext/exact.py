@@ -108,12 +108,12 @@ class _Steps:
     def __init__(self):
         self.left = RHO_STEPS
 
-    def charge(self, steps: int, n: int, what: str):
-        """Take `steps` steps on n; past the cap, ValueError names what took
-        them and n's bit length (never its digits, which may be too many to
-        print)."""
+    def charge(self, steps: int, n: int, what: str, size: int | None = None):
+        """Take `steps` steps on numbers of `size` bits (n's by default) for
+        work on n; past the cap, ValueError names what took them and n's
+        bit length (never its digits, which may be too many to print)."""
         bits = n.bit_length()
-        self.left -= steps * _weight(bits)
+        self.left -= steps * _weight(bits if size is None else size)
         if self.left < 0:
             raise ValueError("%s a %d-bit number takes more than the cap of"
                              " %d rho steps" % (what, bits, RHO_STEPS))
@@ -157,21 +157,45 @@ def is_prime(n: int, steps: _Steps | None = None) -> bool:
     return True
 
 
+def _power_at_most(x: int, k: int, n: int, steps: _Steps) -> bool:
+    """Whether x^k <= n, for x >= 1.  x^k is first bracketed by a square and
+    multiply whose products are rounded down and up to 2·b + 64 bits, b
+    the bits of x; its log2(k) products are charged at that size.  Only
+    when n lies in the bracket, as it does for n = x^k, is x^k taken in
+    full, charged as log2(k) products of n's size."""
+    cost, prec = k.bit_length(), 2 * x.bit_length() + 64
+    steps.charge(cost, n, "a prime power test of", prec)
+    lo = hi = x
+    e = 0  # lo·2^e <= x^j <= hi·2^e for the prefix j of k read so far
+    for bit in bin(k)[3:]:
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi = lo * x, hi * x
+        cut = hi.bit_length() - prec
+        if cut > 0:
+            lo, hi, e = lo >> cut, -(-hi >> cut), e + cut
+    top = n >> e
+    if hi <= top or lo > top:
+        return hi <= top
+    steps.charge(cost, n, "a prime power test of")
+    return x ** k <= n
+
+
 def _iroot(n: int, k: int, steps: _Steps) -> int:
-    """floor(n^(1/k)) for n >= 1, each power of the search charged to
-    `steps` as the log2(k) products of n's size it takes.  A root of at most
-    2L bits, L = log2(k) + 2, is found by bisection; a longer one by Newton
-    steps from above, started at one more than the L-bit root of n's
-    leading bits.  That start is within a factor 1 + 1/(2k) of the root, so
-    each step about squares the error and a few steps end the search."""
+    """floor(n^(1/k)) for n >= 1, its powers charged to `steps`.  A root of
+    at most 2L bits, L = log2(k) + 2, is found by bisection, each power
+    compared with n by `_power_at_most`; a longer one by Newton steps from
+    above, each charged as the log2(k) products of n's size it takes,
+    started at one more than the L-bit root of n's leading bits.  That
+    start is within a factor 1 + 1/(2k) of the root, so each step about
+    squares the error and a few steps end the search."""
     bits, cost = -(-n.bit_length() // k), k.bit_length()
     lead = cost + 2
     if bits <= 2 * lead:
         lo, hi = 0, 1 << bits  # lo^k <= n < hi^k
         while hi - lo > 1:
-            steps.charge(cost, n, "a prime power test of")
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if mid ** k <= n else (lo, mid)
+            lo, hi = (mid, hi) if _power_at_most(mid, k, n, steps) else (lo, mid)
         return lo
     shift = bits - lead
     x = (_iroot(n >> (k * shift), k, steps) + 1) << shift

@@ -248,7 +248,10 @@ def smith_normal_form(a: Matrix) -> SNF:
 
     Each pivot is the first entry of least absolute value, in row-major
     order, of the trailing block.  The search for it stops at the first
-    unit, which no later entry can beat.  Column operations and swaps walk
+    unit, which no later entry can beat.  Once a pivot has cleared its row
+    and column, the trailing block is scanned for an entry it does not
+    divide, which is folded in; a unit pivot divides every entry, so its
+    scan is skipped.  Column operations and swaps walk
     the rows of D and R (`for row in d`), so that no entry is reached by
     index arithmetic; the arithmetic and its order are a column loop's.
     """
@@ -317,6 +320,8 @@ def smith_normal_form(a: Matrix) -> SNF:
                 pivot(t)
                 continue
             # pivot clears its row and column; enforce divisibility of the rest
+            if d[t][t] in (1, -1):
+                break
             bad = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
@@ -406,14 +411,6 @@ def kernel_basis(a: Matrix) -> Matrix:
     s = smith_normal_form(a)
     r = s.rank
     return [row[r:] for row in s.right]
-
-
-def column_lattice_basis(a: Matrix) -> Matrix:
-    """Basis (as columns) of the lattice generated by the columns of A: the
-    first rank(A) columns of A·R, since A·R = L⁻¹·D with R unimodular."""
-    s = smith_normal_form(a)
-    r = s.rank
-    return [row[:r] for row in mat_mul(a, s.right)]
 
 
 def lattice_solve(a: Matrix, b: Matrix, s: SNF | None = None) -> Matrix | None:

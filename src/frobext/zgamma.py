@@ -29,7 +29,6 @@ from .linalg import (
     Matrix,
     bareiss_det,
     charpoly,
-    column_lattice_basis,
     hstack,
     identity,
     kernel_basis,
@@ -246,14 +245,25 @@ class GroupHom:
         return self._kernel
 
     def _compute_kernel(self):
+        """Two Smith forms.  The kernel of [mat | cod.rels] projects onto
+        the domain's coordinates as `top`, whose columns span the kernel
+        lattice.  With L·top·R = D, the first r = rank columns of top·R are
+        a basis of it, and L·basis = D's first r columns, a Smith form of
+        the basis with the identity on the right.  The domain's relations
+        are solved against that form, so no third one is taken."""
         m, n = self.dom.gens, self.cod.gens
         if not (m and n):  # from or to Z^0: the kernel is the domain
             return self.dom, identity(m)
-        full = kernel_basis(hstack(self.mat, self.cod.rels))
-        # with no columns, full[:m] is its own lattice basis: no Smith form
-        basis = column_lattice_basis(full[:m]) if full[0] else full[:m]
+        top = kernel_basis(hstack(self.mat, self.cod.rels))[:m]
+        if top[0]:
+            s = smith_normal_form(top)
+            r = s.rank
+            basis = mat_mul(top, [row[:r] for row in s.right])
+            s = SNF([row[:r] for row in s.d], s.left, identity(r))
+        else:  # with no columns, top is its own lattice basis
+            basis, s = top, SNF(top, identity(m), [])
         if self.dom.rel_count:
-            rels = lattice_solve(basis, self.dom.rels)
+            rels = lattice_solve(basis, self.dom.rels, s)
             if rels is None:
                 raise RuntimeError("domain relations must land in the kernel"
                                    " lattice")

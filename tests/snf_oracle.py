@@ -1,13 +1,25 @@
-"""Smith normal form with a pivot search that reads the whole trailing
-block: the route that `linalg.smith_normal_form`'s search, which stops at
-the first unit, replaced, kept as a test oracle.  Both take the first entry
-of least absolute value in row-major order, so both give the same D, L and
-R.  None of this is used by the package.
+"""Smith-form routes that the package replaced, kept as test oracles.
+None of this is used by the package.
+
+* `full_scan_smith_normal_form`: a pivot search that reads the whole
+  trailing block, and a divisibility scan after every pivot.
+  `linalg.smith_normal_form`'s search stops at the first unit, and it skips
+  the scan after a unit pivot.  Both take the first entry of least absolute
+  value in row-major order, and a unit divides every entry, so both give
+  the same D, L and R.
+* `three_form_kernel`: `GroupHom`'s kernel by three Smith forms
+  (`kernel_basis`, `column_lattice_basis`, `lattice_solve`).
+  `GroupHom._compute_kernel` solves the domain's relations against the
+  second form, so it takes two.  Both read the basis off the same form of
+  the same projection, and against a basis of full column rank each
+  relation has one solution, so both give the same basis and relations.
 """
 
 from __future__ import annotations
 
-from frobext.linalg import SNF, Matrix, dims, identity, mat_copy
+from frobext.linalg import (SNF, Matrix, dims, hstack, identity, kernel_basis,
+                            lattice_solve, mat_copy, mat_mul,
+                            smith_normal_form)
 
 
 def full_scan_smith_normal_form(a: Matrix) -> SNF:
@@ -89,3 +101,28 @@ def full_scan_smith_normal_form(a: Matrix) -> SNF:
             d[i] = [-x for x in d[i]]
             left[i] = [-x for x in left[i]]
     return SNF(d, left, right)
+
+
+def column_lattice_basis(a: Matrix) -> Matrix:
+    """Basis (as columns) of the lattice generated by the columns of A: the
+    first rank(A) columns of A·R, since A·R = L⁻¹·D with R unimodular."""
+    s = smith_normal_form(a)
+    r = s.rank
+    return [row[:r] for row in mat_mul(a, s.right)]
+
+
+def three_form_kernel(hom) -> tuple[int, Matrix, Matrix]:
+    """(generators, relations, inclusion) of the kernel of a `GroupHom`."""
+    m, n = hom.dom.gens, hom.cod.gens
+    if not (m and n):
+        return m, hom.dom.rels, identity(m)
+    full = kernel_basis(hstack(hom.mat, hom.cod.rels))
+    basis = column_lattice_basis(full[:m]) if full[0] else full[:m]
+    rels = None
+    if hom.dom.rel_count:
+        rels = lattice_solve(basis, hom.dom.rels)
+        if rels is None:
+            raise RuntimeError("domain relations must land in the kernel"
+                               " lattice")
+    gens = len(basis[0])
+    return gens, rels if rels else [[] for _ in range(gens)], basis

@@ -266,6 +266,19 @@ def test_huge_numbers_are_refused_at_once(argv, says):
     assert "cap of %d rho steps" % exact.RHO_STEPS in out.stderr
 
 
+def test_large_q_is_no_prime_power():
+    # q = 10^2000 + 1, 6644 bits: a short root's powers are bracketed on
+    # small numbers before any is taken in full, so the root search and one
+    # primality round fit the step cap, which the search alone used to spend
+    big = _with(q=10 ** 2000 + 1)
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "frobext.cli", "ext", big, big],
+                         capture_output=True, text=True)
+    assert time.perf_counter() - start < 2
+    assert out.returncode == 2 and "Traceback" not in out.stderr
+    assert out.stderr.startswith("input error: not a prime power: 1000")
+
+
 def _curve(q: int) -> dict:
     return {"kind": "elliptic_curve", "q": q, "coefficients": [2, 3]}
 

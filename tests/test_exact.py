@@ -30,6 +30,7 @@ from frobext.exact import (
     valuation,
     _Steps,
     _iroot,
+    _power_at_most,
 )
 
 import fraction_poly as fq
@@ -205,11 +206,25 @@ def test_prime_power_root_search_is_charged():
     # 2^(b/k) it took the whole cap on this 6100-bit q
     m = 2**61 - 1
     assert prime_power(m ** 100) == (m, 100)
+    # a short root is bisected with each power bracketed on small numbers;
+    # a prime 1009th power is found by the one power taken in full (q =
+    # 10^2000 + 1 is test_cli.py::test_large_q_is_no_prime_power)
+    assert prime_power(43 ** 1009) == (43, 1009)
 
 
 @settings(max_examples=300)
 @given(st.integers(1, 2**3000), st.integers(2, 1000))
 def test_iroot_brackets_the_root(n, k):
+    r = _iroot(n, k, _Steps())
+    assert r ** k <= n < (r + 1) ** k
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 2**40), st.integers(2, 1000), st.integers(-2, 2))
+def test_power_bracket_next_to_a_power(x, k, d):
+    # next to x^k the rounded bracket cannot decide, and the full power must
+    n = max(1, x ** k + d)
+    assert _power_at_most(x, k, n, _Steps()) == (x ** k <= n)
     r = _iroot(n, k, _Steps())
     assert r ** k <= n < (r + 1) ** k
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobext import zgamma
-from frobext.linalg import identity
+from frobext.linalg import hstack, identity, mat_mul, zeros
 from frobext.zgamma import (
     FinGenAbGroup,
     GammaModule,
@@ -278,8 +278,8 @@ def _is_hom(dom: Presentation, cod: Presentation, mat) -> bool:
     return True
 
 
-moduli_lists = st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12]),
-                        min_size=1, max_size=4)
+moduli = st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12])
+moduli_lists = st.lists(moduli, min_size=1, max_size=4)
 
 
 @settings(max_examples=300, deadline=None)
@@ -296,6 +296,40 @@ def test_moduli_hom_check_vs_lattice_solve(dom_m, cod_m, data):
     plain = [Presentation(p.gens, p.rels) for p in (dom, cod)]
     assert plain[0].moduli is None and dom.moduli == tuple(dom_m)
     assert _is_hom(dom, cod, mat) == _is_hom(*plain, mat)
+
+
+@st.composite
+def _homs(draw) -> GroupHom:
+    """A homomorphism of up to 4 generators a side, zero included: between
+    two moduli presentations (the matrix scaled to respect the moduli), or
+    between two non-diagonal ones, the codomain's relations holding the
+    image of the domain's, either with no columns at all."""
+    ents = st.integers(-6, 6)
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    mat = [[draw(ents) for _ in range(m)] for _ in range(n)]
+    if draw(st.booleans()):
+        dom_m, cod_m = ([draw(moduli) for _ in range(g)] for g in (m, n))
+        mat = [[x * c // gcd(c, d) if c else x * (d == 0)
+                for x, d in zip(row, dom_m)] for row, c in zip(mat, cod_m)]
+        return GroupHom(moduli_presentation(dom_m), moduli_presentation(cod_m),
+                        mat)
+    k, extra = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    dom_rels = [[draw(ents) for _ in range(k)] for _ in range(m)]
+    image = mat_mul(mat, dom_rels) if m else zeros(n, k)
+    cod_rels = hstack([[draw(ents) for _ in range(extra)] for _ in range(n)],
+                      image)
+    return GroupHom(Presentation(m, dom_rels), Presentation(n, cod_rels), mat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_homs())
+def test_kernel_vs_three_smith_forms(hom):
+    # the kernel's relations are solved against the Smith form of the
+    # basis's own lattice, not a third form: same basis, same relations
+    from snf_oracle import three_form_kernel
+
+    kpres, basis = hom.kernel()
+    assert (kpres.gens, kpres.rels, basis) == three_form_kernel(hom)
 
 
 def _torsion_invertible_by_kernel(group: FinGenAbGroup, action) -> bool:
