@@ -51,6 +51,7 @@ from .motive import (
     MAX_TORSION_GENS,
     check_cap,
     global_ext_orders,
+    json_document,
     json_int,
     json_ints,
     json_matrix,
@@ -219,7 +220,7 @@ def _cmd_ext(args) -> int:
 def _cmd_verify_local(args) -> int:
     if args.replay:
         with open(args.replay) as fh:
-            case = json_object(json.load(fh), "the replay file")
+            case = json_document(fh.read(), "the replay file")
         if "case" in case:
             # older replay files carry a "precision" field; it is not read
             p = json_int(case.get("p"), "p")
@@ -283,7 +284,7 @@ def _cmd_verify_local(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    spec = json_object(json.loads(_read_source(args.variety)), "variety")
+    spec = json_document(_read_source(args.variety), "variety")
     r = json_int(spec.pop("r", args.r), "r")
     out = verify_variety_identity(variety_from_spec(spec), r)
     _emit(out, args.json)
@@ -346,7 +347,7 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print("precision not certified: %s" % exc, file=sys.stderr)
         return 4
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -5,7 +5,8 @@ sigma-semilinear endomorphism F whose kernel is torsion.  Torsion-free
 crystals are stored through an F-matrix with torsion cokernel condition
 (det F nonzero, read exactly); torsion crystals are direct
 sums of W/p^{n_i} with an F-matrix respecting the filtration.  Hom and Ext
-are taken over the twisted polynomial ring W[F; sigma]; the local identity
+are taken over the twisted polynomial ring W[F; sigma], out of a finite
+source through one Koszul-type resolution; the local identity
 compares z(f)·[Ext²] against the p-adic absolute value of an eigenvalue
 product read off the characteristic polynomials.  Integer matrices of maps
 come from `WittRing.mul_matrix`, their groups from the local Smith form
@@ -34,10 +35,9 @@ from .linalg import (
     block_diag,
     charpoly,
     companion,
-    hstack,
     mat_mul,
+    mat_sub,
     padic_smith,
-    vstack,
     zeros,
 )
 from .witt import WittRing
@@ -380,100 +380,84 @@ def ext_presentation(m: Crystal, n: Crystal) -> ExtReportP:
 
 
 # ---------------------------------------------------------------------------
-# the residue-field source: Koszul-style two-step resolution
+# finite sources: one Koszul-type resolution
+
+
+def _koszul_complex(m: Crystal, n: Crystal):
+    """(d0, d1) of N^k -> N^2k -> N^k, Hom into a finite N of the
+    resolution of M = ⊕ W/p^{n_j} with F e_j = Σ_i c_ij e_i: generators
+    e_j, relations s_j = p^{n_j} e_j and r_j = F e_j - Σ_i c_ij e_i, and
+    their one syzygy t_j = p^{n_j} r_j - F s_j + Σ_i c_ij p^{n_j - n_i} s_i,
+    integral because F respects the filtration.  The values on the s_j come
+    first, so d1's Φ and C blocks precede its p^{n_j} blocks and its local
+    Smith forms meet their unit pivots first.  Entries are reduced mod
+    their row's modulus, where p^{n_j} may vanish."""
+    ring, p, k, exps = m.ring, m.ring.p, m.dim, m.exponents
+    phi = _semilinear_int_matrix(ring, n.coords)
+    mods = [p ** e for e in n.exponents for _ in range(ring.a)]
+
+    def mul(c):  # multiplication by c on N
+        return block_diag(*[ring.mul_matrix(c)] * n.dim)
+
+    def flat(rows):  # a matrix of blocks, each an endomorphism of N
+        return [[x % d for blk in brow for x in blk[r]]
+                for brow in rows for r, d in enumerate(mods)]
+
+    zero = mul([0])
+    pn = [mul([p ** e]) for e in exps]
+    d0 = flat([[pn[j] if i == j else zero for i in range(k)] for j in range(k)]
+              + [[mat_sub(phi if i == j else zero, mul(m.coords[i][j]))
+                  for i in range(k)] for j in range(k)])
+    d1 = flat([[mat_sub(mul([x * p ** nj // p ** ni for x in m.coords[i][j]]),
+                        phi if i == j else zero) for i, ni in enumerate(exps)]
+               + [pn[j] if i == j else zero for i in range(k)]
+               for j, nj in enumerate(exps)])
+    return d0, d1
+
+
+def koszul_orders(m: Crystal, n: Crystal) -> tuple[int, int, int]:
+    """([Ext⁰], [Ext¹], [Ext²]) of a finite source M into N, off the complex
+    of `_koszul_complex` (Weibel, Homological Algebra, §4.5).
+
+    For finite N, Ext⁰ = ker d0, Ext² = coker d1 and [Ext¹] =
+    [ker d1]·[Ext⁰]/[N^k].  Rank-nullity gives [ker d1] = [N^k]·[coker d1];
+    the two sides come from different Smith forms and are compared, and
+    d1·d0 must vanish on N^k (RuntimeError otherwise).  A torsion-free N is
+    read through N/p^E, E = max n_j: p^E kills M, so 0 -> Ext^i(M, N) ->
+    Ext^i(M, N/p^E) -> Ext^{i+1}(M, N) -> 0, and Hom(M, N) = 0.
+
+    >>> koszul_orders(Crystal(WittRing(5, 1), [[1, 0], [0, 1]], [2, 1]),
+    ...               unit_crystal(WittRing(5, 1)))
+    (1, 125, 125)
+    """
+    _require_pair(m, n)
+    if m.kind != "finite":
+        raise ValueError("the source must be finite")
+    if n.kind == "free":
+        b0, _, b2 = koszul_orders(
+            m, Crystal(n.ring, n.coords, [max(m.exponents)] * n.dim))
+        return 1, b0, b2
+    p = m.ring.p
+    d0, d1 = _koszul_complex(m, n)
+    exps = [e for e in n.exponents for _ in range(m.ring.a)] * m.dim
+    if any(x % p ** e for row, e in zip(mat_mul(d1, d0), exps) for x in row):
+        raise RuntimeError("d1·d0 does not vanish on N^k")
+    e0 = _finite_kernel(d0, exps, exps + exps, p).order
+    e2 = _finite_cokernel(d1, exps, p).order
+    ker_d1 = _finite_kernel(d1, exps + exps, exps, p).order
+    c0 = p ** sum(exps)
+    if ker_d1 != c0 * e2:
+        raise RuntimeError("the Euler product of the complex is not 1")
+    return e0, ker_d1 * e0 // c0, e2
 
 
 def ext_koszul_k(n: Crystal) -> tuple[int, int, int]:
-    """([Ext⁰], [Ext¹], [Ext²]) of the residue field with zero Frobenius
-    into N, from the resolution with maps t -> (pt, -Ft) and
-    (x, y) -> Fx + py.
-
-    For torsion N the complex N -> N² -> N is read like a finite target:
-    Ext⁰ = ker d0 and Ext² = coker d1, and [Ext¹] = [ker d1]·[Ext⁰]/[N].
-    Rank-nullity gives [ker d1] = [N]·[coker d1], which makes the
-    alternating product of the orders 1; the two sides come from different
-    Smith forms and are compared (RuntimeError otherwise).  For torsion-free
-    N the groups are read off from N/pN, using that they are killed by p.
+    """`koszul_orders` of the residue field with zero Frobenius into N.
 
     >>> ext_koszul_k(k_module(WittRing(3, 1)))
     (3, 9, 3)
     """
-    ring = n.ring
-    p, a = ring.p, ring.a
-    if n.kind == "finite":
-        phi = _semilinear_int_matrix(ring, n.coords)
-        size = a * n.dim
-        exps = [e for e in n.exponents for _ in range(a)]
-        pid = [[p if i == j else 0 for j in range(size)] for i in range(size)]
-        d0 = vstack(pid, [[-x for x in row] for row in phi])
-        d1 = hstack(phi, pid)
-        e0 = _finite_kernel(d0, exps, exps + exps, p).order
-        e2 = _finite_cokernel(d1, exps, p).order
-        ker_d1 = _finite_kernel(d1, exps + exps, exps, p).order
-        c0 = p ** sum(exps)
-        if ker_d1 != c0 * e2:
-            raise RuntimeError("the Euler product of the complex is not 1")
-        return e0, ker_d1 * e0 // c0, e2
-    nbar = Crystal(ring, n.coords, exponents=[1] * n.dim)
-    b0, b1, _ = ext_koszul_k(nbar)
-    # 0 -> Ext^i(N) -> Ext^i(N/p) -> Ext^{i+1}(N) -> 0 and Ext^0(N) = 0,
-    # since all three groups are killed by p.
-    if b1 % b0:
-        raise RuntimeError("[Ext^0(N/p)] does not divide [Ext^1(N/p)]")
-    return 1, b0, b1 // b0
-
-
-# ---------------------------------------------------------------------------
-# finite source with invertible Frobenius, via the torsion-free lift
-
-
-def _order_torsion_capped(g: FinGenAbGroup, p: int, n: int) -> int:
-    out = 1
-    for d in g.torsion:
-        out *= p ** min(int_valuation(d, p), n)
-    return out
-
-
-def _order_quotient_capped(g: FinGenAbGroup, p: int, n: int) -> int:
-    return p ** (n * g.free_rank) * _order_torsion_capped(g, p, n)
-
-
-def _torsion_free_lift(m: Crystal):
-    """(Λ, e) for a finite source with invertible F at the single exponent
-    e: Λ is the torsion-free crystal with the same F-matrix."""
-    if m.kind != "finite" or not m.is_f_invertible():
-        raise ValueError("the source must be finite with invertible F")
-    exps = set(m.exponents)
-    if len(exps) != 1:
-        raise ValueError("finite sources are supported at a single exponent")
-    return Crystal(m.ring, m.coords), exps.pop()
-
-
-def _finite_source_orders(rep: ExtReportP, e: int):
-    """([Ext⁰], [Ext¹], [Ext²]) of Λ/p^e Λ from the presentation of Λ."""
-    p = rep.p
-    e0 = _order_torsion_capped(rep.ext0, p, e)
-    e1 = _order_quotient_capped(rep.ext0, p, e) * _order_torsion_capped(rep.ext1, p, e)
-    e2 = _order_quotient_capped(rep.ext1, p, e)
-    return e0, e1, e2
-
-
-def ext_orders_finite_source(m: Crystal, n: Crystal):
-    """([Ext⁰], [Ext¹], [Ext²], certified precision) for a finite source
-    with invertible F at a single exponent.
-
-    The source is Λ/p^e Λ for the torsion-free lift Λ with the same
-    F-matrix, and multiplication by p^e on 0 -> Λ -> Λ -> M -> 0 gives
-    Ext⁰(M, N) = Hom(Λ, N)[p^e], an extension of Ext¹(Λ, N)[p^e] by
-    Hom(Λ, N)/p^e in degree one, and Ext²(M, N) = Ext¹(Λ, N)/p^e.
-    """
-    _require_pair(m, n)
-    lam, e = _torsion_free_lift(m)
-    # the orders cap valuations at e <= K, where a vanishing divisor counts
-    # as one of valuation e: θ is read at K+2 with no count
-    rep = ext_presentation(lam, n) if n.kind == "finite" \
-        else _theta_report(lam, n, m.ring.K + 2)
-    return (*_finite_source_orders(rep, e), rep.certified_precision)
+    return koszul_orders(k_module(n.ring), n)
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +507,9 @@ def _z_derivative_map(m: Crystal) -> Fraction:
     fixes, so F^a is multiplication by t^a on Z[t]/(m(t^a)): a copies of
     the companion C of m, up to a permutation of the basis.  Over Z_p the
     map is a² such copies of C·m'(C), so its valuation is a² times that of
-    the integer det(C·m'(C)), nonzero for a squarefree m."""
-    c = companion(m.special_poly)
-    deriv = zeros(len(c), len(c))
-    for coef in reversed(poly_deriv(m.special_poly)):  # m'(C) by Horner
-        deriv = mat_mul(deriv, c)
-        for i in range(len(c)):
-            deriv[i][i] += coef
-    p, a = m.ring.p, m.ring.a
-    v = int_valuation(bareiss_det(mat_mul(c, deriv)), p)
+    det(C·m'(C)) = ±m(0)·Res(m, m'), nonzero for a squarefree m."""
+    mp, p, a = m.special_poly, m.ring.p, m.ring.a
+    v = int_valuation(mp[0], p) + int_valuation(resultant(mp, poly_deriv(mp)), p)
     return Fraction(1, p ** (a * a * v))
 
 
@@ -548,13 +526,14 @@ def _separating_precision(m: Crystal, n: Crystal) -> int | None:
 def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
     """z(f)·[Ext²(M, N)] on a supported pair, computed and certified once.
 
-    Supported: residue-field source; finite source with invertible F;
-    finite target; special modules with equal or coprime minimal
-    polynomials; torsion-free pairs with separated eigenvalue sets.  θ is
-    read once, at k = max(K+2, b+1) with b = v_p of the resultant of the
-    minimal polynomials (or charpolys), where no divisor may vanish, and k
-    is reported as certified; a finite source reads K+2 with no count, and
-    special-equal, whose derivative map is exact, reports K+2.
+    Supported: every finite source (the residue field is the k-source),
+    read off one Koszul-type resolution with no θ and no certified
+    precision; finite target; special modules with equal or coprime
+    minimal polynomials; torsion-free pairs with separated eigenvalue
+    sets.  θ is read once, at k = max(K+2, b+1) with b = v_p of the
+    resultant of the minimal polynomials (or charpolys), where no divisor
+    may vanish, and k is reported as certified; special-equal, whose
+    derivative map is exact, reports K+2.
     """
     _require_pair(m, n)
     K = m.ring.K
@@ -562,8 +541,8 @@ def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
         e0, e1, e2 = ext_koszul_k(n)
         return LocalReportP("k-source", Fraction(e0 * e2, e1) ** m.dim)
     if m.kind == "finite":
-        e0, e1, e2, certified = ext_orders_finite_source(m, n)
-        return LocalReportP("finite-source", Fraction(e0 * e2, e1), certified)
+        e0, e1, e2 = koszul_orders(m, n)
+        return LocalReportP("finite-source", Fraction(e0 * e2, e1))
     if n.kind == "finite":
         # z(f) of any map between the finite groups Hom and Ext¹ is
         # [Ext⁰]/[Ext¹], and Ext² = 0

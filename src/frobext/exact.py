@@ -278,6 +278,11 @@ def prime_factors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _not_a_prime_power(q: int) -> ValueError:
+    # q is named by its bit length, never by its digits, which may be many
+    return ValueError("not a prime power: a %d-bit number" % q.bit_length())
+
+
 def prime_power(q: int) -> tuple[int, int]:
     """(p, a) with q = p^a, a >= 1; p must lie below PRIME_BOUND.  The root
     search and the primality tests take at most RHO_STEPS steps; past them
@@ -287,12 +292,12 @@ def prime_power(q: int) -> tuple[int, int]:
     (3, 3)
     """
     if q < 2:
-        raise ValueError("not a prime power: %r" % (q,))
+        raise _not_a_prime_power(q)
     for b in _BASES:
         if q % b == 0:
             a = int_valuation(q, b)
             if b ** a != q:
-                raise ValueError("not a prime power: %r" % (q,))
+                raise _not_a_prime_power(q)
             return b, a
     steps = _Steps()
     p, a, k = q, 1, 2
@@ -305,7 +310,7 @@ def prime_power(q: int) -> tuple[int, int]:
         else:
             k = next(j for j in count(k + 1) if is_prime(j))
     if not is_prime(p, steps):
-        raise ValueError("not a prime power: %r" % (q,))
+        raise _not_a_prime_power(q)
     return p, a
 
 

@@ -90,10 +90,6 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
     return [ra + rb for ra, rb in zip(a, b)]
 
 
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    return mat_copy(a) + mat_copy(b)
-
-
 # ---------------------------------------------------------------------------
 # determinants, rank, solving
 

@@ -303,6 +303,19 @@ def json_object(value, field: str) -> dict:
     return value
 
 
+def json_document(text: str, field: str) -> dict:
+    """The JSON object that the document `text` holds; ValueError naming the
+    document when it is not JSON, nests deeper than the decoder's recursion
+    limit or holds no object."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError("%s is not JSON: %s" % (field, exc)) from None
+    except RecursionError:
+        raise ValueError("%s nests too deeply to decode" % field) from None
+    return json_object(value, field)
+
+
 def _json_exceptional(key: str, data, q: int, cp: list[int]) -> GaloisModule:
     field = "exceptional[%s]" % json.dumps(key)
     if not (key.isascii() and key.isdigit()):
@@ -319,7 +332,7 @@ def _json_exceptional(key: str, data, q: int, cp: list[int]) -> GaloisModule:
 
 
 def motive_from_json(text: str) -> Motive:
-    obj = json_object(json.loads(text), "a motive")
+    obj = json_document(text, "a motive")
     q = json_field(obj, "q", json_int)
     cp = json_field(obj, "charpoly", json_ints)
     exc = {}

@@ -222,6 +222,30 @@ def test_json_that_is_not_an_object_is_an_input_error(capsys, tmp_path):
             in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, document", [
+    (["ext", "{deep}", _L5], "a motive"),
+    (["zeta", "{deep}"], "variety"),
+    (["verify-local", "--replay", "{deep}"], "the replay file"),
+])
+def test_deeply_nested_json_is_an_input_error(tmp_path, argv, document):
+    # a document nested past the decoder's recursion limit is bad input that
+    # names the document, not an internal error
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    argv = [str(path) if a == "{deep}" else a for a in argv]
+    out = subprocess.run([sys.executable, "-m", "frobext.cli"] + argv,
+                         capture_output=True, text=True)
+    assert out.returncode == 2 and "Traceback" not in out.stderr
+    assert out.stderr == "input error: %s nests too deeply to decode\n" \
+        % document
+
+
+def test_text_that_is_not_json_names_the_document(capsys):
+    assert main(["zeta", '{"kind": 1']) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: variety is not JSON: Expecting")
+
+
 _MERSENNE = 2 ** 11213 - 1  # a prime of 11213 bits
 
 
@@ -276,7 +300,7 @@ def test_large_q_is_no_prime_power():
                          capture_output=True, text=True)
     assert time.perf_counter() - start < 2
     assert out.returncode == 2 and "Traceback" not in out.stderr
-    assert out.stderr.startswith("input error: not a prime power: 1000")
+    assert out.stderr == "input error: not a prime power: a 6644-bit number\n"
 
 
 def _curve(q: int) -> dict:
@@ -664,14 +688,17 @@ def test_exceptional_torsion_generators_are_capped(capsys):
 
 def test_replay_reads_deep_torsion(tmp_path, capsys):
     # a torsion exponent above the working precision names itself: the pair
-    # is read there, and above the ceiling it is not read at all
+    # is read there (a finite source reads no θ, so it certifies no
+    # precision), and above the ceiling it is not read at all
     case = {"case": "finite-invertible", "p": 3, "degree": 1,
             "m": {"coords": [[1]], "exponents": [30]},
             "n": {"special_poly": [-4, 1]}}
     path = tmp_path / "case.json"
     path.write_text(json.dumps(case))
     code, out = run(capsys, ["verify-local", "--replay", str(path), "--json"])
-    assert code == 0 and json.loads(out)["certified_precision"] == 32
+    out = json.loads(out)
+    assert code == 0 and out["case"] == "finite-source" and out["equal"]
+    assert out["certified_precision"] is None
     case["m"]["exponents"] = [cli.PRECISION_CEILING + 1]
     path.write_text(json.dumps(case))
     assert main(["verify-local", "--replay", str(path)]) == 4

@@ -11,17 +11,18 @@ from frobext import cli, crystal
 from frobext.exact import (
     PrecisionError, abs_at, poly_deriv, poly_mul, resultant, valuation)
 from frobext.linalg import (
-    companion, identity, kron, mat_mul, mat_sub, padic_det_valuation,
-    padic_smith, smith_normal_form, transpose)
+    block_diag, companion, identity, kron, mat_mul, mat_sub,
+    padic_det_valuation, padic_smith, smith_normal_form, transpose)
 from frobext.witt import WittRing
 from frobext.zgamma import FinGenAbGroup, HypothesisError
+from lift_oracle import lift_orders
 from frobext.crystal import (
     Crystal,
     LOCAL_CASES,
     crystal_charpoly,
     ext_koszul_k,
-    ext_orders_finite_source,
     ext_presentation,
+    koszul_orders,
     k_module,
     lefschetz_crystal,
     random_finite_crystal,
@@ -31,6 +32,7 @@ from frobext.crystal import (
     unit_crystal,
     verify_local_identity,
     _linear_int_matrix,
+    _semilinear_int_matrix,
     _theta_int,
     _z_derivative_map,
 )
@@ -141,59 +143,162 @@ def test_koszul_examples():
     assert ext_koszul_k(k_module(R32)) == (9, 81, 9)
 
 
-def _koszul_brute(n):
-    """Cohomology orders of N --(p, -F)--> N² --(F, p)--> N for N = ⊕ Z/p^e,
-    by sheer enumeration of the elements of N."""
-    ring = n.ring
-    p = ring.p
-    from frobext.crystal import _semilinear_int_matrix
+def _koszul_brute(m, n):
+    """Cohomology orders of Hom(P, N) = N^k -> N^2k -> N^k for the
+    resolution P of the finite source M (generators e_j, relations
+    r_j = F e_j - Σ_i c_ij e_i and s_j = p^{n_j} e_j, syzygies t_j =
+    p^{n_j} r_j - F s_j + Σ_i c_ij p^{n_j - n_i} s_i), by enumeration of
+    N^k and of the subgroup of N^k that the image of d1 spans."""
+    ring, p, k = n.ring, n.ring.p, m.dim
     phi = _semilinear_int_matrix(ring, n.coords)
     mods = [p ** e for e in n.exponents for _ in range(ring.a)]
-    size = len(mods)
 
-    def f(vec):
-        return tuple(sum(phi[i][j] * vec[j] for j in range(size)) % mods[i]
-                     for i in range(size))
+    def act(mat, x):
+        return [sum(c * v for c, v in zip(row, x)) for row in mat]
 
-    def times_p(vec):
-        return tuple(p * x % d for x, d in zip(vec, mods))
+    def scalar(c, x):
+        return act(block_diag(*[ring.mul_matrix(c)] * n.dim), x)
 
-    elements = list(product(*(range(d) for d in mods)))
-    zero = (0,) * size
-    im_f = {f(v) for v in elements}
-    p_n = {times_p(v) for v in elements}
-    n_p = sum(1 for v in elements if times_p(v) == zero)  # [N[p]]
-    e0 = sum(1 for v in elements if times_p(v) == zero and f(v) == zero)
-    # (x, y) is a cycle when F x = -p y: one y-coset of N[p] for each x
-    # with F x in pN
-    ker_d1 = sum(1 for v in elements if f(v) in p_n) * n_p
-    im_d0 = len({(times_p(v), tuple(-x % d for x, d in zip(f(v), mods)))
-                 for v in elements})
-    # im d1 = FN + pN, of order [FN]·[pN]/[FN ∩ pN]
-    im_d1 = len(im_f) * len(p_n) // len(im_f & p_n)
-    return e0, ker_d1 // im_d0, len(elements) // im_d1
+    def reduce(*terms):
+        return tuple(sum(t) % d for t, d in zip(zip(*terms), mods))
+
+    def d0(x):
+        rel = [reduce(act(phi, x[j]), *([-v for v in scalar(m.coords[i][j], x[i])]
+                                         for i in range(k)))
+               for j in range(k)]
+        return tuple(rel + [reduce(scalar([p ** nj], x[j]))
+                            for j, nj in enumerate(m.exponents)])
+
+    def d1(y):
+        return tuple(reduce(
+            scalar([p ** nj], y[j]), [-v for v in act(phi, y[k + j])],
+            *(scalar([c * p ** nj // p ** ni for c in m.coords[i][j]], y[k + i])
+              for i, ni in enumerate(m.exponents)))
+            for j, nj in enumerate(m.exponents))
+
+    zero_n = (0,) * len(mods)
+    group = list(product(*(range(d) for d in mods)))
+    cochains = list(product(group, repeat=k))
+    zero = (zero_n,) * k
+    assert all(d1(d0(x)) == zero for x in cochains)
+    e0 = sum(1 for x in cochains if d0(x) == (zero_n,) * (2 * k))
+    # the image of d1 is spanned by the images of the unit cochains of N^2k
+    units = [tuple(tuple(int(b == i and c == j) for c in range(len(mods)))
+                   for b in range(2 * k))
+             for i in range(2 * k) for j in range(len(mods))]
+    gens = [d1(u) for u in units]
+    image, frontier = {zero}, [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple(reduce(a, b) for a, b in zip(x, g))
+            if y not in image:
+                image.add(y)
+                frontier.append(y)
+    size = len(cochains)
+    ker_d1, im_d0 = size * size // len(image), size // e0
+    return e0, ker_d1 // im_d0, size // len(image)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from([(2, 1), (3, 1), (2, 2)]))
 def test_koszul_matches_enumeration(seed, pa):
-    # exponents up to 3, so that p does not act as zero on N
+    # any finite source, mixed exponents and a singular F included, against
+    # a finite target small enough to enumerate N^k
     p, a = pa
-    n = random_finite_crystal(random.Random(seed), WittRing(p, a),
-                              max_gens=2, max_exp=3)
-    assert ext_koszul_k(n) == _koszul_brute(n)
+    rng = random.Random(seed)
+    ring = WittRing(p, a)
+    m = random_finite_crystal(rng, ring, max_gens=2, max_exp=3)
+    n = random_finite_crystal(rng, ring, max_gens=2, max_exp=2)
+    while p ** (a * sum(n.exponents) * m.dim) > 4096:
+        n = random_finite_crystal(rng, ring, max_gens=1, max_exp=2)
+    assert koszul_orders(m, n) == _koszul_brute(m, n)
+
+
+def test_koszul_k_is_the_finite_source_route():
+    # the residue field is the finite source k with zero F
+    rng = random.Random(5)
+    for _ in range(5):
+        n = random_finite_crystal(rng, R32, max_gens=2, max_exp=3)
+        assert ext_koszul_k(n) == koszul_orders(k_module(R32), n)
+
+
+def _random_free_crystal(rng, ring: WittRing) -> Crystal:
+    """A torsion-free crystal of rank 1 or 2 with random Witt entries."""
+    p = ring.p
+    while True:
+        r = rng.randint(1, 2)
+        coords = [[[rng.randrange(-p * p, p * p) for _ in range(ring.a)]
+                   for _ in range(r)] for _ in range(r)]
+        try:
+            return Crystal(ring, coords)
+        except ValueError:
+            continue
+
+
+LIFT_RINGS = {(p, a): WittRing(p, a) for p in (2, 3, 5) for a in (1, 2)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from(sorted(LIFT_RINGS)),
+       st.sampled_from(["finite", "special", "free"]))
+def test_koszul_vs_the_lift_oracle(seed, key, target):
+    # on a source with invertible F at one exponent, the torsion-free lift
+    # reads the same three orders, into finite and torsion-free targets
+    ring = LIFT_RINGS[key]
+    rng = random.Random(seed)
+    m = random_finite_crystal(rng, ring, max_exp=3, invertible=True)
+    n = {"finite": lambda: random_finite_crystal(rng, ring, max_exp=3),
+         "special": lambda: random_special_module(rng, ring),
+         "free": lambda: _random_free_crystal(rng, ring)}[target]()
+    assert koszul_orders(m, n) == lift_orders(m, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from(sorted(LIFT_RINGS)),
+       st.sampled_from(["special", "free"]))
+def test_identity_on_any_finite_source(seed, key, target):
+    # mixed exponents and a singular F, which the lift could not read,
+    # against torsion-free targets, where [Ext¹] = [Ext²] is no Euler
+    # tautology: the identity holds
+    ring = LIFT_RINGS[key]
+    rng = random.Random(seed)
+    m = random_finite_crystal(rng, ring, max_gens=3, max_exp=4)
+    n = random_special_module(rng, ring) if target == "special" \
+        else _random_free_crystal(rng, ring)
+    out = verify_local_identity(m, n)
+    assert out["equal"] and out["certified_precision"] is None, out
+
+
+def test_koszul_reads_a_direct_sum_blockwise():
+    # a mixed-exponent source with block-diagonal F is the direct sum of
+    # single-exponent sources the lift reads, and its orders multiply
+    ring = WittRing(3, 1)
+    blocks = [Crystal(ring, [[1, 3], [1, 1]], exponents=[2, 2]),
+              Crystal(ring, [[2]], exponents=[1])]
+    m = Crystal(ring, [[1, 3, 0], [1, 1, 0], [0, 0, 2]], exponents=[2, 2, 1])
+    for n in (special_module(ring, [-4, 1]), special_module(ring, [3, -1, 1]),
+              Crystal(ring, [[1, 9], [0, 4]], exponents=[3, 1])):
+        got = koszul_orders(m, n)
+        parts = [lift_orders(b, n) for b in blocks]
+        assert got == tuple(x * y for x, y in zip(*parts))
 
 
 def test_finite_source_orders():
     # (W/p, sigma) against the unit crystal: Hom = 0, [Ext^1] = [Ext^2] = p
     m = Crystal(R51, [[1]], exponents=[1])
-    e0, e1, e2, _ = ext_orders_finite_source(m, unit_crystal(R51))
-    assert (e0, e1, e2) == (1, 5, 5)
-    with pytest.raises(ValueError):
-        ext_orders_finite_source(k_module(R51), unit_crystal(R51))
-    with pytest.raises(ValueError):
-        mixed = Crystal(R51, [[1, 0], [0, 1]], exponents=[2, 1])
-        ext_orders_finite_source(mixed, unit_crystal(R51))
+    assert koszul_orders(m, unit_crystal(R51)) == (1, 5, 5)
+    # sources the lift could not read are answered: a singular F, and mixed
+    # exponents (W/25 ⊕ W/5, F = sigma), and the identity holds on both
+    assert koszul_orders(k_module(R51), unit_crystal(R51)) == (1, 1, 1)
+    mixed = Crystal(R51, [[1, 0], [0, 1]], exponents=[2, 1])
+    assert koszul_orders(mixed, unit_crystal(R51)) == (1, 125, 125)
+    for src in (Crystal(R51, [[5]], exponents=[2]), mixed):
+        out = verify_local_identity(src, unit_crystal(R51))
+        assert out["case"] == "finite-source" and out["equal"]
+        assert out["certified_precision"] is None
+    with pytest.raises(ValueError, match="finite"):
+        koszul_orders(unit_crystal(R51), unit_crystal(R51))
 
 
 def test_verify_unit_pair():
@@ -614,7 +719,8 @@ def test_identity_is_one_pass(monkeypatch, case):
     # θ is read once, at K+2: one ring there, built from the crystals' exact
     # coordinates with no crystal moved to it, nothing at any other
     # precision (none at all for special-equal), and one right side from
-    # one charpoly per side
+    # one charpoly per side.  A finite source reads no θ, so it builds no
+    # ring, no charpoly and no right side, and certifies no precision
     m, n = PAIRS_BY_CASE[case]()
     K = m.ring.K
     rings, moves, charpolys, rhs = [], [], [], []
@@ -633,18 +739,24 @@ def test_identity_is_one_pass(monkeypatch, case):
     recording(crystal, "_rhs_value", rhs, lambda *args: 1)
     out = verify_local_identity(m, n)
     assert out["equal"] and out["case"] == case
-    assert out["certified_precision"] == K + 2
-    assert rings == ([] if case == "special-equal" else [K + 2])
     assert moves == []
     if case == "finite-source":
-        assert charpolys == [] and rhs == []
+        assert out["certified_precision"] is None
+        assert rings == [] and charpolys == [] and rhs == []
     else:
+        assert out["certified_precision"] == K + 2
+        assert rings == ([] if case == "special-equal" else [K + 2])
         assert charpolys == [m.coords, n.coords] and rhs == [1]
 
 
+def _no_theta(*args):
+    raise AssertionError("a finite source reads no θ")
+
+
 def test_finite_source_shares_one_smith_form(monkeypatch):
-    # a finite-invertible source with a special target: its torsion-free
-    # lift is validated once, and θ is read once, at K+2
+    # a finite-invertible source with a special target: no torsion-free lift
+    # is built and no θ is read; the complex into N/p takes three local
+    # Smith forms, each mod p^2
     m = Crystal(R51, [[1]], exponents=[1])
     n = special_module(R51, [5, -1, 1])
     depths, lifts = [], []
@@ -660,17 +772,19 @@ def test_finite_source_shares_one_smith_form(monkeypatch):
         check_free(self)
 
     monkeypatch.setattr(crystal, "padic_smith", counting)
+    monkeypatch.setattr(crystal, "_theta_int", _no_theta)
     monkeypatch.setattr(Crystal, "_check_free", checked)
     out = verify_local_identity(m, n)
     assert out["equal"] and out["case"] == "finite-source"
-    assert depths == [R51.K + 2] and lifts == [R51.K]
+    assert out["certified_precision"] is None
+    assert depths == [2, 2, 2] and lifts == []
 
 
 def test_k_plus_2_check_is_the_theta_rule(monkeypatch):
-    # a finite source of exponent 1 against N = diag(1 + 3^8, 1 + 3^12): θ
-    # has valuations 8 and 12.  The source's orders cap every valuation at
-    # its exponent, where a vanishing divisor counts the same, so one form
-    # at K+2 answers at K = 6 what it answers at K = 16
+    # a finite source of exponent 1 against N = diag(1 + 3^8, 1 + 3^12), a
+    # θ with valuations 8 and 12 that the lift route read at K+2 with no
+    # count: the complex into N/3 reads no θ and does not depend on K, so
+    # K = 6 and K = 16 take the same three forms and give the same answer
     depths = []
 
     def counting(mat, p, K):
@@ -683,9 +797,23 @@ def test_k_plus_2_check_is_the_theta_rule(monkeypatch):
                 Crystal(ring, [[1 + 3 ** 8, 0], [0, 1 + 3 ** 12]]))
 
     monkeypatch.setattr(crystal, "padic_smith", counting)
+    monkeypatch.setattr(crystal, "_theta_int", _no_theta)
     shallow = verify_local_identity(*pair(6))
-    assert shallow["equal"] and shallow["certified_precision"] == 8
-    assert depths == [8]
+    assert shallow["equal"] and shallow["certified_precision"] is None
+    assert depths == [2, 2, 2]
     deep = verify_local_identity(*pair(16))
-    assert deep["equal"] and deep["certified_precision"] == 18
-    assert (shallow["lhs"], shallow["rhs"]) == (deep["lhs"], deep["rhs"])
+    assert deep == shallow and depths == [2, 2, 2] * 2
+    assert koszul_orders(*pair(6)) == koszul_orders(*pair(16)) == (1, 9, 9)
+
+
+def test_koszul_complex_check_is_not_an_assert(monkeypatch):
+    # a complex whose d1·d0 is not zero on N^k is an internal error
+    def broken(m, n):
+        d0, d1 = koszul_complex(m, n)
+        d1[0][0] += 1
+        return d0, d1
+
+    koszul_complex = crystal._koszul_complex
+    monkeypatch.setattr(crystal, "_koszul_complex", broken)
+    with pytest.raises(RuntimeError, match="d1·d0"):
+        ext_koszul_k(Crystal(R31, [[1]], exponents=[2]))
