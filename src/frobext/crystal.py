@@ -268,22 +268,22 @@ def _theta_int(m: Crystal, n: Crystal, ring: WittRing):
     def base(i, j):
         return (i * rm + j) * a
 
-    # one multiplication matrix per F-matrix entry, σ folded into N's
-    mul_m = [[ring.mul_matrix(x) for x in row] for row in m.coords]
-    mul_n = [[mat_mul(ring.mul_matrix(x), s_mat) for x in row]
-             for row in n.coords]
+    # one multiplication matrix per nonzero F-matrix entry, σ folded into
+    # N's; a zero entry adds a zero block and is skipped
+    mul_m = [[(k, ring.mul_matrix(x)) for k, x in enumerate(col) if any(x)]
+             for col in zip(*m.coords)]
+    mul_n = [[(k, mat_mul(ring.mul_matrix(x), s_mat))
+              for k, x in enumerate(row) if any(x)] for row in n.coords]
     for i in range(rn):
         for j in range(rm):
             ro = base(i, j)
-            for k in range(rm):
-                blk = mul_m[k][j]
+            for k, blk in mul_m[j]:
                 co = base(i, k)
                 for r in range(a):
                     orow = out[ro + r]
                     for c in range(a):
                         orow[co + c] += blk[r][c]
-            for k in range(rn):
-                blk = mul_n[i][k]
+            for k, blk in mul_n[i]:
                 co = base(k, j)
                 for r in range(a):
                     orow = out[ro + r]

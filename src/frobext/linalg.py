@@ -7,7 +7,9 @@ rational ones use Fraction.  Smith normal form over Z tracks the unimodular
 transforms on both sides so callers can move between coordinates.  The
 local Smith form (`padic_smith`) reads only the p-valuations of the
 elementary divisors, from the matrix mod p^K: a module over Z_p or W is
-read off it.  The one characteristic polynomial, Berkowitz's, is
+read off it.  It pivots only on units of a block scaled by the power of p
+taken out so far, so no entry's valuation is computed.  The one
+characteristic polynomial, Berkowitz's, is
 division-free, so it serves integer matrices and matrices over a Witt ring
 alike.
 """
@@ -15,6 +17,7 @@ alike.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 Matrix = list  # list[list[int]] or list[list[Fraction]]
@@ -343,48 +346,47 @@ def padic_smith(mat: Matrix, p: int, K: int) -> list[int | None]:
     Returns min(m, n) entries sorted ascending, None meaning the divisor is
     0 mod p^K (valuation at least K, possibly infinite).  Valuations below K
     are exact: they are determined by the matrix mod p^K.
+
+    Every pivot is a unit of a p-scaled block.  The block B stands for
+    p^s·B mod p^K, so it is kept mod p^(K-s).  A unit of B, in the first
+    row whose gcd with p is 1, records the divisor p^s: its row is taken
+    out, and its column is cleared from every other row by one list
+    comprehension.  When B has no unit, g = gcd(p^(K-s), B) is a power of
+    p: if it is p^(K-s), every remaining divisor vanishes mod p^K;
+    otherwise B is divided by g and s grows by v_p(g).  So each rescaling
+    takes one valuation, no entry's valuation is computed, and since s
+    only grows the valuations come out ascending.
     """
     from .exact import int_valuation  # exact imports linalg
 
-    work = [[x % p**K for x in row] for row in mat]
-    ppow = p**K
-    m, n = dims(work)
+    size = min(dims(mat))
+    mod = p ** K
+    block = [[x % mod for x in row] for row in mat]
     vals: list[int | None] = []
-    top = 0
-    while top < min(m, n):
-        best, bi, bj = None, None, None
-        for i in range(top, m):
-            for j in range(top, n):
-                x = work[i][j]
-                if x:
-                    v = int_valuation(x, p)
-                    if best is None or v < best:
-                        best, bi, bj = v, i, j
-                        if v == 0:
-                            break
-            if best == 0:
+    s = 0
+    while len(vals) < size:
+        for i, row in enumerate(block):
+            if gcd(p, *row) == 1:  # the row has a unit
                 break
-        if best is None:
-            vals.extend([None] * (min(m, n) - top))
-            break
-        work[top], work[bi] = work[bi], work[top]
-        for row in work:
-            row[top], row[bj] = row[bj], row[top]
-        pivot = work[top][top]
-        unit_inv = pow(pivot // p**best, -1, ppow)
-        # only the pivot column is cleared: once it is, clearing the pivot
-        # row by column operations would touch that row alone, and no later
-        # step reads it
-        for i in range(top + 1, m):
-            x = work[i][top]
-            if x:
-                f = (x // p**best) * unit_inv % ppow
-                for j in range(top, n):
-                    work[i][j] = (work[i][j] - f * work[top][j]) % ppow
-        vals.append(best)
-        top += 1
-    finite = sorted(v for v in vals if v is not None)
-    return finite + [None] * (len(vals) - len(finite))
+        else:
+            g = gcd(mod, *(gcd(*row) for row in block))
+            if g == mod:
+                vals.extend([None] * (size - len(vals)))
+                break
+            s += int_valuation(g, p)
+            mod //= g
+            block = [[x // g for x in row] for row in block]
+            continue
+        prow = block.pop(i)
+        j = next(j for j, x in enumerate(prow) if x % p)
+        inv = pow(prow.pop(j), -1, mod)
+        prow = [y * inv % mod for y in prow]
+        for k, row in enumerate(block):
+            f = row.pop(j)
+            if f:
+                block[k] = [(x - f * y) % mod for x, y in zip(row, prow)]
+        vals.append(s)
+    return vals
 
 
 def padic_det_valuation(mat: Matrix, p: int, K: int) -> int:

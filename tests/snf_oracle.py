@@ -13,10 +13,16 @@ None of this is used by the package.
   second form, so it takes two.  Both read the basis off the same form of
   the same projection, and against a basis of full column rank each
   relation has one solution, so both give the same basis and relations.
+* `scan_padic_smith`: the local Smith form that pivots on an entry of
+  least valuation, read by `int_valuation` at every scan.
+  `linalg.padic_smith` pivots only on units of a p-scaled block and takes
+  one valuation per rescaling.  Both clear by unimodular operations over
+  Z/p^K, so both give the same valuations.
 """
 
 from __future__ import annotations
 
+from frobext.exact import int_valuation
 from frobext.linalg import (SNF, Matrix, dims, hstack, identity, kernel_basis,
                             lattice_solve, mat_copy, mat_mul,
                             smith_normal_form)
@@ -101,6 +107,52 @@ def full_scan_smith_normal_form(a: Matrix) -> SNF:
             d[i] = [-x for x in d[i]]
             left[i] = [-x for x in left[i]]
     return SNF(d, left, right)
+
+
+def scan_padic_smith(mat: Matrix, p: int, K: int) -> list[int | None]:
+    """Elementary divisor p-valuations of an integer matrix read mod p^K,
+    min(m, n) of them ascending, None for a divisor that vanishes mod p^K;
+    each pivot is the first entry of least valuation, which every scan
+    reads again."""
+    work = [[x % p**K for x in row] for row in mat]
+    ppow = p**K
+    m, n = dims(work)
+    vals: list[int | None] = []
+    top = 0
+    while top < min(m, n):
+        best, bi, bj = None, None, None
+        for i in range(top, m):
+            for j in range(top, n):
+                x = work[i][j]
+                if x:
+                    v = int_valuation(x, p)
+                    if best is None or v < best:
+                        best, bi, bj = v, i, j
+                        if v == 0:
+                            break
+            if best == 0:
+                break
+        if best is None:
+            vals.extend([None] * (min(m, n) - top))
+            break
+        work[top], work[bi] = work[bi], work[top]
+        for row in work:
+            row[top], row[bj] = row[bj], row[top]
+        pivot = work[top][top]
+        unit_inv = pow(pivot // p**best, -1, ppow)
+        # only the pivot column is cleared: once it is, clearing the pivot
+        # row by column operations would touch that row alone, and no later
+        # step reads it
+        for i in range(top + 1, m):
+            x = work[i][top]
+            if x:
+                f = (x // p**best) * unit_inv % ppow
+                for j in range(top, n):
+                    work[i][j] = (work[i][j] - f * work[top][j]) % ppow
+        vals.append(best)
+        top += 1
+    finite = sorted(v for v in vals if v is not None)
+    return finite + [None] * (len(vals) - len(finite))
 
 
 def column_lattice_basis(a: Matrix) -> Matrix:

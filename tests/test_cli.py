@@ -707,6 +707,40 @@ def test_replay_reads_deep_torsion(tmp_path, capsys):
         " p^%d)\n" % cli.PRECISION_CEILING
 
 
+def test_deep_finite_source_takes_one_valuation_per_rescaling(
+        tmp_path, capsys, monkeypatch):
+    # the largest finite source in the caps (a = 1, four generators at
+    # exponent 320, F = 1) against t^12 - 1 at p = 65537: each local Smith
+    # form takes one valuation per rescaling of its block, at most min(m, n),
+    # where a form that reads every entry's valuation takes thousands
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    case = {"case": "finite-source", "p": 65537, "degree": 1,
+            "m": {"coords": eye, "exponents": [320] * 4},
+            "n": {"special_poly": [-1] + [0] * 11 + [1]}}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    calls, forms = [0], []
+    int_valuation, padic_smith = exact.int_valuation, crystal.padic_smith
+
+    def counted(x, p):
+        calls[0] += 1
+        return int_valuation(x, p)
+
+    def smith(mat, p, K):
+        before = calls[0]
+        vals = padic_smith(mat, p, K)
+        forms.append((calls[0] - before, len(vals)))
+        return vals
+
+    monkeypatch.setattr(exact, "int_valuation", counted)  # linalg's import
+    monkeypatch.setattr(crystal, "padic_smith", smith)
+    code, out = run(capsys, ["verify-local", "--replay", str(path), "--json"])
+    out = json.loads(out)
+    assert code == 0 and out["case"] == "finite-source" and out["equal"]
+    assert len(forms) == 3
+    assert all(used <= size for used, size in forms), forms
+
+
 _MODULE = {"l": 3, "q": 5, "free_frob": [[2]], "torsion": [],
            "torsion_frob": None}
 _CRYSTAL = {"coords": [[1]], "exponents": None, "special_poly": None}

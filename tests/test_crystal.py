@@ -629,15 +629,26 @@ def _unitriangular(ring: WittRing, r: int) -> Crystal:
                            for j in range(r)] for i in range(r)])
 
 
+# general Witt coordinates, zero and nonzero entries mixed, det F nonzero
+_GENERAL_32 = ([[[2, -1], 0, [0, 4]], [0, [1, 1], 0], [[5, 0], 0, [-3, 2]]],
+               [[[0, 1], [7, 0]], [0, [1, -2]]])
+_GENERAL_23 = ([[[1, 0, 1], 0], [[0, 2, -1], [0, 0, 3]]],
+               [[0, [1, 1, 0], 0], [[2, 0, 1], 0, 0], [0, 0, [0, 0, 1]]])
+
+
 @pytest.mark.parametrize("ring, rm, rn", [
-    (R31, 2, 3), (R32, 3, 2), (R32, 3, 1), (WittRing(2, 3), 2, 2)])
+    (R31, 2, 3), (R32, 3, 2), (R32, 3, 1), (WittRing(2, 3), 2, 2),
+    (R32, *_GENERAL_32), (WittRing(2, 3), *_GENERAL_23)])
 def test_theta_is_the_presentation_map(monkeypatch, ring, rm, rn):
     # θ applied to the coordinates of a W-linear map u: M -> N gives those
     # of u·F_M - F_N·sigma(u), on F-matrices that are not symmetric, and it
-    # multiplies by each entry of F_M and F_N once, not once per row and
-    # column it touches: r_M² + r_N² multiplication matrices
+    # multiplies by each nonzero entry of F_M and F_N once, not once per
+    # row and column it touches, and not at all by a zero entry.  `rm` and
+    # `rn` are a rank (a unitriangular F) or an F-matrix.
+    m, n = (_unitriangular(ring, r) if isinstance(r, int) else Crystal(ring, r)
+            for r in (rm, rn))
+    rm, rn = m.dim, n.dim
     rng = random.Random(rm * 10 + rn)
-    m, n = _unitriangular(ring, rm), _unitriangular(ring, rn)
     fm, fn = ([[ring.elem(c) for c in row] for row in x.coords] for x in (m, n))
     u = [[ring.elem([rng.randrange(-9, 10) for _ in range(ring.a)])
           for _ in range(rm)] for _ in range(rn)]
@@ -650,7 +661,8 @@ def test_theta_is_the_presentation_map(monkeypatch, ring, rm, rn):
     monkeypatch.setattr(WittRing, "mul_matrix",
                         lambda r, w: calls.append(w) or mul_matrix(r, w))
     theta = _theta_int(m, n, ring)
-    assert len(calls) == rm ** 2 + rn ** 2
+    assert len(calls) == sum(any(c) for x in (m, n)
+                             for row in x.coords for c in row)
     vec = [c for row in u for x in row for c in x.c]
     got = [sum(t * v for t, v in zip(row, vec)) for row in theta]
     assert [x % ring.pK for x in got] == [c for row in want for x in row for c in x.c]

@@ -405,6 +405,45 @@ def test_padic_smith_is_the_deeper_form_truncated(p, K, rows, cols, data):
     assert vals == _truncate(finite + [None] * exps.count(None), K)
 
 
+@st.composite
+def _local_smith_inputs(draw):
+    """(p, K, matrix): shapes 0..7 a side, with zero entries, entries near
+    ±p^K, signed multiples of powers of p and general signed integers; the
+    whole matrix is scaled by 0 (a zero block) or by p or p² (no unit)."""
+    p = draw(st.sampled_from([2, 3, 5, 101, 65537]))
+    K = draw(st.integers(0, 12))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    pk = p ** K
+    entry = st.one_of(
+        st.just(0),
+        st.builds(lambda s, d: s * pk + d, st.sampled_from([1, -1]),
+                  st.integers(-3, 3)),
+        st.builds(lambda e, u: p ** e * u, st.integers(0, K + 2),
+                  st.integers(-p - 1, p + 1)),
+        st.integers(-10 ** 6, 10 ** 6))
+    mat = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    scale = draw(st.sampled_from([1, 1, 0, p, p * p]))
+    return p, K, [[x * scale for x in row] for row in mat]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_local_smith_inputs())
+@example((3, 4, [[], [], []]))           # 3×0
+@example((5, 6, []))                     # 0×n
+@example((2, 0, [[1, 2], [3, 4]]))       # K = 0: all vanish
+@example((101, 3, [[101 ** 3 - 1, 101 ** 3 + 101], [-101 ** 3, 101 ** 2]]))
+def test_padic_smith_is_the_scan_form(case):
+    # unit pivots on a p-scaled block against the scan that reads every
+    # entry's valuation at every pivot; the input is left as it was
+    from snf_oracle import scan_padic_smith
+    p, K, mat = case
+    before = [row[:] for row in mat]
+    vals = padic_smith(mat, p, K)
+    assert mat == before
+    assert vals == scan_padic_smith(mat, p, K)
+    assert len(vals) == min(dims(mat))
+
+
 @settings(max_examples=100)
 @given(int_matrices(n_max=4, lo=-5, hi=5))
 def test_minimal_polynomial_is_integer(a):
