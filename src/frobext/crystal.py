@@ -38,7 +38,7 @@ from .linalg import (
     mat_mul,
     mat_sub,
     padic_smith,
-    zeros,
+    sparse_rows,
 )
 from .witt import WittRing
 from .zgamma import (
@@ -258,61 +258,68 @@ def _require_pair(m: Crystal, n: Crystal):
 
 def _theta_int(m: Crystal, n: Crystal, ring: WittRing):
     """Integer matrix of u -> u·F_M - F_N·sigma(u) on W-linear maps M -> N,
-    in the (N-index, M-index, Witt coordinate) basis; size a·r(M)·r(N).
-    From the exact coordinates and σ of `ring`: θ over `ring` mod its p^K."""
+    in the (N-index, M-index, Witt coordinate) basis; size a·r(M)·r(N), as
+    sparse rows ({column: entry} of the nonzero entries, `padic_smith`'s
+    form).  From the exact coordinates and σ of `ring`: θ over `ring` mod
+    its p^K."""
     a, rm, rn = ring.a, m.dim, n.dim
     s_mat = ring.sigma_matrix
-    size = a * rm * rn
-    out = zeros(size, size)
-
-    def base(i, j):
-        return (i * rm + j) * a
-
     # one multiplication matrix per nonzero F-matrix entry, σ folded into
-    # N's; a zero entry adds a zero block and is skipped
-    mul_m = [[(k, ring.mul_matrix(x)) for k, x in enumerate(col) if any(x)]
+    # N's and the sign of its term taken; a zero entry adds no block
+    mul_m = [{k: ring.mul_matrix(x) for k, x in enumerate(col) if any(x)}
              for col in zip(*m.coords)]
-    mul_n = [[(k, mat_mul(ring.mul_matrix(x), s_mat))
-              for k, x in enumerate(row) if any(x)] for row in n.coords]
+    mul_n = [{k: mat_mul(ring.mul_matrix([-c for c in x]), s_mat)
+              for k, x in enumerate(row) if any(x)} for row in n.coords]
+    out = []
     for i in range(rn):
         for j in range(rm):
-            ro = base(i, j)
-            for k, blk in mul_m[j]:
-                co = base(i, k)
-                for r in range(a):
-                    orow = out[ro + r]
-                    for c in range(a):
-                        orow[co + c] += blk[r][c]
-            for k, blk in mul_n[i]:
-                co = base(k, j)
-                for r in range(a):
-                    orow = out[ro + r]
-                    for c in range(a):
-                        orow[co + c] -= blk[r][c]
+            # u_ik·F_M[k][j] lands in column block (i, k) and
+            # F_N[i][k]·σ(u_kj) in (k, j): the two meet at (i, j) alone
+            fm, fn = mul_m[j], mul_n[i]
+            blocks = [((i * rm + k) * a, blk)
+                      for k, blk in fm.items() if k != j]
+            blocks += [((k * rm + j) * a, blk)
+                       for k, blk in fn.items() if k != i]
+            if j in fm and i in fn:
+                blocks.append(((i * rm + j) * a, [
+                    [x + y for x, y in zip(r1, r2)]
+                    for r1, r2 in zip(fm[j], fn[i])]))
+            elif j in fm or i in fn:
+                blocks.append(((i * rm + j) * a, fm.get(j) or fn[i]))
+            for r in range(a):
+                out.append({co + c: x for co, blk in blocks
+                            for c, x in enumerate(blk[r]) if x})
     return out
 
 
-def _finite_cokernel(mat, exps: list[int], p: int) -> FinGenAbGroup:
-    """The cokernel of mat into ⊕ Z/p^e, killed by p^max(e): exact from
-    [mat | diag(p^e)] read mod p^(max(e)+1)."""
-    rows = [row + [p ** e if i == j else 0 for j in range(len(exps))]
-            for i, (row, e) in enumerate(zip(mat, exps))]
-    vals = padic_smith(rows, p, max(exps, default=0) + 1)
+def _finite_cokernel(rows, ncols: int, exps: list[int],
+                     p: int) -> FinGenAbGroup:
+    """The cokernel of a map into ⊕ Z/p^e (sparse rows, `ncols` columns),
+    killed by p^max(e): exact from [mat | diag(p^e)] read mod
+    p^(max(e)+1)."""
+    rows = [{**row, ncols + i: p ** e}
+            for i, (row, e) in enumerate(zip(rows, exps))]
+    vals = padic_smith(rows, ncols + len(exps), p, max(exps, default=0) + 1)
     return FinGenAbGroup(0, tuple(p ** v for v in vals if v))
 
 
-def _finite_kernel(mat, src_exps: list[int], tgt_exps: list[int],
+def _finite_kernel(rows, src_exps: list[int], tgt_exps: list[int],
                    p: int) -> FinGenAbGroup:
-    """The kernel of mat from ⊕ Z/p^f to ⊕ Z/p^g, by Pontryagin duality: the
-    cokernel of the dual map A'_ji = A_ij·p^(f_j - g_i), integral when mat
-    is a map of these groups (RuntimeError otherwise)."""
+    """The kernel of a map (sparse rows) from ⊕ Z/p^f to ⊕ Z/p^g, by
+    Pontryagin duality: the cokernel of the dual map A'_ji =
+    A_ij·p^(f_j - g_i), integral when the map is one of these groups
+    (RuntimeError otherwise)."""
     src = [p ** f for f in src_exps]
-    tgt = [p ** g for g in tgt_exps]
-    if not respects_moduli(mat, src, tgt):
-        raise RuntimeError("the map does not respect the torsion filtration")
-    dual = [[row[j] * s // t for row, t in zip(mat, tgt)]
-            for j, s in enumerate(src)]
-    return _finite_cokernel(dual, src_exps, p)
+    dual: list[dict[int, int]] = [{} for _ in src]
+    for i, (row, g) in enumerate(zip(rows, tgt_exps)):
+        t = p ** g
+        for j, x in row.items():
+            y, r = divmod(x * src[j], t)
+            if r:
+                raise RuntimeError("the map does not respect the torsion"
+                                   " filtration")
+            dual[j][i] = y
+    return _finite_cokernel(dual, len(tgt_exps), src_exps, p)
 
 
 def _finite_target_report(m: Crystal, n: Crystal) -> ExtReportP:
@@ -324,7 +331,8 @@ def _finite_target_report(m: Crystal, n: Crystal) -> ExtReportP:
     theta = _theta_int(m, n, ring)
     exps = [e for e in n.exponents for _ in range(m.dim * ring.a)]
     return ExtReportP(p, _finite_kernel(theta, exps, exps, p),
-                      _finite_cokernel(theta, exps, p), FinGenAbGroup(0), None)
+                      _finite_cokernel(theta, len(exps), exps, p),
+                      FinGenAbGroup(0), None)
 
 
 def _special_rank_and_bound(m: Crystal, n: Crystal) -> tuple[int, int]:
@@ -343,7 +351,8 @@ def _theta_report(m: Crystal, n: Crystal, k: int,
     p^k, a vanishing divisor read as rank; with `rank`, k exceeds every
     torsion valuation and the count must equal it."""
     ring = m.ring.at_precision(k)
-    vals = padic_smith(_theta_int(m, n, ring), ring.p, k)
+    theta = _theta_int(m, n, ring)
+    vals = padic_smith(theta, len(theta), ring.p, k)
     zero = vals.count(None)
     if rank is not None and zero != rank:
         raise RuntimeError("θ has %d vanishing divisors mod p^%d where the"
@@ -442,8 +451,9 @@ def koszul_orders(m: Crystal, n: Crystal) -> tuple[int, int, int]:
     exps = [e for e in n.exponents for _ in range(m.ring.a)] * m.dim
     if any(x % p ** e for row, e in zip(mat_mul(d1, d0), exps) for x in row):
         raise RuntimeError("d1·d0 does not vanish on N^k")
+    d0, d1 = sparse_rows(d0), sparse_rows(d1)
     e0 = _finite_kernel(d0, exps, exps + exps, p).order
-    e2 = _finite_cokernel(d1, exps, p).order
+    e2 = _finite_cokernel(d1, 2 * len(exps), exps, p).order
     ker_d1 = _finite_kernel(d1, exps + exps, exps, p).order
     c0 = p ** sum(exps)
     if ker_d1 != c0 * e2:

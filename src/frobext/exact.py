@@ -279,7 +279,10 @@ def prime_factors(n: int) -> list[int]:
 
 
 def _not_a_prime_power(q: int) -> ValueError:
-    # q is named by its bit length, never by its digits, which may be many
+    # q >= 2 is named by its bit length, never by its digits, which may be
+    # many; a q below 2 is named itself (-5 is no "3-bit number")
+    if q < 2:
+        return ValueError("not a prime power: %d" % q)
     return ValueError("not a prime power: a %d-bit number" % q.bit_length())
 
 

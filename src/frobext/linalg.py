@@ -7,11 +7,13 @@ rational ones use Fraction.  Smith normal form over Z tracks the unimodular
 transforms on both sides so callers can move between coordinates.  The
 local Smith form (`padic_smith`) reads only the p-valuations of the
 elementary divisors, from the matrix mod p^K: a module over Z_p or W is
-read off it.  It pivots only on units of a block scaled by the power of p
-taken out so far, so no entry's valuation is computed.  The one
-characteristic polynomial, Berkowitz's, is
-division-free, so it serves integer matrices and matrices over a Witt ring
-alike.
+read off it.  It takes the matrix as sparse rows, {column: entry} of the
+nonzero entries, and eliminates on those alone: θ of a companion F, the
+map it reads most, is mostly zeros.  It pivots only on units of a block
+scaled by the power of p taken out so far, so no entry's valuation is
+computed.  The one characteristic polynomial,
+Berkowitz's, is division-free, so it serves integer matrices and matrices
+over a Witt ring alike.
 """
 
 from __future__ import annotations
@@ -340,9 +342,18 @@ def smith_normal_form(a: Matrix) -> SNF:
     return SNF(d, left, right)
 
 
-def padic_smith(mat: Matrix, p: int, K: int) -> list[int | None]:
+def sparse_rows(mat: Matrix) -> list[dict[int, int]]:
+    """The rows of a dense matrix as {column: entry} of their nonzero
+    entries, the input form of `padic_smith`."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def padic_smith(rows: list[dict[int, int]], ncols: int, p: int,
+                K: int) -> list[int | None]:
     """Elementary divisor p-valuations of an integer matrix read mod p^K.
 
+    The matrix is given by its rows, each {column: entry} of its nonzero
+    entries, and its column count (`sparse_rows` converts a dense one).
     Returns min(m, n) entries sorted ascending, None meaning the divisor is
     0 mod p^K (valuation at least K, possibly infinite).  Valuations below K
     are exact: they are determined by the matrix mod p^K.
@@ -350,41 +361,46 @@ def padic_smith(mat: Matrix, p: int, K: int) -> list[int | None]:
     Every pivot is a unit of a p-scaled block.  The block B stands for
     p^s·B mod p^K, so it is kept mod p^(K-s).  A unit of B, in the first
     row whose gcd with p is 1, records the divisor p^s: its row is taken
-    out, and its column is cleared from every other row by one list
-    comprehension.  When B has no unit, g = gcd(p^(K-s), B) is a power of
-    p: if it is p^(K-s), every remaining divisor vanishes mod p^K;
-    otherwise B is divided by g and s grows by v_p(g).  So each rescaling
-    takes one valuation, no entry's valuation is computed, and since s
-    only grows the valuations come out ascending.
+    out, its column is popped from every other row, and a row with an
+    entry there is updated at the pivot row's nonzero columns only, so a
+    zero entry costs nothing.  When B has no unit, g = gcd(p^(K-s), B)
+    is a power of p: if it is p^(K-s), every remaining divisor vanishes mod
+    p^K; otherwise B is divided by g and s grows by v_p(g).  So each
+    rescaling takes one valuation, no entry's valuation is computed, and
+    since s only grows the valuations come out ascending.  The input is
+    not modified.
     """
-    from .exact import int_valuation  # exact imports linalg
-
-    size = min(dims(mat))
+    size = min(len(rows), ncols)
     mod = p ** K
-    block = [[x % mod for x in row] for row in mat]
+    block = [{j: y for j, x in row.items() if (y := x % mod)} for row in rows]
     vals: list[int | None] = []
     s = 0
     while len(vals) < size:
         for i, row in enumerate(block):
-            if gcd(p, *row) == 1:  # the row has a unit
+            if gcd(p, *row.values()) == 1:  # the row has a unit
                 break
         else:
-            g = gcd(mod, *(gcd(*row) for row in block))
+            g = gcd(mod, *(gcd(*row.values()) for row in block))
             if g == mod:
                 vals.extend([None] * (size - len(vals)))
                 break
+            from .exact import int_valuation  # exact imports linalg
             s += int_valuation(g, p)
             mod //= g
-            block = [[x // g for x in row] for row in block]
+            block = [{j: x // g for j, x in row.items()}
+                     for row in block if row]
             continue
         prow = block.pop(i)
-        j = next(j for j, x in enumerate(prow) if x % p)
+        for j, x in prow.items():
+            if x % p:
+                break
         inv = pow(prow.pop(j), -1, mod)
-        prow = [y * inv % mod for y in prow]
-        for k, row in enumerate(block):
-            f = row.pop(j)
+        piv = [(c, y * inv % mod) for c, y in prow.items()]
+        for row in block:
+            f = row.pop(j, 0)
             if f:
-                block[k] = [(x - f * y) % mod for x, y in zip(row, prow)]
+                get = row.get
+                row.update({c: (get(c, 0) - f * y) % mod for c, y in piv})
         vals.append(s)
     return vals
 
@@ -397,7 +413,7 @@ def padic_det_valuation(mat: Matrix, p: int, K: int) -> int:
     """
     from .exact import PrecisionError  # exact imports linalg
 
-    vals = padic_smith(mat, p, K)
+    vals = padic_smith(sparse_rows(mat), len(mat), p, K)
     if any(v is None for v in vals):
         raise PrecisionError("determinant valuation not determined mod p^%d" % K,
                              required=2 * K)

@@ -227,7 +227,9 @@ def product(v: VarietyDescriptor, w: VarietyDescriptor,
 # distinct curve factors of one spec are point-counted over at most
 # MAX_CURVE_PRIME values of x in all, and every piece's motive pair over
 # F_(p^a) has a p-adic system of dimension at least a^3.  At the caps a
-# query takes up to about 2 s (CHANGES.md has the timings).
+# query took up to about 1.7 s as a whole process (Python 3.11, 2-CPU
+# shared VM): a curve over p = 999983 about 1.7 s, P^64 over F_1024 about
+# 1.6 s to its refusal at the rho cap, P^8 over F_1024 about 0.6 s.
 MAX_DIMENSION = 64
 MAX_BETTI = 2048
 MAX_WEIL_BITS = 10 ** 8

@@ -290,6 +290,18 @@ def test_huge_numbers_are_refused_at_once(argv, says):
     assert "cap of %d rho steps" % exact.RHO_STEPS in out.stderr
 
 
+@pytest.mark.parametrize("q", [0, 1, -5])
+def test_q_below_two_is_named_itself(capsys, q):
+    # a q below 2 is no prime power, named by its value: its bit length
+    # would call -5 a 3-bit number
+    for argv in (["ext", _with(q=q), _L5],
+                 ["zeta", json.dumps({"kind": "projective_space", "q": q,
+                                      "dimension": 1, "r": 1})]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            "input error: not a prime power: %d\n" % q
+
+
 def test_large_q_is_no_prime_power():
     # q = 10^2000 + 1, 6644 bits: a short root's powers are bracketed on
     # small numbers before any is taken in full, so the root search and one
@@ -726,9 +738,9 @@ def test_deep_finite_source_takes_one_valuation_per_rescaling(
         calls[0] += 1
         return int_valuation(x, p)
 
-    def smith(mat, p, K):
+    def smith(rows, ncols, p, K):
         before = calls[0]
-        vals = padic_smith(mat, p, K)
+        vals = padic_smith(rows, ncols, p, K)
         forms.append((calls[0] - before, len(vals)))
         return vals
 

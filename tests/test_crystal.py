@@ -12,7 +12,8 @@ from frobext.exact import (
     PrecisionError, abs_at, poly_deriv, poly_mul, resultant, valuation)
 from frobext.linalg import (
     block_diag, companion, identity, kron, mat_mul, mat_sub,
-    padic_det_valuation, padic_smith, smith_normal_form, transpose)
+    padic_det_valuation, padic_smith, smith_normal_form, sparse_rows,
+    transpose)
 from frobext.witt import WittRing
 from frobext.zgamma import FinGenAbGroup, HypothesisError
 from lift_oracle import lift_orders
@@ -391,7 +392,8 @@ def test_coprime_oracles(seed, pa):
     res = resultant(m.special_poly, n.special_poly)
     assert out["rhs"] == abs_at(p, res) ** (a * a)
     lam = _wmat_poly_eval(ring, m.special_poly, n.frobenius_power())
-    vals = padic_smith(_linear_int_matrix(ring, lam), p, ring.K)
+    mat = _linear_int_matrix(ring, lam)
+    vals = padic_smith(sparse_rows(mat), len(mat), p, ring.K)
     assert all(v is not None for v in vals)
     assert out["lhs"] == Fraction(1, p ** sum(vals))
 
@@ -537,6 +539,30 @@ def test_p_local_golden_reports():
             assert got == row["presentation"], row
 
 
+def test_theta_stores_its_nonzero_entries_only():
+    # (1, L) over F_1024 has a θ at the p-adic cap, of size
+    # a·r(M)·r(N) = 1000.  Each F is a companion matrix with one nonzero
+    # entry per row and per column, so each of θ's 100 block rows takes a
+    # times one block of u·F_M (a diagonal block) and one of F_N·σ(u) (an
+    # integer times σ's matrix, 91 nonzero entries at a = 10): 10100
+    # entries, where the dense matrix has 10^6.  No size² matrix is made on
+    # the way either: a 1000×1000 list of zeros alone takes 8 MB.
+    import tracemalloc
+    ring = WittRing(2, 10)
+    m, n = special_module(ring, [-1, 1]), special_module(ring, [-1024, 1])
+    sigma_entries = sum(1 for row in ring.sigma_matrix for x in row if x)
+    assert sigma_entries == 91
+    tracemalloc.start()
+    try:
+        theta = _theta_int(m, n, ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(theta) == 1000
+    assert sum(map(len, theta)) == 100 * (10 + sigma_entries) == 10100
+    assert peak < 4 * 2 ** 20, peak
+
+
 @pytest.mark.parametrize("a", [1, 2, 3])
 def test_theta_on_a_deeper_ring_reduces_to_theta(a):
     # sigma is the unique Hensel root, so θ read on the K+4 ring is θ on
@@ -553,16 +579,18 @@ def test_theta_on_a_deeper_ring_reduces_to_theta(a):
     for m, n in pairs:
         shallow = _theta_int(m, n, ring)
         lifted = _theta_int(m, n, deep)
-        assert [[x % ring.pK for x in row] for row in lifted] == \
-            [[x % ring.pK for x in row] for row in shallow]
+        assert [{c: x % ring.pK for c, x in row.items() if x % ring.pK}
+                for row in lifted] == \
+            [{c: x % ring.pK for c, x in row.items() if x % ring.pK}
+             for row in shallow]
 
 
 def test_one_smith_form_per_pair(monkeypatch):
     depths = []
 
-    def counting(mat, p, K):
+    def counting(rows, ncols, p, K):
         depths.append(K)
-        return padic_smith(mat, p, K)
+        return padic_smith(rows, ncols, p, K)
 
     m, n = special_module(R31, [-1, 1]), special_module(R31, [-4, 1])
     monkeypatch.setattr(crystal, "padic_smith", counting)
@@ -640,22 +668,17 @@ _GENERAL_23 = ([[[1, 0, 1], 0], [[0, 2, -1], [0, 0, 3]]],
     (R31, 2, 3), (R32, 3, 2), (R32, 3, 1), (WittRing(2, 3), 2, 2),
     (R32, *_GENERAL_32), (WittRing(2, 3), *_GENERAL_23)])
 def test_theta_is_the_presentation_map(monkeypatch, ring, rm, rn):
-    # θ applied to the coordinates of a W-linear map u: M -> N gives those
-    # of u·F_M - F_N·sigma(u), on F-matrices that are not symmetric, and it
+    # every entry of θ against the presentation map u -> u·F_M -
+    # F_N·sigma(u), applied to each coordinate vector u (one Witt
+    # coordinate of one entry of a W-linear map M -> N), on F-matrices that
+    # are not symmetric; θ stores its nonzero entries only, and it
     # multiplies by each nonzero entry of F_M and F_N once, not once per
     # row and column it touches, and not at all by a zero entry.  `rm` and
     # `rn` are a rank (a unitriangular F) or an F-matrix.
     m, n = (_unitriangular(ring, r) if isinstance(r, int) else Crystal(ring, r)
             for r in (rm, rn))
-    rm, rn = m.dim, n.dim
-    rng = random.Random(rm * 10 + rn)
+    rm, rn, a = m.dim, n.dim, ring.a
     fm, fn = ([[ring.elem(c) for c in row] for row in x.coords] for x in (m, n))
-    u = [[ring.elem([rng.randrange(-9, 10) for _ in range(ring.a)])
-          for _ in range(rm)] for _ in range(rn)]
-    want = [[sum((u[i][k] * fm[k][j] for k in range(rm)), ring.zero())
-             - sum((fn[i][k] * ring.sigma(u[k][j]) for k in range(rn)),
-                   ring.zero())
-             for j in range(rm)] for i in range(rn)]
     calls = []
     mul_matrix = WittRing.mul_matrix
     monkeypatch.setattr(WittRing, "mul_matrix",
@@ -663,9 +686,23 @@ def test_theta_is_the_presentation_map(monkeypatch, ring, rm, rn):
     theta = _theta_int(m, n, ring)
     assert len(calls) == sum(any(c) for x in (m, n)
                              for row in x.coords for c in row)
-    vec = [c for row in u for x in row for c in x.c]
-    got = [sum(t * v for t, v in zip(row, vec)) for row in theta]
-    assert [x % ring.pK for x in got] == [c for row in want for x in row for c in x.c]
+    size = a * rm * rn
+    assert len(theta) == size
+    assert all(0 <= c < size and x for row in theta for c, x in row.items())
+    for col in range(size):
+        flat = [int(k == col) for k in range(size)]
+        u = [[ring.elem(flat[(i * rm + j) * a:(i * rm + j + 1) * a])
+              for j in range(rm)] for i in range(rn)]
+        want = [sum((u[i][k] * fm[k][j] for k in range(rm)), ring.zero())
+                - sum((fn[i][k] * ring.sigma(u[k][j]) for k in range(rn)),
+                      ring.zero())
+                for i in range(rn) for j in range(rm)]
+        got = [row.get(col, 0) % ring.pK for row in theta]
+        assert got == [c for x in want for c in x.c], col
+
+
+def _dense(rows, ncols):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
 
 
 @settings(max_examples=60, deadline=None)
@@ -683,7 +720,8 @@ def test_finite_target_vs_the_integer_route(seed, pa):
     n = random_finite_crystal(rng, ring, max_gens=2, max_exp=3)
     pres = moduli_presentation([p ** e for e in n.exponents
                                 for _ in range(m.dim * a)])
-    hom = GroupHom(pres, pres, _theta_int(m, n, ring))
+    theta = _theta_int(m, n, ring)
+    hom = GroupHom(pres, pres, _dense(theta, len(theta)))
     rep = ext_presentation(m, n)
     assert (rep.ext0, rep.ext1) == (hom.kernel_group(), hom.cokernel_group())
 
@@ -774,9 +812,9 @@ def test_finite_source_shares_one_smith_form(monkeypatch):
     depths, lifts = [], []
     check_free = Crystal._check_free
 
-    def counting(mat, p, K):
+    def counting(rows, ncols, p, K):
         depths.append(K)
-        return padic_smith(mat, p, K)
+        return padic_smith(rows, ncols, p, K)
 
     def checked(self):
         if self.coords == m.coords:
@@ -799,9 +837,9 @@ def test_k_plus_2_check_is_the_theta_rule(monkeypatch):
     # K = 6 and K = 16 take the same three forms and give the same answer
     depths = []
 
-    def counting(mat, p, K):
+    def counting(rows, ncols, p, K):
         depths.append(K)
-        return padic_smith(mat, p, K)
+        return padic_smith(rows, ncols, p, K)
 
     def pair(K):
         ring = WittRing(3, 1, K)

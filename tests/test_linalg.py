@@ -26,6 +26,7 @@ from frobext.linalg import (
     padic_det_valuation,
     padic_smith,
     smith_normal_form,
+    sparse_rows,
     transpose,
     zeros,
 )
@@ -344,11 +345,19 @@ def test_hstack_keeps_zero_dimensions():
         hstack([], [[1]])
 
 
+def _smith(mat, p, K):
+    """`padic_smith` of a dense matrix."""
+    return padic_smith(sparse_rows(mat), dims(mat)[1], p, K)
+
+
 def test_padic_smith_examples():
-    assert padic_smith([[2, 4], [4, 2]], 2, 10) == [1, 1]
-    assert padic_smith([[4, 0], [0, 6]], 2, 10) == [1, 2]
-    assert padic_smith([[8, 0], [0, 256]], 2, 8) == [3, None]
-    assert padic_smith([[0, 0], [0, 0]], 3, 6) == [None, None]
+    assert _smith([[2, 4], [4, 2]], 2, 10) == [1, 1]
+    assert _smith([[4, 0], [0, 6]], 2, 10) == [1, 2]
+    assert _smith([[8, 0], [0, 256]], 2, 8) == [3, None]
+    assert _smith([[0, 0], [0, 0]], 3, 6) == [None, None]
+    # sparse rows as given: a zero row, and a column count past the entries
+    assert padic_smith([{1: 4}, {}, {0: 3, 2: 9}], 4, 3, 5) == [0, 1, None]
+    assert padic_smith([{0: 6}], 3, 2, 4) == [1]
     assert padic_det_valuation([[3, 1], [0, 9]], 3, 8) == 3
     # factor valuations below K certify the sum even when the sum exceeds K
     assert padic_det_valuation([[9, 0], [0, 9]], 3, 3) == 4
@@ -363,7 +372,7 @@ def test_padic_smith_against_exact_smith(entries, p):
     mat = [entries[0:3], entries[3:6], entries[6:9]]
     if bareiss_det(mat) == 0:
         return
-    vals = padic_smith([row[:] for row in mat], p, 40)
+    vals = _smith(mat, p, 40)
     s = smith_normal_form([row[:] for row in mat])
     expect = sorted(int_valuation(abs(s.diagonal[i]), p) for i in range(3))
     assert vals == expect
@@ -397,8 +406,8 @@ def test_padic_smith_is_the_deeper_form_truncated(p, K, rows, cols, data):
               if i == j and exps[i] is not None else 0)
              for j in range(cols)] for i in range(rows)]
     mat = mat_mul(mat_mul(_unimodular(rnd, rows), diag), _unimodular(rnd, cols))
-    vals = padic_smith(mat, p, K)
-    assert vals == _truncate(padic_smith(mat, p, K + 4), K)
+    vals = _smith(mat, p, K)
+    assert vals == _truncate(_smith(mat, p, K + 4), K)
     # the constructed exponents, independent of padic_smith: the multipliers
     # are p-adic units, and a zero divisor has infinite valuation
     finite = sorted(e for e in exps if e is not None)
@@ -437,11 +446,68 @@ def test_padic_smith_is_the_scan_form(case):
     # entry's valuation at every pivot; the input is left as it was
     from snf_oracle import scan_padic_smith
     p, K, mat = case
-    before = [row[:] for row in mat]
-    vals = padic_smith(mat, p, K)
-    assert mat == before
+    rows = sparse_rows(mat)
+    before = [dict(row) for row in rows]
+    vals = padic_smith(rows, dims(mat)[1], p, K)
+    assert rows == before
     assert vals == scan_padic_smith(mat, p, K)
     assert len(vals) == min(dims(mat))
+
+
+@st.composite
+def _sparse_theta_like(draw):
+    """(p, K, rows, ncols): a θ-like matrix of b×b blocks of size a, size
+    n = a·b up to 60: c·I at the block corner and on the block
+    sub-diagonal, where a companion F has its constant coefficient and its
+    ones, and scattered entries in the last block column (the rest of the
+    coefficients), with at most n²/20 nonzero entries (or one), a few rows
+    and columns cleared, and up to two extra zero columns."""
+    p = draw(st.sampled_from([2, 3, 5, 101]))
+    K = draw(st.integers(1, 24))
+    a = draw(st.integers(1, 4))
+    b = draw(st.integers(1, 60 // a))
+    n = a * b
+    budget = max(1, n * n // 20)
+    entry = st.one_of(
+        st.builds(lambda e, u: p ** e * u, st.integers(0, K + 2),
+                  st.sampled_from([1, -1, p - 1, p + 1])),
+        st.builds(lambda s, d: s * p ** K + d, st.sampled_from([1, -1]),
+                  st.integers(-3, 3)),
+        st.integers(-10 ** 6, 10 ** 6))
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    # c·I at the block corner (a companion's constant coefficient), then
+    # on the sub-diagonal
+    for i in range(min(b, budget // a)):
+        c = draw(entry)
+        for r in range(a):
+            rows[i * a + r][((i - 1) % b) * a + r] = c
+    used = sum(map(len, rows))
+    for _ in range(draw(st.integers(0, max(0, budget - used)))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(n - a, n - 1))] = \
+            draw(entry)
+    dead_rows = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    dead_cols = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    rows = [{} if i in dead_rows else
+            {j: x for j, x in row.items() if x and j not in dead_cols}
+            for i, row in enumerate(rows)]
+    return p, K, rows, n + draw(st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_theta_like())
+@example((2, 22, [{1: 1}, {0: 1}, {}, {}], 4))       # two zero rows
+@example((3, 1, [{2: 3}, {0: 9}, {1: 27}], 3))       # no unit mod 3
+def test_sparse_padic_smith_is_the_scan_form(case):
+    # the elimination on nonzero entries against the dense scan form, on
+    # matrices as sparse as θ of a companion F; the input is left as it was
+    from snf_oracle import scan_padic_smith
+    p, K, rows, ncols = case
+    before = [dict(row) for row in rows]
+    vals = padic_smith(rows, ncols, p, K)
+    assert rows == before
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    assert vals == scan_padic_smith(dense, p, K)
+    assert len(vals) == min(len(rows), ncols)
 
 
 @settings(max_examples=100)
