@@ -58,10 +58,6 @@ def transpose(a: Matrix) -> Matrix:
     return [list(r) for r in zip(*a)] if a else []
 
 
-def trace(a: Matrix):
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     ma, na = dims(a)
     mb, nb = dims(b)

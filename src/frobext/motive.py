@@ -3,12 +3,14 @@ standard lattice at every good prime and optional torsion at finitely many
 exceptional primes l != p; at p the charpoly determines the cyclic F-crystal.
 
 Global Hom is the integer commutation lattice of the charpoly companions,
-the kernel of S: H -> H C_X - C_Y H.  One integer Smith form of S per pair
-(`_hom_system`) gives Hom, the swapped Hom (through the unimodular Hankel
-matrices B_f with C_f B_f = B_f C_f^T) and the local data at every l != p
-where both local modules are the companion lattices; the primes where a
-motive carries exceptional torsion take the l-adic machinery of `galois`,
-and p the special modules of `crystal`.  Global Ext orders are assembled
+the kernel of S: H -> H C_X - C_Y H.  Both lattices are cyclic Z[T]-modules,
+so one gcd split D = gcd(P_X, P_Y), A = P_X/D, B = P_Y/D per pair
+(`_hom_system`) gives rho = deg D, the Ext^1 torsion |Res(A, B)|, the trace
+discriminant |Res(D, D' A B)| and z(f_0), hence the local data at every
+l != p where both local modules are the companion lattices; the primes
+where a motive carries exceptional torsion take the l-adic machinery of
+`galois`, and p the special modules of `crystal`.  Global Ext orders are
+assembled
 prime by prime, with every contribution away from the computed support
 certified trivial by the unit valuation of
 
@@ -41,36 +43,32 @@ from .exact import (
     poly_deg,
     poly_deriv,
     poly_gcd_monic,
+    poly_mul,
+    poly_quo_monic,
     prime_factors,
     prime_power,
     ratio_limit,
+    resultant,
 )
 from .galois import GaloisModule, ext_groups_l, hom_module
 # unused here, but the benchmark harness's self-check (perfbench/selfcheck.py,
 # tracing) asserts that this alias is rebound and restored
 from .galois import verify_local_identity as _verify_galois_pair  # noqa: F401
-from .linalg import (
-    bareiss_det,
-    companion,
-    identity,
-    kron,
-    mat_mul,
-    mat_sub,
-    smith_normal_form,
-    trace,
-    transpose,
-)
+from .linalg import companion, transpose
 from .witt import WittRing
 from .zgamma import HypothesisError
 
 # fields whose Witt ring (and its lifts) a process keeps
 _RINGS_KEPT = 16
 
-# input caps.  A pair's integer Hom lattice is d_X·d_Y square and its θ is
-# a³·d_X·d_Y square (a the residue degree, d the rank).  `_assemble` refuses
-# a pair above either cap, and a motive that would exceed one even against
-# a rank-one partner is refused when it is constructed.  At the caps a pair
-# takes a few seconds (CHANGES.md has the timings).
+# input caps.  A pair's integer Hom lattice has Z-rank up to d_X·d_Y and
+# its θ is a³·d_X·d_Y square (a the residue degree, d the rank).  The Hom
+# system is read off resultants of polynomials of degree at most d, so the
+# first cap bounds `hom_motives`' basis, and `verify-local`'s bound and
+# replay ranks on the galois route, more than it bounds `ext`.  `_assemble`
+# refuses a pair above either cap, and a motive that would exceed one even
+# against a rank-one partner is refused when it is constructed.  At the
+# caps a pair takes well under a second (CHANGES.md has the timings).
 MAX_HOM_DIM = 144
 MAX_THETA_DIM = 1024
 # torsion generators of an l-adic module read from JSON, exceptional or
@@ -372,52 +370,42 @@ def _require_comparable(x: Motive, y: Motive):
         raise ValueError("motives over different fields")
 
 
-def _hankel(c: list[int]) -> list:
-    """B_f with (B_f)_ij = f_{i+j+1} (zero past the degree) for monic f: a
-    symmetric matrix with C_f·B_f = B_f·C_fᵀ (C_f = `companion(f)`) and ones
-    on the anti-diagonal, so det B_f = ±1 (Taussky and Zassenhaus, Pacific
-    J. Math. 9, 1959)."""
-    n = len(c) - 1
-    return [[c[i + j + 1] if i + j < n else 0 for j in range(n)]
-            for i in range(n)]
-
-
-def _hankel_inverse(c: list[int]) -> list:
-    """B_f⁻¹ over Z.  B_f·J (J the reversal) is the upper unitriangular
-    Toeplitz matrix of g = 1 + f_{n-1} t + ... + f_1 t^{n-1}, so its
-    inverse is that of the power series s = 1/g mod t^n, and
-    (B_f⁻¹)_ij = s_{i+j+1-n} (zero above the anti-diagonal)."""
-    n = len(c) - 1
-    s = [1] + [0] * (n - 1)
-    for k in range(1, n):
-        s[k] = -sum(c[n - m] * s[k - m] for m in range(1, k + 1))
-    return [[s[i + j + 1 - n] if i + j + 1 >= n else 0 for j in range(n)]
-            for i in range(n)]
+def _gcd_split(x: Motive, y: Motive, rho: int) -> tuple[list, list, list]:
+    """D = gcd(P_X, P_Y), A = P_X/D and B = P_Y/D, monic over Z (Gauss's
+    lemma), with deg D checked to be rho."""
+    d = poly_gcd_monic(x.charpoly, y.charpoly)
+    if poly_deg(d) != rho:
+        raise RuntimeError("the charpolys' gcd has degree %d, not rho = %d;"
+                           " the charpolys are not squarefree?"
+                           % (poly_deg(d), rho))
+    return d, poly_quo_monic(x.charpoly, d), poly_quo_monic(y.charpoly, d)
 
 
 class _HomSystem:
-    """One integer Smith form L·S·R = D of S: H -> H·C_X - C_Y·H on Y-rank
-    by X-rank matrices, and what the pair reads off it.
+    """The pair's integer Hom system, read off the gcd split.
 
-    Hom(X, Y) is the kernel of S: the last rho columns of R.  At every l
-    != p where both local modules are the companion lattices, Hom and Ext^1
-    over Z_l are the l-parts of the kernel and cokernel of S (det C_X =
-    ±p^k is an l-unit), the bar-Ext side vanishes, and the swapped Hom is
-    torsion-free.  So Ext^1 has l-torsion the l-part of prod d_i, and
-    f_0: Hom -> coker S, H -> [H·C_X], has z(f_0) = 1/(|det A| prod d_i),
-    A the free (last rho) rows of L applied to the images.  Hom(Y, X) is
-    H -> B_X·Hᵀ·B_Y⁻¹ of Hom(X, Y) (`_hankel`): a bijection of the integer
-    matrices carrying one commutation equation to the other, so it maps
-    the saturated lattice onto the saturated lattice, with no second
-    solve."""
+    Both lattices are cyclic, M = Z[T]/(P) with T acting as the companion
+    matrix C_P, and H -> H·C_X - C_Y·H is multiplication by U - V on
+    M_X ⊗ M_Y = Z[U, V]/(P_X(U), P_Y(V)).  So Hom(X, Y) = B·Z[T]/(P_Y) ≅
+    Z[T]/(D), with basis T^i·B for i < rho = deg D, and Hom(Y, X) has
+    basis T^j·A.  Ext^1 = Z[T]/(P_X, P_Y) is Z[T]/(D) extended by its
+    torsion Z[T]/(A, B), of order |Res(A, B)|.  The trace pairing's Gram
+    matrix is [Tr_{Z[T]/(D)}(A·B·T^(i+j))], of determinant
+    N(A·B)·disc(D) = ±Res(D, D'·A·B).  f_0: Hom -> Ext^1, H -> [H·C_X], is
+    multiplication by T·D'·A·B on the free quotient Z[T]/(D), so
+    z(f_0) = 1/(|Res(A, B)|·|Res(D, T·D'·A·B)|), and Res(D, T) = ±D(0).
 
-    __slots__ = ("basis", "swap_basis", "torsion", "z0")
+    At every l != p where both local modules are the companion lattices,
+    Hom and Ext^1 over Z_l are the l-parts of these (det C_X = ±p^k is an
+    l-unit), the bar-Ext side vanishes, and the swapped Hom is
+    torsion-free."""
 
-    def __init__(self, basis: list, swap_basis: list, torsion: int, z0: Fraction):
-        self.basis = basis            # Hom(X, Y), Y-rank by X-rank matrices
-        self.swap_basis = swap_basis  # Hom(Y, X), X-rank by Y-rank matrices
-        self.torsion = torsion        # prod d_i, the torsion order of coker S
-        self.z0 = z0                  # z(f_0) over Z
+    __slots__ = ("torsion", "z0", "discriminant")
+
+    def __init__(self, torsion: int, z0: Fraction, discriminant: int):
+        self.torsion = torsion            # |Res(A, B)|, the order of Ext^1_tors
+        self.z0 = z0                      # z(f_0) over Z
+        self.discriminant = discriminant  # |det| of the trace pairing
 
     def l_side(self, l: int, nstar: Fraction) -> dict:
         """The local data at l, checked against the local identity
@@ -435,40 +423,24 @@ class _HomSystem:
 
 
 def _hom_system(x: Motive, y: Motive, rho: int) -> _HomSystem:
-    """The pair's integer Hom system, its kernel checked to have rank rho
-    and z(f_0) checked to be defined."""
-    rx, ry = x.rank, y.rank
-    if not (rx and ry):
-        if rho:
-            raise RuntimeError("a rank-zero motive has no Hom")
-        return _HomSystem([], [], 1, Fraction(1))
-    cx, cy = companion(x.charpoly), companion(y.charpoly)
-    n = rx * ry
-    snf = smith_normal_form(
-        mat_sub(kron(identity(ry), transpose(cx)), kron(cy, identity(rx))))
-    r = snf.rank
-    if n - r != rho:
-        raise RuntimeError("commutant rank disagrees with the eigenvalue"
-                           " pair count; the charpolys are not squarefree?")
-    basis = [[[snf.right[i * rx + j][k] for j in range(rx)]
-              for i in range(ry)] for k in range(r, n)]
-    images = [[e for row in mat_mul(h, cx) for e in row] for h in basis]
-    free = [[sum(a * b for a, b in zip(row, v)) for v in images]
-            for row in snf.left[r:]]
-    det = bareiss_det(free)
-    if det == 0:
-        raise RuntimeError("z(f_0) is undefined although the hypothesis"
-                           " holds")
-    torsion = prod(snf.diagonal[:r])
-    bx, byi = _hankel(x.charpoly), _hankel_inverse(y.charpoly)
-    swap = [mat_mul(mat_mul(bx, transpose(h)), byi) for h in basis]
-    return _HomSystem(basis, swap, torsion, Fraction(1, abs(det) * torsion))
+    """The pair's integer Hom system, its gcd checked to have degree rho
+    and its trace pairing checked to be nondegenerate."""
+    d, a, b = _gcd_split(x, y, rho)
+    torsion = abs(resultant(a, b))
+    # at rho = 0, D = 1 and D' is the zero polynomial, whose resultant is 0
+    disc = abs(resultant(d, poly_mul(poly_deriv(d), poly_mul(a, b)))) \
+        if rho else 1
+    if disc == 0:
+        raise RuntimeError("the trace pairing is degenerate although the"
+                           " charpolys are squarefree")
+    return _HomSystem(torsion, Fraction(1, torsion * abs(d[0]) * disc), disc)
 
 
 def hom_motives(x: Motive, y: Motive) -> tuple[list, int]:
     """Basis of the saturated integer solution lattice of H F_X = F_Y H
     (matrices Y-rank by X-rank) together with its rank rho; rho is checked
-    against the multiplicity of the eigenvalue ratio 1.
+    against the multiplicity of the eigenvalue ratio 1.  The basis is
+    T^i·B for i < rho: column j of its i-th matrix is T^(i+j)·B mod P_Y.
 
     >>> z = unit_motive(5)
     >>> hom_motives(z, z)
@@ -478,18 +450,18 @@ def hom_motives(x: Motive, y: Motive) -> tuple[list, int]:
     """
     _require_comparable(x, y)
     rho, _ = ratio_limit(x.charpoly, y.charpoly)
-    return _hom_system(x, y, rho).basis, rho
-
-
-def _discriminant(system: _HomSystem) -> int:
-    """|det| of the trace pairing Hom(Y,X) x Hom(X,Y) -> Z, (g, f) ->
-    trace(f o g), on the lattice bases; 1 for empty Hom."""
-    gram = [[trace(mat_mul(h, g)) for h in system.basis]
-            for g in system.swap_basis]
-    d = abs(bareiss_det(gram)) if gram else 1
-    if d == 0:
-        raise ValueError("the trace pairing is degenerate")
-    return d
+    _, _, b = _gcd_split(x, y, rho)
+    py, ry = y.charpoly, y.rank
+    basis = []
+    for i in range(rho):
+        g = [0] * i + b + [0] * (ry - i - len(b))  # T^i·B, of degree < d_Y
+        cols = []
+        for _ in range(x.rank):
+            cols.append(g)
+            top = g[-1]  # T·g, reduced by the monic P_Y
+            g = [(g[k - 1] if k else 0) - top * py[k] for k in range(ry)]
+        basis.append(transpose(cols))
+    return basis, rho
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +652,7 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     # rho pairs a_i = b_j, and N* the product of (1 - b_j/a_i) over the rest
     rho, nstar = ratio_limit(x.charpoly, y.charpoly)
     system = _hom_system(x, y, rho)
-    disc = _discriminant(system)
+    disc = system.discriminant
     p = x.p
     chi = x.slope_sum() * y.rank
     leading = _q_power(p, x.a, chi) * abs(nstar)
@@ -696,9 +668,11 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     for l in sorted(support):
         # away from p and the exceptional primes both local modules are the
         # companion lattices of the charpolys: every such l reads the pair's
-        # one integer Hom system, whose Smith form gives both Ext^1 and
-        # z(f_l), so that the route check below holds there by construction
-        # and the local identity z(f_l) = |N*|_l is the check
+        # one gcd split, whose resultants give both Ext^1 and z(f_l), so
+        # that the route check below holds there by construction.  The
+        # check is the local identity z(f_l) = |N*|_l: two exact routes,
+        # resultants of D, A and B against `ratio_limit`'s composed
+        # products, not a cokernel against them
         on_system = l != p and l not in x.exceptional \
             and l not in y.exceptional
         if l == p:

@@ -308,18 +308,20 @@ def test_input_caps():
 
 
 # ---------------------------------------------------------------------------
-# the integer Hom system: one Smith form per pair for every l away from p
-# and the exceptional primes, and the swapped Hom read off the Hankel
-# symmetrizers
+# the integer Hom system: one gcd split and its resultants per pair for
+# every l away from p and the exceptional primes, against the Kronecker
+# Smith form with its Hankel swap (tests/hom_oracle.py)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6))
 def test_hankel_symmetrizer(low):
+    # the oracle's swap of Hom(X, Y) onto Hom(Y, X) rests on these
+    from hom_oracle import hankel, hankel_inverse
+
     from frobext.linalg import bareiss_det, identity, mat_mul, transpose
-    from frobext.motive import _hankel, _hankel_inverse
     f = low + [1]  # monic, of degree 1 to 6
-    c, b, b_inv = companion(f), _hankel(f), _hankel_inverse(f)
+    c, b, b_inv = companion(f), hankel(f), hankel_inverse(f)
     assert b == transpose(b)
     assert mat_mul(c, b) == mat_mul(b, transpose(c))
     assert bareiss_det(b) in (1, -1)
@@ -364,17 +366,18 @@ def motive_pairs(draw):
 @example((elliptic_motive(9, 2), elliptic_motive(9, 2)))   # rho = 2
 def test_one_smith_form_reads_every_l(pair):
     # at every l != p of the support (and a few primes off it) the data read
-    # off the one Smith form equals the galois route's own build at l.  The
-    # support is that of the assembly, whose p-side refuses some pairs that
-    # share only part of their eigenvalues (CHANGES.md)
+    # off the pair's one gcd split (Res(A, B) and z0) equals the galois
+    # route's own build at l.  The support is that of the assembly, whose
+    # p-side refuses some pairs that share only part of their eigenvalues
+    # (CHANGES.md)
     from frobext.exact import prime_factors, ratio_limit
-    from frobext.motive import _discriminant, _hom_system, _l_side
+    from frobext.motive import _hom_system, _l_side
     x, y = pair
     rho, nstar = ratio_limit(x.charpoly, y.charpoly)
     system = _hom_system(x, y, rho)
     support = {2, 3, 5, 7}
     try:
-        for n in (nstar.numerator, nstar.denominator, _discriminant(system)):
+        for n in (nstar.numerator, nstar.denominator, system.discriminant):
             support.update(prime_factors(n))
     except ValueError as exc:
         # a cofactor past the rho cap, which `ext` refuses (exit 2,
@@ -394,26 +397,32 @@ def test_one_smith_form_reads_every_l(pair):
 @given(motive_pairs())
 @example((elliptic_motive(9, 2), elliptic_motive(9, 2)))
 def test_swapped_hom_is_the_saturated_kernel(pair):
-    # B_X·Hᵀ·B_Y⁻¹ over the Hom(X, Y) basis spans exactly the saturated
-    # kernel of the swapped system H' -> H'·C_Y - C_X·H', solved on its own
+    # Hom(Y, X) from the closed form (`hom_motives(y, x)`, basis T^j·A) and
+    # from the oracle's B_X·Hᵀ·B_Y⁻¹ over its Hom(X, Y) basis both span
+    # exactly the saturated kernel of the swapped system
+    # H' -> H'·C_Y - C_X·H', solved on its own
+    from hom_oracle import KroneckerHom
+
     from frobext.exact import ratio_limit
     from frobext.linalg import (identity, kernel_basis, kron, lattice_solve,
                                 mat_mul, mat_sub, transpose)
-    from frobext.motive import _hom_system
     x, y = pair
     rho, _ = ratio_limit(x.charpoly, y.charpoly)
-    swap = _hom_system(x, y, rho).swap_basis
     rx, ry = x.rank, y.rank
     cx, cy = companion(x.charpoly), companion(y.charpoly)
     kernel = kernel_basis(mat_sub(kron(identity(rx), transpose(cy)),
                                   kron(cx, identity(ry))))
-    assert len(swap) == len(kernel[0]) == rho
-    for h in swap:
-        assert mat_mul(h, cy) == mat_mul(cx, h)
-    if rho:
-        cols = [[h[i][j] for h in swap] for i in range(rx) for j in range(ry)]
-        assert lattice_solve(kernel, cols) is not None
-        assert lattice_solve(cols, kernel) is not None
+    assert len(kernel[0]) == rho
+    for swap in (hom_motives(y, x)[0],
+                 KroneckerHom(x.charpoly, y.charpoly).swap_basis):
+        assert len(swap) == rho
+        for h in swap:
+            assert mat_mul(h, cy) == mat_mul(cx, h)
+        if rho:
+            cols = [[h[i][j] for h in swap]
+                    for i in range(rx) for j in range(ry)]
+            assert lattice_solve(kernel, cols) is not None
+            assert lattice_solve(cols, kernel) is not None
 
 
 @st.composite
@@ -443,10 +452,12 @@ def special_pairs(draw):
 @example(("equal", elliptic_motive(9, 2), elliptic_motive(9, 2)))
 def test_p_side_vs_the_integer_smith_form(case):
     # at p, the crystal route on the pair's special modules against the
-    # p-parts of its one integer Smith form.  On every pair: Hom of rank
-    # rho·a^2 and Ext^1 torsion (p-part of prod d_i)^(a^2).  On the pairs
-    # `local_lhs` reads (coprime or equal charpolys): lhs = |z0|_p^(a^2),
-    # and the assembly's data at p are the Smith form's p-parts
+    # p-parts of its integer Hom system (the gcd split D, A, B), which the
+    # oracle test below pins to the Kronecker Smith form.  On every pair:
+    # Hom of rank rho·a^2 and Ext^1 torsion (p-part of Res(A, B))^(a^2).
+    # On the pairs `local_lhs` reads (coprime or equal charpolys):
+    # lhs = |z0|_p^(a^2), and the assembly's data at p are the system's
+    # p-parts
     from frobext.crystal import ext_presentation, local_lhs, special_module
     from frobext.exact import int_valuation, l_primary
     from frobext.motive import _hom_system
@@ -468,3 +479,43 @@ def test_p_side_vs_the_integer_smith_form(case):
     assert local_lhs(mx, my).lhs == z_f ** (a * a)
     at_p = global_ext_orders(x, y).per_prime[p]
     assert (at_p["ext1_torsion"], at_p["z_f"]) == (torsion, z_f)
+
+
+_X12 = Motive(2, [-2] + [0] * 11 + [1])  # x^12 - 2 over F_2, at the Hom cap
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(motive_pairs())
+@example((Motive(5, [1]), unit_motive(5)))                 # rank 0, rank 1
+@example((unit_motive(5), lefschetz_motive(5, 2)))         # rho = 0, D = 1
+@example((elliptic_motive(9, 2), elliptic_motive(9, 2)))
+@example((Motive(5, [5, -6, 1]), unit_motive(5)))          # (1 ⊕ L, 1)
+@example((_X12, _X12))
+def test_hom_system_vs_the_kronecker_oracle(pair):
+    # the gcd split's rho, Ext^1 torsion Res(A, B), z0 and discriminant
+    # Res(D, D'·A·B) against one Smith form of the Kronecker operator with
+    # its Hankel swap and Gram determinant; and `hom_motives`' basis T^i·B
+    # commutes and spans the oracle's kernel lattice, both ways
+    from hom_oracle import KroneckerHom
+
+    from frobext.linalg import lattice_solve, mat_mul
+    from frobext.motive import _hom_system
+    x, y = pair
+    rho, _ = ratio_limit(x.charpoly, y.charpoly)
+    oracle = KroneckerHom(x.charpoly, y.charpoly)
+    system = _hom_system(x, y, rho)
+    assert oracle.rho == rho
+    assert (system.torsion, system.z0, system.discriminant) \
+        == (oracle.torsion, oracle.z0, oracle.discriminant)
+    basis, rho_h = hom_motives(x, y)
+    assert rho_h == rho == len(basis) == len(oracle.basis)
+    cx, cy = companion(x.charpoly), companion(y.charpoly)
+    for h in basis:
+        assert mat_mul(h, cx) == mat_mul(cy, h)
+    event("rho > 0" if rho else "rho = 0")
+    if rho:
+        def cols(hs):
+            return [[h[i][j] for h in hs]
+                    for i in range(y.rank) for j in range(x.rank)]
+        assert lattice_solve(cols(basis), cols(oracle.basis)) is not None
+        assert lattice_solve(cols(oracle.basis), cols(basis)) is not None

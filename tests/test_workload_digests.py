@@ -59,10 +59,9 @@ def test_workload_digests(name):
     assert digests(name) == json.loads(TABLE.read_text())[name]
 
 
-def test_local_l_smith_form_count(monkeypatch):
-    # counted work on a fixed input: the integer Smith forms of rounds 0-2
-    # of seed 1 of local-l, wherever a module holds smith_normal_form.  A
-    # kernel takes two forms; at three a kernel, these rounds took 3007
+def _smith_forms(monkeypatch, name: str) -> int:
+    """The integer Smith forms that rounds 0-2 of seed 1 of a workload
+    take, counted wherever a module holds smith_normal_form."""
     real = linalg.smith_normal_form
     calls = []
 
@@ -70,16 +69,33 @@ def test_local_l_smith_form_count(monkeypatch):
         calls.append(None)
         return real(a)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("frobext") and \
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("frobext") and \
                 getattr(module, "smith_normal_form", None) is real:
             monkeypatch.setattr(module, "smith_normal_form", counted)
-    make_round, call, _ = _workloads()["local-l"]
+    make_round, call, _ = _workloads()[name]
     state: dict = {}
     for k in range(3):
         for op in make_round(SEED, k, state):
             call(op)
-    assert len(calls) == 2444
+    return len(calls)
+
+
+def test_local_l_smith_form_count(monkeypatch):
+    # counted work on a fixed input: the integer Smith forms of rounds 0-2
+    # of seed 1 of local-l.  A kernel takes two forms; at three a kernel,
+    # these rounds took 3007
+    assert _smith_forms(monkeypatch, "local-l") == 2444
+
+
+@pytest.mark.parametrize("name", ["ext-pairs", "zeta-varieties"])
+def test_motive_pairs_take_no_smith_form(monkeypatch, name):
+    # counted work on a fixed input: a motive pair's Hom system is one gcd
+    # split and two resultants, so rounds 0-2 of seed 1 of the workloads
+    # that assemble pairs take no integer Smith form.  With one Smith form
+    # of the Kronecker operator per pair they took 291 (ext-pairs) and 242
+    # (zeta-varieties)
+    assert _smith_forms(monkeypatch, name) == 0
 
 
 if __name__ == "__main__":
