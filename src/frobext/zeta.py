@@ -25,6 +25,7 @@ no code beyond exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .exact import (
     RHO_STEPS,
@@ -90,21 +91,78 @@ def _weierstrass_long(coefficients) -> tuple:
     raise ValueError("expected [a4, a6] or [a1, a2, a3, a4, a6]")
 
 
-# the count takes one modular power per x, about 2.3 µs each: 2.3 s at the
-# cap (CHANGES.md has the timings).  A spec's curve factors share it
-# (`variety_from_spec`)
-MAX_CURVE_PRIME = 10 ** 6
+# the count takes O(p^(1/4)) group operations above p = 229: 0.15 ms at
+# p = 10^6 and 60 ms at the cap (CHANGES.md has the timings); each curve
+# factor of a spec is held to it (`variety_from_spec`)
+MAX_CURVE_PRIME = 10 ** 15
+
+
+def _ec_add(a: int, p: int, P, Q):
+    """P + Q on y^2 = x^3 + a x + b over F_p, affine, None the identity."""
+    if P is None or Q is None:
+        return P or Q
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _hasse_multiple(a: int, p: int, P, w: int):
+    """The one N with |N - (p + 1)| <= w and N P = O, or None when several
+    fit: baby steps j P for j <= m, giant steps (p + 1) P +- i (2m + 1) P."""
+    m = max(isqrt(w), 1)
+    baby = {}
+    R = prev = P
+    for j in range(1, m + 1):
+        if R is None or R[1] == 0 or R[0] in baby:
+            return None  # the order is at most 2m, and several N fit
+        baby[R[0]] = j, R[1]
+        prev, R = R, _ec_add(a, p, R, P)
+    G = _ec_add(a, p, R, prev)  # (2m + 1) P
+    S0, T, n = None, P, p + 1
+    while n:
+        if n & 1:
+            S0 = _ec_add(a, p, S0, T)
+        T, n = _ec_add(a, p, T, T), n >> 1
+    found, g = set(), 2 * m + 1
+    for sign in (1, -1):
+        S, step = S0, G and (G[0], sign * G[1] % p)
+        for i in range(-(-(w - m) // g) + 1):
+            if S is None or S[0] in baby:
+                j, y = baby[S[0]] if S else (0, 0)
+                k = sign * i * g + (j if S and y != S[1] else -j)
+                if abs(k) <= w:
+                    found.add(p + 1 + k)
+            S = _ec_add(a, p, S, step)
+        if len(found) > 1:
+            return None
+    if not found:
+        raise RuntimeError("no multiple of a point's order in the Hasse"
+                           " interval over F_%d" % p)
+    return found.pop()
 
 
 def elliptic_point_count(p: int, coefficients) -> int:
     """#E(F_p) for y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6, including
     the point at infinity; rejects singular curves.
 
-    For odd p the equation is (2y + a1 x + a3)^2 = v(x) with
-    v = 4(x^3 + a2 x^2 + a4 x + a6) + (a1 x + a3)^2, and y -> 2y + a1 x + a3
-    is a bijection of F_p, so each x carries 1 + (v(x)/p) points; the
-    Legendre symbol comes from Euler's criterion.  p = 2 is counted
-    directly, and p above MAX_CURVE_PRIME is refused (ValueError).
+    p = 2 is counted directly.  For odd p up to 229 the equation is
+    (2y + a1 x + a3)^2 = v(x) with v = 4(x^3 + a2 x^2 + a4 x + a6)
+    + (a1 x + a3)^2, and y -> 2y + a1 x + a3 is a bijection of F_p, so each
+    x carries 1 + (v(x)/p) points, the Legendre symbol from Euler's
+    criterion.  Above 229 the count is Mestre's baby-step giant-step on the
+    short model y^2 = f(x) = x^3 - 27 c4 x - 54 c6 (Cohen, GTM 138, 7.4):
+    at x = 0, 1, 2, ... with d = f(x) != 0, (d x, d^2) lies on
+    Y^2 = X^3 + d^2 A X + d^3 B, which is E when d is a square and its
+    quadratic twist E' (#E' = 2p + 2 - #E) when not; the first point whose
+    order has one multiple N in the Hasse interval gives #E.  For p > 229
+    Mestre's theorem puts such a point on E or E'.  p above MAX_CURVE_PRIME
+    is refused (ValueError).
 
     >>> elliptic_point_count(5, [1, 1])
     9
@@ -125,6 +183,18 @@ def elliptic_point_count(p: int, coefficients) -> int:
         return 1 + sum(1 for x in range(2) for y in range(2)
                        if (y * y + (a1 * x + a3) * y
                            - (x ** 3 + a2 * x * x + a4 * x + a6)) % 2 == 0)
+    if p > 229:
+        c4, c6 = b2 * b2 - 24 * b4, 36 * b2 * b4 - b2 ** 3 - 216 * b6
+        A, B = -27 * c4 % p, -54 * c6 % p
+        for x in range(p):
+            d = (x * (x * x + A) + B) % p
+            if d:
+                n = _hasse_multiple(d * d * A % p, p, (d * x % p, d * d % p),
+                                    isqrt(4 * p))
+                if n is not None:
+                    return n if pow(d, p // 2, p) == 1 else 2 * p + 2 - n
+        raise RuntimeError("no point on E or its twist over F_%d fixes"
+                           " #E" % p)
     n = p + 1
     half = (p - 1) // 2
     for x in range(p):
@@ -223,13 +293,14 @@ def product(v: VarietyDescriptor, w: VarietyDescriptor,
 # the bit size of Z(V, t)'s data, its Weil polynomials P_j, whose
 # coefficients are sums of products of b_j eigenvalues of absolute value
 # q^(j/2), so below 2^b_j q^(j b_j / 2).  No P_j is expanded; the special
-# value, which the pieces' values multiply to, is of that size.  The
-# distinct curve factors of one spec are point-counted over at most
-# MAX_CURVE_PRIME values of x in all, and every piece's motive pair over
-# F_(p^a) has a p-adic system of dimension at least a^3.  At the caps a
-# query took up to about 1.7 s as a whole process (Python 3.11, 2-CPU
-# shared VM): a curve over p = 999983 about 1.7 s, P^64 over F_1024 about
-# 1.6 s to its refusal at the rho cap, P^8 over F_1024 about 0.6 s.
+# value, which the pieces' values multiply to, is of that size.  Each
+# curve factor lies over a prime up to MAX_CURVE_PRIME, and every piece's
+# motive pair over F_(p^a) has a p-adic system of dimension at least a^3.
+# At the caps a query took up to about 1.6 s as a whole process (Python
+# 3.11, 2-CPU shared VM): a curve over p = 10^15 - 11 about 0.1 s, three
+# distinct ones up to about 0.9 s and five up to about 1.6 s to a refusal
+# at the rho cap, P^64 over F_1024 about 1.6 s to the same refusal, P^8
+# over F_1024 about 0.6 s.
 MAX_DIMENSION = 64
 MAX_BETTI = 2048
 MAX_WEIL_BITS = 10 ** 8
@@ -259,11 +330,10 @@ def _check_r(q: int, r: int):
                          " cap of %d rho steps" % (r, bits, RHO_STEPS))
 
 
-def _spec_betti(spec, field: str, curves: dict) -> tuple[int, list[int]]:
+def _spec_betti(spec, field: str) -> tuple[int, list[int]]:
     """(q, [b_0, ..., b_2d]) of a variety spec, read from the spec alone,
     with each field it reads checked to be of its JSON type and the caps
-    checked as the factors come in; each curve factor is entered in
-    `curves` as (q, coefficients) -> q."""
+    checked as the factors come in."""
     spec = json_object(spec, field)
     kind = spec.get("kind")
     if kind == "projective_space":
@@ -275,16 +345,16 @@ def _spec_betti(spec, field: str, curves: dict) -> tuple[int, list[int]]:
         betti = [1, 0] * n + [1]
     elif kind == "elliptic_curve":
         q = json_field(spec, field + ".q", json_int)
-        coefficients = json_field(spec, field + ".coefficients", json_ints)
-        curves[q, tuple(coefficients)] = q
+        json_field(spec, field + ".coefficients", json_ints)
+        check_cap("an elliptic curve over q =", q, MAX_CURVE_PRIME)
         betti = [1, 2, 1]
     elif kind == "product":
         factors = json_field(spec, field + ".factors", json_array)
         if len(factors) < 2:
             raise ValueError("a product needs at least two factors")
-        q, betti = _spec_betti(factors[0], field + ".factors[0]", curves)
+        q, betti = _spec_betti(factors[0], field + ".factors[0]")
         for i, f in enumerate(factors[1:], 1):
-            qf, bf = _spec_betti(f, "%s.factors[%d]" % (field, i), curves)
+            qf, bf = _spec_betti(f, "%s.factors[%d]" % (field, i))
             if qf != q:
                 raise ValueError("factors over different fields")
             betti = poly_mul(betti, bf)
@@ -316,12 +386,7 @@ def _build(spec: dict, curves: dict) -> VarietyDescriptor:
 def variety_from_spec(spec: dict) -> VarietyDescriptor:
     """The variety of a JSON spec, refused (ValueError) when a field has
     the wrong JSON type or the spec lies above a cap."""
-    curves: dict = {}
-    _spec_betti(spec, "variety", curves)
-    if sum(curves.values()) > MAX_CURVE_PRIME:
-        raise ValueError("point counts over %d values of x in all are above"
-                         " the cap of %d" % (sum(curves.values()),
-                                             MAX_CURVE_PRIME))
+    _spec_betti(spec, "variety")
     return _build(spec, {})
 
 

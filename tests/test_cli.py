@@ -117,8 +117,8 @@ def test_ext_factoring_cap_on_a_large_nstar(capsys, start, code):
     (["ext", json.dumps({"q": 2, "charpoly": [-2] + [0] * 12 + [1]}),
       json.dumps({"q": 2, "charpoly": [2] + [0] * 12 + [1]})], "144"),
     # a curve over a prime above the point-count cap
-    (["zeta", json.dumps({"kind": "elliptic_curve", "q": 10**7 + 19,
-                          "coefficients": [1, 3], "r": 1})], "1000000"),
+    (["zeta", json.dumps({"kind": "elliptic_curve", "q": 10**15 + 37,
+                          "coefficients": [1, 3], "r": 1})], str(10**15)),
 ])
 def test_input_caps_exit_2_at_once(capsys, argv, cap):
     start = time.perf_counter()
@@ -332,6 +332,7 @@ def _times(*factors) -> dict:
     (_times(*[_curve(13)] * 5, _pn(13, 1)), 1),      # total Betti number 2048
     (_times(*[_curve(1009)] * 5, _pn(1009, 1)), 1),
     (_times(*[_pn(33554393, 1)] * 11), 5),           # Weil polynomials, 25 bits
+    (_curve(999999999999989), 1),                    # a curve below 10^15
 ])
 def test_zeta_at_the_caps(capsys, spec, r):
     # answers of many thousand digits are printed in full
@@ -348,8 +349,8 @@ def test_zeta_at_the_caps(capsys, spec, r):
     (_times(*[_curve(13)] * 6), 2048),           # Betti 4096
     (_times(*[_curve(13)] * 7), 2048),
     (_times(*[_pn(2, 1)] * 30), 2048),           # Betti 2^30
-    (_times(_curve(500009), dict(_curve(500009), coefficients=[1, 3])),
-     1000000),                                   # two counts over 500009
+    (_times(*[_curve(1000000000000037)] * 2),
+     10 ** 15),                                  # curves past the prime cap
     (_times(*[_pn(2 ** 400, 1)] * 2), 1024),     # residue degree 400
     (_times(*[_pn(3317044064679887385961813, 1)] * 11), 10 ** 8),
 ])

@@ -364,7 +364,7 @@ def motive_pairs(draw):
 @given(motive_pairs())
 @example((unit_motive(5), lefschetz_motive(5, 2)))         # rho = 0
 @example((elliptic_motive(9, 2), elliptic_motive(9, 2)))   # rho = 2
-def test_one_smith_form_reads_every_l(pair):
+def test_gcd_split_reads_every_l(pair):
     # at every l != p of the support (and a few primes off it) the data read
     # off the pair's one gcd split (Res(A, B) and z0) equals the galois
     # route's own build at l.  The support is that of the assembly, whose
@@ -450,7 +450,7 @@ def special_pairs(draw):
 @given(special_pairs())
 @example(("shared", Motive(5, [5, -6, 1]), unit_motive(5)))  # 1 ⊕ L, 1
 @example(("equal", elliptic_motive(9, 2), elliptic_motive(9, 2)))
-def test_p_side_vs_the_integer_smith_form(case):
+def test_p_side_vs_the_gcd_split(case):
     # at p, the crystal route on the pair's special modules against the
     # p-parts of its integer Hom system (the gcd split D, A, B), which the
     # oracle test below pins to the Kronecker Smith form.  On every pair:

@@ -1,9 +1,10 @@
 import json
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobext.exact import (
@@ -33,6 +34,7 @@ from frobext.zeta import (
 )
 
 from fraction_poly import poly_gcd, poly_int, poly_monic
+from point_count_oracle import euler_point_count
 
 
 def brute_point_count(p: int, coefficients) -> int:
@@ -128,6 +130,42 @@ def test_euler_count_vs_brute_force(p, long_form, coeffs):
     assert n == brute_point_count(p, coeffs)
 
 
+PRIMES_BELOW_10_4 = [p for p in range(2, 10 ** 4)
+                     if all(p % d for d in range(2, isqrt(p) + 1))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(PRIMES_BELOW_10_4), st.booleans(), st.booleans(),
+       st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=5, max_size=5))
+@example(2, True, False, [1, 0, 0, 0, 1])
+@example(2, False, True, [1, 0, 0, 0, 0])
+@example(3, True, False, [1, 2, 0, 1, 2])
+@example(3, False, True, [1, 0, 0, 0, 0])
+# the last prime on Euler's count: over F_229 no point of y^2 = x^3 + 1 or
+# of its twist has an order with one multiple in the Hasse interval
+@example(229, False, False, [0, 0, 0, 0, 1])
+@example(229, True, True, [5, 0, 0, 0, 0])
+@example(233, False, False, [0, 0, 0, 1, 3])   # the first on Mestre's
+@example(233, True, False, [1, -1, 1, -1, 1])
+@example(233, False, False, [0, 0, 0, 24, 120])  # nine points before #E is fixed
+@example(233, False, True, [7, 0, 0, 0, 0])
+def test_point_count_vs_the_euler_oracle(p, long_form, singular, coeffs):
+    # short and long forms at every prime below 10^4, on both sides of 229;
+    # y^2 = x^3 - 3c^2 x + 2c^3 = (x - c)^2 (x + 2c) is singular mod every p
+    if singular:
+        c = coeffs[0]
+        coeffs = [0, 0, 0, -3 * c * c, 2 * c ** 3]
+    coeffs = coeffs if long_form else coeffs[3:]
+    try:
+        want = euler_point_count(p, coeffs)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as got:
+            elliptic_point_count(p, coeffs)
+        assert str(got.value) == str(refused)
+        return
+    assert elliptic_point_count(p, coeffs) == want
+
+
 def test_point_count_at_a_five_digit_prime():
     start = time.perf_counter()
     n = elliptic_point_count(10007, [1, 3])
@@ -192,9 +230,10 @@ def test_integer_special_value_vs_fraction(p, draws, mults, r):
 
 
 def test_curve_prime_cap():
-    # refused at once above the cap, with the cap in the message
+    # refused at once above the cap, with the cap in the message: the first
+    # prime past it and one far past it
     start = time.perf_counter()
-    for p in (MAX_CURVE_PRIME + 3, 10**7 + 19):
+    for p in (MAX_CURVE_PRIME + 37, 10**18 + 3):
         with pytest.raises(ValueError, match="cap of %d" % MAX_CURVE_PRIME):
             elliptic_point_count(p, [1, 3])
         with pytest.raises(ValueError, match="cap"):
@@ -214,7 +253,8 @@ def test_product_of_several_factors():
     assert variety_from_spec(spec).pieces == flat.pieces
 
 
-def test_spec_caps():
+def test_spec_caps(monkeypatch):
+    from frobext import zeta
     from frobext.zeta import (MAX_BETTI, MAX_DIMENSION, MAX_WEIL_BITS,
                               _check_size)
 
@@ -239,22 +279,29 @@ def test_spec_caps():
     with pytest.raises(ValueError, match="cap of %d" % MAX_WEIL_BITS):
         _check_size(67108859, betti)             # 26 bits
     assert weil_bits(67108859, betti) > MAX_WEIL_BITS
-    # read off the spec alone: a curve that recurs is counted once, and a
-    # product's Betti numbers are its factors' convolved
-    e = {"kind": "elliptic_curve", "q": 999983, "coefficients": [1, 3]}
-    curves = {}
+    # read off the spec alone: a product's Betti numbers are its factors'
+    # convolved, and each curve is held to the cap on its own
+    p = 999999999999989                          # the last prime below 10^15
+    e = {"kind": "elliptic_curve", "q": p, "coefficients": [1, 3]}
     q, betti = _spec_betti({"kind": "product", "factors": [
-        e, e, {"kind": "projective_space", "q": 999983, "dimension": 1}]},
-        "variety", curves)
-    assert (q, sum(betti), len(betti)) == (999983, 32, 7)
-    assert sum(curves.values()) == 999983
-    # two distinct curves over p = 500009 (2p past the cap), refused
-    # uncounted
+        e, dict(e, coefficients=[2, 3]),
+        {"kind": "projective_space", "q": p, "dimension": 1}]}, "variety")
+    assert (q, sum(betti), len(betti)) == (p, 32, 7)
+    # a curve that recurs is built and counted once
+    counted = []
+    monkeypatch.setattr(zeta, "elliptic_point_count", lambda p, c: (
+        counted.append(p), elliptic_point_count(p, c))[1])
+    variety_from_spec({"kind": "product", "factors": [e, e]})
+    assert counted == [p]
+    # a curve over the first prime past the cap, alone or as one factor of
+    # a product, is refused uncounted
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="cap of %d" % MAX_CURVE_PRIME):
-        variety_from_spec({"kind": "product", "factors": [
-            dict(e, q=500009), dict(e, q=500009, coefficients=[2, 3])]})
+    above = dict(e, q=MAX_CURVE_PRIME + 37)
+    for spec in (above, {"kind": "product", "factors": [above, above]}):
+        with pytest.raises(ValueError, match="cap of %d" % MAX_CURVE_PRIME):
+            variety_from_spec(spec)
     assert time.perf_counter() - start < 0.5
+    assert counted == [p]
 
 
 def test_special_value_anchors():
