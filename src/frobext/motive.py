@@ -58,17 +58,19 @@ from .linalg import companion, transpose
 from .witt import WittRing
 from .zgamma import HypothesisError
 
-# fields whose Witt ring (and its lifts) a process keeps
+# primes whose Witt ring W(F_p) (and its lifts) a process keeps
 _RINGS_KEPT = 16
 
-# input caps.  A pair's integer Hom lattice has Z-rank up to d_X·d_Y and
-# its θ is a³·d_X·d_Y square (a the residue degree, d the rank).  The Hom
-# system is read off resultants of polynomials of degree at most d, so the
-# first cap bounds `hom_motives`' basis, and `verify-local`'s bound and
-# replay ranks on the galois route, more than it bounds `ext`.  `_assemble`
-# refuses a pair above either cap, and a motive that would exceed one even
-# against a rank-one partner is refused when it is constructed.  At the
-# caps a pair takes well under a second (CHANGES.md has the timings).
+# input caps.  A pair's integer Hom lattice and its θ at p (read over
+# Z_p at every residue degree a) are both d_X·d_Y square, d the rank.  The
+# Hom system is read off resultants of polynomials of degree at most d, so
+# the first cap bounds θ, `hom_motives`' basis, and `verify-local`'s bound
+# and replay ranks on the galois route.  For `ext` and `zeta` the second
+# only limits a; it still bounds the crystals `verify-local` replays over
+# W(F_{p^a}).  `_assemble` refuses a pair above either cap, and a motive
+# that would exceed one even against a rank-one partner is refused when it
+# is constructed.  At the caps a pair takes well under a second
+# (CHANGES.md has the timings).
 MAX_HOM_DIM = 144
 MAX_THETA_DIM = 1024
 # torsion generators of an l-adic module read from JSON, exceptional or
@@ -130,11 +132,9 @@ class Motive:
     charpoly; an exceptional entry keeps that free part (the serialized form
     carries no comparison data that could glue a different one) and adds a
     finite l-primary torsion module.  At p the charpoly fixes the crystal:
-    the cyclic module W_sigma[F] / (charpoly(F^a)), which the p-side of a
-    pair builds (`_p_side`).  For a = 1 this is the companion crystal
-    itself, for a > 1 the scalar restriction, whose invariants are exact
-    a^2-th powers of the motive's own (extracted with a check wherever they
-    are consumed).
+    the cyclic module W_sigma[F] / (charpoly(F^a)).  Ext between two such
+    crystals is a^2 copies of Ext between the companion crystals over Z_p,
+    which the p-side of a pair reads at every a (`_p_side`).
     """
 
     def __init__(self, q: int, charpoly: list[int],
@@ -468,21 +468,6 @@ def hom_motives(x: Motive, y: Motive) -> tuple[list, int]:
 # per-prime local data
 
 
-def _p_power_root(z, p: int, k: int) -> Fraction:
-    """Exact k-th root of a signed power of p (an int or a Fraction)."""
-    z = abs(Fraction(z))
-    if k == 1:
-        return z
-    vn = int_valuation(z.numerator, p)
-    vd = int_valuation(z.denominator, p)
-    if z.numerator != p ** vn or z.denominator != p ** vd:
-        raise RuntimeError("p-adic local value is not a power of p")
-    v = vn - vd
-    if v % k:
-        raise RuntimeError("p-adic valuation %d is not divisible by %d" % (v, k))
-    return Fraction(p) ** (v // k)
-
-
 def _l_side(x: Motive, y: Motive, l: int, rho: int, nstar: Fraction) -> dict:
     """The local data at l from the pair's modules at l, built there: Ext
     on the galois route (`ext_groups_l`) and the invariants of the swapped
@@ -509,37 +494,40 @@ def _l_side(x: Motive, y: Motive, l: int, rho: int, nstar: Fraction) -> dict:
 
 
 @lru_cache(maxsize=_RINGS_KEPT)
-def _ring(p: int, a: int) -> WittRing:
-    """The Witt ring of F_{p^a}, built once per field (its lifts to other
+def _ring(p: int) -> WittRing:
+    """W(F_p) = Z_p mod p^K, built once per prime (its lifts to other
     precisions are kept on it, `at_precision`)."""
-    return WittRing(p, a)
+    return WittRing(p, 1)
 
 
 def _p_side(x: Motive, y: Motive, rho: int, leading: Fraction) -> dict:
+    """The local data at p, read on the special modules of the charpolys
+    over Z_p at every residue degree a: F^a is central in W_σ[F], so the
+    crystal W_σ[F]/(P(F^a)) is induced from W[T]/(P(T)), and by Shapiro's
+    lemma its Ext is a² copies of the companion crystals' over Z_p, whose
+    θ is d_X·d_Y square."""
     p = x.p
     if x.rank == 0 or y.rank == 0:
         return {"hom_tors": 1, "ext1_torsion": 1, "ext2": 1,
                 "z_f": Fraction(1), "swap_tors": 1}
-    scale = x.a * x.a
-    ring = _ring(p, x.a)
+    ring = _ring(p)
     cx, cy = special_module(ring, x.charpoly), special_module(ring, y.charpoly)
     local = local_lhs(cx, cy)
     # equal charpolys certify through the derivative map and read no θ
     rep = local.presentation or ext_presentation(cx, cy)
-    if rep.ext0.free_rank != rho * scale or rep.ext1.free_rank != rho * scale:
+    if rep.ext0.free_rank != rho or rep.ext1.free_rank != rho:
         raise RuntimeError("crystal Hom rank disagrees with rho")
     if rep.ext0.torsion_order != 1:
         raise RuntimeError("torsion in Hom of torsion-free crystals")
-    # each eigenvalue of the a-th Frobenius iterate repeats a times on the
-    # crystal, so the resultant side of its local identity is |q^chi N*|_p
-    # to the a²-th power
-    if local.lhs != abs_at(p, leading) ** scale:
+    # F is the companion of P itself, so the resultant side of the local
+    # identity is |q^chi N*|_p
+    if local.lhs != abs_at(p, leading):
         raise RuntimeError("p-adic local identity failed")
     return {
         "hom_tors": 1,
-        "ext1_torsion": int(_p_power_root(rep.ext1.torsion_order, p, scale)),
+        "ext1_torsion": rep.ext1.torsion_order,
         "ext2": 1,
-        "z_f": _p_power_root(local.lhs, p, scale),
+        "z_f": local.lhs,
         "swap_tors": 1,
     }
 

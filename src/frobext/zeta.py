@@ -294,13 +294,13 @@ def product(v: VarietyDescriptor, w: VarietyDescriptor,
 # coefficients are sums of products of b_j eigenvalues of absolute value
 # q^(j/2), so below 2^b_j q^(j b_j / 2).  No P_j is expanded; the special
 # value, which the pieces' values multiply to, is of that size.  Each
-# curve factor lies over a prime up to MAX_CURVE_PRIME, and every piece's
-# motive pair over F_(p^a) has a p-adic system of dimension at least a^3.
-# At the caps a query took up to about 1.6 s as a whole process (Python
-# 3.11, 2-CPU shared VM): a curve over p = 10^15 - 11 about 0.1 s, three
-# distinct ones up to about 0.9 s and five up to about 1.6 s to a refusal
-# at the rho cap, P^64 over F_1024 about 1.6 s to the same refusal, P^8
-# over F_1024 about 0.6 s.
+# curve factor lies over a prime up to MAX_CURVE_PRIME, and the residue
+# degree a has a^3 at most motive.MAX_THETA_DIM, although each piece's
+# p-side is read over Z_p whatever a.  At the caps a query took up to about
+# 1.6 s as a whole process (Python 3.11, 2-CPU shared VM): a curve over
+# p = 10^15 - 11 about 0.1 s, three distinct ones up to about 0.9 s and
+# five up to about 1.6 s to a refusal at the rho cap, P^64 over F_1024
+# about 0.7 s to the same refusal, P^8 over F_1024 about 0.1 s.
 MAX_DIMENSION = 64
 MAX_BETTI = 2048
 MAX_WEIL_BITS = 10 ** 8
@@ -472,7 +472,7 @@ def _split_root(cp: list, b: int) -> list:
     """[t - b, cp / (t - b)] if cp, squarefree of degree above 1, has the
     root b, else [cp]."""
     # only because crystal.local_lhs refuses special pairs that share an
-    # eigenvalue unless equal; reading p off the integer Smith form drops it
+    # eigenvalue unless equal; reading p off the gcd split drops it
     if len(cp) > 2 and poly_eval(cp, b) == 0:
         return [[-b, 1], poly_quo_monic(cp, [-b, 1])]
     return [cp]

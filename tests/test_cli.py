@@ -865,10 +865,10 @@ def test_zeta_command(capsys):
     assert obj["leading"] == "4/3"
 
 
-def test_one_witt_ring_per_field(capsys, monkeypatch):
-    # every motive of a query shares (p, a): the p-side builds one Witt ring
-    # per field, plus the K+2 lift that θ is read at, whatever the number of
-    # motives and pairs
+def test_one_witt_ring_per_prime(capsys, monkeypatch):
+    # the p-side reads every residue degree over Z_p: it builds one Witt
+    # ring W(F_p) per prime, plus the K+2 lift that θ is read at, whatever
+    # the number of motives and pairs, and none of degree above 1
     motive._ring.cache_clear()
     built = []
     init = WittRing.__init__
@@ -884,7 +884,15 @@ def test_one_witt_ring_per_field(capsys, monkeypatch):
     assert main(["ext", '{"q": 9, "charpoly": [-1, 1]}',
                  '{"q": 9, "charpoly": [-9, 1]}']) == 0
     capsys.readouterr()
-    assert sorted(built) == [(3, 2, 20), (3, 2, 22), (5, 1, 20), (5, 1, 22)]
+    assert sorted(built) == [(3, 1, 20), (3, 1, 22), (5, 1, 20), (5, 1, 22)]
+    for argv in (["ext", '{"q": 8, "charpoly": [8, 1, 1]}',
+                  '{"q": 8, "charpoly": [-1, 1]}'],
+                 ["ext", '{"q": 125, "charpoly": [-1, 1]}',
+                  '{"q": 125, "charpoly": [-125, 1]}'],
+                 ["zeta", json.dumps(_pn(4, 2) | {"r": 1})]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert {a for _, a, _ in built} == {1}
 
 
 def test_zeta_product_spec(capsys):
