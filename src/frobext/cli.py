@@ -12,18 +12,18 @@ Three subcommands:
 
 Exit codes: 0 verified, 1 a verification failed, 2 bad input (a JSON field
 of the wrong type, named in the message, and an input above a size cap
-included: see `motive.MAX_HOM_DIM`, `motive.MAX_THETA_DIM`,
-`motive.MAX_TORSION_GENS`, `MAX_CRYSTAL_RANK`, `MAX_CRYSTAL_TORSION`,
+included: see `motive.MAX_HOM_DIM`, `motive.MAX_TORSION_GENS`,
+`MAX_THETA_DIM`, `MAX_CRYSTAL_RANK`, `MAX_CRYSTAL_TORSION`,
 `zeta.MAX_DIMENSION`, `zeta.MAX_BETTI`, `zeta.MAX_WEIL_BITS`,
 `zeta.MAX_CURVE_PRIME` and `exact.RHO_STEPS`), 3 the hypothesis of the local
 theorem is violated, 4 no p-adic precision up to `PRECISION_CEILING`
 certifies a crystal pair (or the pair names none), 5 an internal consistency
 check failed, 141 stdout was closed before the output was written (128 +
 SIGPIPE, with nothing on stderr).  No subcommand takes a working precision:
-`verify-local` works out its own, so only it can exit 4, and at p a motive
-pair is read as the special modules of its charpolys, certified from those
-polynomials.  JSON output is deterministic (sorted keys); a failing random
-case is written to a replay file so the exact instance can be re-run.
+`verify-local` works out its own, so only it can exit 4; a motive pair is
+read at p, as at every other prime, off the gcd split of its charpolys,
+exactly.  JSON output is deterministic (sorted keys); a failing random case
+is written to a replay file so the exact instance can be re-run.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .galois import GaloisModule, random_admissible_pair
 from .galois import verify_local_identity as verify_galois
 from .motive import (
     MAX_HOM_DIM,
-    MAX_THETA_DIM,
     MAX_TORSION_GENS,
     check_cap,
     global_ext_orders,
@@ -73,6 +72,9 @@ PRECISION_CEILING = 320
 # 0.27 s at Z_p-rank 4 and 4.6 s at 12
 MAX_CRYSTAL_RANK = 12
 MAX_CRYSTAL_TORSION = 4
+# a replay's residue degree a, a^3 at most this: building W(F_{p^a}) alone
+# grows fast in a.  `ext` and `zeta` build no Witt ring and take any a
+MAX_THETA_DIM = 1024
 
 
 def _jsonable(x):
@@ -225,8 +227,6 @@ def _cmd_verify_local(args) -> int:
             # older replay files carry a "precision" field; it is not read
             p = json_int(case.get("p"), "p")
             a = json_int(case.get("degree", 1), "degree")
-            # the cap `ext` and `zeta` apply: building the ring alone grows
-            # fast in a
             check_cap("degree %d gives a p-adic system of dimension at least"
                       " a^3 =" % a, a ** 3, MAX_THETA_DIM)
             ring = WittRing(p, a)

@@ -476,16 +476,15 @@ def ext_koszul_k(n: Crystal) -> tuple[int, int, int]:
 
 class LocalReportP:
     """The left side of the local identity at p: z(f)·[Ext²(M, N)], with the
-    charpolys of two torsion-free crystals and the presentation θ gave."""
+    charpolys of two torsion-free crystals."""
 
-    __slots__ = ("case", "lhs", "certified_precision", "charpolys", "presentation")
+    __slots__ = ("case", "lhs", "certified_precision", "charpolys")
 
     def __init__(self, case: str, lhs: Fraction, certified_precision: int | None = None,
-                 charpolys: tuple | None = None,
-                 presentation: ExtReportP | None = None):
+                 charpolys: tuple | None = None):
         self.case, self.lhs = case, lhs
         self.certified_precision = certified_precision
-        self.charpolys, self.presentation = charpolys, presentation
+        self.charpolys = charpolys
 
 
 def _charpoly_for_identity(x: Crystal) -> list:
@@ -582,7 +581,7 @@ def local_lhs(m: Crystal, n: Crystal) -> LocalReportP:
         case, b = "free-disjoint", int_valuation(res, p)
     rep = _theta_report(m, n, max(K + 2, b + 1), 0)
     return LocalReportP(case, Fraction(1, rep.ext1.order),
-                        rep.certified_precision, charpolys, rep)
+                        rep.certified_precision, charpolys)
 
 
 def verify_local_identity(m: Crystal, n: Crystal) -> dict:

@@ -7,12 +7,11 @@ the kernel of S: H -> H C_X - C_Y H.  Both lattices are cyclic Z[T]-modules,
 so one gcd split D = gcd(P_X, P_Y), A = P_X/D, B = P_Y/D per pair
 (`_hom_system`) gives rho = deg D, the Ext^1 torsion |Res(A, B)|, the trace
 discriminant |Res(D, D' A B)| and z(f_0), hence the local data at every
-l != p where both local modules are the companion lattices; the primes
-where a motive carries exceptional torsion take the l-adic machinery of
-`galois`, and p the special modules of `crystal`.  Global Ext orders are
-assembled
-prime by prime, with every contribution away from the computed support
-certified trivial by the unit valuation of
+l != p where both local modules are the companion lattices, and at p,
+where the cyclic crystals are induced from them; the primes where a motive
+carries exceptional torsion take the l-adic machinery of `galois`.  Global
+Ext orders are assembled prime by prime, with every contribution away from
+the computed support certified trivial by the unit valuation of
 
     N* = prod over eigenvalue pairs a_i != b_j of (1 - b_j/a_i).
 
@@ -32,10 +31,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 
-from .crystal import ext_presentation, local_lhs, special_module
 from .exact import (
     abs_at,
     int_valuation,
@@ -55,24 +52,18 @@ from .galois import GaloisModule, ext_groups_l, hom_module
 # tracing) asserts that this alias is rebound and restored
 from .galois import verify_local_identity as _verify_galois_pair  # noqa: F401
 from .linalg import companion, transpose
-from .witt import WittRing
 from .zgamma import HypothesisError
 
-# primes whose Witt ring W(F_p) (and its lifts) a process keeps
-_RINGS_KEPT = 16
-
-# input caps.  A pair's integer Hom lattice and its θ at p (read over
-# Z_p at every residue degree a) are both d_X·d_Y square, d the rank.  The
-# Hom system is read off resultants of polynomials of degree at most d, so
-# the first cap bounds θ, `hom_motives`' basis, and `verify-local`'s bound
-# and replay ranks on the galois route.  For `ext` and `zeta` the second
-# only limits a; it still bounds the crystals `verify-local` replays over
-# W(F_{p^a}).  `_assemble` refuses a pair above either cap, and a motive
-# that would exceed one even against a rank-one partner is refused when it
-# is constructed.  At the caps a pair takes well under a second
-# (CHANGES.md has the timings).
+# input caps.  A pair's integer Hom lattice is d_X·d_Y square, d the rank.
+# Its Hom system is read off resultants of polynomials of degree at most d,
+# at every prime p included, so the cap bounds `hom_motives`' basis and
+# `verify-local`'s bound and replay ranks on the galois route more than it
+# bounds `ext`.  `_assemble` refuses a pair above it, and a motive that
+# would exceed it even against a rank-one partner is refused when it is
+# constructed.  The residue degree a is not capped: no motive computation
+# grows with a itself, only with the size of q (CHANGES.md has the
+# timings).
 MAX_HOM_DIM = 144
-MAX_THETA_DIM = 1024
 # torsion generators of an l-adic module read from JSON, exceptional or
 # replayed: the galois route's integer Smith forms grow fast with them
 MAX_TORSION_GENS = 6
@@ -83,12 +74,9 @@ def check_cap(what: str, value: int, cap: int):
         raise ValueError("%s %d, above the cap of %d" % (what, value, cap))
 
 
-def _check_caps(a: int, dx: int, dy: int):
+def _check_caps(dx: int, dy: int):
     check_cap("ranks %d and %d give an integer Hom system of dimension"
               % (dx, dy), dx * dy, MAX_HOM_DIM)
-    check_cap("residue degree %d and ranks %d and %d give a p-adic system of"
-              " dimension a^3·d_X·d_Y =" % (a, dx, dy), a ** 3 * dx * dy,
-              MAX_THETA_DIM)
 
 
 def _is_squarefree(c: list[int]) -> bool:
@@ -133,8 +121,8 @@ class Motive:
     carries no comparison data that could glue a different one) and adds a
     finite l-primary torsion module.  At p the charpoly fixes the crystal:
     the cyclic module W_sigma[F] / (charpoly(F^a)).  Ext between two such
-    crystals is a^2 copies of Ext between the companion crystals over Z_p,
-    which the p-side of a pair reads at every a (`_p_side`).
+    crystals is a^2 copies of the p-part of the pair's integer Hom system,
+    which a pair reads at p as at every other prime (`_HomSystem`).
     """
 
     def __init__(self, q: int, charpoly: list[int],
@@ -147,7 +135,7 @@ class Motive:
             raise ValueError("the characteristic polynomial must be monic")
         if cp[0] == 0:
             raise ValueError("the Frobenius may not have eigenvalue zero")
-        _check_caps(a, len(cp) - 1, 1)  # against a rank-one partner
+        _check_caps(len(cp) - 1, 1)  # against a rank-one partner
         c0 = abs(cp[0])
         while c0 % p == 0:
             c0 //= p
@@ -398,7 +386,11 @@ class _HomSystem:
     At every l != p where both local modules are the companion lattices,
     Hom and Ext^1 over Z_l are the l-parts of these (det C_X = ±p^k is an
     l-unit), the bar-Ext side vanishes, and the swapped Hom is
-    torsion-free."""
+    torsion-free.  So it is at p: F^a is central in W_sigma[F], so the
+    crystal W_sigma[F]/(P(F^a)) over W(F_q) is induced from W[T]/(P(T)),
+    and by Shapiro's lemma (Brown, Cohomology of Groups, III.5-6) and flat
+    base change from Z_p to W its Ext is a^2 copies of the p-parts of
+    these, read over Z_p whatever a."""
 
     __slots__ = ("torsion", "z0", "discriminant")
 
@@ -407,12 +399,12 @@ class _HomSystem:
         self.z0 = z0                      # z(f_0) over Z
         self.discriminant = discriminant  # |det| of the trace pairing
 
-    def l_side(self, l: int, nstar: Fraction) -> dict:
-        """The local data at l, checked against the local identity
-        z(f)·[Ext^2] = |N*|_l (Ext^2 vanishes)."""
+    def l_side(self, l: int, leading: Fraction) -> dict:
+        """The local data at l, p included, checked against the local
+        identity z(f)·[Ext^2] = |q^chi N*|_l (Ext^2 vanishes)."""
         z_f = l_primary(self.z0, l)
-        if z_f != abs_at(l, nstar):
-            raise RuntimeError("l-adic local identity failed at l=%d" % l)
+        if z_f != abs_at(l, leading):
+            raise RuntimeError("local identity failed at l=%d" % l)
         return {
             "hom_tors": 1,
             "ext1_torsion": l ** int_valuation(self.torsion, l),
@@ -490,45 +482,6 @@ def _l_side(x: Motive, y: Motive, l: int, rho: int, nstar: Fraction) -> dict:
         "ext2": rep.ext2.order,
         "z_f": rep.z_f,
         "swap_tors": swap.primary_part(l).torsion_order,
-    }
-
-
-@lru_cache(maxsize=_RINGS_KEPT)
-def _ring(p: int) -> WittRing:
-    """W(F_p) = Z_p mod p^K, built once per prime (its lifts to other
-    precisions are kept on it, `at_precision`)."""
-    return WittRing(p, 1)
-
-
-def _p_side(x: Motive, y: Motive, rho: int, leading: Fraction) -> dict:
-    """The local data at p, read on the special modules of the charpolys
-    over Z_p at every residue degree a: F^a is central in W_σ[F], so the
-    crystal W_σ[F]/(P(F^a)) is induced from W[T]/(P(T)), and by Shapiro's
-    lemma its Ext is a² copies of the companion crystals' over Z_p, whose
-    θ is d_X·d_Y square."""
-    p = x.p
-    if x.rank == 0 or y.rank == 0:
-        return {"hom_tors": 1, "ext1_torsion": 1, "ext2": 1,
-                "z_f": Fraction(1), "swap_tors": 1}
-    ring = _ring(p)
-    cx, cy = special_module(ring, x.charpoly), special_module(ring, y.charpoly)
-    local = local_lhs(cx, cy)
-    # equal charpolys certify through the derivative map and read no θ
-    rep = local.presentation or ext_presentation(cx, cy)
-    if rep.ext0.free_rank != rho or rep.ext1.free_rank != rho:
-        raise RuntimeError("crystal Hom rank disagrees with rho")
-    if rep.ext0.torsion_order != 1:
-        raise RuntimeError("torsion in Hom of torsion-free crystals")
-    # F is the companion of P itself, so the resultant side of the local
-    # identity is |q^chi N*|_p
-    if local.lhs != abs_at(p, leading):
-        raise RuntimeError("p-adic local identity failed")
-    return {
-        "hom_tors": 1,
-        "ext1_torsion": rep.ext1.torsion_order,
-        "ext2": 1,
-        "z_f": local.lhs,
-        "swap_tors": 1,
     }
 
 
@@ -636,7 +589,7 @@ def _q_power(p: int, a: int, chi: Fraction) -> Fraction:
 
 def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     _require_comparable(x, y)
-    _check_caps(x.a, x.rank, y.rank)
+    _check_caps(x.rank, y.rank)
     # rho pairs a_i = b_j, and N* the product of (1 - b_j/a_i) over the rest
     rho, nstar = ratio_limit(x.charpoly, y.charpoly)
     system = _hom_system(x, y, rho)
@@ -654,19 +607,17 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     hom_tors, ext2 = 1, 1
     ext1_order = 1
     for l in sorted(support):
-        # away from p and the exceptional primes both local modules are the
-        # companion lattices of the charpolys: every such l reads the pair's
-        # one gcd split, whose resultants give both Ext^1 and z(f_l), so
-        # that the route check below holds there by construction.  The
-        # check is the local identity z(f_l) = |N*|_l: two exact routes,
-        # resultants of D, A and B against `ratio_limit`'s composed
-        # products, not a cokernel against them
-        on_system = l != p and l not in x.exceptional \
-            and l not in y.exceptional
-        if l == p:
-            d = _p_side(x, y, rho, leading)
-        elif on_system:
-            d = system.l_side(l, nstar)
+        # away from the exceptional primes both local modules are the
+        # companion lattices of the charpolys, at p the cyclic crystals
+        # induced from them: every such prime reads the pair's one gcd
+        # split, whose resultants give both Ext^1 and z(f_l), so that the
+        # route check below holds there by construction.  The check is the
+        # local identity z(f_l) = |q^chi N*|_l (q^chi is a power of p): two
+        # exact routes, resultants of D, A and B against `ratio_limit`'s
+        # composed products, not a cokernel against them
+        on_system = l not in x.exceptional and l not in y.exceptional
+        if on_system:
+            d = system.l_side(l, leading)
         else:
             d = _l_side(x, y, l, rho, nstar)
         per_prime[l] = d

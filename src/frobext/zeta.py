@@ -32,7 +32,6 @@ from .exact import (
     composed_product,
     poly_deg,
     poly_deriv,
-    poly_eval,
     poly_gcd_monic,
     poly_mul,
     poly_quo_monic,
@@ -42,7 +41,6 @@ from .exact import (
     strip_root,
 )
 from .motive import (
-    MAX_THETA_DIM,
     Motive,
     check_cap,
     json_array,
@@ -294,13 +292,14 @@ def product(v: VarietyDescriptor, w: VarietyDescriptor,
 # coefficients are sums of products of b_j eigenvalues of absolute value
 # q^(j/2), so below 2^b_j q^(j b_j / 2).  No P_j is expanded; the special
 # value, which the pieces' values multiply to, is of that size.  Each
-# curve factor lies over a prime up to MAX_CURVE_PRIME, and the residue
-# degree a has a^3 at most motive.MAX_THETA_DIM, although each piece's
-# p-side is read over Z_p whatever a.  At the caps a query took up to about
+# curve factor lies over a prime up to MAX_CURVE_PRIME.  The residue degree
+# a is not capped: each piece is read at p off its gcd split with L^r, as
+# at every other prime, whatever a.  At the caps a query took up to about
 # 1.6 s as a whole process (Python 3.11, 2-CPU shared VM): a curve over
 # p = 10^15 - 11 about 0.1 s, three distinct ones up to about 0.9 s and
 # five up to about 1.6 s to a refusal at the rho cap, P^64 over F_1024
-# about 0.7 s to the same refusal, P^8 over F_1024 about 0.1 s.
+# about 1 s to the same refusal, P^8 over F_1024 and over F_{2^16} about
+# 0.1 s.
 MAX_DIMENSION = 64
 MAX_BETTI = 2048
 MAX_WEIL_BITS = 10 ** 8
@@ -362,9 +361,7 @@ def _spec_betti(spec, field: str) -> tuple[int, list[int]]:
         return q, betti
     else:
         raise ValueError("unknown variety kind %r" % (kind,))
-    _, a = prime_power(q)
-    check_cap("residue degree %d gives each piece a p-adic system of"
-              " dimension at least a^3 =" % a, a ** 3, MAX_THETA_DIM)
+    prime_power(q)  # refuses a q that is no prime power before any table
     _check_size(q, betti)
     return q, betti
 
@@ -468,23 +465,12 @@ class MotivicCohomologyReport:
         self.pieces = pieces  # per-piece dicts: degree, charpoly, mult, rho, ...
 
 
-def _split_root(cp: list, b: int) -> list:
-    """[t - b, cp / (t - b)] if cp, squarefree of degree above 1, has the
-    root b, else [cp]."""
-    # only because crystal.local_lhs refuses special pairs that share an
-    # eigenvalue unless equal; reading p off the gcd split drops it
-    if len(cp) > 2 and poly_eval(cp, b) == 0:
-        return [[-b, 1], poly_quo_monic(cp, [-b, 1])]
-    return [cp]
-
-
 def motivic_cohomology(v: VarietyDescriptor, r: int) -> MotivicCohomologyReport:
     """Decompose every H^j into squarefree catalogue motives, pair each with
     the r-th Lefschetz power, and assemble ranks and the multiplicative Euler
     characteristic from the verified local-to-global Ext machinery."""
     _check_r(v.q, r)
     q = v.q
-    b = q ** r
     source = lefschetz_motive(q, r)
     rho_by_degree = [0] * (2 * v.dimension + 1)
     chi_tot = 0
@@ -493,18 +479,17 @@ def motivic_cohomology(v: VarietyDescriptor, r: int) -> MotivicCohomologyReport:
     for j, row in enumerate(v.pieces):
         sign = -1 if j % 2 else 1
         for cp, mult in row:
-            for motive_cp in _split_root(cp, b):
-                out = verify_weil_identity(source, Motive(q, motive_cp))
-                if not out["equal"]:
-                    raise RuntimeError("local identity failed for a piece of"
-                                       " H^%d" % j)
-                rho_by_degree[j] += mult * out["rho"]
-                chi_tot += sign * mult * int(out["chi"])
-                zprod *= (out["z_f"] * out["ext2_order"]) ** (sign * mult)
-                piece_data.append({
-                    "degree": j, "charpoly": motive_cp, "multiplicity": mult,
-                    "rho": out["rho"], "z_f": out["z_f"],
-                    "ext2_order": out["ext2_order"]})
+            out = verify_weil_identity(source, Motive(q, cp))
+            if not out["equal"]:
+                raise RuntimeError("local identity failed for a piece of"
+                                   " H^%d" % j)
+            rho_by_degree[j] += mult * out["rho"]
+            chi_tot += sign * mult * int(out["chi"])
+            zprod *= (out["z_f"] * out["ext2_order"]) ** (sign * mult)
+            piece_data.append({
+                "degree": j, "charpoly": cp, "multiplicity": mult,
+                "rho": out["rho"], "z_f": out["z_f"],
+                "ext2_order": out["ext2_order"]})
     chi_o = chi_coherent(v, r)
     chi_times = zprod * Fraction(q) ** (chi_tot - chi_o)
     ranks = []

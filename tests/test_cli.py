@@ -108,11 +108,13 @@ def test_ext_factoring_cap_on_a_large_nstar(capsys, start, code):
 
 
 @pytest.mark.parametrize("argv, cap", [
-    # (1, L) over F_{2^16} and F_{3^20}: θ of dimension a^3 = 4096 and 8000
-    (["ext", json.dumps({"q": 2**16, "charpoly": [-1, 1]}),
-      json.dumps({"q": 2**16, "charpoly": [-2**16, 1]})], "1024"),
-    (["ext", json.dumps({"q": 3**20, "charpoly": [-1, 1]}),
-      json.dumps({"q": 3**20, "charpoly": [-3**20, 1]})], "1024"),
+    # a rank-145 motive, above the Hom cap against a rank-one partner, is
+    # refused when it is read; 7 torsion generators at l = 3
+    (["ext", json.dumps({"q": 2, "charpoly": [-2] + [0] * 144 + [1]}),
+      json.dumps({"q": 2, "charpoly": [-1, 1]})], "144"),
+    (["ext", json.dumps({"q": 5, "charpoly": [-1, 1],
+                         "exceptional": {"3": {"torsion": [3] * 7}}}),
+      json.dumps({"q": 5, "charpoly": [-5, 1]})], "6"),
     # two rank-13 motives: an integer Hom system of dimension 169
     (["ext", json.dumps({"q": 2, "charpoly": [-2] + [0] * 12 + [1]}),
       json.dumps({"q": 2, "charpoly": [2] + [0] * 12 + [1]})], "144"),
@@ -127,6 +129,19 @@ def test_input_caps_exit_2_at_once(capsys, argv, cap):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("input error") and "cap of %s" % cap in err
+
+
+@pytest.mark.parametrize("q", [2 ** 16, 3 ** 20])
+def test_any_residue_degree_answers(capsys, q):
+    # (1, L) over F_{2^16} and F_{3^20}: p is read off the pair's gcd split
+    # as every other prime is, so no computation grows with a and no cap
+    # limits it (a^3·d_X·d_Y = 4096 and 8000 were refused)
+    start = time.perf_counter()
+    code, out = run(capsys, ["ext", json.dumps({"q": q, "charpoly": [-1, 1]}),
+                             json.dumps({"q": q, "charpoly": [-q, 1]}),
+                             "--json"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["ext1_order"] == q - 1
 
 
 _L5 = '{"q": 5, "charpoly": [-5, 1]}'
@@ -351,7 +366,8 @@ def test_zeta_at_the_caps(capsys, spec, r):
     (_times(*[_pn(2, 1)] * 30), 2048),           # Betti 2^30
     (_times(*[_curve(1000000000000037)] * 2),
      10 ** 15),                                  # curves past the prime cap
-    (_times(*[_pn(2 ** 400, 1)] * 2), 1024),     # residue degree 400
+    # residue degree 400 is read, but not Weil polynomials of 3.7·10^8 bits
+    (_times(*[_pn(2 ** 400, 1)] * 11), 10 ** 8),
     (_times(*[_pn(3317044064679887385961813, 1)] * 11), 10 ** 8),
 ])
 def test_zeta_above_the_caps_exits_2_at_once(capsys, spec, cap):
@@ -392,10 +408,11 @@ def test_ext_pairs_back_to_back(capsys):
 
 
 def test_one_l_adic_report_per_prime(capsys, monkeypatch):
-    # `ext` reads every l != p away from the exceptional primes off one gcd
-    # split per motive pair (`motive._hom_system`: D = gcd(P_X, P_Y), A, B
-    # and their resultants): both local modules are the companion lattices
-    # there, so no Hom or bar-Ext module is built at those primes.  An
+    # `ext` reads every prime away from the exceptional ones, p included,
+    # off one gcd split per motive pair (`motive._hom_system`: D =
+    # gcd(P_X, P_Y), A, B and their resultants): both local modules are the
+    # companion lattices there, or at p the crystals induced from them, so
+    # no Hom or bar-Ext module is built at those primes.  An
     # exceptional prime keeps its own build on the galois route: the
     # forward and the swapped Hom once each, bar-Ext once.  The resultant
     # side of each local identity comes from the pair's own N*: no ratio
@@ -816,7 +833,8 @@ _CRYSTAL = {"coords": [[1]], "exponents": None, "special_poly": None}
     ({"case": "c", "p": 3, "degree": 1.0, "m": _CRYSTAL, "n": _CRYSTAL},
      "degree must be an integer, not a number"),
     ({"case": "c", "p": 3, "n": _CRYSTAL}, "m must be an object, not null"),
-    # the residue degree takes the a^3 cap of `ext` and `zeta`
+    # a replay's residue degree is capped (cli.MAX_THETA_DIM): it builds
+    # W(F_{p^a}), which `ext` and `zeta` do not
     ({"case": "c", "p": 2, "degree": 11, "m": _CRYSTAL, "n": _CRYSTAL},
      "degree 11 gives a p-adic system of dimension at least a^3 = 1331"),
     ({"case": "c", "p": 2, "degree": 300, "m": _CRYSTAL, "n": _CRYSTAL},
@@ -863,36 +881,6 @@ def test_zeta_command(capsys):
     obj = json.loads(out)
     assert obj["equal"] is True and obj["order"] == -1
     assert obj["leading"] == "4/3"
-
-
-def test_one_witt_ring_per_prime(capsys, monkeypatch):
-    # the p-side reads every residue degree over Z_p: it builds one Witt
-    # ring W(F_p) per prime, plus the K+2 lift that θ is read at, whatever
-    # the number of motives and pairs, and none of degree above 1
-    motive._ring.cache_clear()
-    built = []
-    init = WittRing.__init__
-
-    def counted(self, p, a, precision=20, modulus=None):
-        built.append((p, a, precision))
-        init(self, p, a, precision, modulus)
-
-    monkeypatch.setattr(WittRing, "__init__", counted)
-    curve = {"kind": "elliptic_curve", "q": 5, "coefficients": [1, 1]}
-    spec = {"kind": "product", "q": 5, "r": 1, "factors": [curve, curve]}
-    assert main(["zeta", json.dumps(spec)]) == 0
-    assert main(["ext", '{"q": 9, "charpoly": [-1, 1]}',
-                 '{"q": 9, "charpoly": [-9, 1]}']) == 0
-    capsys.readouterr()
-    assert sorted(built) == [(3, 1, 20), (3, 1, 22), (5, 1, 20), (5, 1, 22)]
-    for argv in (["ext", '{"q": 8, "charpoly": [8, 1, 1]}',
-                  '{"q": 8, "charpoly": [-1, 1]}'],
-                 ["ext", '{"q": 125, "charpoly": [-1, 1]}',
-                  '{"q": 125, "charpoly": [-125, 1]}'],
-                 ["zeta", json.dumps(_pn(4, 2) | {"r": 1})]):
-        assert main(argv) == 0
-    capsys.readouterr()
-    assert {a for _, a, _ in built} == {1}
 
 
 def test_zeta_product_spec(capsys):

@@ -273,26 +273,24 @@ def test_squarefree_check_vs_fraction_gcd(roots, quadratics):
 
 
 def test_input_caps():
-    from frobext.motive import MAX_HOM_DIM, MAX_THETA_DIM, _check_caps
-    # at the caps, and one past them
-    _check_caps(10, 1, 1)      # a^3 = 1000
-    _check_caps(4, 4, 4)       # 1024
-    _check_caps(1, 12, 12)     # 144
-    _check_caps(1, 1, 144)
-    for args, cap in (((11, 1, 1), MAX_THETA_DIM), ((2, 11, 12), MAX_THETA_DIM),
-                      ((1, 12, 13), MAX_HOM_DIM)):
-        with pytest.raises(ValueError, match="cap of %d" % cap):
-            _check_caps(*args)
-    # a motive that exceeds a cap against a rank-one partner is refused
-    # before its Witt ring is built; a pair above a cap before any local
-    # computation
-    with pytest.raises(ValueError, match="1024"):
-        Motive(2 ** 16, [-1, 1])
+    from frobext.motive import MAX_HOM_DIM, _check_caps
+    # at the cap, and one past it
+    _check_caps(12, 12)     # 144
+    _check_caps(1, 144)
+    with pytest.raises(ValueError, match="cap of %d" % MAX_HOM_DIM):
+        _check_caps(12, 13)
+    # a motive that exceeds the cap against a rank-one partner is refused
+    # when it is constructed; a pair above it before any local computation
     with pytest.raises(ValueError, match="144"):
         Motive(2, [-2] + [0] * 144 + [1])
     x = Motive(2, [-2] + [0] * 12 + [1])
     with pytest.raises(ValueError, match="ranks 13 and 13"):
         global_ext_orders(x, x)
+    # the residue degree is not capped: (1, L) over F_{2^16} was refused at
+    # a^3·d_X·d_Y = 4096 above 1024, and p is now read off the gcd split
+    q = 2 ** 16
+    assert global_ext_orders(unit_motive(q), lefschetz_motive(q)).ext1_order \
+        == q - 1
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +440,11 @@ def test_p_side_vs_the_gcd_split(case):
     # at p, the crystal route on the pair's special modules over W(F_q),
     # q = p^a, against the p-parts of its integer Hom system (the gcd split
     # D, A, B), which the oracle test below pins to the Kronecker Smith
-    # form.  On every pair: Hom of rank rho·a^2 and Ext^1 torsion (p-part
-    # of Res(A, B))^(a^2).  On the pairs `local_lhs` reads (coprime or
-    # equal charpolys): lhs = |z0|_p^(a^2), and the assembly's data at p,
-    # read over Z_p whatever a, are the system's p-parts
+    # form and which the assembly reads at p whatever a.  On every pair,
+    # shared eigenvalues included: Hom of rank rho·a^2, and Ext^1 torsion
+    # (p-part of Res(A, B))^(a^2), the assembly's Ext^1 torsion at p to the
+    # a^2.  On the pairs `local_lhs` reads (coprime or equal charpolys):
+    # lhs = |z0|_p^(a^2)
     from frobext.crystal import ext_presentation, local_lhs, special_module
     from frobext.exact import int_valuation, l_primary
     from frobext.motive import _hom_system
@@ -459,14 +458,14 @@ def test_p_side_vs_the_gcd_split(case):
     ring = WittRing(p, a)
     mx, my = special_module(ring, x.charpoly), special_module(ring, y.charpoly)
     rep = ext_presentation(mx, my)
-    assert rep.ext0.free_rank == rep.ext1.free_rank == rho * a * a
-    assert rep.ext1.torsion_order == torsion ** (a * a)
-    event("%s, a = %d" % (kind, a))
-    if kind == "shared":
-        return  # `local_lhs` refuses the pair
-    assert local_lhs(mx, my).lhs == z_f ** (a * a)
     at_p = global_ext_orders(x, y).per_prime[p]
+    assert rep.ext0.free_rank == rep.ext1.free_rank == rho * a * a
+    assert rep.ext1.torsion_order == torsion ** (a * a) \
+        == at_p["ext1_torsion"] ** (a * a)
     assert (at_p["ext1_torsion"], at_p["z_f"]) == (torsion, z_f)
+    event("%s, a = %d" % (kind, a))
+    if kind != "shared":  # `local_lhs` refuses a shared pair
+        assert local_lhs(mx, my).lhs == z_f ** (a * a)
 
 
 _X12 = Motive(2, [-2] + [0] * 11 + [1])  # x^12 - 2 over F_2, at the Hom cap

@@ -24,7 +24,7 @@ import types
 
 import pytest
 
-from frobext import cli, linalg
+from frobext import cli, crystal, linalg, witt
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TABLE = ROOT / "tests" / "data" / "workload_digests.json"
@@ -59,20 +59,23 @@ def test_workload_digests(name):
     assert digests(name) == json.loads(TABLE.read_text())[name]
 
 
-def _smith_forms(monkeypatch, name: str) -> int:
-    """The integer Smith forms that rounds 0-2 of seed 1 of a workload
-    take, counted wherever a module holds smith_normal_form."""
-    real = linalg.smith_normal_form
+def _calls(monkeypatch, name: str, functions) -> int:
+    """The calls that rounds 0-2 of seed 1 of a workload make to any of
+    `functions`, counted wherever a frobext module holds one."""
+    wanted = {id(fn) for fn in functions}
     calls = []
 
-    def counted(a):
-        calls.append(None)
-        return real(a)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(None)
+            return fn(*args, **kwargs)
+        return wrapper
 
     for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("frobext") and \
-                getattr(module, "smith_normal_form", None) is real:
-            monkeypatch.setattr(module, "smith_normal_form", counted)
+        if module_name.startswith("frobext"):
+            for key, value in list(vars(module).items()):
+                if id(value) in wanted:
+                    monkeypatch.setattr(module, key, counted(value))
     make_round, call, _ = _workloads()[name]
     state: dict = {}
     for k in range(3):
@@ -85,7 +88,7 @@ def test_local_l_smith_form_count(monkeypatch):
     # counted work on a fixed input: the integer Smith forms of rounds 0-2
     # of seed 1 of local-l.  A kernel takes two forms; at three a kernel,
     # these rounds took 3007
-    assert _smith_forms(monkeypatch, "local-l") == 2444
+    assert _calls(monkeypatch, "local-l", [linalg.smith_normal_form]) == 2444
 
 
 @pytest.mark.parametrize("name", ["ext-pairs", "zeta-varieties"])
@@ -95,7 +98,29 @@ def test_motive_pairs_take_no_smith_form(monkeypatch, name):
     # that assemble pairs take no integer Smith form.  With one Smith form
     # of the Kronecker operator per pair they took 291 (ext-pairs) and 242
     # (zeta-varieties)
-    assert _smith_forms(monkeypatch, name) == 0
+    assert _calls(monkeypatch, name, [linalg.smith_normal_form]) == 0
+
+
+@pytest.mark.parametrize("name", ["ext-pairs", "zeta-varieties"])
+def test_motive_pairs_build_no_crystal(monkeypatch, name):
+    # counted work on a fixed input: p is read off a pair's gcd split as
+    # every other prime is, so rounds 0-2 of seed 1 of the workloads that
+    # assemble pairs build no Witt ring and call no function of `crystal`.
+    # Read on the special modules of the charpolys over W(F_p), every pair
+    # of positive ranks called `special_module` and `local_lhs`
+    rings = []
+    init = witt.WittRing.__init__
+
+    def counted(self, *args, **kwargs):
+        rings.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(witt.WittRing, "__init__", counted)
+    own = [fn for fn in vars(crystal).values()
+           if isinstance(fn, types.FunctionType)
+           and fn.__module__ == crystal.__name__]
+    assert _calls(monkeypatch, name, own) == 0
+    assert rings == []
 
 
 if __name__ == "__main__":
