@@ -35,14 +35,30 @@ class PrecisionError(ArithmeticError):
 
 
 def int_valuation(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer.  The powers p, p^2, p^4, ...
+    are stripped while they divide, then again from the largest down:
+    O(log v) divisions, not v.
+
+    >>> int_valuation(-48, 2)
+    4
+    """
     if n == 0:
         raise ValueError("valuation of zero is undefined")
-    v = 0
     n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p:
+        return 0
+    powers, v = [p], 0
+    while True:
+        m, r = divmod(n, powers[-1])
+        if r:
+            break
+        n, v = m, v + (1 << (len(powers) - 1))
+        powers.append(powers[-1] * powers[-1])
+    # what is left has valuation below 2^(len(powers) - 1)
+    for k in range(len(powers) - 2, -1, -1):
+        m, r = divmod(n, powers[k])
+        if not r:
+            n, v = m, v + (1 << k)
     return v
 
 
@@ -263,8 +279,7 @@ def prime_factors(n: int) -> list[int]:
     while d < _TRIAL_BOUND and d * d <= n:
         if n % d == 0:
             out.add(d)
-            while n % d == 0:
-                n //= d
+            n //= d ** int_valuation(n, d)
         d += 1 if d == 2 else 2
     parts = [n] if n > 1 else []
     steps = _Steps()

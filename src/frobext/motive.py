@@ -6,14 +6,16 @@ Global Hom is the integer commutation lattice of the charpoly companions,
 the kernel of S: H -> H C_X - C_Y H.  Both lattices are cyclic Z[T]-modules,
 so one gcd split D = gcd(P_X, P_Y), A = P_X/D, B = P_Y/D per pair
 (`_hom_system`) gives rho = deg D, the Ext^1 torsion |Res(A, B)|, the trace
-discriminant |Res(D, D' A B)| and z(f_0), hence the local data at every
-l != p where both local modules are the companion lattices, and at p,
-where the cyclic crystals are induced from them; the primes where a motive
-carries exceptional torsion take the l-adic machinery of `galois`.  Global
-Ext orders are assembled prime by prime, with every contribution away from
-the computed support certified trivial by the unit valuation of
+discriminant |Res(D, D' A B)| and z(f_0).  Their l-parts are the local data
+at every l != p where both local modules are the companion lattices, and at
+p, where the cyclic crystals are induced from them.  So away from the primes
+where a motive carries exceptional torsion, the global Ext orders are read
+off the gcd split in closed form, and the local identities there are the
+l-parts of one rational equality, z(f_0) |q^chi N*| = 1, where
 
     N* = prod over eigenvalue pairs a_i != b_j of (1 - b_j/a_i).
+
+Each exceptional prime takes the l-adic machinery of `galois`.
 
 Two verifiers compare the assembled group data against the leading
 coefficient of the zeta side q^chi * prod(1 - (b_j/a_i) q^-s) at s = 0:
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import prod
 
 from .exact import (
     abs_at,
@@ -122,7 +123,7 @@ class Motive:
     finite l-primary torsion module.  At p the charpoly fixes the crystal:
     the cyclic module W_sigma[F] / (charpoly(F^a)).  Ext between two such
     crystals is a^2 copies of the p-part of the pair's integer Hom system,
-    which a pair reads at p as at every other prime (`_HomSystem`).
+    which a pair reads at p as at every other prime (`_hom_system`).
     """
 
     def __init__(self, q: int, charpoly: list[int],
@@ -136,10 +137,7 @@ class Motive:
         if cp[0] == 0:
             raise ValueError("the Frobenius may not have eigenvalue zero")
         _check_caps(len(cp) - 1, 1)  # against a rank-one partner
-        c0 = abs(cp[0])
-        while c0 % p == 0:
-            c0 //= p
-        if c0 != 1:
+        if abs(cp[0]) != p ** int_valuation(cp[0], p):
             raise ValueError("the constant coefficient must be a power of"
                              " the characteristic up to sign")
         if not _is_squarefree(cp):
@@ -369,8 +367,11 @@ def _gcd_split(x: Motive, y: Motive, rho: int) -> tuple[list, list, list]:
     return d, poly_quo_monic(x.charpoly, d), poly_quo_monic(y.charpoly, d)
 
 
-class _HomSystem:
-    """The pair's integer Hom system, read off the gcd split.
+def _hom_system(x: Motive, y: Motive, rho: int) -> tuple[int, Fraction, int]:
+    """The pair's integer Hom system, read off the gcd split: the order
+    |Res(A, B)| of the Ext^1 torsion, z(f_0) over Z and the |det| of the
+    trace pairing, with the gcd checked to have degree rho and the pairing
+    checked to be nondegenerate.
 
     Both lattices are cyclic, M = Z[T]/(P) with T acting as the companion
     matrix C_P, and H -> H·C_X - C_Y·H is multiplication by U - V on
@@ -391,32 +392,6 @@ class _HomSystem:
     and by Shapiro's lemma (Brown, Cohomology of Groups, III.5-6) and flat
     base change from Z_p to W its Ext is a^2 copies of the p-parts of
     these, read over Z_p whatever a."""
-
-    __slots__ = ("torsion", "z0", "discriminant")
-
-    def __init__(self, torsion: int, z0: Fraction, discriminant: int):
-        self.torsion = torsion            # |Res(A, B)|, the order of Ext^1_tors
-        self.z0 = z0                      # z(f_0) over Z
-        self.discriminant = discriminant  # |det| of the trace pairing
-
-    def l_side(self, l: int, leading: Fraction) -> dict:
-        """The local data at l, p included, checked against the local
-        identity z(f)·[Ext^2] = |q^chi N*|_l (Ext^2 vanishes)."""
-        z_f = l_primary(self.z0, l)
-        if z_f != abs_at(l, leading):
-            raise RuntimeError("local identity failed at l=%d" % l)
-        return {
-            "hom_tors": 1,
-            "ext1_torsion": l ** int_valuation(self.torsion, l),
-            "ext2": 1,
-            "z_f": z_f,
-            "swap_tors": 1,
-        }
-
-
-def _hom_system(x: Motive, y: Motive, rho: int) -> _HomSystem:
-    """The pair's integer Hom system, its gcd checked to have degree rho
-    and its trace pairing checked to be nondegenerate."""
     d, a, b = _gcd_split(x, y, rho)
     torsion = abs(resultant(a, b))
     # at rho = 0, D = 1 and D' is the zero polynomial, whose resultant is 0
@@ -425,7 +400,7 @@ def _hom_system(x: Motive, y: Motive, rho: int) -> _HomSystem:
     if disc == 0:
         raise RuntimeError("the trace pairing is degenerate although the"
                            " charpolys are squarefree")
-    return _HomSystem(torsion, Fraction(1, torsion * abs(d[0]) * disc), disc)
+    return torsion, Fraction(1, torsion * abs(d[0]) * disc), disc
 
 
 def hom_motives(x: Motive, y: Motive) -> tuple[list, int]:
@@ -496,22 +471,23 @@ class GlobalExtReport:
 
     __slots__ = ("q", "rho", "hom_tors_order", "ext1_order", "ext2_cotors_order",
                  "discriminant", "chi", "chi_statement", "nstar", "support",
-                 "per_prime", "leading")
+                 "leading", "z_f", "ext1_torsion", "swap_tors")
 
     def __init__(self, q: int, rho: int, hom_tors_order: int, ext1_order: int,
                  ext2_cotors_order: int, discriminant: int, chi: Fraction,
                  chi_statement: Fraction, nstar: Fraction,
-                 support: tuple[int, ...], per_prime: dict, leading: Fraction):
+                 support: tuple[int, ...], leading: Fraction, z_f: Fraction,
+                 ext1_torsion: int | None, swap_tors: int):
         self.q, self.rho, self.hom_tors_order = q, rho, hom_tors_order
         self.ext1_order, self.ext2_cotors_order = ext1_order, ext2_cotors_order
         self.discriminant = discriminant
         self.chi = chi  # s(X_p) r(Y_p), the exponent the identity uses
         self.chi_statement = chi_statement  # r(X_p) s(Y_p), the printed variant
-        self.nstar, self.support, self.per_prime = nstar, support, per_prime
+        self.nstar, self.support = nstar, support
         self.leading = leading  # q^chi |N*|, the zeta side of both identities
-
-    def _local_product(self, key: str):
-        return prod((d[key] for d in self.per_prime.values()), start=Fraction(1))
+        self.z_f = z_f  # the product of the local comparison-map values
+        self.ext1_torsion = ext1_torsion  # None when one prime leaves it open
+        self.swap_tors = swap_tors  # [Hom(Y, X)_tors]
 
     def global_identity(self) -> dict:
         """The result of verify_global_identity on the pair."""
@@ -523,8 +499,7 @@ class GlobalExtReport:
             "lhs": self.leading,
             "rhs": rhs,
             "equal": self.leading == rhs,
-            "duality_ok": self._local_product("swap_tors")
-            == self.ext2_cotors_order,
+            "duality_ok": self.swap_tors == self.ext2_cotors_order,
             "chi": self.chi,
             "chi_statement": self.chi_statement,
             "ext1_order": self.ext1_order,
@@ -536,15 +511,14 @@ class GlobalExtReport:
 
     def weil_identity(self) -> dict:
         """The result of verify_weil_identity on the pair."""
-        z_f = self._local_product("z_f")
-        balance = self.leading * z_f * self.ext2_cotors_order
+        balance = self.leading * self.z_f * self.ext2_cotors_order
         return {
             "q": self.q,
             "rho": self.rho,
             "lhs": self.leading,
-            "z_f": z_f,
+            "z_f": self.z_f,
             "ext2_order": self.ext2_cotors_order,
-            "rhs": 1 / (z_f * self.ext2_cotors_order),
+            "rhs": 1 / (self.z_f * self.ext2_cotors_order),
             "balance": balance,
             "equal": balance == 1,
             "chi": self.chi,
@@ -554,15 +528,14 @@ class GlobalExtReport:
 
     def weil_ext(self) -> "WeilExtReport":
         """The result of weil_ext on the pair."""
-        torsions = [d["ext1_torsion"] for d in self.per_prime.values()]
-        if None in torsions:
+        if self.ext1_torsion is None:
             raise HypothesisError("Ext^1 torsion is not determined when torsion"
                                   " meets positive local rank at one prime")
         return WeilExtReport(
             q=self.q, rho=self.rho, ext0_rank=self.rho,
             ext0_torsion=self.hom_tors_order, ext1_rank=self.rho,
-            ext1_torsion=prod(torsions), ext2_order=self.ext2_cotors_order,
-            z_f=self._local_product("z_f"))
+            ext1_torsion=self.ext1_torsion, ext2_order=self.ext2_cotors_order,
+            z_f=self.z_f)
 
 
 class WeilExtReport:
@@ -587,49 +560,62 @@ def _q_power(p: int, a: int, chi: Fraction) -> Fraction:
     return Fraction(p) ** e.numerator
 
 
+def _away_from(primes, x: Fraction) -> Fraction:
+    """x with its l-parts taken out for every l in primes."""
+    for l in primes:
+        x /= l_primary(x, l)
+    return x
+
+
 def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     _require_comparable(x, y)
     _check_caps(x.rank, y.rank)
     # rho pairs a_i = b_j, and N* the product of (1 - b_j/a_i) over the rest
     rho, nstar = ratio_limit(x.charpoly, y.charpoly)
-    system = _hom_system(x, y, rho)
-    disc = system.discriminant
+    torsion, z0, disc = _hom_system(x, y, rho)
     p = x.p
     chi = x.slope_sum() * y.rank
     leading = _q_power(p, x.a, chi) * abs(nstar)
-    support = {p}
+    exceptional = sorted(set(x.exceptional) | set(y.exceptional))
+    # the support is factored only to be printed
+    support = {p, *exceptional}
     support.update(prime_factors(nstar.numerator))
     support.update(prime_factors(nstar.denominator))
     support.update(prime_factors(disc))
-    support.update(x.exceptional)
-    support.update(y.exceptional)
-    per_prime: dict[int, dict] = {}
-    hom_tors, ext2 = 1, 1
-    ext1_order = 1
-    for l in sorted(support):
-        # away from the exceptional primes both local modules are the
-        # companion lattices of the charpolys, at p the cyclic crystals
-        # induced from them: every such prime reads the pair's one gcd
-        # split, whose resultants give both Ext^1 and z(f_l), so that the
-        # route check below holds there by construction.  The check is the
-        # local identity z(f_l) = |q^chi N*|_l (q^chi is a power of p): two
-        # exact routes, resultants of D, A and B against `ratio_limit`'s
-        # composed products, not a cokernel against them
-        on_system = l not in x.exceptional and l not in y.exceptional
-        if on_system:
-            d = system.l_side(l, leading)
-        else:
-            d = _l_side(x, y, l, rho, nstar)
-        per_prime[l] = d
+    # away from the exceptional primes both local modules are the companion
+    # lattices of the charpolys, at p the cyclic crystals induced from them,
+    # so every l-part there is read off the gcd split: z(f_l) is that of z0,
+    # the Ext^1 torsion that of |Res(A, B)|, [Ext^1] that of
+    # |Res(A, B)|·|D(0)| = 1/(z0·disc), and Hom_tors, Ext^2 and the swapped
+    # Hom_tors are 1.  The local identities z(f_l) = |q^chi N*|_l there are
+    # the l-parts of one rational equality, and a rational number is fixed
+    # by its valuations, so it checks them all at once: two exact routes,
+    # resultants of D, A and B against `ratio_limit`'s composed products
+    z_f = _away_from(exceptional, z0)
+    if z_f * _away_from(exceptional, leading) != 1:
+        raise RuntimeError("the local identities failed away from the"
+                           " exceptional primes")
+    ext1_torsion = _away_from(exceptional, Fraction(torsion)).numerator
+    ext1_order = _away_from(exceptional, 1 / (z0 * disc)).numerator
+    hom_tors = ext2 = swap_tors = 1
+    # each exceptional prime builds both local modules on the galois route
+    for l in exceptional:
+        d = _l_side(x, y, l, rho, nstar)
         hom_tors *= d["hom_tors"]
         ext2 *= d["ext2"]
+        swap_tors *= d["swap_tors"]
+        z_f *= d["z_f"]
+        if ext1_torsion is not None and d["ext1_torsion"] is not None:
+            ext1_torsion *= d["ext1_torsion"]
+        else:
+            ext1_torsion = None
         # the group-of-extensions order carried by the identity at l:
         # [Hom_tors(l)] |D|_l / z(f_l), an l-power by the local identity
         contrib = Fraction(d["hom_tors"]) * abs_at(l, disc) / d["z_f"]
         if contrib.denominator != 1:
             raise RuntimeError("non-integral Ext^1 contribution at l=%d" % l)
         ext1_order *= contrib.numerator
-        if rho == 0 and not on_system and d["ext1_torsion"] is not None \
+        if rho == 0 and d["ext1_torsion"] is not None \
                 and contrib.numerator != d["ext1_torsion"]:
             raise RuntimeError("the z-route and the group route disagree"
                                " at l=%d" % l)
@@ -637,7 +623,8 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
         q=x.q, rho=rho, hom_tors_order=hom_tors,
         ext1_order=ext1_order, ext2_cotors_order=ext2, discriminant=disc,
         chi=chi, chi_statement=Fraction(x.rank) * y.slope_sum(), nstar=nstar,
-        support=tuple(sorted(support)), per_prime=per_prime, leading=leading)
+        support=tuple(sorted(support)), leading=leading, z_f=z_f,
+        ext1_torsion=ext1_torsion, swap_tors=swap_tors)
 
 
 def global_ext_orders(x: Motive, y: Motive) -> GlobalExtReport:

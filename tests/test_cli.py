@@ -481,8 +481,6 @@ def test_one_l_adic_report_per_prime(capsys, monkeypatch):
         return {"hom_module": 2 * n, "ext1_bar_module": n, "smith": 0}
 
     monkeypatch.setattr(motive, "_l_side", tracked(motive._l_side))
-    monkeypatch.setattr(motive._HomSystem, "l_side",
-                        tracked(motive._HomSystem.l_side))
     for mod in (exact, galois, motive, crystal):
         if getattr(mod, "ratio_charpoly", None) is ratio:
             monkeypatch.setattr(mod, "ratio_charpoly", tracked_ratio)

@@ -28,6 +28,7 @@ from frobext.exact import (
     round_fits,
     strip_root,
     valuation,
+    int_valuation,
     _Steps,
     _iroot,
     _power_at_most,
@@ -47,6 +48,32 @@ def test_valuation_basic():
     assert abs_at(2, Fraction(5, 8)) == 8
     assert abs_at(3, 0) == 0
     assert abs_at(7, 5) == 1
+
+
+def test_int_valuation_cases():
+    # v = 0 (the fast return), v = 1, an exact power, negative n, and
+    # v near 20 000, which the doubling strips in a few dozen divisions
+    assert int_valuation(7, 2) == 0
+    assert int_valuation(6, 2) == 1
+    assert int_valuation(3 ** 37, 3) == 37
+    assert int_valuation(-(5 ** 8) * 12, 5) == 8
+    assert int_valuation(-(2 ** 64), 2) == 64
+    n = 7 ** 19_999 * 10
+    assert int_valuation(n, 7) == 19_999
+    assert int_valuation(-7 * n, 7) == 20_000
+    assert int_valuation(2 ** 20_000 * 3, 2) == 20_000
+    with pytest.raises(ValueError, match="undefined"):
+        int_valuation(0, 3)
+
+
+@given(small_primes, st.integers(0, 200), st.integers(-10**6, 10**6))
+def test_int_valuation_vs_one_division_at_a_time(p, v, m):
+    n, want = p ** v * (m or 1), v
+    rest = abs(m or 1)
+    while rest % p == 0:
+        rest //= p
+        want += 1
+    assert int_valuation(n, p) == want
 
 
 @given(small_primes, rationals, rationals)

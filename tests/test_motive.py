@@ -1,3 +1,5 @@
+import json
+import pathlib
 from fractions import Fraction
 from math import isqrt
 
@@ -21,6 +23,7 @@ from frobext.motive import (
     verify_weil_identity,
     weil_ext,
 )
+from frobext.zgamma import HypothesisError
 
 
 def test_motive_validation():
@@ -351,29 +354,32 @@ def motive_pairs(draw):
 @example((unit_motive(5), lefschetz_motive(5, 2)))         # rho = 0
 @example((elliptic_motive(9, 2), elliptic_motive(9, 2)))   # rho = 2
 def test_gcd_split_reads_every_l(pair):
-    # at every l != p of the support (and a few primes off it) the data read
-    # off the pair's one gcd split (Res(A, B) and z0) equals the galois
-    # route's own build at l.  The support is that of the assembly, whose
-    # p-side refuses some pairs that share only part of their eigenvalues
-    # (CHANGES.md)
-    from frobext.exact import prime_factors, ratio_limit
-    from frobext.motive import _hom_system, _l_side
+    # at every l != p of the support (and a few primes off it) the l-parts
+    # of the assembly's closed form, read off the pair's one gcd split
+    # (Res(A, B) and z0), equal the galois route's own build at l
+    from frobext.exact import int_valuation, l_primary
+    from frobext.motive import _l_side
     x, y = pair
     rho, nstar = ratio_limit(x.charpoly, y.charpoly)
-    system = _hom_system(x, y, rho)
     support = {2, 3, 5, 7}
     try:
-        for n in (nstar.numerator, nstar.denominator, system.discriminant):
-            support.update(prime_factors(n))
+        rep = global_ext_orders(x, y)
     except ValueError as exc:
         # a cofactor past the rho cap, which `ext` refuses (exit 2,
         # `test_cli.py::test_huge_numbers_are_refused_at_once`)
         if "rho steps" not in str(exc):
             raise
         assume(False)
+    support.update(rep.support)
     for l in sorted(support - {x.p}):
         want = _l_side(x, y, l, rho, nstar)
-        got = system.l_side(l, nstar)
+        got = {
+            "hom_tors": l ** int_valuation(rep.hom_tors_order, l),
+            "ext1_torsion": l ** int_valuation(rep.ext1_torsion, l),
+            "ext2": l ** int_valuation(rep.ext2_cotors_order, l),
+            "z_f": l_primary(rep.z_f, l),
+            "swap_tors": l ** int_valuation(rep.swap_tors, l),
+        }
         assert got == want, l
         assert [type(v) for v in got.values()] \
             == [type(v) for v in want.values()]
@@ -442,9 +448,10 @@ def test_p_side_vs_the_gcd_split(case):
     # D, A, B), which the oracle test below pins to the Kronecker Smith
     # form and which the assembly reads at p whatever a.  On every pair,
     # shared eigenvalues included: Hom of rank rho·a^2, and Ext^1 torsion
-    # (p-part of Res(A, B))^(a^2), the assembly's Ext^1 torsion at p to the
-    # a^2.  On the pairs `local_lhs` reads (coprime or equal charpolys):
-    # lhs = |z0|_p^(a^2)
+    # (p-part of Res(A, B))^(a^2), the p-part of the assembly's Ext^1
+    # torsion to the a^2.  On the pairs `local_lhs` reads (coprime or equal
+    # charpolys): lhs = |z0|_p^(a^2), the p-part of the assembly's z(f) to
+    # the a^2
     from frobext.crystal import ext_presentation, local_lhs, special_module
     from frobext.exact import int_valuation, l_primary
     from frobext.motive import _hom_system
@@ -452,13 +459,15 @@ def test_p_side_vs_the_gcd_split(case):
     kind, x, y = case
     p, a = x.p, x.a
     rho, _ = ratio_limit(x.charpoly, y.charpoly)
-    system = _hom_system(x, y, rho)
-    torsion = p ** int_valuation(system.torsion, p)
-    z_f = l_primary(system.z0, p)
+    res_ab, z0, _ = _hom_system(x, y, rho)
+    torsion = p ** int_valuation(res_ab, p)
+    z_f = l_primary(z0, p)
     ring = WittRing(p, a)
     mx, my = special_module(ring, x.charpoly), special_module(ring, y.charpoly)
     rep = ext_presentation(mx, my)
-    at_p = global_ext_orders(x, y).per_prime[p]
+    assembly = global_ext_orders(x, y)
+    at_p = {"ext1_torsion": p ** int_valuation(assembly.ext1_torsion, p),
+            "z_f": l_primary(assembly.z_f, p)}
     assert rep.ext0.free_rank == rep.ext1.free_rank == rho * a * a
     assert rep.ext1.torsion_order == torsion ** (a * a) \
         == at_p["ext1_torsion"] ** (a * a)
@@ -490,9 +499,8 @@ def test_hom_system_vs_the_kronecker_oracle(pair):
     x, y = pair
     rho, _ = ratio_limit(x.charpoly, y.charpoly)
     oracle = KroneckerHom(x.charpoly, y.charpoly)
-    system = _hom_system(x, y, rho)
     assert oracle.rho == rho
-    assert (system.torsion, system.z0, system.discriminant) \
+    assert _hom_system(x, y, rho) \
         == (oracle.torsion, oracle.z0, oracle.discriminant)
     basis, rho_h = hom_motives(x, y)
     assert rho_h == rho == len(basis) == len(oracle.basis)
@@ -506,3 +514,64 @@ def test_hom_system_vs_the_kronecker_oracle(pair):
                     for i in range(y.rank) for j in range(x.rank)]
         assert lattice_solve(cols(basis), cols(oracle.basis)) is not None
         assert lattice_solve(cols(oracle.basis), cols(basis)) is not None
+
+
+EXT_ROWS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "ext_table.json").read_text())
+
+
+def _outcome(fn):
+    """fn()'s value, or the type and message of the refusal it raised."""
+    try:
+        return fn()
+    except (ValueError, HypothesisError) as exc:
+        return type(exc), str(exc)
+
+
+def _against_the_per_prime_oracle(x: Motive, y: Motive) -> str:
+    # every field of the assembly, both identity dicts and the Weil-group
+    # Ext against the per-prime reading that the closed form replaced: the
+    # same values of the same types, or the same refusal
+    from assembly_oracle import PerPrimeReport
+
+    from frobext.motive import GlobalExtReport, WeilExtReport
+    got = _outcome(lambda: global_ext_orders(x, y))
+    want = _outcome(lambda: PerPrimeReport(x, y))
+    if isinstance(want, tuple):
+        assert got == want
+        return "refused"
+    for field in GlobalExtReport.__slots__:
+        g, w = getattr(got, field), getattr(want, field)
+        assert (g, type(g)) == (w, type(w)), field
+    assert got.global_identity() == want.global_identity()
+    assert got.weil_identity() == want.weil_identity()
+    got_w, want_w = _outcome(got.weil_ext), _outcome(want.weil_ext)
+    if isinstance(want_w, tuple):
+        assert got_w == want_w
+        return "weil indeterminate"
+    for field in WeilExtReport.__slots__:
+        g, w = getattr(got_w, field), getattr(want_w, field)
+        assert (g, type(g)) == (w, type(w)), field
+    return "answered"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(motive_pairs())
+@example((unit_motive(5), lefschetz_motive(5, 2)))         # rho = 0
+@example((elliptic_motive(9, 2), elliptic_motive(9, 2)))   # rho = 2
+@example((Motive(5, [5, -6, 1]), unit_motive(5)))          # (1 ⊕ L, 1)
+@example((_X12, _X12))
+def test_assembly_vs_the_per_prime_oracle(pair):
+    event(_against_the_per_prime_oracle(*pair))
+
+
+def test_exceptional_rows_vs_the_per_prime_oracle():
+    # the golden table's rows whose motives carry exceptional torsion: the
+    # primes where the per-prime loop still runs
+    rows = [row for row in EXT_ROWS
+            if any("exceptional" in json.loads(row[m]) for m in "xy")]
+    assert len(rows) == 20
+    outcomes = [_against_the_per_prime_oracle(motive_from_json(row["x"]),
+                                              motive_from_json(row["y"]))
+                for row in rows]
+    assert "answered" in outcomes and "weil indeterminate" in outcomes

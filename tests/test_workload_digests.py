@@ -24,7 +24,7 @@ import types
 
 import pytest
 
-from frobext import cli, crystal, linalg, witt
+from frobext import cli, crystal, exact, linalg, witt
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TABLE = ROOT / "tests" / "data" / "workload_digests.json"
@@ -99,6 +99,16 @@ def test_motive_pairs_take_no_smith_form(monkeypatch, name):
     # of the Kronecker operator per pair they took 291 (ext-pairs) and 242
     # (zeta-varieties)
     assert _calls(monkeypatch, name, [linalg.smith_normal_form]) == 0
+
+
+@pytest.mark.parametrize("name", ["ext-pairs", "zeta-varieties"])
+def test_motive_pairs_take_no_valuation(monkeypatch, name):
+    # counted work on a fixed input: away from the exceptional primes a
+    # pair's local identities are one rational equality on its gcd split,
+    # and these workloads carry no exceptional torsion, so rounds 0-2 of
+    # seed 1 read no Fraction valuation.  Read prime by prime they took
+    # 2085 (ext-pairs) and 1986 (zeta-varieties)
+    assert _calls(monkeypatch, name, [exact.valuation]) == 0
 
 
 @pytest.mark.parametrize("name", ["ext-pairs", "zeta-varieties"])
