@@ -356,22 +356,22 @@ def _require_comparable(x: Motive, y: Motive):
         raise ValueError("motives over different fields")
 
 
-def _gcd_split(x: Motive, y: Motive, rho: int) -> tuple[list, list, list]:
+def _gcd_split(px: list, py: list, rho: int) -> tuple[list, list, list]:
     """D = gcd(P_X, P_Y), A = P_X/D and B = P_Y/D, monic over Z (Gauss's
     lemma), with deg D checked to be rho."""
-    d = poly_gcd_monic(x.charpoly, y.charpoly)
+    d = poly_gcd_monic(px, py)
     if poly_deg(d) != rho:
         raise RuntimeError("the charpolys' gcd has degree %d, not rho = %d;"
                            " the charpolys are not squarefree?"
                            % (poly_deg(d), rho))
-    return d, poly_quo_monic(x.charpoly, d), poly_quo_monic(y.charpoly, d)
+    return d, poly_quo_monic(px, d), poly_quo_monic(py, d)
 
 
-def _hom_system(x: Motive, y: Motive, rho: int) -> tuple[int, Fraction, int]:
-    """The pair's integer Hom system, read off the gcd split: the order
-    |Res(A, B)| of the Ext^1 torsion, z(f_0) over Z and the |det| of the
-    trace pairing, with the gcd checked to have degree rho and the pairing
-    checked to be nondegenerate.
+def _hom_system(px: list, py: list, rho: int) -> tuple[int, Fraction, int]:
+    """The integer Hom system of squarefree charpolys P_X and P_Y, read off
+    the gcd split: the order |Res(A, B)| of the Ext^1 torsion, z(f_0) over
+    Z and the |det| of the trace pairing, with the gcd checked to have
+    degree rho and the pairing checked to be nondegenerate.
 
     Both lattices are cyclic, M = Z[T]/(P) with T acting as the companion
     matrix C_P, and H -> H·C_X - C_Y·H is multiplication by U - V on
@@ -392,7 +392,7 @@ def _hom_system(x: Motive, y: Motive, rho: int) -> tuple[int, Fraction, int]:
     and by Shapiro's lemma (Brown, Cohomology of Groups, III.5-6) and flat
     base change from Z_p to W its Ext is a^2 copies of the p-parts of
     these, read over Z_p whatever a."""
-    d, a, b = _gcd_split(x, y, rho)
+    d, a, b = _gcd_split(px, py, rho)
     torsion = abs(resultant(a, b))
     # at rho = 0, D = 1 and D' is the zero polynomial, whose resultant is 0
     disc = abs(resultant(d, poly_mul(poly_deriv(d), poly_mul(a, b)))) \
@@ -417,7 +417,7 @@ def hom_motives(x: Motive, y: Motive) -> tuple[list, int]:
     """
     _require_comparable(x, y)
     rho, _ = ratio_limit(x.charpoly, y.charpoly)
-    _, _, b = _gcd_split(x, y, rho)
+    _, _, b = _gcd_split(x.charpoly, y.charpoly, rho)
     py, ry = y.charpoly, y.rank
     basis = []
     for i in range(rho):
@@ -572,7 +572,7 @@ def _assemble(x: Motive, y: Motive) -> GlobalExtReport:
     _check_caps(x.rank, y.rank)
     # rho pairs a_i = b_j, and N* the product of (1 - b_j/a_i) over the rest
     rho, nstar = ratio_limit(x.charpoly, y.charpoly)
-    torsion, z0, disc = _hom_system(x, y, rho)
+    torsion, z0, disc = _hom_system(x.charpoly, y.charpoly, rho)
     p = x.p
     chi = x.slope_sum() * y.rank
     leading = _q_power(p, x.a, chi) * abs(nstar)

@@ -12,8 +12,8 @@ H^j into squarefree catalogue motives and assembles
 
     chi_times = q^(chi_tot - chi_O) * prod_j (z(f_j) [Ext^2_j])^((-1)^j)
 
-from the verified local-to-global machinery, where chi_tot = r * e(V) counts
-the p-adic normalization of the comparison maps and chi_O is the coherent
+off each piece's gcd split with L^r, where chi_tot = r * e(V) counts the
+p-adic normalization of the comparison maps and chi_O is the coherent
 Euler characteristic sum over the Hodge table.  The verifier checks
 
     |leading coefficient| = chi_times * q^chi_O
@@ -37,19 +37,18 @@ from .exact import (
     poly_quo_monic,
     power_sums,
     prime_power,
+    ratio_limit,
     round_fits,
     strip_root,
 )
 from .motive import (
-    Motive,
+    _hom_system,
     check_cap,
     json_array,
     json_field,
     json_int,
     json_ints,
     json_object,
-    lefschetz_motive,
-    verify_weil_identity,
 )
 
 
@@ -290,16 +289,14 @@ def product(v: VarietyDescriptor, w: VarietyDescriptor,
 # dimension, the total Betti number (the product of the factors' own), and
 # the bit size of Z(V, t)'s data, its Weil polynomials P_j, whose
 # coefficients are sums of products of b_j eigenvalues of absolute value
-# q^(j/2), so below 2^b_j q^(j b_j / 2).  No P_j is expanded; the special
-# value, which the pieces' values multiply to, is of that size.  Each
-# curve factor lies over a prime up to MAX_CURVE_PRIME.  The residue degree
-# a is not capped: each piece is read at p off its gcd split with L^r, as
-# at every other prime, whatever a.  At the caps a query took up to about
-# 1.6 s as a whole process (Python 3.11, 2-CPU shared VM): a curve over
-# p = 10^15 - 11 about 0.1 s, three distinct ones up to about 0.9 s and
-# five up to about 1.6 s to a refusal at the rho cap, P^64 over F_1024
-# about 1 s to the same refusal, P^8 over F_1024 and over F_{2^16} about
-# 0.1 s.
+# q^(j/2), so below 2^b_j q^(j b_j / 2).  No P_j is expanded.  Each curve
+# factor lies over a prime up to MAX_CURVE_PRIME.  The residue degree a is
+# not capped.  Nothing is factored, so every query under the caps answers;
+# whole processes (Python 3.11, 2-CPU shared VM) at r = 1: five distinct
+# curves times P^1 over p = 10^15 - 11 (Betti 2048) about 3.1 s, five
+# curves 1.2 s, three 0.25 s, one 0.15 s, P^64 over F_1024 0.08 s.  r is
+# capped on its own (`_check_r`), but the special value grows with r times
+# the Betti number: five such curves take about 20 s at r = 40.
 MAX_DIMENSION = 64
 MAX_BETTI = 2048
 MAX_WEIL_BITS = 10 ** 8
@@ -316,17 +313,18 @@ def _check_size(q: int, betti: list[int]):
 
 
 def _check_r(q: int, r: int):
-    """r >= 0, refused when q^r lies above the largest number one primality
-    round fits in exact.RHO_STEPS (`round_fits`): the pieces' N* are of its
-    size and are factored.  q^r has at most r·b + 1 bits, b the bit length
-    of q - 1, so the check never forms it."""
+    """r >= 0, with q^r below the largest number one primality round fits
+    in exact.RHO_STEPS (`round_fits`, 8062 bits).  Nothing is factored: the
+    cap bounds q^r, at which each piece is evaluated (`strip_root`, and
+    `ratio_limit` against L^r), and so each piece's special value.  q^r has
+    at most r·b + 1 bits, b the bit length of q - 1; it is never formed."""
     if r < 0:
         raise ValueError("special values at non-negative r only")
     bits = r * (q - 1).bit_length() + 1
     if not round_fits(bits):
-        raise ValueError("r = %d gives q^r of up to %d bits; one primality"
-                         " round on a number that large takes more than the"
-                         " cap of %d rho steps" % (r, bits, RHO_STEPS))
+        raise ValueError("r = %d gives q^r of up to %d bits, above the number"
+                         " one primality round fits in the cap of %d rho"
+                         " steps" % (r, bits, RHO_STEPS))
 
 
 def _spec_betti(spec, field: str) -> tuple[int, list[int]]:
@@ -468,10 +466,11 @@ class MotivicCohomologyReport:
 def motivic_cohomology(v: VarietyDescriptor, r: int) -> MotivicCohomologyReport:
     """Decompose every H^j into squarefree catalogue motives, pair each with
     the r-th Lefschetz power, and assemble ranks and the multiplicative Euler
-    characteristic from the verified local-to-global Ext machinery."""
+    characteristic: a pair (L^r, P) has no exceptional torsion, so its local
+    identities are z(f_0) q^chi |N*| = 1 off its gcd split (`_assemble`)."""
     _check_r(v.q, r)
     q = v.q
-    source = lefschetz_motive(q, r)
+    source = [-q ** r, 1]
     rho_by_degree = [0] * (2 * v.dimension + 1)
     chi_tot = 0
     zprod = Fraction(1)
@@ -479,17 +478,18 @@ def motivic_cohomology(v: VarietyDescriptor, r: int) -> MotivicCohomologyReport:
     for j, row in enumerate(v.pieces):
         sign = -1 if j % 2 else 1
         for cp, mult in row:
-            out = verify_weil_identity(source, Motive(q, cp))
-            if not out["equal"]:
+            rho, nstar = ratio_limit(source, cp)
+            _, z_f, _ = _hom_system(source, cp, rho)
+            chi = r * poly_deg(cp)
+            if z_f * q ** chi * abs(nstar) != 1:
                 raise RuntimeError("local identity failed for a piece of"
                                    " H^%d" % j)
-            rho_by_degree[j] += mult * out["rho"]
-            chi_tot += sign * mult * int(out["chi"])
-            zprod *= (out["z_f"] * out["ext2_order"]) ** (sign * mult)
+            rho_by_degree[j] += mult * rho
+            chi_tot += sign * mult * chi
+            zprod *= z_f ** (sign * mult)
             piece_data.append({
                 "degree": j, "charpoly": cp, "multiplicity": mult,
-                "rho": out["rho"], "z_f": out["z_f"],
-                "ext2_order": out["ext2_order"]})
+                "rho": rho, "chi": chi, "z_f": z_f, "ext2_order": 1})
     chi_o = chi_coherent(v, r)
     chi_times = zprod * Fraction(q) ** (chi_tot - chi_o)
     ranks = []

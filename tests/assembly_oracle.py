@@ -49,7 +49,7 @@ class PerPrimeReport:
         _require_comparable(x, y)
         _check_caps(x.rank, y.rank)
         rho, nstar = ratio_limit(x.charpoly, y.charpoly)
-        torsion, z0, disc = _hom_system(x, y, rho)
+        torsion, z0, disc = _hom_system(x.charpoly, y.charpoly, rho)
         p = x.p
         chi = x.slope_sum() * y.rank
         leading = _q_power(p, x.a, chi) * abs(nstar)

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -356,6 +357,48 @@ def test_zeta_at_the_caps(capsys, spec, r):
                              "--json"])
     assert time.perf_counter() - start < 5
     assert code == 0 and json.loads(out)["equal"] is True
+
+
+def _curves(p: int, n: int) -> dict:
+    return _times(*[{"kind": "elliptic_curve", "q": p, "coefficients": [a, 3]}
+                    for a in (2, 5, 7, 11, 13)[:n]])
+
+
+@pytest.mark.parametrize("spec, r", [
+    (_pn(1024, 64), 1),
+    (_pn(5, 1), 1000),
+    (_curves(999999999999989, 3), 1),            # the last prime below 10^15
+    (_curves(999999999999989, 5), 1),
+    (_curves(9999991, 3), 1),
+])
+def test_zeta_factors_nothing(capsys, spec, r):
+    # valid inputs that were refused at the rho or primality cap while zeta
+    # factored each piece's N* and discriminant; each piece is now one
+    # rational equality off its gcd split
+    start = time.perf_counter()
+    code, out = run(capsys, ["zeta", json.dumps(spec), "--r", str(r),
+                             "--json"])
+    assert time.perf_counter() - start < 5
+    out = json.loads(out)
+    assert code == 0 and out["equal"] is True
+    if spec["kind"] == "projective_space":
+        # zeta(P^n, s) = prod over i <= n of (1 - q^(i-s))^-1, so the
+        # leading coefficient at s = r, independent of the Ext side, is the
+        # product of the factors with i != r
+        q, closed = spec["q"], Fraction(1)
+        for i in range(spec["dimension"] + 1):
+            if i != r:
+                closed /= 1 - Fraction(q) ** (i - r)
+        # P^64's leading coefficient has 6072 digits, past the int-to-str
+        # limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(out["leading"]) == closed
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("spec, cap", [

@@ -24,7 +24,7 @@ import types
 
 import pytest
 
-from frobext import cli, crystal, exact, linalg, witt
+from frobext import cli, crystal, exact, linalg, motive, witt
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TABLE = ROOT / "tests" / "data" / "workload_digests.json"
@@ -109,6 +109,24 @@ def test_motive_pairs_take_no_valuation(monkeypatch, name):
     # seed 1 read no Fraction valuation.  Read prime by prime they took
     # 2085 (ext-pairs) and 1986 (zeta-varieties)
     assert _calls(monkeypatch, name, [exact.valuation]) == 0
+
+
+def test_zeta_factors_nothing_and_builds_no_motive(monkeypatch):
+    # counted work on a fixed input: each Kunneth piece (L^r, P) is one
+    # rational equality off its gcd split, so rounds 0-2 of seed 1 of
+    # zeta-varieties factor nothing and build no `Motive`.  Assembled as
+    # motive pairs, with the support factored, they made 726 calls to
+    # `prime_factors` (three for each of 242 pairs) and built 290 motives
+    built = []
+    init = motive.Motive.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(motive.Motive, "__init__", counted)
+    factored = _calls(monkeypatch, "zeta-varieties", [exact.prime_factors])
+    assert (factored, len(built)) == (0, 0)
 
 
 @pytest.mark.parametrize("name", ["ext-pairs", "zeta-varieties"])

@@ -1,10 +1,11 @@
 import json
+import pathlib
 import time
 from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from frobext.exact import (
@@ -16,6 +17,7 @@ from frobext.exact import (
     poly_gcd_monic,
     poly_mul,
 )
+from frobext.motive import Motive, lefschetz_motive, verify_weil_identity
 from frobext.zeta import (
     MAX_CURVE_PRIME,
     _spec_betti,
@@ -370,6 +372,67 @@ def test_supersingular_square_over_f7():
     h2 = [(d["charpoly"], d["multiplicity"]) for d in
           motivic_cohomology(v, 1).pieces if d["degree"] == 2]
     assert h2 == [([-49, 0, 1], 2), ([-7, 1], 2)]
+
+
+def _pieces_vs_the_motive_route(v, r: int):
+    """Each piece (L^r, P) that `motivic_cohomology` reads off its gcd split
+    against the motive route: `verify_weil_identity` on the two `Motive`s,
+    which `motive._assemble` assembles with its support factored.  rho, chi,
+    z_f and ext2_order agree in value and type, and the report's chi_times
+    is the one the oracle's pieces give."""
+    rep = motivic_cohomology(v, r)
+    source = lefschetz_motive(v.q, r)
+    chi_tot, zprod = 0, Fraction(1)
+    for piece in rep.pieces:
+        out = verify_weil_identity(source, Motive(v.q, piece["charpoly"]))
+        assert out["equal"]
+        for key in ("rho", "z_f", "ext2_order"):
+            assert (piece[key], type(piece[key])) \
+                == (out[key], type(out[key])), (key, piece)
+        # the oracle's chi is a Fraction of denominator 1
+        assert (piece["chi"], type(piece["chi"])) == (out["chi"], int)
+        sign = piece["multiplicity"] * (-1) ** piece["degree"]
+        chi_tot += sign * piece["chi"]
+        zprod *= (out["z_f"] * out["ext2_order"]) ** sign
+    assert rep.chi_times == zprod * Fraction(v.q) ** (chi_tot - rep.chi_o)
+
+
+def test_zeta_table_pieces_vs_the_motive_route():
+    # every variety of the golden zeta table, at its r
+    rows = json.loads((pathlib.Path(__file__).parent / "data"
+                       / "zeta_table.json").read_text())
+    for row in rows:
+        spec, r = json.loads(row["argv"][1]), int(row["argv"][3])
+        _pieces_vs_the_motive_route(variety_from_spec(spec), r)
+
+
+def _factor_specs(p: int):
+    curve = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).map(
+        lambda c: {"kind": "elliptic_curve", "q": p, "coefficients": list(c)})
+    space = st.integers(0, 2).map(
+        lambda n: {"kind": "projective_space", "q": p, "dimension": n})
+    return st.one_of(curve, space)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.tuples(st.sampled_from([2, 3, 5, 7, 11, 101]),
+                 st.integers(1, 3)).flatmap(
+    lambda pn: st.lists(_factor_specs(pn[0]), min_size=pn[1],
+                        max_size=pn[1])),
+    st.integers(0, 3))
+@example([{"kind": "elliptic_curve", "q": 7, "coefficients": [1, 0]}] * 2, 1)
+def test_drawn_pieces_vs_the_motive_route(factors, r):
+    # curves and products of up to three factors; a supersingular square
+    # (the example) shares the eigenvalue q with L at r = 1
+    spec = factors[0] if len(factors) == 1 else \
+        {"kind": "product", "factors": factors}
+    try:
+        v = variety_from_spec(spec)
+    except ValueError:
+        event("refused")  # a singular curve or a repeated eigenvalue
+        return
+    event("%d factor(s)" % len(factors))
+    _pieces_vs_the_motive_route(v, r)
 
 
 def test_chi_times_formula_p2():
