@@ -227,6 +227,8 @@ def _cmd_verify_local(args) -> int:
             # older replay files carry a "precision" field; it is not read
             p = json_int(case.get("p"), "p")
             a = json_int(case.get("degree", 1), "degree")
+            if a < 1:
+                raise ValueError("degree must be at least 1, not %d" % a)
             check_cap("degree %d gives a p-adic system of dimension at least"
                       " a^3 =" % a, a ** 3, MAX_THETA_DIM)
             ring = WittRing(p, a)

@@ -11,8 +11,9 @@ compares z(f)·[Ext²] against the p-adic absolute value of an eigenvalue
 product read off the characteristic polynomials.  Integer matrices of maps
 come from `WittRing.mul_matrix`, their groups from the local Smith form
 `linalg.padic_smith`, and a crystal's characteristic polynomial from
-`linalg.charpoly` run over W.  The torsion filtration is tested by
-`zgamma.respects_moduli`, as moduli homomorphisms are at l.
+`linalg.charpoly` mod p^K of the integer matrix of its semilinear F.  The
+torsion filtration is tested by `zgamma.respects_moduli`, as moduli
+homomorphisms are at l.
 """
 
 from fractions import Fraction
@@ -54,9 +55,9 @@ from .zgamma import (
 
 
 def _linear_int_matrix(ring: WittRing, wmat):
-    """Z-coordinate matrix (size a·n) of v -> wmat·v over Z[x]/(h): exact
-    for integer coordinates, congruent mod p^K to the map over the ring for
-    Witt elements."""
+    """Z-coordinate matrix (size a·n) of v -> wmat·v over Z[x]/(h), for an
+    n x n matrix of coordinate lists: exact over Z, and congruent mod p^K to
+    the map over the ring."""
     blocks = [[ring.mul_matrix(x) for x in row] for row in wmat]
     return [[x for blk in row for x in blk[r]]
             for row in blocks for r in range(ring.a)]
@@ -142,16 +143,6 @@ class Crystal:
             raise ValueError("F is singular; the kernel must be torsion")
         self.det_valuation = int_valuation(det, self.ring.p)
 
-    def frobenius_power(self):
-        """The matrix F·sigma(F)···sigma^{a-1}(F) of the a-th iterate of F,
-        W-linear because sigma^a = id."""
-        ring = self.ring
-        out = twisted = [[ring.elem(c) for c in row] for row in self.coords]
-        for _ in range(ring.a - 1):
-            twisted = [[ring.sigma(x) for x in row] for row in twisted]
-            out = mat_mul(out, twisted)
-        return out
-
     def is_k_type(self) -> bool:
         """Copies of the residue field with zero Frobenius."""
         p = self.ring.p
@@ -222,18 +213,26 @@ def special_module(ring: WittRing, min_poly) -> Crystal:
 
 
 def crystal_charpoly(m: Crystal) -> list[int]:
-    """Ascending integer coefficients of the characteristic polynomial of
-    the a-th Frobenius iterate.  The coefficients land in Z_p (checked:
-    their non-constant Witt coordinates vanish) and are reported through
-    balanced lifts.
+    """Ascending integer coefficients of the characteristic polynomial P of
+    the a-th Frobenius iterate, through balanced lifts mod p^K.
+
+    It is read off Φ, the Z_p-matrix of the semilinear F (rank a·r).  Over
+    W ⊗ W ≅ W^a, Φ is block-cyclic with Φ^a = F^a, so det(t - Φ) = P(t^a):
+    every coefficient off a multiple of a must vanish mod p^K
+    (RuntimeError otherwise).
 
     >>> crystal_charpoly(unit_crystal(WittRing(3, 2)))
     [-1, 1]
     """
     if m.kind != "free":
         raise ValueError("characteristic polynomial needs a torsion-free crystal")
-    return [c.constant_lift()
-            for c in charpoly(m.frobenius_power(), m.ring.from_int(1))]
+    ring = m.ring
+    a, pK = ring.a, ring.pK
+    cp = charpoly(_semilinear_int_matrix(ring, m.coords), pK)
+    if any(c for i, c in enumerate(cp) if i % a):
+        raise RuntimeError("the charpoly of the semilinear F is not a"
+                           " polynomial in t^a")
+    return [c - pK if c > pK // 2 else c for c in cp[::a]]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ read off it.  It takes the matrix as sparse rows, {column: entry} of the
 nonzero entries, and eliminates on those alone: θ of a companion F, the
 map it reads most, is mostly zeros.  It pivots only on units of a block
 scaled by the power of p taken out so far, so no entry's valuation is
-computed.  The one characteristic polynomial,
-Berkowitz's, is division-free, so it serves integer matrices and matrices
-over a Witt ring alike.
+computed.  The one characteristic polynomial, Berkowitz's, is
+division-free: it runs over Z, or mod an integer, where a crystal's is read.
 """
 
 from __future__ import annotations
@@ -124,31 +123,43 @@ def bareiss_det(a: Matrix) -> int:
 # characteristic and minimal polynomials
 
 
-def charpoly(a: Matrix, one=1) -> list:
-    """det(t*I - A), ascending coefficients, by Berkowitz's division-free
-    recursion (Berkowitz, IPL 18, 1984): ring operations only, so it runs
-    over Z and over any commutative ring whose unit is `one` (a Witt ring
-    passes `ring.from_int(1)`).
+def charpoly(a: Matrix, mod: int | None = None) -> list[int]:
+    """det(t*I - A) of an integer matrix, ascending coefficients, by
+    Berkowitz's division-free recursion (Berkowitz, IPL 18, 1984).  With
+    `mod`, the charpoly mod `mod`, coefficients in [0, mod): the matrix,
+    the vectors M^i·C and the partial charpolys are kept as least absolute
+    residues, so no entry grows past mod/2 and a small one, a small
+    negative one included, stays small.  A crystal's charpoly is read so,
+    mod p^K, off the matrix of its semilinear F.
 
     The charpoly of the trailing minor M of size m is extended to the one of
     [[x, R], [C, M]] by the Toeplitz column (1, -x, -R·C, -R·M·C, ...,
     -R·M^(m-1)·C) acting on its descending coefficients.
     """
     n = len(a)
-    zero = one - one
-    poly = [one]  # descending charpoly of the trailing minor
+    if mod:
+        half = mod // 2
+
+        def reduce(v):  # least absolute residues: a small entry stays small
+            return [x - mod if x > half else x for x in (y % mod for y in v)]
+        a = [reduce(row) for row in a]
+    poly = [1]  # descending charpoly of the trailing minor
     for k in range(n - 1, -1, -1):
         row, minor = a[k][k + 1:], [r[k + 1:] for r in a[k + 1:]]
         vec = [r[k] for r in a[k + 1:]]
         m = len(minor)
-        s = [one, -a[k][k]]
+        s = [1, -a[k][k]]
         for _ in range(m):
-            s.append(-sum((x * y for x, y in zip(row, vec)), zero))
-            vec = [sum((x * y for x, y in zip(r, vec)), zero) for r in minor]
-        poly = [sum((s[i - j] * poly[j]
-                     for j in range(max(0, i - m - 1), min(i, m) + 1)), zero)
+            s.append(-sum(map(mul, row, vec)))
+            vec = [sum(map(mul, r, vec)) for r in minor]
+            if mod:
+                vec = reduce(vec)
+        poly = [sum(s[i - j] * poly[j]
+                    for j in range(max(0, i - m - 1), min(i, m) + 1))
                 for i in range(m + 2)]
-    return poly[::-1]
+        if mod:
+            poly = reduce(poly)
+    return [x % mod for x in poly[::-1]] if mod else poly[::-1]
 
 
 def minimal_polynomial(a: Matrix, cp: list[int] | None = None) -> list[int]:

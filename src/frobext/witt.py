@@ -2,9 +2,12 @@
 
 W(F_q), q = p^a, is modeled as Z_p[x]/(h) with h monic of degree a and
 irreducible mod p, all coefficients carried mod p^K.  Elements are length-a
-coordinate vectors in the x-power basis.  The Frobenius lift sigma is the
-unique ring automorphism with sigma(x) = x^p mod p; it is found by Hensel
-iteration and represented by its coordinate matrix.
+coordinate lists in the x-power basis, and there is no element type: a
+W-linear map is read through the integer matrices of multiplication
+(`WittRing.mul_matrix`), a semilinear one through those and sigma's matrix.
+The Frobenius lift sigma is the unique ring automorphism with sigma(x) = x^p
+mod p; it is found by Hensel iteration and represented by its coordinate
+matrix.
 
 The mod-p^K model is exact within its precision: ring operations introduce
 no further error, so a quantity whose valuation is certified below K is
@@ -13,6 +16,8 @@ in `linalg` (`padic_smith`), beside the one over Z.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .exact import is_prime
 from .linalg import bareiss_det
@@ -149,81 +154,7 @@ def first_irreducible(p: int, a: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the ring and its elements
-
-
-class WittElem:
-    """Element of a WittRing: coordinates in the x-power basis, mod p^K."""
-
-    __slots__ = ("ring", "c")
-
-    def __init__(self, ring: "WittRing", coords):
-        self.ring = ring
-        self.c = tuple(x % ring.pK for x in coords)
-
-    def _coerce(self, other) -> "WittElem":
-        if isinstance(other, WittElem):
-            if other.ring is not self.ring:
-                raise ValueError("elements of different rings")
-            return other
-        return self.ring.from_int(other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return WittElem(self.ring, [x + y for x, y in zip(self.c, o.c)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return WittElem(self.ring, [x - y for x, y in zip(self.c, o.c)])
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __neg__(self):
-        return WittElem(self.ring, [-x for x in self.c])
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        r = self.ring
-        return WittElem(r, _pm_mul(list(self.c), list(o.c), r.modulus, r.pK))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        r = self.ring
-        return WittElem(r, _pm_pow(list(self.c), e, r.modulus, r.pK))
-
-    def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except (ValueError, TypeError):
-            return NotImplemented
-        return self.c == o.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __bool__(self):
-        return any(self.c)
-
-    def __repr__(self):
-        terms = []
-        for i, x in enumerate(self.c):
-            if x:
-                half = self.ring.pK // 2
-                v = x - self.ring.pK if x > half else x
-                terms.append("%d*x^%d" % (v, i) if i else str(v))
-        return " + ".join(terms) if terms else "0"
-
-    def constant_lift(self) -> int:
-        """Balanced integer lift, requiring all non-constant coordinates to
-        vanish mod p^K (i.e. the element lies in Z_p)."""
-        if any(self.c[1:]):
-            raise ValueError("element is not in Z_p: %r" % (self,))
-        x = self.c[0]
-        return x - self.ring.pK if x > self.ring.pK // 2 else x
+# the ring
 
 
 class WittRing:
@@ -245,7 +176,6 @@ class WittRing:
         self.sigma_image = self._hensel_sigma()
         self.sigma_matrix = self._sigma_matrix()
         self._check_sigma()
-        self._lifts: dict[int, WittRing] = {}
 
     # -- construction internals
 
@@ -276,60 +206,37 @@ class WittRing:
         return [[cols[j][i] for j in range(self.a)] for i in range(self.a)]
 
     def _check_sigma(self):
-        h, p = self.modulus, self.p
-        if _pm_eval(h, self.sigma_image, h, self.pK) != [0] * self.a:
+        h, p, a = self.modulus, self.p, self.a
+        if _pm_eval(h, self.sigma_image, h, self.pK) != [0] * a:
             raise RuntimeError("sigma image must be a root of the modulus")
-        xp = _pm_pow(_pm_norm([0, 1] if self.a > 1 else [0], self.a, p), p, h, p)
-        if [c % p for c in self.sigma_image] != xp:
+        x = _pm_norm([0, 1] if a > 1 else [0], a, p)
+        if [c % p for c in self.sigma_image] != _pm_pow(x, p, h, p):
             raise RuntimeError("sigma must reduce to the p-power map")
-        y = self.x()
-        for _ in range(self.a):
+        y = x
+        for _ in range(a):
             y = self.sigma(y)
-        if y != self.x():
+        if y != x:
             raise RuntimeError("sigma^a must be the identity")
 
-    # -- elements
+    # -- operations on coordinate lists
 
-    def elem(self, coords) -> WittElem:
-        return WittElem(self, list(coords) + [0] * (self.a - len(coords)))
+    def sigma(self, coords: list[int]) -> list[int]:
+        """sigma of the element with these coordinates, reduced mod p^K."""
+        return [sum(map(mul, row, coords)) % self.pK
+                for row in self.sigma_matrix]
 
-    def from_int(self, n: int) -> WittElem:
-        return self.elem([n])
-
-    def zero(self) -> WittElem:
-        return self.from_int(0)
-
-    def x(self) -> WittElem:
-        return self.elem([0, 1]) if self.a > 1 else self.zero()
-
-    # -- operations
-
-    def sigma(self, w: WittElem) -> WittElem:
-        out = [0] * self.a
-        for j, c in enumerate(w.c):
-            if c:
-                for i in range(self.a):
-                    out[i] += self.sigma_matrix[i][j] * c
-        return WittElem(self, out)
-
-    def mul_matrix(self, w):
-        """Integer matrix of multiplication by w, an element or integer
-        coordinates, on Z[x]/(h) in the x-power basis (`_mul_matrix`):
-        exact for integer coordinates, and congruent mod p^K to
-        multiplication in the ring."""
-        a = self.a
-        v = list(w.c) if isinstance(w, WittElem) else list(w) + [0] * (a - len(w))
-        return _mul_matrix(self.modulus, v)
+    def mul_matrix(self, coords: list[int]) -> list[list[int]]:
+        """Integer matrix of multiplication by the element with these
+        coordinates on Z[x]/(h) in the x-power basis (`_mul_matrix`): exact
+        over Z, and congruent mod p^K to multiplication in the ring."""
+        return _mul_matrix(self.modulus,
+                           list(coords) + [0] * (self.a - len(coords)))
 
     def at_precision(self, precision: int) -> "WittRing":
-        """The same ring carried to another working precision, built once."""
+        """The same ring carried to another working precision."""
         if precision == self.K:
             return self
-        ring = self._lifts.get(precision)
-        if ring is None:
-            ring = self._lifts[precision] = WittRing(
-                self.p, self.a, precision, self.modulus)
-        return ring
+        return WittRing(self.p, self.a, precision, self.modulus)
 
     def __repr__(self):
         return "WittRing(p=%d, a=%d, K=%d)" % (self.p, self.a, self.K)

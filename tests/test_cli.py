@@ -880,6 +880,12 @@ _CRYSTAL = {"coords": [[1]], "exponents": None, "special_poly": None}
      "degree 11 gives a p-adic system of dimension at least a^3 = 1331"),
     ({"case": "c", "p": 2, "degree": 300, "m": _CRYSTAL, "n": _CRYSTAL},
      "degree 300 gives"),
+    # a residue degree below 1 is named as the field it is, not as the
+    # ring's precision; a negative one would pass the a^3 cap
+    ({"case": "c", "p": 3, "degree": 0, "m": _CRYSTAL, "n": _CRYSTAL},
+     "degree must be at least 1, not 0"),
+    ({"case": "c", "p": 3, "degree": -2, "m": _CRYSTAL, "n": _CRYSTAL},
+     "degree must be at least 1, not -2"),
 ])
 def test_malformed_replay_is_an_input_error(tmp_path, capsys, case, field):
     # every field of a replay file is checked as `ext` checks its JSON: exit

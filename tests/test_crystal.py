@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from frobext import cli, crystal
 from frobext.exact import (
-    PrecisionError, abs_at, poly_deriv, poly_mul, resultant, valuation)
+    PrecisionError, abs_at, poly_deriv, poly_mul, poly_pow, resultant,
+    valuation)
 from frobext.linalg import (
     block_diag, companion, identity, kron, mat_mul, mat_sub,
     padic_det_valuation, padic_smith, smith_normal_form, sparse_rows,
     transpose)
-from frobext.witt import WittRing
+from frobext.witt import WittRing, _pm_mul
 from frobext.zgamma import FinGenAbGroup, HypothesisError
 from lift_oracle import lift_orders
 from frobext.crystal import (
@@ -32,7 +33,6 @@ from frobext.crystal import (
     special_module,
     unit_crystal,
     verify_local_identity,
-    _linear_int_matrix,
     _semilinear_int_matrix,
     _theta_int,
     _z_derivative_map,
@@ -43,14 +43,26 @@ R51 = WittRing(5, 1)
 R32 = WittRing(3, 2)
 
 
-def _wmat_poly_eval(ring: WittRing, poly, wmat):
-    """poly(wmat) by Horner over the ring, scalars on the diagonal."""
-    n = len(wmat)
-    acc = [[ring.from_int(0) for _ in range(n)] for _ in range(n)]
+def _frobenius_power(x: Crystal):
+    """Φ^a mod p^K, Φ the Z_p-matrix of the semilinear F: the Z_p-matrix of
+    the W-linear a-th Frobenius iterate."""
+    ring = x.ring
+    phi = _semilinear_int_matrix(ring, x.coords)
+    out = identity(len(phi))
+    for _ in range(ring.a):
+        out = [[c % ring.pK for c in row] for row in mat_mul(out, phi)]
+    return out
+
+
+def _poly_eval(poly, mat, mod: int):
+    """poly(mat) mod `mod`, by Horner, scalars on the diagonal."""
+    n = len(mat)
+    acc = [[0] * n for _ in range(n)]
     for c in reversed(poly):
-        acc = mat_mul(acc, wmat)
+        acc = mat_mul(acc, mat)
         for i in range(n):
-            acc[i][i] = acc[i][i] + ring.from_int(c)
+            acc[i][i] += c
+        acc = [[x % mod for x in row] for row in acc]
     return acc
 
 
@@ -58,9 +70,9 @@ def _z_derivative_on_crystal(m: Crystal) -> Fraction:
     """The derivative map's |det|_p read off the crystal's own Z_p-matrix
     at its working precision: the route `_z_derivative_map` replaces."""
     ring = m.ring
-    pi = m.frobenius_power()
-    f = mat_mul(pi, _wmat_poly_eval(ring, poly_deriv(m.special_poly), pi))
-    v = padic_det_valuation(_linear_int_matrix(ring, f), ring.p, ring.K)
+    pi = _frobenius_power(m)
+    f = mat_mul(pi, _poly_eval(poly_deriv(m.special_poly), pi, ring.pK))
+    v = padic_det_valuation(f, ring.p, ring.K)
     return Fraction(1, ring.p ** v)
 
 
@@ -79,6 +91,32 @@ def test_charpoly_of_special_is_min_poly_power():
         m = [ring.p, -1, 1]
         expect = poly_mul(m, m)
         assert crystal_charpoly(special_module(ring, m)) == [int(c) for c in expect]
+
+
+@pytest.mark.parametrize("p, a, K, m", [
+    (3, 1, 20, [5, -1, 1]), (3, 2, 20, [3, -1, 1]), (2, 3, 20, [-2, 1, 0, 1]),
+    # 20^2 = 400 lies above 3^4 / 2: its balanced lift is 400 - 5·81 = -5
+    (3, 2, 4, [20, 1])])
+def test_charpoly_of_general_coords_is_min_poly_power(p, a, K, m):
+    # a special module's F-matrix read as a general crystal (no special_poly)
+    # goes through the semilinear Φ: its charpoly is m^a, balanced mod p^K
+    ring = WittRing(p, a, K)
+    x = Crystal(ring, special_module(ring, m).coords)
+    assert x.special_poly is None
+    pK = ring.pK
+    want = [c % pK for c in poly_pow(m, a)]
+    assert crystal_charpoly(x) == [c - pK if c > pK // 2 else c for c in want]
+    if K == 4:
+        assert poly_pow(m, a)[0] == 400 and crystal_charpoly(x)[0] == -5
+
+
+def test_charpoly_refuses_a_wrong_sigma():
+    # σ = identity over W(F_9): Φ is the W-linear 1 + x, whose Z_p-charpoly
+    # (t - 1)^2 + 1 is not a polynomial in t^2
+    ring = WittRing(3, 2)
+    ring.sigma_matrix = identity(2)
+    with pytest.raises(RuntimeError, match=r"not a polynomial in t\^a"):
+        crystal_charpoly(Crystal(ring, [[[1, 1]]]))
 
 
 def test_crystal_validation():
@@ -391,8 +429,7 @@ def test_coprime_oracles(seed, pa):
     assert out["equal"]
     res = resultant(m.special_poly, n.special_poly)
     assert out["rhs"] == abs_at(p, res) ** (a * a)
-    lam = _wmat_poly_eval(ring, m.special_poly, n.frobenius_power())
-    mat = _linear_int_matrix(ring, lam)
+    mat = _poly_eval(m.special_poly, _frobenius_power(n), ring.pK)
     vals = padic_smith(sparse_rows(mat), len(mat), p, ring.K)
     assert all(v is not None for v in vals)
     assert out["lhs"] == Fraction(1, p ** sum(vals))
@@ -610,19 +647,10 @@ def test_one_smith_form_per_pair(monkeypatch):
 
 
 def _padic_det_route(x: Crystal) -> int:
-    """v_p(det F^a) read off the Z_p-matrix of F^a over the ring mod p^K,
-    divided by a: the route the exact determinant replaces."""
-    ring = x.ring
-    pi = x.frobenius_power()
-    n, a = len(pi), ring.a
-    mat = [[0] * (a * n) for _ in range(a * n)]
-    for i in range(n):
-        for j in range(n):
-            blk = ring.mul_matrix(pi[i][j])
-            for r in range(a):
-                for c in range(a):
-                    mat[i * a + r][j * a + c] = blk[r][c]
-    return padic_det_valuation(mat, ring.p, ring.K) // a
+    """v_p(det F^a) read off Φ^a mod p^K, divided by a: the route the exact
+    determinant replaces."""
+    return padic_det_valuation(_frobenius_power(x), x.ring.p, x.ring.K) \
+        // x.ring.a
 
 
 DEEP_RINGS = {(p, a): WittRing(p, a, 60) for p in (2, 3, 5) for a in (1, 2, 3)}
@@ -677,8 +705,15 @@ def test_theta_is_the_presentation_map(monkeypatch, ring, rm, rn):
     # `rn` are a rank (a unitriangular F) or an F-matrix.
     m, n = (_unitriangular(ring, r) if isinstance(r, int) else Crystal(ring, r)
             for r in (rm, rn))
-    rm, rn, a = m.dim, n.dim, ring.a
-    fm, fn = ([[ring.elem(c) for c in row] for row in x.coords] for x in (m, n))
+    rm, rn, a, h, pK = m.dim, n.dim, ring.a, ring.modulus, ring.pK
+    fm, fn = m.coords, n.coords
+
+    def dot(pairs):  # Σ x·y over W mod p^K, on coordinate lists
+        out = [0] * a
+        for x, y in pairs:
+            out = [(u + v) % pK for u, v in zip(out, _pm_mul(x, y, h, pK))]
+        return out
+
     calls = []
     mul_matrix = WittRing.mul_matrix
     monkeypatch.setattr(WittRing, "mul_matrix",
@@ -691,14 +726,14 @@ def test_theta_is_the_presentation_map(monkeypatch, ring, rm, rn):
     assert all(0 <= c < size and x for row in theta for c, x in row.items())
     for col in range(size):
         flat = [int(k == col) for k in range(size)]
-        u = [[ring.elem(flat[(i * rm + j) * a:(i * rm + j + 1) * a])
+        u = [[flat[(i * rm + j) * a:(i * rm + j + 1) * a]
               for j in range(rm)] for i in range(rn)]
-        want = [sum((u[i][k] * fm[k][j] for k in range(rm)), ring.zero())
-                - sum((fn[i][k] * ring.sigma(u[k][j]) for k in range(rn)),
-                      ring.zero())
+        want = [[(x - y) % pK for x, y in zip(
+                    dot((u[i][k], fm[k][j]) for k in range(rm)),
+                    dot((fn[i][k], ring.sigma(u[k][j])) for k in range(rn)))]
                 for i in range(rn) for j in range(rm)]
-        got = [row.get(col, 0) % ring.pK for row in theta]
-        assert got == [c for x in want for c in x.c], col
+        got = [row.get(col, 0) % pK for row in theta]
+        assert got == [c for x in want for c in x], col
 
 
 def _dense(rows, ncols):

@@ -116,6 +116,12 @@ def test_charpoly_matches_det(a, x):
     assert poly_eval(p, x) == bareiss_det(xi_a)
 
 
+@given(int_matrices(), st.integers(min_value=2, max_value=10 ** 30))
+def test_charpoly_mod_is_the_charpoly_reduced(a, mod):
+    # reducing as it goes changes nothing but the representatives
+    assert charpoly(a, mod) == [c % mod for c in charpoly(a)]
+
+
 def test_companion_roundtrip():
     p = [6, -5, -2, 1]
     assert charpoly(companion(p)) == p

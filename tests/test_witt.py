@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import frobext
 from frobext.exact import poly_divmod, poly_mul
-from frobext.linalg import charpoly, mat_mul
-from frobext.witt import WittRing, first_irreducible
+from frobext.crystal import _semilinear_int_matrix
+from frobext.linalg import charpoly, identity, mat_mul
+from frobext.witt import (
+    WittRing, _pm_eval, _pm_mul, _pm_pow, first_irreducible)
 
 
 def test_default_moduli():
@@ -21,46 +23,39 @@ def test_default_moduli():
 
 def test_sigma_images():
     r = WittRing(2, 2)
-    x = r.x()
-    assert r.sigma(x) == -1 - x  # the conjugate root of x^2+x+1
+    # -1 - x, the conjugate root of x^2+x+1
+    assert r.sigma([0, 1]) == [-1 % r.pK, -1 % r.pK]
     r3 = WittRing(3, 2)
-    assert r3.sigma(r3.x()) == -r3.x()
+    assert r3.sigma([0, 1]) == [0, -1 % r3.pK]
     r5 = WittRing(5, 1)
-    assert r5.sigma(r5.from_int(17)) == r5.from_int(17)
+    assert r5.sigma([17]) == [17]
 
 
 def test_sigma_is_a_frobenius_lift():
     for p, a in ((2, 2), (3, 2), (5, 2), (3, 3)):
         r = WittRing(p, a)
-        x = r.x()
+        h, pK = r.modulus, r.pK
+        x = [0, 1] + [0] * (a - 2)
         sx = r.sigma(x)
         # h(sigma x) = 0 and sigma x = x^p mod p
-        assert not sum((r.from_int(c) * sx ** i for i, c in enumerate(r.modulus)),
-                       r.zero())
-        diff = sx - x ** p
-        assert all(c % p == 0 for c in diff.c)
+        assert _pm_eval(h, sx, h, pK) == [0] * a
+        diff = [u - v for u, v in zip(sx, _pm_pow(x, p, h, pK))]
+        assert all(c % p == 0 for c in diff)
         # sigma^a = id and sigma is multiplicative
-        w = v = 3 + 2 * x
+        w = v = [3, 2] + [0] * (a - 2)
         for _ in range(a):
             v = r.sigma(v)
         assert v == w
-        assert r.sigma(w * x) == r.sigma(w) * r.sigma(x)
-
-
-def test_constant_lift():
-    r = WittRing(3, 2, precision=12)
-    with pytest.raises(ValueError):
-        (r.x()).constant_lift()
-    assert r.from_int(-7).constant_lift() == -7
+        assert r.sigma(_pm_mul(w, x, h, pK)) == \
+            _pm_mul(r.sigma(w), r.sigma(x), h, pK)
 
 
 def test_mul_matrix_matches_multiplication():
     r = WittRing(2, 3, precision=10)
-    w = 3 + r.x() + 5 * r.x() ** 2
-    v = 1 + 2 * r.x()
+    w, v = [3, 1, 5], [1, 2, 0]  # 3 + x + 5x^2 and 1 + 2x
     mat = r.mul_matrix(w)
-    prod = [sum(mat[i][j] * v.c[j] for j in range(3)) % r.pK for i in range(3)]
-    assert prod == list((w * v).c)
+    prod = [sum(mat[i][j] * v[j] for j in range(3)) % r.pK for i in range(3)]
+    assert prod == _pm_mul(w, v, r.modulus, r.pK)
     # integer coordinates above p^K: the matrix is exact over Z[x]/(h),
     # and congruent mod p^K to multiplication in the ring
     for a in (1, 2, 3):
@@ -71,38 +66,44 @@ def test_mul_matrix_matches_multiplication():
         got = [sum(x * y for x, y in zip(row, v)) for row in mat]
         _, rem = poly_divmod(poly_mul(u, v), r.modulus)
         assert got == [int(c) for c in rem] + [0] * (a - len(rem))
-        assert [x % r.pK for x in got] == list((r.elem(u) * r.elem(v)).c)
-        w = r.elem(u)
-        assert r.mul_matrix(w) == r.mul_matrix(list(w.c))
+        assert [x % r.pK for x in got] == _pm_mul(u, v, r.modulus, r.pK)
+        reduced = r.mul_matrix([c % r.pK for c in u])
+        assert [[x % r.pK for x in row] for row in reduced] == \
+            [[x % r.pK for x in row] for row in mat]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(3, 2), (3, 3)]), st.integers(0, 4), st.data())
 def test_one_charpoly_over_z_and_w(field, n, data):
-    # the same Berkowitz charpoly: over W(F_9) and W(F_27), an integer matrix
-    # lifts to the integer charpoly mod p^K; a matrix of Witt elements is
-    # annihilated by its own (Cayley-Hamilton)
+    # the same Berkowitz charpoly: over W(F_9) and W(F_27), read mod p^K, an
+    # integer matrix has the integer charpoly mod p^K; a matrix of Witt
+    # elements, as the semilinear Φ, has a charpoly P(t^a), and P annihilates
+    # Φ^a, the Z_p-matrix of the W-linear F^a (Cayley-Hamilton)
     r = WittRing(*field, precision=6)
     a = [[data.draw(st.integers(-400, 400)) for _ in range(n)]
          for _ in range(n)]
-    lifted = charpoly(a, r.from_int(1))
-    assert [c.constant_lift() % r.pK for c in lifted] == \
-        [c % r.pK for c in charpoly(a)]
-    w = [[r.elem([data.draw(st.integers(-50, 50)) for _ in range(r.a)])
+    assert charpoly(a, r.pK) == [c % r.pK for c in charpoly(a)]
+    w = [[[data.draw(st.integers(-50, 50)) for _ in range(r.a)]
           for _ in range(n)] for _ in range(n)]
-    acc = [[r.zero()] * n for _ in range(n)]
-    for c in reversed(charpoly(w, r.from_int(1))):  # Horner at w
-        acc = mat_mul(acc, w)
-        for i in range(n):
-            acc[i][i] = acc[i][i] + c
+    phi = _semilinear_int_matrix(r, w)
+    cp = charpoly(phi, r.pK)
+    assert not any(c for i, c in enumerate(cp) if i % r.a)
+    power = identity(r.a * n)
+    for _ in range(r.a):
+        power = mat_mul(power, phi)
+    acc = [[0] * (r.a * n) for _ in range(r.a * n)]
+    for c in reversed(cp[::r.a]):  # Horner at Φ^a
+        acc = mat_mul(acc, power)
+        for i in range(r.a * n):
+            acc[i][i] += c
+        acc = [[x % r.pK for x in row] for row in acc]
     assert all(not x for row in acc for x in row)
 
 
-def test_ring_reuses_its_lifts():
+def test_ring_at_another_precision():
     r = WittRing(3, 2, precision=6)
     assert r.at_precision(6) is r
     lift = r.at_precision(10)
-    assert r.at_precision(10) is lift
     assert (lift.K, lift.modulus) == (10, r.modulus)
     assert [c % r.pK for c in lift.sigma_image] == r.sigma_image
 
